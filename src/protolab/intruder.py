@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .model import (
     GlobalState,
@@ -63,6 +63,12 @@ class ReplayOpaque:
 
 IntruderMove = Union[InventNonce, Compose, ReplayOpaque]
 
+Pattern = tuple[str, ...]  # receive pattern: one kind per position, "u" or "n"
+
+
+class IllegalMove(Exception):
+    """An intruder move that cannot be performed on the given state."""
+
 
 def closure(
     knowledge: IntruderKnowledge,
@@ -89,22 +95,52 @@ def closure(
     return IntruderKnowledge(frozenset(known), tuple(sorted(opaque)))
 
 
-def legal_moves(knowledge: IntruderKnowledge, bounds: MoveBounds) -> list[IntruderMove]:
-    """Every move the intruder may take, in a fixed enumeration order:
-    one invention (if allowed), then compositions by recipient and content,
-    then replays by history index."""
+def legal_moves(
+    knowledge: IntruderKnowledge,
+    bounds: MoveBounds,
+    waiting: Mapping[Uid, Sequence[Pattern]],
+) -> list[IntruderMove]:
+    """The intruder's moves in a fixed enumeration order: one invention (if
+    allowed), then the compositions a waiting receive could consume, by
+    recipient, length and content, then replays by history index.
+
+    `waiting` maps a recipient to the kind patterns of its receives that are
+    waiting.  Compositions are built from those patterns, position by
+    position from the pool items of each position's kind, never generated
+    and then filtered: the result equals every recipient x pool^1..max_content
+    composition that `kinds_match`es one of its recipient's patterns, in the
+    same item_key-lexicographic order.  Replays are not filtered here."""
     moves: list[IntruderMove] = []
     if bounds.max_invents > 0:
         moves.append(InventNonce())
-    recipients = sorted(i for i in knowledge.known_items if is_uid(i))
     pool = sorted(knowledge.known_items, key=item_key)
-    for rec in recipients:
+    pools = {"u": [i for i in pool if is_uid(i)], "n": [i for i in pool if is_nonce(i)]}
+    for rec in pools["u"]:
+        patterns = waiting.get(rec, ())
         for length in range(1, bounds.max_content + 1):
-            for content in itertools.product(pool, repeat=length):
-                moves.append(Compose(rec=rec, content=content))
+            same_length = list(dict.fromkeys(p for p in patterns if len(p) == length))
+            if same_length:
+                moves.extend(Compose(rec=rec, content=c) for c in _contents(same_length, pools))
     for index in knowledge.observed_opaque:
         moves.append(ReplayOpaque(index))
     return moves
+
+
+def _contents(patterns: list[Pattern], pools: dict[str, list[Item]]) -> list[tuple[Item, ...]]:
+    """Contents matching any of `patterns`, distinct kind patterns of one
+    length, in item_key-lexicographic order.  An item has exactly one kind,
+    so distinct patterns match disjoint contents; branching on the first
+    position's kind, uids before nonces as item_key orders them, merges the
+    patterns' products in order and without duplicates."""
+    if len(patterns) == 1:
+        return list(itertools.product(*(pools[kind] for kind in patterns[0])))
+    out = []
+    for kind in ("u", "n"):
+        rest = [p[1:] for p in patterns if p[0] == kind]
+        if rest:
+            tails = _contents(rest, pools)
+            out.extend((item,) + tail for item in pools[kind] for tail in tails)
+    return out
 
 
 def apply_move(
@@ -121,10 +157,15 @@ def apply_move(
         state = append_action(state, Invent(me, nonce))
     elif isinstance(move, Compose):
         state = append_action(state, medium.send_action(me, move.rec, move.content, state))
-    else:
-        assert isinstance(move, ReplayOpaque)
+    elif isinstance(move, ReplayOpaque):
+        if not 0 <= move.index < len(state.history):
+            raise IllegalMove(f"replay index {move.index} is outside the history")
         original = state.history[move.index]
+        if not medium.is_message(original):
+            raise IllegalMove(f"replay index {move.index} does not name a message")
         state = append_action(state, medium.replay_action(original, me))
+    else:
+        raise IllegalMove(f"unknown intruder move {move!r}")
     know = closure(EMPTY_KNOWLEDGE, state, me, medium)
     nonces = [i for i in know.known_items if isinstance(i, Nonce)]
     return add_knows(state, me, session, nonces)

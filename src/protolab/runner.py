@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from .crypto import ConcreteMedium, KeyRegistry, abstract_of, registry_from_state
 from .intruder import (
     Compose,
+    IllegalMove,
     IntruderMove,
     InventNonce,
     ReplayOpaque,
@@ -250,17 +251,22 @@ ScheduleEntry = tuple
 
 
 def execute_schedule(scenario: Scenario, schedule, level: str | None = None) -> TraceRun:
-    """Re-execute an explicit schedule (from the explorer or a parsed trace)."""
+    """Re-execute an explicit schedule (from the explorer or a parsed trace).
+    Raises IllegalMove, naming the 1-based event, for an intruder move the
+    state at that point does not allow."""
     ex = build_execution(scenario, level)
     initial = ex.state
     init_digest = node_digest(ex.state, ex.machines, ex.inbox)
-    for entry in schedule:
+    for event, entry in enumerate(schedule, start=1):
         if entry[0] == "machine":
             _, index, chosen_peer = entry
             ex.step_machine(index, chosen_peer=chosen_peer)
         else:
             _, move = entry
-            ex.step_intruder(move)
+            try:
+                ex.step_intruder(move)
+            except IllegalMove as exc:
+                raise IllegalMove(f"event {event}: {exc}") from None
     return ex.to_run(init_digest, initial)
 
 
@@ -313,6 +319,8 @@ def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
     schedule = schedule_from_doc(doc, scenario)
     try:
         run = execute_schedule(scenario, schedule, level=doc.level)
+    except IllegalMove as exc:
+        raise TraceError(f"trace is not executable: {exc}")
     except (IndexError, KeyError, AssertionError) as exc:
         # grammatically fine but not a schedule this tool could have produced
         raise TraceError(f"trace is not executable: {exc!r}")

@@ -10,20 +10,26 @@ Specs are evaluated at quiescent states (no machine can step, no intruder
 move on offer); the transition invariant and the global state invariant are
 checked at every visited state.
 
-Intruder moves offered to the search are the legal moves filtered two ways,
-both sound for violation-finding within bounds and both needed to keep the
-tree finite:
+Compositions are built from demand instead of being generated and then
+filtered.  At each node the search collects the receive patterns waiting
+per recipient, and `legal_moves` composes messages only for a recipient
+with a waiting pattern, position by position from the known items of each
+position's kind: the demand-driven idea of OFMC's lazy intruder (Basin,
+Moedersheim and Vigano, 2005) applied to concrete items.  Two filters
+remain, both sound for violation-finding within bounds and both needed to
+keep the tree finite:
 
-- demand-driven delivery: a composed or replayed message is offered only
-  when some machine of its recipient is sitting at a receive whose pattern
-  the content matches.  A message nobody can consume never changes any
-  user's records (recipient-only readability keeps it out of `knows`), and
-  a consumer that would only reach its receive later can always be served
-  by taking the same move later: the intruder's knowledge and the pending
-  history only grow.
-- no duplicate pending copies: a move is not offered while an identical
-  unconsumed message already awaits the same recipient with enough waiting
-  machines, since consuming either copy leads to the same successor states.
+- demand-driven delivery: a replayed message is offered only when some
+  machine of its recipient is sitting at a receive whose pattern the
+  content matches, as every composed one already is.  A message nobody can
+  consume never changes any user's records (recipient-only readability
+  keeps it out of `knows`), and a consumer that would only reach its
+  receive later can always be served by taking the same move later: the
+  intruder's knowledge and the pending history only grow.
+- no duplicate pending copies: a move is not offered while identical
+  unconsumed messages already await the same recipient, as many as it has
+  waiting machines the content matches, since consuming either copy leads
+  to the same successor states.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .intruder import (
     legal_moves,
 )
 from .invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
-from .model import GlobalState, Invent, Msg, Nonce, state_key
+from .model import GlobalState, Invent, Msg, state_key
 from .roles import (
     ABSTRACT,
     Inbox,
@@ -78,48 +84,6 @@ def _node_key(node: _Node) -> tuple:
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
-def _node_key_symmetric(node: _Node) -> tuple:
-    """Duplicate-detection key with nonces renamed by first occurrence, so
-    states identical up to nonce identity collapse.  Fresh nonces are already
-    numbered in invention order here, which makes the renaming the identity
-    on reachable states; the flag stays available for hand-built states and
-    as documentation that no correctness claim leans on it."""
-    renaming: dict = {}
-
-    def rn(item):
-        if isinstance(item, Nonce):
-            if item not in renaming:
-                renaming[item] = Nonce(len(renaming) + 1)
-            return renaming[item]
-        return item
-
-    history = []
-    for act in node.state.history:
-        if isinstance(act, Invent):
-            history.append(("inv", act.user, rn(act.what)))
-        else:
-            history.append(("msg", act.rec, act.sender, tuple(rn(i) for i in act.content)))
-    machines = tuple(
-        (m.owner, m.variant, m.kind, m.session, m.peer, m.pc, m.status,
-         tuple((k, rn(v)) for k, v in m.locals))
-        for m in node.machines
-    )
-    users = tuple(
-        (
-            uid,
-            tuple(sorted(node.state.users[uid].int_partner.items())),
-            tuple(
-                (sid, tuple(sorted(rn(n) for n in nonces)))
-                for sid, nonces in sorted(node.state.users[uid].knows.items())
-            ),
-            node.state.users[uid].conforms,
-            tuple(sorted(node.state.users[uid].complete.items())),
-        )
-        for uid in sorted(node.state.users)
-    )
-    return (machines, users, tuple(history), node.inbox.consumed)
-
-
 @dataclass
 class _Limit:
     expanded: int = 0
@@ -134,13 +98,11 @@ class _Searcher:
         bounds: SearchBounds,
         quiescent_specs,
         on_quiescent=None,
-        symmetry_reduction: bool = False,
     ):
         self.scenario = scenario
         self.bounds = bounds
         self.quiescent_specs = quiescent_specs
         self.on_quiescent = on_quiescent
-        self.node_key = _node_key_symmetric if symmetry_reduction else _node_key
         self.universe = scenario.universe()
         self.intr_user = scenario.intruder.user
         self.intr_session = scenario.intruder_session()
@@ -158,8 +120,10 @@ class _Searcher:
                 yield ("machine", index, None)
 
     def _demand(self, node: _Node):
-        """Per-node delivery demand: receive patterns waiting per recipient,
-        and counts of identical pending (unconsumed) messages."""
+        """Per-node delivery demand: the receive patterns waiting per
+        recipient, and a filter that admits a message while fewer identical
+        pending (unconsumed) copies await its recipient than it has waiting
+        machines the content matches."""
         waiting: dict = {}
         for machine in node.machines:
             if machine.status in (Status.COMPLETED, Status.ABORTED):
@@ -174,13 +138,10 @@ class _Searcher:
                 pending[key] = pending.get(key, 0) + 1
 
         def deliverable(rec, content) -> bool:
-            patterns = waiting.get(rec)
-            if not patterns:
-                return False
-            matching = sum(1 for p in patterns if kinds_match(content, p))
-            return matching > 0 and pending.get((rec, content), 0) < matching
+            matching = sum(1 for p in waiting.get(rec, ()) if kinds_match(content, p))
+            return pending.get((rec, content), 0) < matching
 
-        return deliverable
+        return waiting, deliverable
 
     def _intruder_entries(self, node: _Node):
         if self.scenario.intruder.kind != "search":
@@ -194,8 +155,8 @@ class _Searcher:
         move_bounds = MoveBounds(
             max_content=self.bounds.max_content_len, max_invents=max(0, remaining)
         )
-        deliverable = self._demand(node)
-        for move in legal_moves(know, move_bounds):
+        waiting, deliverable = self._demand(node)
+        for move in legal_moves(know, move_bounds, waiting):
             if isinstance(move, Compose):
                 if not deliverable(move.rec, move.content):
                     continue
@@ -270,7 +231,7 @@ class _Searcher:
             return False
         for entry in kids:
             child = self.apply(node, entry)
-            key = self.node_key(child)
+            key = _node_key(child)
             seen_at = visited.get(key)
             if seen_at is not None and seen_at <= depth + 1:
                 continue
@@ -294,7 +255,7 @@ class _Searcher:
             out.cex = (SPEC_INV, [], bad)
             return out
         if workers <= 1:
-            self.dfs(root, 0, limit, initial, [], {self.node_key(root): 0}, out)
+            self.dfs(root, 0, limit, initial, [], {_node_key(root): 0}, out)
             return out
         # Partitioned search: every root branch explored independently, merged
         # in canonical order.  Verdict and counterexample match the sequential
@@ -325,7 +286,7 @@ class _Searcher:
                 limit,
                 initial,
                 [_schedule_entry(entry)],
-                {self.node_key(child): 1},
+                {_node_key(child): 1},
                 branch,
             )
             return branch
@@ -352,7 +313,6 @@ def explore(
     spec: str = "all",
     workers: int = 1,
     on_quiescent=None,
-    symmetry_reduction: bool = False,
 ) -> SpecVerdict:
     """Enumerate interleavings within bounds; return the first (minimal-depth,
     canonical-order) counterexample, or holds-within-bounds with the number
@@ -374,13 +334,7 @@ def explore(
     ex = build_execution(scenario, "abstract")
     root = _Node(tuple(ex.machines), ex.state, ex.inbox)
     initial = ex.state
-    searcher = _Searcher(
-        scenario,
-        bounds,
-        quiescent_specs,
-        on_quiescent=on_quiescent,
-        symmetry_reduction=symmetry_reduction,
-    )
+    searcher = _Searcher(scenario, bounds, quiescent_specs, on_quiescent=on_quiescent)
 
     expanded_total = 0
     truncated_final = False

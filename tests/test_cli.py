@@ -232,6 +232,25 @@ def test_replay_rejects_inexecutable_schedule(tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_replay_of_an_invention_is_a_clean_error(tmp_path, flags):
+    # history[0] of this trace is A's invention, not a message; the check
+    # must not be an assert, which -O strips
+    lines = (GOLDEN / "lowe-on-ns.trc").read_text().splitlines()
+    target = next(i for i, l in enumerate(lines) if l.startswith("event i=4 "))
+    lines[target] = lines[target].replace("stmt=compose", "stmt=replay arg=0")
+    bad = tmp_path / "bad.trc"
+    bad.write_text("\n".join(lines) + "\n")
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "replay", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "event 4" in result.stderr and "index 0" in result.stderr
+
+
 def test_unwritable_trace_out_is_a_clean_error(tmp_path):
     code, _, err = run_cli(
         "run",

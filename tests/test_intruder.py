@@ -1,10 +1,16 @@
 """Intruder knowledge closure, move enumeration, and the scripted strategy."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protolab.intruder import (
     EMPTY_KNOWLEDGE,
     Compose,
+    IllegalMove,
+    IntruderKnowledge,
     InventNonce,
     MoveBounds,
     ReplayOpaque,
@@ -14,10 +20,22 @@ from protolab.intruder import (
     lowe_script,
 )
 from protolab.invariants import dyn_inv, no_read_others, unique_nonces
-from protolab.model import Invent, Msg, Nonce, append_action, initial_state, open_session
-from protolab.roles import ABSTRACT
+from protolab.model import (
+    Invent,
+    Msg,
+    Nonce,
+    append_action,
+    initial_state,
+    is_uid,
+    item_key,
+    open_session,
+)
+from protolab.roles import ABSTRACT, kinds_match
 
 N1, N2 = Nonce(1), Nonce(2)
+
+# every single-item receive pattern waiting at every principal
+ANY_SINGLE = {u: [("u",), ("n",)] for u in ("A", "B", "I")}
 
 
 def fresh(*uids):
@@ -57,7 +75,7 @@ def test_closure_is_idempotent_and_monotone():
 
 def test_legal_moves_counting():
     know = closure(EMPTY_KNOWLEDGE, fresh("A", "B", "I"), "I")
-    moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1))
+    moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1), ANY_SINGLE)
     composes = [m for m in moves if isinstance(m, Compose)]
     invents = [m for m in moves if isinstance(m, InventNonce)]
     assert len(composes) == 9  # 3 recipients x 3 single-item contents
@@ -67,15 +85,73 @@ def test_legal_moves_counting():
 
 def test_legal_moves_zero_content_length():
     know = closure(EMPTY_KNOWLEDGE, fresh("A", "B", "I"), "I")
-    moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1))
+    waiting = {u: [("u",), ("n",), ("u", "n"), ("n", "n")] for u in ("A", "B", "I")}
+    moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1), waiting)
     assert all(not isinstance(m, Compose) for m in moves)
 
 
 def test_legal_moves_include_the_classic_forward():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
     know = closure(EMPTY_KNOWLEDGE, state, "I")
-    moves = legal_moves(know, MoveBounds(max_content=2, max_invents=0))
+    moves = legal_moves(know, MoveBounds(max_content=2, max_invents=0), {"B": [("u", "n")]})
     assert Compose(rec="B", content=("A", N1)) in moves
+
+
+def brute_force_moves(knowledge, bounds, waiting):
+    """Reference enumeration: every recipient x pool^1..max_content
+    composition, kept when it matches one of its recipient's patterns."""
+    moves = [InventNonce()] if bounds.max_invents > 0 else []
+    recipients = sorted(i for i in knowledge.known_items if is_uid(i))
+    pool = sorted(knowledge.known_items, key=item_key)
+    for rec in recipients:
+        for length in range(1, bounds.max_content + 1):
+            for content in itertools.product(pool, repeat=length):
+                if any(kinds_match(content, p) for p in waiting.get(rec, ())):
+                    moves.append(Compose(rec=rec, content=content))
+    moves.extend(ReplayOpaque(i) for i in knowledge.observed_opaque)
+    return moves
+
+
+PATTERNS = st.lists(
+    st.lists(st.sampled_from("un"), min_size=1, max_size=4).map(tuple), max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    uids=st.sets(st.sampled_from("ABCI")),
+    nonces=st.sets(st.integers(1, 4).map(Nonce)),
+    opaque=st.lists(st.integers(0, 20), unique=True).map(sorted).map(tuple),
+    waiting=st.dictionaries(st.sampled_from("ABCIZ"), PATTERNS),
+    max_content=st.integers(0, 3),
+    max_invents=st.integers(0, 1),
+)
+@example(  # duplicate patterns: one composition each, not two
+    uids={"A", "B"}, nonces={N1}, opaque=(), waiting={"B": [("u", "n"), ("u", "n")]},
+    max_content=2, max_invents=0,
+)
+@example(  # two patterns of one length for one recipient, merged in order
+    uids={"A", "B", "I"}, nonces={N1, N2}, opaque=(3,),
+    waiting={"A": [("n", "n"), ("u", "n"), ("n", "u")], "B": [("n",), ("u", "n")]},
+    max_content=2, max_invents=1,
+)
+@example(  # a pattern longer than max_content yields nothing
+    uids={"A", "B"}, nonces={N1}, opaque=(), waiting={"A": [("u", "n", "n")]},
+    max_content=2, max_invents=1,
+)
+def test_legal_moves_equal_brute_force_filtered_by_kinds(
+    uids, nonces, opaque, waiting, max_content, max_invents
+):
+    know = IntruderKnowledge(frozenset(uids | nonces), opaque)
+    bounds = MoveBounds(max_content=max_content, max_invents=max_invents)
+    assert legal_moves(know, bounds, waiting) == brute_force_moves(know, bounds, waiting)
+
+
+@pytest.mark.parametrize("index,reason", [(0, "does not name a message"), (5, "outside")])
+def test_replay_of_a_non_message_is_an_illegal_move(index, reason):
+    state = append_action(fresh("A", "B", "I"), Invent("A", N1))
+    with pytest.raises(IllegalMove, match=reason):
+        apply_move(state, "I", "I#1", ReplayOpaque(index), ABSTRACT)
 
 
 def test_replay_keeps_message_but_reowns_ghost_sender():

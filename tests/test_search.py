@@ -6,9 +6,10 @@ import pytest
 from protolab.model import Msg, Nonce, state_key
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
-from conftest import scenario
+from conftest import GOLDEN, scenario
 from protolab.search import explore
 from protolab.specs import check_post_ns_all
+from protolab.trace import parse_trace
 
 HONEST_SEARCH = """protolab-scenario v1
 user A conforms=true
@@ -153,13 +154,16 @@ def test_explore_rejects_scripted_scenarios():
         explore(load_scenario(scenario('lowe-on-ns')))
 
 
-def test_symmetry_reduction_never_changes_the_verdict(ns_cex):
-    reduced = explore(
-        load_scenario(scenario('ns-search')), spec="post-ns", symmetry_reduction=True
-    )
-    assert reduced.holds == ns_cex.holds
-    assert reduced.counterexample.digests == ns_cex.counterexample.digests
-    assert reduced.states == ns_cex.states  # fresh nonces are already canonical
+def test_ns_search_counters_are_pinned(ns_cex):
+    # a change of search strategy may move these only on purpose, and says so
+    assert ns_cex.states == 19331
+    golden = parse_trace((GOLDEN / "lowe-on-ns.trc").read_text())
+    assert ns_cex.counterexample.digests[-1] == golden.events[-1].digest == "112d8965862b"
+
+
+def test_nsl_search_counter_is_pinned(nsl_quiescents):
+    verdict, _ = nsl_quiescents
+    assert verdict.states == 1104
 
 
 def test_invention_moves_are_searched_and_bounded():
