@@ -1,8 +1,8 @@
 """Command-line driver.
 
     protolab run <scenario> [--spec ...] [--level ...] [--trace-out PATH] [--no-ghost]
-    protolab explore <scenario> [--spec ...] [--max-steps N] [--workers N]
-                     [--trace-out PATH] [--no-ghost]
+    protolab explore <scenario> [--spec ...] [--max-steps N] [--trace-out PATH]
+                     [--no-ghost]
     protolab replay <trace>
 
 Exit codes: 0 all requested specs hold, 1 a spec is violated (run) or a
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .crypto import abstract_of
+from .crypto import check_refinement
 from .runner import execute_schedule, execute_scripted, replay_doc, schedule_from_doc
 from .scenario import ScenarioError, load_scenario, parse_scenario
 from .search import SPEC_CHOICES, explore
@@ -72,7 +72,7 @@ def cmd_explore(args, out, err) -> int:
             raise ScenarioError("level: exploration runs at the abstract level")
         if args.max_steps is not None:
             scenario = scenario.with_max_steps(args.max_steps)
-        verdict = explore(scenario, spec=args.spec, workers=args.workers)
+        verdict = explore(scenario, spec=args.spec)
     except (ScenarioError, FileNotFoundError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_MALFORMED
@@ -123,9 +123,9 @@ def cmd_replay(args, out, err) -> int:
         # the wire run must project onto its recipient-field twin exactly
         scenario = parse_scenario(doc.scenario_text)
         twin = execute_schedule(scenario, schedule_from_doc(doc, scenario), level="abstract")
-        projected = abstract_of(run.final_state.history, run.registry)
-        if projected != twin.final_state.history or run.final_state.users != twin.final_state.users:
-            out.write("replay refinement mismatch between levels\n")
+        refinement = check_refinement(run, twin)
+        if not refinement.holds:
+            out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")
             return EXIT_VIOLATION
     out.write(f"replay ok: {len(run.events)} events verified\n")
     return EXIT_OK
@@ -150,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p.add_argument("--spec", choices=SPEC_CHOICES, default="all")
     explore_p.add_argument("--level", choices=("abstract", "concrete"), default=None)
     explore_p.add_argument("--max-steps", type=int, default=None)
-    explore_p.add_argument("--workers", type=int, default=1)
     explore_p.add_argument("--trace-out", default=None)
     explore_p.add_argument("--no-ghost", action="store_true")
 

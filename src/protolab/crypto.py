@@ -163,21 +163,14 @@ class ConcreteMedium:
         return WireMsg(body=action.body, ghost_sender=me)
 
 
-def check_refinement(scenario):
-    """Run a scripted scenario at both levels and check that the wire run
-    projects exactly onto the recipient-field run: identical histories,
-    identical user records, and recipient-only readability on every
-    projected state."""
-    from .invariants import no_read_others
-    from .runner import execute_scripted
+def check_refinement(concrete_run, abstract_run):
+    """Check that a wire-level run projects exactly onto its recipient-field
+    twin, the same schedule executed at the abstract level: identical
+    histories and identical user records.  Recipient-only readability of the
+    projected states is a run obligation (`specs.check_lemma_suite`)."""
     from .specs import SpecVerdict
 
-    abstract_run = execute_scripted(scenario, level="abstract")
-    concrete_run = execute_scripted(scenario, level="concrete")
-    registry = concrete_run.registry
-    assert registry is not None
-
-    projected = abstract_of(concrete_run.final_state.history, registry)
+    projected = abstract_of(concrete_run.final_state.history, concrete_run.registry)
     if projected != abstract_run.final_state.history:
         return SpecVerdict(
             spec="refinement",
@@ -188,12 +181,4 @@ def check_refinement(scenario):
         return SpecVerdict(
             spec="refinement", holds=False, detail="final user records differ across levels"
         )
-    for state in concrete_run.checkable_states():
-        rep = no_read_others(state)
-        if not rep.holds:
-            return SpecVerdict(
-                spec="refinement",
-                holds=False,
-                detail=f"projected state breaks recipient-only readability: {rep.witness}",
-            )
     return SpecVerdict(spec="refinement", holds=True)

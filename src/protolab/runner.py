@@ -283,10 +283,16 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
     intr_actor = (
         f"intruder@{scenario.intruder_session()}" if scenario.intruder.user is not None else None
     )
+    declared = {uid for uid, _ in scenario.users}
     schedule: list[ScheduleEntry] = []
     for ev in doc.events:
         if ev.actor in actor_to_index:
             peer = ev.arg if ev.stmt == "set-partner" else None
+            if ev.stmt == "set-partner" and peer not in declared:
+                raise TraceError(
+                    f"event {ev.index}: field 'arg': set-partner peer must be a declared user, "
+                    f"got {peer!r}"
+                )
             schedule.append(("machine", actor_to_index[ev.actor], peer))
         elif ev.actor == intr_actor:
             if ev.stmt == "invent-nonce":
@@ -304,6 +310,11 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
                     if not atom.startswith("pk:"):
                         raise TraceError(f"event {ev.index}: unrecognised key atom {atom!r}")
                     rec = atom.split(":", 1)[1]
+                if rec not in declared:
+                    raise TraceError(
+                        f"event {ev.index}: field 'act': compose recipient {rec!r} "
+                        "is not a declared user"
+                    )
                 schedule.append(("intruder", Compose(rec=rec, content=parsed["content"])))
             else:
                 raise TraceError(f"event {ev.index}: unknown intruder statement {ev.stmt!r}")
@@ -328,6 +339,11 @@ def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
         return 0, run
     for ev, digest, recorded in zip(run.events, run.digests, doc.events):
         executed_act = render_action(ev.action) if ev.action is not None else "-"
-        if digest != recorded.digest or ev.stmt != recorded.stmt or executed_act != recorded.action_text:
+        if (
+            digest != recorded.digest
+            or ev.stmt != recorded.stmt
+            or ev.arg != recorded.arg
+            or executed_act != recorded.action_text
+        ):
             return recorded.index, run
     return None, run

@@ -1,14 +1,33 @@
 """Bounded exhaustive exploration of honest-step / intruder-move interleavings.
 
-The search is an iterative-deepening depth-first enumeration: limits
-0..max_steps, children ordered by actor index (role machines in declaration
-order, intruder last) and then by move enumeration order.  The first
-violation returned is therefore one of minimal depth, and identical bounds
-always reproduce the identical verdict, counterexample and state count.
+The search is one level-synchronous breadth-first pass to depth max_steps.
+Children are ordered by actor index (role machines in declaration order,
+intruder last) and then by move enumeration order, and each level is
+expanded in the order its nodes were reached, so every node is first
+reached along its lexicographically least schedule.  A frontier entry
+keeps a link to its parent's entry, and a counterexample's schedule is
+rebuilt from the links.
 
-Specs are evaluated at quiescent states (no machine can step, no intruder
-move on offer); the transition invariant and the global state invariant are
-checked at every visited state.
+A node is checked once, when it is first reached:
+
+1. the safety invariants (transition invariant against its parent, state
+   invariant);
+2. whether any move is enabled: machine moves first, then intruder moves,
+   stopping at the first one found;
+3. for a node with no enabled move (quiescent), the requested specs.
+
+Live nodes make up the next level.  The first violation returned is
+therefore one of minimal depth, first in canonical order, and identical
+bounds always reproduce the identical verdict, counterexample and state
+count.  The verdict is inconclusive when live nodes remain at the step
+bound.
+
+Duplicates are dropped per level, and that is exact, not an
+approximation: every step raises the progress measure
+`sum(machine.pc + [machine aborted]) + #actions by the intruder` by
+exactly one (a machine step advances its pc or aborts it, an intruder
+move appends one action), so every schedule reaching a node has the same
+length and a node can only recur within its own level.
 
 Compositions are built from demand instead of being generated and then
 filtered.  At each node the search collects the receive patterns waiting
@@ -34,8 +53,8 @@ keep the tree finite:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 from .intruder import (
     EMPTY_KNOWLEDGE,
@@ -84,28 +103,27 @@ def _node_key(node: _Node) -> tuple:
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
-@dataclass
-class _Limit:
-    expanded: int = 0
-    truncated: bool = False
-    cex: tuple | None = None  # (spec name, schedule, detail or None)
+# The specs checked at quiescent nodes, per requested spec.
+_QUIESCENT_SPECS = {
+    "all": (SPEC_POST_NS, SPEC_NSL_FT),
+    SPEC_POST_NS: (SPEC_POST_NS,),
+    SPEC_NSL_FT: (SPEC_NSL_FT,),
+    SPEC_INV: (),
+}
 
 
 class _Searcher:
-    def __init__(
-        self,
-        scenario: Scenario,
-        bounds: SearchBounds,
-        quiescent_specs,
-        on_quiescent=None,
-    ):
+    def __init__(self, scenario: Scenario, bounds: SearchBounds, spec: str, on_quiescent=None):
         self.scenario = scenario
         self.bounds = bounds
-        self.quiescent_specs = quiescent_specs
+        self.quiescent_specs = _QUIESCENT_SPECS[spec]
         self.on_quiescent = on_quiescent
         self.universe = scenario.universe()
         self.intr_user = scenario.intruder.user
         self.intr_session = scenario.intruder_session()
+        ex = build_execution(scenario, "abstract")
+        self.root = _Node(tuple(ex.machines), ex.state, ex.inbox)
+        self.initial = ex.state
 
     # ── move generation ──────────────────────────────────────────────────
 
@@ -204,119 +222,109 @@ class _Searcher:
             return f"{rep.name}: {rep.witness}"
         return None
 
-    def quiescent_violation(self, initial: GlobalState, node: _Node) -> str | None:
+    def quiescent_violation(self, node: _Node) -> str | None:
         if self.on_quiescent is not None:
             self.on_quiescent(node.state)
         for spec in self.quiescent_specs:
             if spec == SPEC_POST_NS:
-                verdict = check_post_ns_all(initial, node.state)
+                verdict = check_post_ns_all(self.initial, node.state)
             else:
-                verdict = check_nsl_ft_all(initial, node.state)
+                verdict = check_nsl_ft_all(self.initial, node.state)
             if not verdict.holds and not verdict.rely_broken:
                 return spec
         return None
 
-    # ── bounded depth-first pass ─────────────────────────────────────────
+    def has_child(self, node: _Node) -> bool:
+        """Whether any move is enabled: machine entries first, then intruder
+        entries, stopping at the first one found."""
+        return any(True for _ in chain(self._machine_entries(node), self._intruder_entries(node)))
 
-    def dfs(self, node: _Node, depth: int, limit: int, initial, path, visited, out: _Limit):
-        out.expanded += 1
-        kids = self.children(node)
-        if not kids:
-            spec = self.quiescent_violation(initial, node)
-            if spec is not None:
-                out.cex = (spec, list(path), None)
-            return out.cex is not None
-        if depth == limit:
-            out.truncated = True
-            return False
-        for entry in kids:
-            child = self.apply(node, entry)
-            key = _node_key(child)
-            seen_at = visited.get(key)
-            if seen_at is not None and seen_at <= depth + 1:
-                continue
-            visited[key] = depth + 1
-            bad = self.safety_violation(child, node)
-            if bad is not None:
-                out.cex = (SPEC_INV, list(path) + [_schedule_entry(entry)], bad)
-                return True
-            path.append(_schedule_entry(entry))
-            found = self.dfs(child, depth + 1, limit, initial, path, visited, out)
-            path.pop()
-            if found:
-                return True
-        return False
-
-    def run_limit(self, root: _Node, limit: int, initial, workers: int) -> _Limit:
-        out = _Limit()
-        bad = self.safety_violation(root, None)
+    def first_reach(self, node: _Node, parent: _Node | None):
+        """The checks made once, when a node is first reached: the safety
+        invariants, then, for a node with no enabled move, the quiescent
+        specs.  Returns (violation, live) with violation None or
+        (spec name, safety detail or None)."""
+        bad = self.safety_violation(node, parent)
         if bad is not None:
-            out.expanded = 1
-            out.cex = (SPEC_INV, [], bad)
-            return out
-        if workers <= 1:
-            self.dfs(root, 0, limit, initial, [], {_node_key(root): 0}, out)
-            return out
-        # Partitioned search: every root branch explored independently, merged
-        # in canonical order.  Verdict and counterexample match the sequential
-        # search; the state count can differ because later partitions are not
-        # cut short by an earlier counterexample.
-        out.expanded = 1
-        kids = self.children(root)
-        if not kids:
-            spec = self.quiescent_violation(initial, root)
-            if spec is not None:
-                out.cex = (spec, [], None)
-            return out
-        if limit == 0:
-            out.truncated = True
-            return out
+            return (SPEC_INV, bad), False
+        if self.has_child(node):
+            return None, True
+        spec = self.quiescent_violation(node)
+        return ((spec, None) if spec is not None else None), False
 
-        def explore_branch(entry):
-            branch = _Limit()
-            child = self.apply(root, entry)
-            bad_child = self.safety_violation(child, root)
-            if bad_child is not None:
-                branch.expanded = 0
-                branch.cex = (SPEC_INV, [_schedule_entry(entry)], bad_child)
-                return branch
-            self.dfs(
-                child,
-                1,
-                limit,
-                initial,
-                [_schedule_entry(entry)],
-                {_node_key(child): 1},
-                branch,
-            )
-            return branch
+    # ── level-synchronous breadth-first pass ─────────────────────────────
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(explore_branch, kids))
-        for branch in results:
-            out.expanded += branch.expanded
-            out.truncated = out.truncated or branch.truncated
-            if out.cex is None and branch.cex is not None:
-                out.cex = branch.cex
-        return out
+    def run(self):
+        """Returns (violation or None, its schedule, distinct nodes reached,
+        whether live nodes remain at the step bound)."""
+        violation, live = self.first_reach(self.root, None)
+        if violation is not None:
+            return violation, [], 1, False
+        states = 1
+        # frontier entries: (node, link); a link is (parent's link, entry), None at the root
+        level = [(self.root, None)] if live else []
+        for _ in range(self.bounds.max_steps):
+            seen: set = set()
+            next_level = []
+            for node, link in level:
+                for entry in self.children(node):
+                    child = self.apply(node, entry)
+                    key = _node_key(child)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    states += 1
+                    violation, live = self.first_reach(child, node)
+                    if violation is not None:
+                        return violation, _schedule((link, entry)), states, False
+                    if live:
+                        next_level.append((child, (link, entry)))
+            level = next_level
+        return None, [], states, bool(level)
 
 
-def _schedule_entry(entry):
-    if entry[0] == "machine":
-        return ("machine", entry[1], entry[2])
-    return ("intruder", entry[1])
+def _schedule(link) -> list:
+    schedule = []
+    while link is not None:
+        link, entry = link
+        schedule.append(entry)
+    schedule.reverse()
+    return schedule
+
+
+def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int) -> SpecVerdict:
+    """Re-execute a violating schedule and report the violated spec with
+    the detail the full checkers give on the recorded run."""
+    spec_name, safety_detail = violation
+    run = execute_schedule(scenario, schedule)
+    if spec_name == SPEC_POST_NS:
+        inner = check_post_ns_all(run.initial, run.final_state, list(run.transitions()))
+        detail, rely_broken = inner.detail, inner.rely_broken
+    elif spec_name == SPEC_NSL_FT:
+        inner = check_nsl_ft_all(run.initial, run.final_state)
+        detail, rely_broken = inner.detail, inner.rely_broken
+    else:
+        detail, rely_broken = safety_detail or "", False
+    return SpecVerdict(
+        spec=spec_name,
+        holds=False,
+        detail=detail,
+        counterexample=run,
+        states=states,
+        rely_broken=rely_broken,
+    )
 
 
 def explore(
     scenario: Scenario,
     bounds: SearchBounds | None = None,
     spec: str = "all",
-    workers: int = 1,
     on_quiescent=None,
 ) -> SpecVerdict:
-    """Enumerate interleavings within bounds; return the first (minimal-depth,
-    canonical-order) counterexample, or holds-within-bounds with the number
-    of state expansions performed across all deepening passes."""
+    """Search all interleavings within bounds breadth-first and return the
+    first counterexample (minimal depth, first in canonical order) or, with
+    none, holds-within-bounds or inconclusive.  `states` counts the distinct
+    nodes reached, the root included."""
     if scenario.intruder.kind == "lowe_script":
         raise ScenarioError("intruder: exploration drives a search intruder, not a scripted one")
     if scenario.level != "abstract":
@@ -324,50 +332,16 @@ def explore(
     if spec not in SPEC_CHOICES:
         raise ScenarioError(f"spec: unknown spec {spec!r}")
     bounds = bounds if bounds is not None else scenario.bounds
-    quiescent_specs = {
-        "all": (SPEC_POST_NS, SPEC_NSL_FT),
-        SPEC_POST_NS: (SPEC_POST_NS,),
-        SPEC_NSL_FT: (SPEC_NSL_FT,),
-        SPEC_INV: (),
-    }[spec]
-
-    ex = build_execution(scenario, "abstract")
-    root = _Node(tuple(ex.machines), ex.state, ex.inbox)
-    initial = ex.state
-    searcher = _Searcher(scenario, bounds, quiescent_specs, on_quiescent=on_quiescent)
-
-    expanded_total = 0
-    truncated_final = False
-    for limit in range(bounds.max_steps + 1):
-        result = searcher.run_limit(root, limit, initial, workers)
-        expanded_total += result.expanded
-        if result.cex is not None:
-            spec_name, schedule, safety_detail = result.cex
-            run = execute_schedule(scenario, schedule)
-            if spec_name == SPEC_POST_NS:
-                inner = check_post_ns_all(initial, run.final_state, list(run.transitions()))
-                detail, rely_broken = inner.detail, inner.rely_broken
-            elif spec_name == SPEC_NSL_FT:
-                inner = check_nsl_ft_all(initial, run.final_state)
-                detail, rely_broken = inner.detail, inner.rely_broken
-            else:
-                detail, rely_broken = safety_detail or "", False
-            return SpecVerdict(
-                spec=spec_name,
-                holds=False,
-                detail=detail,
-                counterexample=run,
-                states=expanded_total,
-                rely_broken=rely_broken,
-            )
-        if limit == bounds.max_steps:
-            truncated_final = result.truncated
-    if truncated_final and bounds.max_steps > 0:
+    searcher = _Searcher(scenario, bounds, spec, on_quiescent=on_quiescent)
+    violation, schedule, states, truncated = searcher.run()
+    if violation is not None:
+        return _counterexample_verdict(scenario, violation, schedule, states)
+    if truncated and bounds.max_steps > 0:
         return SpecVerdict(
             spec=spec,
             holds=False,
             inconclusive=True,
-            states=expanded_total,
+            states=states,
             detail="step bound cut branches that still had enabled moves",
         )
-    return SpecVerdict(spec=spec, holds=True, states=expanded_total)
+    return SpecVerdict(spec=spec, holds=True, states=states)

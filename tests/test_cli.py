@@ -89,10 +89,10 @@ def test_explore_zero_steps_trivially_holds():
     assert "states explored: 1" in out
 
 
-def test_explore_workers_flag_keeps_verdict():
-    code, out, _ = run_cli("explore", str(SCENARIOS / "nsl-search.scn"), "--workers", "2")
-    assert code == 0
-    assert "holds=true" in out
+def test_explore_has_no_workers_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("explore", str(SCENARIOS / "nsl-search.scn"), "--workers", "2")
+    assert exc.value.code == 2
 
 
 # ── golden traces ────────────────────────────────────────────────────────────
@@ -203,8 +203,9 @@ def test_concrete_run_and_replay(tmp_path):
     assert code == 0, out
 
 
-def test_explore_counterexample_trace_replays(tmp_path):
-    out_path = tmp_path / "cex.trc"
+@pytest.fixture(scope="module")
+def ns_cex_trace(tmp_path_factory):
+    out_path = tmp_path_factory.mktemp("explore") / "cex.trc"
     code, out, _ = run_cli(
         "explore",
         str(SCENARIOS / "ns-search.scn"),
@@ -215,7 +216,11 @@ def test_explore_counterexample_trace_replays(tmp_path):
     )
     assert code == 1
     assert "states explored: " in out
-    code, _, _ = run_cli("replay", str(out_path))
+    return out_path
+
+
+def test_explore_counterexample_trace_replays(ns_cex_trace):
+    code, _, _ = run_cli("replay", str(ns_cex_trace))
     assert code == 0
 
 
@@ -249,6 +254,47 @@ def test_replay_of_an_invention_is_a_clean_error(tmp_path, flags):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "event 4" in result.stderr and "index 0" in result.stderr
+
+
+def test_replay_checks_each_events_argument(tmp_path):
+    # the sender's partner is fixed by the scenario, so a recorded argument
+    # naming another declared user is a divergence, not a different run
+    text = (GOLDEN / "lowe-on-ns.trc").read_text()
+    assert "stmt=set-partner arg=I " in text
+    edited = tmp_path / "edited.trc"
+    edited.write_text(text.replace("stmt=set-partner arg=I ", "stmt=set-partner arg=B "))
+    code, out, _ = run_cli("replay", str(edited))
+    assert code == 1
+    assert out == "replay diverged at event 1\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize(
+    "old,new,named",
+    [
+        ("stmt=set-partner arg=I ", "stmt=set-partner ", "event 1: field 'arg'"),
+        ("stmt=set-partner arg=I ", "stmt=set-partner arg=Q ", "event 1: field 'arg'"),
+        ("act=msg(rec=B,ghost:sender=I,[A,n1])", "act=msg(rec=Q,ghost:sender=I,[A,n1])",
+         "event 4: field 'act'"),
+    ],
+    ids=["set-partner-without-peer", "set-partner-undeclared", "compose-undeclared"],
+)
+def test_undeclared_schedule_targets_are_malformed(tmp_path, ns_cex_trace, flags, old, new, named):
+    # the explored sender chooses its partner, so the recorded peer is what
+    # replay executes; an assert on it would vanish under -O
+    text = ns_cex_trace.read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.trc"
+    bad.write_text(text.replace(old, new))
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "replay", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert named in result.stderr
 
 
 def test_unwritable_trace_out_is_a_clean_error(tmp_path):

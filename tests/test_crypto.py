@@ -140,8 +140,30 @@ def test_degenerate_registry_breaks_recipient_only_readability():
 
 @pytest.mark.parametrize("name", ["honest-ns", "lowe-on-ns", "lowe-on-nsl"])
 def test_refinement_holds_for_shipped_scenarios(name):
-    verdict = check_refinement(load_scenario(scenario(name)))
+    sc = load_scenario(scenario(name))
+    concrete = execute_scripted(sc, level="concrete")
+    verdict = check_refinement(concrete, execute_scripted(sc, level="abstract"))
     assert verdict.holds, verdict.detail
+    for state in concrete.checkable_states():
+        report = no_read_others(state)
+        assert report.holds, report.witness
+
+
+def test_refinement_detects_a_tampered_twin():
+    from dataclasses import replace
+
+    sc = load_scenario(scenario('honest-ns'))
+    concrete = execute_scripted(sc, level="concrete")
+    twin = execute_scripted(sc, level="abstract")
+    # the last event is B's finish: same history, but B's session not yet complete
+    unfinished = replace(twin, states=twin.states[:-1])
+    verdict = check_refinement(concrete, unfinished)
+    assert not verdict.holds
+    assert verdict.detail == "final user records differ across levels"
+    # B's reply not yet sent: the histories differ
+    verdict = check_refinement(concrete, replace(twin, states=twin.states[:-6]))
+    assert not verdict.holds
+    assert "history differs" in verdict.detail
 
 
 def test_concrete_attack_projects_to_the_abstract_trace():

@@ -1,14 +1,17 @@
 """Bounded exploration: rediscovery of the interception attack, its absence
 for the identity-checked variant, determinism, and layering."""
 
+from dataclasses import replace
+
 import pytest
 
 from protolab.model import Msg, Nonce, state_key
+from protolab.roles import Status
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
 from conftest import GOLDEN, scenario
-from protolab.search import explore
-from protolab.specs import check_post_ns_all
+from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
+from protolab.specs import SPEC_INV, check_post_ns_all
 from protolab.trace import parse_trace
 
 HONEST_SEARCH = """protolab-scenario v1
@@ -142,13 +145,6 @@ def test_honest_only_exploration_never_violates():
     assert verdict.holds and not verdict.inconclusive
 
 
-def test_workers_do_not_change_verdict_or_counterexample(ns_cex):
-    parallel = explore(load_scenario(scenario('ns-search')), spec="post-ns", workers=2)
-    assert parallel.holds == ns_cex.holds
-    assert parallel.counterexample.digests == ns_cex.counterexample.digests
-    assert parallel.detail == ns_cex.detail
-
-
 def test_explore_rejects_scripted_scenarios():
     with pytest.raises(ScenarioError):
         explore(load_scenario(scenario('lowe-on-ns')))
@@ -156,19 +152,17 @@ def test_explore_rejects_scripted_scenarios():
 
 def test_ns_search_counters_are_pinned(ns_cex):
     # a change of search strategy may move these only on purpose, and says so
-    assert ns_cex.states == 19331
+    assert ns_cex.states == 11144
     golden = parse_trace((GOLDEN / "lowe-on-ns.trc").read_text())
     assert ns_cex.counterexample.digests[-1] == golden.events[-1].digest == "112d8965862b"
 
 
 def test_nsl_search_counter_is_pinned(nsl_quiescents):
     verdict, _ = nsl_quiescents
-    assert verdict.states == 1104
+    assert verdict.states == 165
 
 
 def test_invention_moves_are_searched_and_bounded():
-    from dataclasses import replace
-
     sc = load_scenario(scenario('ns-search'))
     sc = replace(sc, bounds=replace(sc.bounds, max_intruder_invents=1, max_steps=6))
     verdict = explore(sc, spec="post-ns")
@@ -177,3 +171,119 @@ def test_invention_moves_are_searched_and_bounded():
     assert verdict.inconclusive
     again = explore(sc, spec="post-ns")
     assert again.states == verdict.states
+
+
+# ── differential check against iterative deepening ──────────────────────────
+
+
+def reference_explore(sc, spec):
+    """Iterative-deepening depth-first search over the same children, checks
+    and duplicate keys as `explore`: depth limits 0..max_steps, each pass a
+    canonical-order DFS that skips a node already reached at no greater
+    depth.  Returns (violation or None, its schedule, inconclusive)."""
+    searcher = _Searcher(sc, sc.bounds, spec)
+    truncated = False
+
+    def dfs(node, depth, limit, path, visited):
+        nonlocal truncated
+        kids = searcher.children(node)
+        if not kids:
+            found = searcher.quiescent_violation(node)
+            return None if found is None else ((found, None), list(path))
+        if depth == limit:
+            truncated = True
+            return None
+        for entry in kids:
+            child = searcher.apply(node, entry)
+            key = _node_key(child)
+            seen_at = visited.get(key)
+            if seen_at is not None and seen_at <= depth + 1:
+                continue
+            visited[key] = depth + 1
+            bad = searcher.safety_violation(child, node)
+            if bad is not None:
+                return (SPEC_INV, bad), path + [entry]
+            path.append(entry)
+            found = dfs(child, depth + 1, limit, path, visited)
+            path.pop()
+            if found is not None:
+                return found
+        return None
+
+    root = searcher.root
+    bad = searcher.safety_violation(root, None)
+    if bad is not None:
+        return (SPEC_INV, bad), [], False
+    for limit in range(sc.bounds.max_steps + 1):
+        truncated = False
+        found = dfs(root, 0, limit, [], {_node_key(root): 0})
+        if found is not None:
+            return found + (False,)
+    return None, [], truncated and sc.bounds.max_steps > 0
+
+
+def _bounded(name, max_steps, invents=0):
+    sc = load_scenario(scenario(name))
+    return replace(sc, bounds=replace(sc.bounds, max_steps=max_steps, max_intruder_invents=invents))
+
+
+DIFFERENTIAL_CASES = (
+    [("ns-search", steps, 0, "post-ns") for steps in (*range(11), 13)]
+    + [("ns-search", 13, 0, "all")]
+    + [("nsl-search", steps, 0, "all") for steps in range(15)]
+    + [("ns-search", 6, 1, "post-ns")]
+)
+
+
+@pytest.mark.parametrize(
+    "name,max_steps,invents,spec",
+    DIFFERENTIAL_CASES,
+    ids=[f"{n}-steps{m}-invents{i}-{s}" for n, m, i, s in DIFFERENTIAL_CASES],
+)
+def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spec):
+    sc = _bounded(name, max_steps, invents)
+    verdict = explore(sc, spec=spec)
+    violation, schedule, inconclusive = reference_explore(sc, spec)
+    if violation is None:
+        assert (verdict.spec, verdict.holds, verdict.inconclusive) == (
+            spec, not inconclusive, inconclusive
+        )
+        assert verdict.counterexample is None
+        return
+    expected = _counterexample_verdict(sc, violation, schedule, verdict.states)
+    got = (verdict.spec, verdict.holds, verdict.inconclusive, verdict.detail, verdict.rely_broken)
+    assert got == (expected.spec, False, False, expected.detail, expected.rely_broken)
+    assert verdict.counterexample.digests == expected.counterexample.digests
+
+
+def progress(node, intruder):
+    """Machine steps taken (pc, plus one for an abort) plus intruder actions."""
+    steps = sum(m.pc + (m.status is Status.ABORTED) for m in node.machines)
+    actions = sum(
+        1
+        for act in node.state.history
+        if (act.sender if isinstance(act, Msg) else act.user) == intruder
+    )
+    return steps + actions
+
+
+def test_every_move_raises_the_progress_measure_by_one():
+    # this is what makes the per-level duplicate check of `explore` exact:
+    # all schedules reaching a node have the same length
+    sc = load_scenario(scenario('nsl-search'))
+    searcher = _Searcher(sc, sc.bounds, "all")
+    intruder = sc.intruder.user
+    level, reached, moves = [searcher.root], {_node_key(searcher.root)}, 0
+    for _ in range(sc.bounds.max_steps):
+        next_level = []
+        for node in level:
+            for entry in searcher.children(node):
+                child = searcher.apply(node, entry)
+                assert progress(child, intruder) == progress(node, intruder) + 1, entry
+                moves += 1
+                key = _node_key(child)
+                if key not in reached:
+                    reached.add(key)
+                    next_level.append(child)
+        level = next_level
+    assert len(reached) == 165 and moves > len(reached)
