@@ -22,7 +22,14 @@ from .crypto import check_refinement
 from .runner import execute_schedule, execute_scripted, replay_doc, schedule_from_doc
 from .scenario import ScenarioError, load_scenario, parse_scenario
 from .search import SPEC_CHOICES, explore
-from .specs import check_lemma_suite, evaluate_run_specs, resolve_spec_names
+from .specs import (
+    SPEC_INV,
+    SPEC_NSL_FT,
+    SPEC_POST_NS,
+    check_lemma_suite,
+    evaluate_run_specs,
+    resolve_spec_names,
+)
 from .trace import TraceError, parse_trace, render_trace
 
 EXIT_OK = 0
@@ -112,13 +119,14 @@ def cmd_replay(args, out, err) -> int:
     if failing:
         out.write(f"replay obligation failed: {failing[0].name}: {failing[0].witness}\n")
         return EXIT_VIOLATION
-    recorded_specs = [spec for spec, _, _ in doc.verdicts if spec in ("post-ns", "nsl-ft", "inv")]
-    if recorded_specs:
-        recomputed = {v.spec: v.holds for v in evaluate_run_specs(run, recorded_specs)}
-        for spec, holds, _ in doc.verdicts:
-            if spec in recomputed and recomputed[spec] != holds:
-                out.write(f"replay verdict mismatch for {spec}\n")
-                return EXIT_VIOLATION
+    # the suite above is the `inv` verdict, so it holds; the others are recomputed
+    recorded_specs = [spec for spec, _, _ in doc.verdicts if spec in (SPEC_POST_NS, SPEC_NSL_FT)]
+    recomputed = {v.spec: v.holds for v in evaluate_run_specs(run, recorded_specs)}
+    recomputed[SPEC_INV] = True
+    for spec, holds, _ in doc.verdicts:
+        if spec in recomputed and recomputed[spec] != holds:
+            out.write(f"replay verdict mismatch for {spec}\n")
+            return EXIT_VIOLATION
     if doc.level == "concrete":
         # the wire run must project onto its recipient-field twin exactly
         scenario = parse_scenario(doc.scenario_text)

@@ -12,7 +12,7 @@ replayed ciphertext without being able to open it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import GlobalState, Invent, Item, Msg, PKey, SKey, Uid
@@ -73,10 +73,17 @@ class WireMsg:
 class KeyRegistry:
     pkeys: dict[Uid, PKey]
     skeys: dict[Uid, SKey]
+    _owners: dict[PKey, Uid] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        owners: dict[PKey, Uid] = {}
+        for uid in sorted(self.pkeys, reverse=True):
+            owners[self.pkeys[uid]] = uid  # the lowest-named owner is written last
+        object.__setattr__(self, "_owners", owners)
 
     def owner_of_pkey(self, pk: PKey) -> Uid | None:
-        owners = sorted(u for u, key in self.pkeys.items() if key == pk)
-        return owners[0] if owners else None
+        """The lowest-named owner of a public key, or None."""
+        return self._owners.get(pk)
 
 
 def registry_from_state(state: GlobalState) -> KeyRegistry:

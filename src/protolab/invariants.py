@@ -19,7 +19,6 @@ from .model import (
     Uid,
     is_nonce,
     is_uid,
-    u_hist,
 )
 
 
@@ -41,49 +40,125 @@ def _fail(name: str, witness: str) -> PredicateReport:
     return PredicateReport(name, False, witness)
 
 
-def unique_nonces(history: Sequence[Action]) -> PredicateReport:
-    """No two distinct inventions carry the same nonce symbol."""
-    seen: dict = {}
-    for pos, act in enumerate(history, start=1):
+def _reused(invented: dict, actions: Sequence[Action], start: int) -> PredicateReport | None:
+    """Record the inventions among `actions`, which sit at history positions
+    start+1, start+2, ...; the failure for the first nonce invented twice."""
+    for pos, act in enumerate(actions, start=start + 1):
         if not isinstance(act, Invent):
             continue
-        if act.what in seen:
+        if act.what in invented:
             return _fail(
                 "unique-nonces",
-                f"nonce {act.what!r} invented at ({seen[act.what]},{pos})",
+                f"nonce {act.what!r} invented at ({invented[act.what]},{pos})",
             )
-        seen[act.what] = pos
-    return _ok("unique-nonces")
+        invented[act.what] = pos
+    return None
+
+
+def unique_nonces(history: Sequence[Action]) -> PredicateReport:
+    """No two distinct inventions carry the same nonce symbol."""
+    return _reused({}, history, 0) or _ok("unique-nonces")
+
+
+def _justify(justified: dict[Uid, set], actions: Sequence[Action]) -> None:
+    """A user's nonces are justified by their own inventions and by the
+    messages addressed to them."""
+    for act in actions:
+        if isinstance(act, Invent):
+            justified.setdefault(act.user, set()).add(act.what)
+        elif isinstance(act, Msg):
+            justified.setdefault(act.rec, set()).update(i for i in act.content if is_nonce(i))
+
+
+def _unread(users: dict, justified: dict[Uid, set], passed: dict) -> PredicateReport | None:
+    """The no-read-others failure of the first user (by name) knowing an
+    unjustified nonce; a user record in `passed` already held."""
+    for uid in sorted(users):
+        user = users[uid]
+        if passed.get(uid) is user:
+            continue
+        known = set().union(*user.knows.values()) if user.knows else set()
+        unjustified = known - justified.get(uid, set())
+        if unjustified:
+            return _fail("no-read-others", f"user {uid} knows unjustified {min(unjustified)!r}")
+    return None
 
 
 def no_read_others(state: GlobalState) -> PredicateReport:
     """Every nonce a user knows is justified by an invention of their own or
     by a message addressed to them that carried it."""
-    justified: dict[Uid, set] = {uid: set() for uid in state.users}
-    for act in state.history:
-        if isinstance(act, Invent):
-            justified.setdefault(act.user, set()).add(act.what)
-        elif isinstance(act, Msg):
-            justified.setdefault(act.rec, set()).update(
-                i for i in act.content if is_nonce(i)
+    justified: dict[Uid, set] = {}
+    _justify(justified, state.history)
+    return _unread(state.users, justified, {}) or _ok("no-read-others")
+
+
+def _shared_nonces(earlier: Msg, later: Msg) -> list:
+    return sorted(n for n in set(earlier.content) & set(later.content) if is_nonce(n))
+
+
+def _ghost_leak(pi: int, mi: Msg, pj: int, mj: Msg) -> PredicateReport | None:
+    shared = _shared_nonces(mi, mj)
+    if shared and mj.rec != mi.sender:
+        return _fail(
+            "no-leaks",
+            f"nonce {shared[0]!r} received at {pi} from {mi.sender} re-sent at {pj} to {mj.rec}",
+        )
+    return None
+
+
+def _app_leak(pi: int, mi: Msg, pj: int, mj: Msg) -> PredicateReport | None:
+    shared = _shared_nonces(mi, mj)
+    if not shared:
+        return None
+    for claimed in (i for i in mi.content if is_uid(i)):
+        if mj.rec != claimed:
+            return _fail(
+                "no-app-leaks",
+                f"nonce {shared[0]!r} received at {pi} claiming sender "
+                f"{claimed} re-sent at {pj} to {mj.rec}",
             )
-    for uid in sorted(state.users):
-        known = set().union(*state.users[uid].knows.values()) if state.users[uid].knows else set()
-        for nonce in sorted(known - justified.get(uid, set())):
-            return _fail("no-read-others", f"user {uid} knows unjustified {nonce!r}")
-    return _ok("no-read-others")
+    return None
 
 
-def _received_then_sent_pairs(actions: Sequence[Action]):
-    """Message pairs (i, j), i before j, where j's ghost sender equals i's
-    recipient: the owner of the history received i and later sent j."""
-    msgs = [(pos, a) for pos, a in enumerate(actions, start=1) if isinstance(a, Msg)]
-    for x in range(len(msgs)):
-        for y in range(x + 1, len(msgs)):
-            pi, mi = msgs[x]
-            pj, mj = msgs[y]
-            if mj.sender == mi.rec:
-                yield pi, mi, pj, mj
+class _Ledger:
+    """One user's slice of the history (`u_hist`), grown action by action:
+    its length, for 1-based positions, and its messages by recipient, so
+    the received-then-sent pairs (i, j) that a new message j closes, those
+    where j's ghost sender is i's recipient, are looked up, not scanned.
+
+    `extend` returns the first failures among what the new actions add:
+    the leak rule's over the new pairs, in (i, j) order, and no-forge's
+    over the new messages sent by `owner` (by anyone when it is None)."""
+
+    def __init__(self, owner: Uid | None = None, leak_rule=_app_leak) -> None:
+        self.owner = owner
+        self.leak_rule = leak_rule
+        self.length = 0
+        self.by_rec: dict[Uid, list[tuple[int, Msg]]] = {}
+
+    def extend(self, actions: Sequence[Action]):
+        leak = forge = None
+        leak_i = None
+        for act in actions:
+            self.length += 1
+            if not isinstance(act, Msg):
+                continue
+            pj = self.length
+            if forge is None and self.owner in (None, act.sender):
+                claimed = next((i for i in act.content if is_uid(i) and i != act.sender), None)
+                if claimed is not None:
+                    forge = _fail(
+                        "no-forge", f"message at {pj} from {act.sender} claims identity {claimed}"
+                    )
+            for pi, mi in self.by_rec.get(act.sender, ()):
+                if leak_i is not None and pi >= leak_i:
+                    break  # every pair left comes after the (leak_i, j) already found
+                rep = self.leak_rule(pi, mi, pj, act)
+                if rep is not None:
+                    leak, leak_i = rep, pi
+                    break
+            self.by_rec.setdefault(act.rec, []).append((pj, act))
+        return leak, forge
 
 
 def no_leaks(actions: Sequence[Action]) -> PredicateReport:
@@ -96,17 +171,7 @@ def no_leaks(actions: Sequence[Action]) -> PredicateReport:
     user cannot observe ghost senders); `no_app_leaks` is the form a user
     can actually guarantee.
     """
-    for pi, mi, pj, mj in _received_then_sent_pairs(actions):
-        shared = sorted(
-            (n for n in set(mi.content) & set(mj.content) if is_nonce(n)),
-        )
-        if shared and mj.rec != mi.sender:
-            return _fail(
-                "no-leaks",
-                f"nonce {shared[0]!r} received at {pi} from {mi.sender} "
-                f"re-sent at {pj} to {mj.rec}",
-            )
-    return _ok("no-leaks")
+    return _Ledger(leak_rule=_ghost_leak).extend(actions)[0] or _ok("no-leaks")
 
 
 def no_app_leaks(actions: Sequence[Action]) -> PredicateReport:
@@ -118,20 +183,7 @@ def no_app_leaks(actions: Sequence[Action]) -> PredicateReport:
     several principals the rule is applied to each of them (the stricter
     reading of an ambiguous quantifier).
     """
-    for pi, mi, pj, mj in _received_then_sent_pairs(actions):
-        shared = sorted(
-            (n for n in set(mi.content) & set(mj.content) if is_nonce(n)),
-        )
-        if not shared:
-            continue
-        for claimed in (i for i in mi.content if is_uid(i)):
-            if mj.rec != claimed:
-                return _fail(
-                    "no-app-leaks",
-                    f"nonce {shared[0]!r} received at {pi} claiming sender "
-                    f"{claimed} re-sent at {pj} to {mj.rec}",
-                )
-    return _ok("no-app-leaks")
+    return _Ledger().extend(actions)[0] or _ok("no-app-leaks")
 
 
 def no_forge(actions: Sequence[Action], owner: Uid | None = None) -> PredicateReport:
@@ -142,18 +194,89 @@ def no_forge(actions: Sequence[Action], owner: Uid | None = None) -> PredicateRe
     this is the obligation chargeable to the owner of the history, whose
     received mail may well contain someone else's forgeries.
     """
-    for pos, act in enumerate(actions, start=1):
-        if not isinstance(act, Msg):
-            continue
-        if owner is not None and act.sender != owner:
-            continue
-        for item in act.content:
-            if is_uid(item) and item != act.sender:
-                return _fail(
-                    "no-forge",
-                    f"message at {pos} from {act.sender} claims identity {item}",
-                )
-    return _ok("no-forge")
+    return _Ledger(owner).extend(actions)[1] or _ok("no-forge")
+
+
+def _owners(act: Action) -> tuple[Uid, ...]:
+    """The users whose `u_hist` holds the action."""
+    if isinstance(act, Invent):
+        return (act.user,)
+    return (act.rec,) if act.rec == act.sender else (act.rec, act.sender)
+
+
+class Audit:
+    """The state predicates over a sequence of states in one pass: nonce
+    freshness, recipient-only readability and every conforming user's
+    honest-code obligations, each state checked for what it adds.
+
+    `step` feeds the next state.  While a state's history extends the
+    previous one and the users and their `conforms` flags are unchanged,
+    only the new actions are checked, against facts carried forward: the
+    nonces invented so far, each user's justified nonces, and each
+    conforming user's `_Ledger`.  Readability is re-checked only for user
+    records that changed.  Any other state is rescanned from empty.
+
+    Each predicate keeps the failure of the first state where it fails, or
+    None: `unique` (unique-nonces), `unread` (no-read-others), `honest`
+    (no-app-leaks, then no-forge, for the first conforming user by name)
+    and `inv`, the state invariant, which fails with the first of those
+    three in that order.  A fresh audit fed one state reports that state.
+    """
+
+    def __init__(self) -> None:
+        self.unique = self.unread = self.honest = self.inv = None
+        self._rescan()
+
+    def _rescan(self) -> None:
+        self.history: tuple = ()
+        self.users: dict = {}
+        self.conforms: dict | None = None
+        self.invented: dict = {}
+        self.justified: dict[Uid, set] = {}
+        self.ledgers: dict[Uid, _Ledger] = {}
+
+    def step(self, state: GlobalState) -> None:
+        if self.unique and self.unread and self.honest:
+            return
+        conforms = {uid: user.conforms for uid, user in state.users.items()}
+        done = len(self.history)
+        if conforms != self.conforms or state.history[:done] != self.history:
+            self._rescan()
+            done = 0
+        new = state.history[done:]
+        # a predicate with a failure is not evaluated again, and `inv` then has one too
+        unique = unread = honest = None
+        if self.unique is None:
+            unique = self.unique = _reused(self.invented, new, done)
+        if self.unread is None:
+            _justify(self.justified, new)
+            unread = self.unread = _unread(state.users, self.justified, self.users)
+        if self.honest is None:
+            honest = self._obligations(new, conforms)
+            self.honest = honest and honest[1]
+        self.history, self.users, self.conforms = state.history, state.users, conforms
+        if self.inv is None and (unique or unread):
+            rep = unique or unread
+            self.inv = _fail("inv-sigma", f"{rep.name}: {rep.witness}")
+        elif self.inv is None and honest:
+            uid, rep = honest
+            self.inv = _fail("inv-sigma", f"{rep.name} for user {uid}: {rep.witness}")
+
+    def _obligations(self, new: Sequence[Action], conforms: dict):
+        """(user, failure) for the first conforming user, by name, whose new
+        actions break an obligation, or None."""
+        slices: dict[Uid, list] = {}
+        for act in new:
+            for uid in _owners(act):
+                if conforms.get(uid):
+                    slices.setdefault(uid, []).append(act)
+        found = None
+        for uid in sorted(slices):
+            ledger = self.ledgers.setdefault(uid, _Ledger(uid))
+            leak, forge = ledger.extend(slices[uid])
+            if found is None and (leak or forge):
+                found = (uid, leak or forge)
+        return found
 
 
 def inv_sigma(state: GlobalState) -> PredicateReport:
@@ -167,20 +290,9 @@ def inv_sigma(state: GlobalState) -> PredicateReport:
     can break it for a user who behaved honestly on the information
     available to them.  It remains available as a separate diagnostic.
     """
-    rep = unique_nonces(state.history)
-    if not rep.holds:
-        return _fail("inv-sigma", f"{rep.name}: {rep.witness}")
-    rep = no_read_others(state)
-    if not rep.holds:
-        return _fail("inv-sigma", f"{rep.name}: {rep.witness}")
-    for uid in sorted(state.users):
-        if not state.users[uid].conforms:
-            continue
-        uh = u_hist(state.history, uid)
-        for rep in (no_app_leaks(uh), no_forge(uh, owner=uid)):
-            if not rep.holds:
-                return _fail("inv-sigma", f"{rep.name} for user {uid}: {rep.witness}")
-    return _ok("inv-sigma")
+    audit = Audit()
+    audit.step(state)
+    return audit.inv or _ok("inv-sigma")
 
 
 def dyn_inv(before: GlobalState, after: GlobalState) -> PredicateReport:

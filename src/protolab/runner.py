@@ -37,6 +37,7 @@ from .roles import (
 )
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
 from .trace import (
+    Renderings,
     TraceDoc,
     TraceError,
     TraceEvent,
@@ -70,21 +71,37 @@ class TraceRun:
     registry: KeyRegistry | None
     init_digest: str
     digests: list[str] = field(default_factory=list)
+    _checkable: list[GlobalState] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def final_state(self) -> GlobalState:
         return self.states[-1] if self.states else self.initial
 
-    def _project(self, state: GlobalState) -> GlobalState:
-        if self.level == "abstract":
-            return state
-        assert self.registry is not None
-        return replace(state, history=abstract_of(state.history, self.registry))
-
     def checkable_states(self) -> list[GlobalState]:
         """All recorded states (initial first), projected to the
-        recipient-field model when the run is at the wire level."""
-        return [self._project(s) for s in [self.initial] + self.states]
+        recipient-field model when the run is at the wire level.
+
+        The projection is made once per run, and each action is projected
+        once: a state whose history is a prefix of the final one takes the
+        matching prefix of the final projection."""
+        if self._checkable is None:
+            states = [self.initial] + self.states
+            if self.level != "abstract":
+                final = self.final_state.history
+                projected = abstract_of(final, self.registry)
+                states = [
+                    replace(
+                        s,
+                        history=projected[: len(s.history)]
+                        if s.history == final[: len(s.history)]
+                        else abstract_of(s.history, self.registry),
+                    )
+                    for s in states
+                ]
+            self._checkable = states
+        return list(self._checkable)
 
     def transitions(self):
         states = self.checkable_states()
@@ -125,6 +142,10 @@ class _Execution:
     events: list[RunEvent] = field(default_factory=list)
     states: list[GlobalState] = field(default_factory=list)
     digests: list[str] = field(default_factory=list)
+    rendered: Renderings = field(default_factory=Renderings)
+
+    def digest(self) -> str:
+        return node_digest(self.state, self.machines, self.inbox, self.rendered)
 
     def record(self, actor: str, session: Sid, stmt: str, arg: str | None, action) -> None:
         self.events.append(
@@ -138,7 +159,7 @@ class _Execution:
             )
         )
         self.states.append(self.state)
-        self.digests.append(node_digest(self.state, self.machines, self.inbox))
+        self.digests.append(self.digest())
 
     def step_machine(self, index: int, chosen_peer: Uid | None = None) -> None:
         machine = self.machines[index]
@@ -222,7 +243,7 @@ def execute_scripted(scenario: Scenario, level: str | None = None) -> TraceRun:
         raise ScenarioError("intruder: scripted execution cannot drive a search intruder")
     ex = build_execution(scenario, level)
     initial = ex.state
-    init_digest = node_digest(ex.state, ex.machines, ex.inbox)
+    init_digest = ex.digest()
     script = None
     if scenario.intruder.kind == "lowe_script":
         script = lowe_script(scenario.intruder.user, scenario.intruder.a, scenario.intruder.b)
@@ -256,7 +277,7 @@ def execute_schedule(scenario: Scenario, schedule, level: str | None = None) -> 
     state at that point does not allow."""
     ex = build_execution(scenario, level)
     initial = ex.state
-    init_digest = node_digest(ex.state, ex.machines, ex.inbox)
+    init_digest = ex.digest()
     for event, entry in enumerate(schedule, start=1):
         if entry[0] == "machine":
             _, index, chosen_peer = entry

@@ -23,16 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .invariants import (
-    PredicateReport,
-    dyn_inv,
-    inv_sigma,
-    no_app_leaks,
-    no_forge,
-    no_read_others,
-    unique_nonces,
-)
-from .model import GlobalState, Sid, Uid, u_hist
+from .invariants import Audit, PredicateReport, dyn_inv
+from .model import GlobalState, Sid, Uid
 
 SPEC_POST_NS = "post-ns"
 SPEC_NSL_FT = "nsl-ft"
@@ -284,6 +276,15 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     - completion flags of conforming users never reset,
     - each step touches only the stepping principal's own session records,
     - an aborted machine's session never reaches completion.
+
+    The state predicates come from one pass of `invariants.Audit` over the
+    recorded states.  Each state is checked only for what it adds to the
+    one before (its new actions, its changed user records), which keeps
+    the audit linear in the run's length; a state whose history does not
+    extend the previous one, or whose users or `conforms` flags differ, is
+    rescanned from empty.  Each report is the first failing state's, with
+    the witness the predicate gives on that state alone, so `inv-sigma`
+    and `conforming-obligations` come from the same pass.
     """
     reports: list[PredicateReport] = []
     states = run.checkable_states()
@@ -293,20 +294,16 @@ def check_lemma_suite(run) -> list[PredicateReport]:
         (dyn_inv(b, a) for b, a in zip(states, states[1:])),
     )
     reports.append(rep)
-    reports.append(_first_failure("unique-nonces", (unique_nonces(s.history) for s in states)))
-    reports.append(_first_failure("no-read-others", (no_read_others(s) for s in states)))
-    reports.append(_first_failure("inv-sigma", (inv_sigma(s) for s in states)))
-
-    def conforming_obligations():
-        for state in states:
-            for uid in sorted(state.users):
-                if not state.users[uid].conforms:
-                    continue
-                uh = u_hist(state.history, uid)
-                yield no_app_leaks(uh)
-                yield no_forge(uh, owner=uid)
-
-    reports.append(_first_failure("conforming-obligations", conforming_obligations()))
+    audit = Audit()
+    for state in states:
+        audit.step(state)
+    for name, failure in (
+        ("unique-nonces", audit.unique),
+        ("no-read-others", audit.unread),
+        ("inv-sigma", audit.inv),
+        ("conforming-obligations", audit.honest),
+    ):
+        reports.append(failure or PredicateReport(name, True))
 
     def complete_monotone():
         for b, a in zip(states, states[1:]):

@@ -61,7 +61,8 @@ def render_action(action, ghost: bool = True) -> str:
     return f"wire(enc({action.body.pk!r}))"
 
 
-def _render_user(uid, user) -> str:
+def _render_user(user) -> str:
+    """A user record, without the uid that precedes it in a rendering."""
     sessions = sorted(set(user.knows) | set(user.complete) | set(user.int_partner))
     parts = []
     for sid in sessions:
@@ -70,14 +71,7 @@ def _render_user(uid, user) -> str:
             f"{sid}:partner={user.int_partner.get(sid, '-')}"
             f":knows={{{knows}}}:complete={str(user.complete.get(sid, False)).lower()}"
         )
-    return f"{uid}(conforms={str(user.conforms).lower()};{';'.join(parts)})"
-
-
-def canonical_state(state: GlobalState) -> str:
-    users = "|".join(_render_user(uid, state.users[uid]) for uid in sorted(state.users))
-    history = ";".join(render_action(a) for a in state.history)
-    pkeys = ",".join(f"{uid}={state.pkeys[uid]!r}" for uid in sorted(state.pkeys))
-    return f"users:{users}\nhistory:{history}\npkeys:{pkeys}"
+    return f"(conforms={str(user.conforms).lower()};{';'.join(parts)})"
 
 
 def _render_machine(machine: RoleMachine) -> str:
@@ -88,11 +82,43 @@ def _render_machine(machine: RoleMachine) -> str:
     )
 
 
-def node_digest(state: GlobalState, machines, inbox: Inbox) -> str:
-    body = canonical_state(state)
-    body += "\nmachines:" + "|".join(_render_machine(m) for m in machines)
+def _render_consumed(taken) -> str:
+    return "{" + ";".join(str(i) for i in sorted(taken)) + "}"
+
+
+class Renderings:
+    """Canonical renderings of the values a run's digests cover, kept per
+    object.  These values are immutable and a step replaces only what it
+    changes, so an action, a user record, a machine or an inbox entry that
+    outlives a step is the same object, and is rendered once per run.  Each
+    object is held with its text, so its id is not reused while cached."""
+
+    def __init__(self) -> None:
+        self._texts: dict[int, tuple[object, str]] = {}
+
+    def __call__(self, obj, render) -> str:
+        hit = self._texts.get(id(obj))
+        if hit is None:
+            hit = self._texts[id(obj)] = (obj, render(obj))
+        return hit[1]
+
+
+def canonical_state(state: GlobalState, rendered: Renderings) -> str:
+    users = "|".join(
+        uid + rendered(state.users[uid], _render_user) for uid in sorted(state.users)
+    )
+    history = ";".join(rendered(a, render_action) for a in state.history)
+    pkeys = ",".join(f"{uid}={state.pkeys[uid]!r}" for uid in sorted(state.pkeys))
+    return f"users:{users}\nhistory:{history}\npkeys:{pkeys}"
+
+
+def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings) -> str:
+    """Digest of a run node: the global state, every machine and the inbox.
+    `rendered` holds the renderings made for the run's earlier nodes."""
+    body = canonical_state(state, rendered)
+    body += "\nmachines:" + "|".join(rendered(m, _render_machine) for m in machines)
     body += "\ninbox:" + ",".join(
-        f"{uid}={{{';'.join(str(i) for i in sorted(taken))}}}" for uid, taken in inbox.consumed
+        f"{uid}={rendered(taken, _render_consumed)}" for uid, taken in inbox.consumed
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
 

@@ -145,6 +145,31 @@ def test_honest_only_exploration_never_violates():
     assert verdict.holds and not verdict.inconclusive
 
 
+def test_safety_failure_is_checked_before_the_quiescent_specs(monkeypatch):
+    # plant a state-invariant failure on the nodes where both sessions are
+    # complete, which are the quiescent ones, and a post-ns failure on every
+    # quiescent node: the safety failure must win
+    import protolab.search as search
+    from protolab.invariants import PredicateReport
+    from protolab.specs import SpecVerdict
+
+    real_inv_sigma = search.inv_sigma
+
+    def planted_inv_sigma(state):
+        if all(all(user.complete.values()) for user in state.users.values()):
+            return PredicateReport("inv-sigma", False, "planted: both sessions complete")
+        return real_inv_sigma(state)
+
+    monkeypatch.setattr(search, "inv_sigma", planted_inv_sigma)
+    monkeypatch.setattr(
+        search, "check_post_ns_all", lambda *args: SpecVerdict("post-ns", False, "planted")
+    )
+    verdict = explore(parse_scenario(HONEST_SEARCH), spec="post-ns")
+    assert (verdict.spec, verdict.holds, verdict.inconclusive) == (SPEC_INV, False, False)
+    assert verdict.detail == "inv-sigma: planted: both sessions complete"
+    assert len(verdict.counterexample.events) == 11  # the first completed handshake
+
+
 def test_explore_rejects_scripted_scenarios():
     with pytest.raises(ScenarioError):
         explore(load_scenario(scenario('lowe-on-ns')))

@@ -4,11 +4,26 @@ fault-tolerance layer, rely downgrading, and the trace-wide obligation suite."""
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from protolab.model import Nonce, add_knows, initial_state, open_session, set_complete, set_partner
+from protolab.invariants import PredicateReport, dyn_inv, no_forge, no_read_others, unique_nonces
+from protolab.model import (
+    Invent,
+    Msg,
+    Nonce,
+    add_knows,
+    initial_state,
+    is_nonce,
+    is_uid,
+    open_session,
+    set_complete,
+    set_partner,
+    u_hist,
+)
 from protolab.roles import Variant, run_honest_pair
 from protolab.runner import execute_scripted
-from protolab.scenario import load_scenario
+from protolab.scenario import load_scenario, parse_scenario
 
 from conftest import scenario
 from protolab.specs import (
@@ -206,3 +221,215 @@ def test_evaluate_run_specs_inv_verdict(lowe_ns):
     assert not verdicts["post-ns"].holds
     assert not verdicts["nsl-ft"].holds  # the unmodified protocol completes anyway
     assert verdicts["inv"].holds
+
+
+# ── the one-pass audit against the per-state suite ──────────────────────────
+
+
+def reference_app_leaks(uh):
+    """`no_app_leaks` as a scan of every message pair (i, j), i before j."""
+    msgs = [(pos, a) for pos, a in enumerate(uh, start=1) if isinstance(a, Msg)]
+    for x, (pi, mi) in enumerate(msgs):
+        for pj, mj in msgs[x + 1 :]:
+            shared = sorted(n for n in set(mi.content) & set(mj.content) if is_nonce(n))
+            if mj.sender != mi.rec or not shared:
+                continue
+            for claimed in (i for i in mi.content if is_uid(i) and i != mj.rec):
+                return PredicateReport(
+                    "no-app-leaks",
+                    False,
+                    f"nonce {shared[0]!r} received at {pi} claiming sender "
+                    f"{claimed} re-sent at {pj} to {mj.rec}",
+                )
+    return PredicateReport("no-app-leaks", True)
+
+
+def reference_state_reports(run):
+    """The first five reports of `check_lemma_suite` as the suite computed
+    them before its one-pass audit: every predicate re-run on every state."""
+    states = run.checkable_states()
+
+    def first(name, reports):
+        return next((r for r in reports if not r.holds), PredicateReport(name, True))
+
+    def obligations(state):
+        for uid in sorted(state.users):
+            if state.users[uid].conforms:
+                uh = u_hist(state.history, uid)
+                for rep in (reference_app_leaks(uh), no_forge(uh, owner=uid)):
+                    yield uid, rep
+
+    def inv_sigma(state):
+        for rep in (unique_nonces(state.history), no_read_others(state)):
+            if not rep.holds:
+                yield PredicateReport("inv-sigma", False, f"{rep.name}: {rep.witness}")
+        for uid, rep in obligations(state):
+            if not rep.holds:
+                witness = f"{rep.name} for user {uid}: {rep.witness}"
+                yield PredicateReport("inv-sigma", False, witness)
+
+    return [
+        first("dyn-inv", (dyn_inv(b, a) for b, a in zip(states, states[1:]))),
+        first("unique-nonces", (unique_nonces(s.history) for s in states)),
+        first("no-read-others", (no_read_others(s) for s in states)),
+        first("inv-sigma", (r for s in states for r in inv_sigma(s))),
+        first("conforming-obligations", (r for s in states for _, r in obligations(s))),
+    ]
+
+
+class RecordedStates:
+    """A run record reduced to its states: no transitions, no machines."""
+
+    machines = ()
+
+    def __init__(self, states):
+        self.states = states
+
+    def checkable_states(self):
+        return list(self.states)
+
+    def transitions(self):
+        return iter(())
+
+
+BASE_RUNS = {
+    (name, level): execute_scripted(load_scenario(scenario(name)), level=level)
+    for name in ("honest-ns", "honest-nsl", "lowe-on-ns", "lowe-on-nsl")
+    for level in ("abstract", "concrete")
+}
+
+
+def _with_user(state, uid, **changes):
+    return replace(state, users={**state.users, uid: replace(state.users[uid], **changes)})
+
+
+def mutate(states, mutation):
+    """Apply one tampering to the states [at, at + span): flip a user's
+    `conforms` flag, swap two adjacent history actions, insert `act`,
+    delete an action, add an unjustified nonce to a user's knowledge, or
+    drop the state at `at`."""
+    kind, at, span, pos, act = mutation
+    at = min(at, len(states) - 1)
+    if kind == "drop":
+        return states[:at] + states[at + 1 :] if len(states) > 1 else states
+    out = list(states)
+    for k in range(at, min(at + span, len(states))):
+        s = out[k]
+        h, uid = s.history, sorted(s.users)[pos % len(s.users)]
+        if kind == "flip":
+            s = _with_user(s, uid, conforms=not s.users[uid].conforms)
+        elif kind == "swap" and pos + 1 < len(h):
+            s = replace(s, history=h[:pos] + (h[pos + 1], h[pos]) + h[pos + 2 :])
+        elif kind == "insert":
+            s = replace(s, history=h[:pos] + (act,) + h[pos:])
+        elif kind == "delete" and pos < len(h):
+            s = replace(s, history=h[:pos] + h[pos + 1 :])
+        elif kind == "knows":
+            nonce = act.what if isinstance(act, Invent) else Nonce(9)
+            knows = {**s.users[uid].knows, "X#1": frozenset({nonce})}
+            s = _with_user(s, uid, knows=knows)
+        out[k] = s
+    return out
+
+
+ITEMS = st.sampled_from(["A", "B", "I", Nonce(1), Nonce(2), Nonce(3), Nonce(5)])
+ACTIONS = st.one_of(
+    st.builds(
+        Msg,
+        rec=st.sampled_from("ABI"),
+        sender=st.sampled_from("ABI"),
+        content=st.lists(ITEMS, min_size=1, max_size=3).map(tuple),
+    ),
+    st.builds(Invent, user=st.sampled_from("ABI"), what=st.sampled_from([Nonce(1), Nonce(5)])),
+)
+MUTATIONS = st.tuples(
+    st.sampled_from(["flip", "swap", "insert", "delete", "knows", "drop"]),
+    st.integers(0, 14),
+    st.integers(1, 14),
+    st.integers(0, 6),
+    ACTIONS,
+)
+# B receives two claimed-sender messages and forwards their nonces to the
+# wrong principals in the opposite order, all in one step: the first failing
+# pair in (i, j) order is (5, 8), not (6, 7)
+CROSSED_LEAKS = [
+    ("insert", 13, 1, 20, Msg(rec="B", sender="I", content=("A", Nonce(5)))),
+    ("insert", 13, 1, 20, Msg(rec="B", sender="I", content=("I", Nonce(6)))),
+    ("insert", 13, 1, 20, Msg(rec="A", sender="B", content=(Nonce(6),))),
+    ("insert", 13, 1, 20, Msg(rec="I", sender="B", content=(Nonce(5),))),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(sorted(BASE_RUNS)),
+    mutations=st.lists(MUTATIONS, min_size=1, max_size=4),
+)
+@example(base=("lowe-on-ns", "abstract"), mutations=CROSSED_LEAKS)
+@example(  # the intruder turns conforming after its forged compose
+    base=("lowe-on-ns", "concrete"), mutations=[("flip", 6, 14, 2, Invent("A", Nonce(1)))]
+)
+def test_one_pass_audit_matches_the_per_state_suite(base, mutations):
+    states = BASE_RUNS[base].checkable_states()
+    for mutation in mutations:
+        states = mutate(states, mutation)
+    run = RecordedStates(states)
+    assert check_lemma_suite(run)[:5] == reference_state_reports(run)
+
+
+def test_crossed_leaks_are_reported_in_pair_order():
+    states = BASE_RUNS[("lowe-on-ns", "abstract")].checkable_states()
+    for mutation in CROSSED_LEAKS:
+        states = mutate(states, mutation)
+    obligations = check_lemma_suite(RecordedStates(states))[4]
+    assert (obligations.name, obligations.witness) == (
+        "no-app-leaks",
+        "nonce n5 received at 5 claiming sender A re-sent at 8 to I",
+    )
+
+
+# ── audit work per event ─────────────────────────────────────────────────────
+
+
+def nsl_pairs(pairs: int) -> str:
+    """Intruder-free wire-level NSL: disjoint initiator/responder pairs."""
+    lines = ["protolab-scenario v1"]
+    for i in range(pairs):
+        lines += [f"user P{i:02d} conforms=true", f"user R{i:02d} conforms=true"]
+    for i in range(pairs):
+        lines += [
+            f"role sender user=P{i:02d} peer=R{i:02d} variant=nsl",
+            f"role receiver user=R{i:02d} variant=nsl",
+        ]
+    return "\n".join(lines + ["intruder none", "level concrete"]) + "\n"
+
+
+def test_audit_work_grows_linearly_with_the_run(monkeypatch):
+    # each action is rendered once per execution and projected once per run,
+    # however often the run's states are asked for: twice the pairs, twice the work
+    import protolab.trace as trace
+    from protolab.crypto import KeyRegistry
+
+    calls = {"render": 0, "owner": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(trace, "render_action", counting("render", trace.render_action))
+    monkeypatch.setattr(KeyRegistry, "owner_of_pkey", counting("owner", KeyRegistry.owner_of_pkey))
+    events, work = {}, {}
+    for pairs in (2, 4):
+        calls.update(render=0, owner=0)
+        run = execute_scripted(parse_scenario(nsl_pairs(pairs)))
+        rendered = calls["render"]
+        for _ in range(3):
+            run.checkable_states()
+        events[pairs], work[pairs] = len(run.events), (rendered, calls["owner"])
+    assert events[4] == 2 * events[2] == 44
+    for pairs in (2, 4):
+        assert 0 < min(work[pairs]) and max(work[pairs]) <= events[pairs], work
+    assert work[4][0] <= 2 * work[2][0] and work[4][1] <= 2 * work[2][1], work
