@@ -20,22 +20,20 @@ import sys
 
 from .crypto import check_refinement
 from .runner import execute_schedule, execute_scripted, replay_doc, schedule_from_doc
-from .scenario import ScenarioError, load_scenario, parse_scenario
-from .search import SPEC_CHOICES, explore
-from .specs import (
-    SPEC_INV,
-    SPEC_NSL_FT,
-    SPEC_POST_NS,
-    check_lemma_suite,
-    evaluate_run_specs,
-    resolve_spec_names,
-)
+from .scenario import ScenarioError, load_scenario
+from .search import explore
+from .specs import SPEC_CHOICES, SPEC_INV, evaluate_run_specs, resolve_spec_names
 from .trace import TraceError, parse_trace, render_trace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
+
+# Malformed input, reported as "error: ..." with exit 2: scenario and trace
+# errors, unreadable paths (missing, a directory, unwritable), and text that
+# is not UTF-8 (UnicodeDecodeError is a ValueError).
+INPUT_ERRORS = (ScenarioError, TraceError, OSError, ValueError)
 
 
 def _verdict_line(verdict) -> str:
@@ -62,7 +60,7 @@ def cmd_run(args, out, err) -> int:
         verdicts = evaluate_run_specs(run, resolve_spec_names(args.spec))
         text = render_trace(run.to_doc(verdicts), no_ghost=args.no_ghost)
         _emit_trace(text, args.trace_out, out)
-    except (ScenarioError, FileNotFoundError, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         err.write(f"error: {exc}\n")
         return EXIT_MALFORMED
     if args.trace_out:
@@ -75,12 +73,10 @@ def cmd_run(args, out, err) -> int:
 def cmd_explore(args, out, err) -> int:
     try:
         scenario = load_scenario(args.scenario)
-        if args.level and args.level != "abstract":
-            raise ScenarioError("level: exploration runs at the abstract level")
         if args.max_steps is not None:
             scenario = scenario.with_max_steps(args.max_steps)
         verdict = explore(scenario, spec=args.spec)
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         err.write(f"error: {exc}\n")
         return EXIT_MALFORMED
     out.write(f"states explored: {verdict.states}\n")
@@ -103,34 +99,28 @@ def cmd_replay(args, out, err) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
             doc = parse_trace(handle.read())
-    except (TraceError, FileNotFoundError) as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
-    try:
         divergence, run = replay_doc(doc)
-    except (TraceError, ScenarioError) as exc:
+        if divergence is not None:
+            out.write(f"replay diverged at event {divergence}\n")
+            return EXIT_VIOLATION
+        # `inv` comes first and once: its suite decides before any recorded verdict
+        recorded = [spec for spec, _, _ in doc.verdicts if spec != SPEC_INV]
+        inv, *others = evaluate_run_specs(run, [SPEC_INV, *recorded])
+    except INPUT_ERRORS as exc:
         err.write(f"error: {exc}\n")
         return EXIT_MALFORMED
-    if divergence is not None:
-        out.write(f"replay diverged at event {divergence}\n")
+    if not inv.holds:
+        out.write(f"replay obligation failed: {inv.detail}\n")
         return EXIT_VIOLATION
-    reports = check_lemma_suite(run)
-    failing = [r for r in reports if not r.holds]
-    if failing:
-        out.write(f"replay obligation failed: {failing[0].name}: {failing[0].witness}\n")
-        return EXIT_VIOLATION
-    # the suite above is the `inv` verdict, so it holds; the others are recomputed
-    recorded_specs = [spec for spec, _, _ in doc.verdicts if spec in (SPEC_POST_NS, SPEC_NSL_FT)]
-    recomputed = {v.spec: v.holds for v in evaluate_run_specs(run, recorded_specs)}
-    recomputed[SPEC_INV] = True
+    recomputed = {v.spec: v.holds for v in (inv, *others)}
     for spec, holds, _ in doc.verdicts:
-        if spec in recomputed and recomputed[spec] != holds:
+        if recomputed[spec] != holds:
             out.write(f"replay verdict mismatch for {spec}\n")
             return EXIT_VIOLATION
     if doc.level == "concrete":
         # the wire run must project onto its recipient-field twin exactly
-        scenario = parse_scenario(doc.scenario_text)
-        twin = execute_schedule(scenario, schedule_from_doc(doc, scenario), level="abstract")
+        schedule = schedule_from_doc(doc, run.scenario)
+        twin = execute_schedule(run.scenario, schedule, level="abstract")
         refinement = check_refinement(run, twin)
         if not refinement.holds:
             out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")
@@ -156,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p = sub.add_parser("explore", help="bounded exhaustive search")
     explore_p.add_argument("scenario")
     explore_p.add_argument("--spec", choices=SPEC_CHOICES, default="all")
-    explore_p.add_argument("--level", choices=("abstract", "concrete"), default=None)
     explore_p.add_argument("--max-steps", type=int, default=None)
     explore_p.add_argument("--trace-out", default=None)
     explore_p.add_argument("--no-ghost", action="store_true")

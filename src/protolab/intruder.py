@@ -206,5 +206,6 @@ class LoweScript:
 
 
 def lowe_script(me: Uid, victim_a: Uid, victim_b: Uid) -> LoweScript:
-    assert me != victim_a and me != victim_b and victim_a != victim_b
+    """The interception strategy of `me` between two victims.  The three
+    principals are distinct; `scenario` rejects a record where they are not."""
     return LoweScript(me=me, victim_a=victim_a, victim_b=victim_b)

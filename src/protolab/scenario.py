@@ -274,6 +274,12 @@ def _validate(scenario: Scenario) -> None:
             value = getattr(intr, field)
             if value is not None and value not in declared:
                 raise ScenarioError(f"intruder: field {field!r} references undeclared {value!r}")
+        for first, second in (("user", "a"), ("user", "b"), ("a", "b")):
+            value = getattr(intr, second)
+            if value is not None and value == getattr(intr, first):
+                raise ScenarioError(
+                    f"intruder: field {second!r} must differ from {first!r}, both are {value!r}"
+                )
         assert intr.user is not None
         if conforms[intr.user]:
             raise ScenarioError(f"intruder: user {intr.user!r} must be declared conforms=false")

@@ -14,7 +14,8 @@ A node is checked once, when it is first reached:
    invariant);
 2. whether any move is enabled: machine moves first, then intruder moves,
    stopping at the first one found;
-3. for a node with no enabled move (quiescent), the requested specs.
+3. for a node with no enabled move (quiescent), the requested contracts,
+   through `specs.contract_verdict`.
 
 Live nodes make up the next level.  The first violation returned is
 therefore one of minimal depth, first in canonical order, and identical
@@ -53,7 +54,7 @@ keep the tree finite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 from .intruder import (
@@ -81,15 +82,13 @@ from .roles import (
 from .runner import build_execution, execute_schedule
 from .scenario import Scenario, ScenarioError, SearchBounds
 from .specs import (
+    SPEC_CHOICES,
     SPEC_INV,
-    SPEC_NSL_FT,
-    SPEC_POST_NS,
     SpecVerdict,
-    check_nsl_ft_all,
-    check_post_ns_all,
+    contract_verdict,
+    evaluate_run_specs,
+    resolve_spec_names,
 )
-
-SPEC_CHOICES = ("post-ns", "nsl-ft", "inv", "all")
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,12 @@ def _node_key(node: _Node) -> tuple:
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
-# The specs checked at quiescent nodes, per requested spec.
-_QUIESCENT_SPECS = {
-    "all": (SPEC_POST_NS, SPEC_NSL_FT),
-    SPEC_POST_NS: (SPEC_POST_NS,),
-    SPEC_NSL_FT: (SPEC_NSL_FT,),
-    SPEC_INV: (),
-}
-
-
 class _Searcher:
     def __init__(self, scenario: Scenario, bounds: SearchBounds, spec: str, on_quiescent=None):
         self.scenario = scenario
         self.bounds = bounds
-        self.quiescent_specs = _QUIESCENT_SPECS[spec]
+        # `inv` is the safety check, made at every node
+        self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
         self.on_quiescent = on_quiescent
         self.universe = scenario.universe()
         self.intr_user = scenario.intruder.user
@@ -223,14 +214,15 @@ class _Searcher:
         return None
 
     def quiescent_violation(self, node: _Node) -> str | None:
+        """The first requested contract that fails from the initial state to
+        this quiescent node, or None.  No transitions are given, so no
+        failure is excused as rely-broken here; the counterexample's verdict,
+        made on the re-executed run, says whether the environment broke the
+        rely."""
         if self.on_quiescent is not None:
             self.on_quiescent(node.state)
         for spec in self.quiescent_specs:
-            if spec == SPEC_POST_NS:
-                verdict = check_post_ns_all(self.initial, node.state)
-            else:
-                verdict = check_nsl_ft_all(self.initial, node.state)
-            if not verdict.holds and not verdict.rely_broken:
+            if not contract_verdict(spec, self.initial, node.state).holds:
                 return spec
         return None
 
@@ -294,25 +286,15 @@ def _schedule(link) -> list:
 
 def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int) -> SpecVerdict:
     """Re-execute a violating schedule and report the violated spec with
-    the detail the full checkers give on the recorded run."""
+    the verdict `evaluate_run_specs` gives on the recorded run; a safety
+    violation keeps the detail of the invariant that failed."""
     spec_name, safety_detail = violation
     run = execute_schedule(scenario, schedule)
-    if spec_name == SPEC_POST_NS:
-        inner = check_post_ns_all(run.initial, run.final_state, list(run.transitions()))
-        detail, rely_broken = inner.detail, inner.rely_broken
-    elif spec_name == SPEC_NSL_FT:
-        inner = check_nsl_ft_all(run.initial, run.final_state)
-        detail, rely_broken = inner.detail, inner.rely_broken
+    if spec_name == SPEC_INV:
+        verdict = SpecVerdict(SPEC_INV, holds=False, detail=safety_detail)
     else:
-        detail, rely_broken = safety_detail or "", False
-    return SpecVerdict(
-        spec=spec_name,
-        holds=False,
-        detail=detail,
-        counterexample=run,
-        states=states,
-        rely_broken=rely_broken,
-    )
+        verdict = evaluate_run_specs(run, [spec_name])[0]
+    return replace(verdict, counterexample=run, states=states)
 
 
 def explore(

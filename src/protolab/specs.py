@@ -8,8 +8,16 @@ initiator's session nonces and claims the initiator as partner, the
 initiator must not have completed.
 
 The `*_all` sweeps evaluate those contracts over every eligible session of
-a state, which is what the run driver and the explorer consume: they do not
-need to be told who attacked whom.
+a state: they do not need to be told who attacked whom.
+
+This module alone decides what a spec name means.  `SPEC_CHOICES` lists
+the names a user may request, `resolve_spec_names` expands one into the
+specs it stands for, `contract_verdict` evaluates one contract between two
+states, and `evaluate_run_specs` gives a finished run's verdicts, `inv`
+being the obligation suite of `check_lemma_suite`.  `run`, `replay` and
+the explorer's counterexamples take their verdicts from
+`evaluate_run_specs`; the explorer's quiescent check calls
+`contract_verdict`.
 
 Rely conditions are treated as assumptions about environment steps.  When a
 sweep finds a violated contract and is given the run's transitions, it
@@ -29,6 +37,7 @@ from .model import GlobalState, Sid, Uid
 SPEC_POST_NS = "post-ns"
 SPEC_NSL_FT = "nsl-ft"
 SPEC_INV = "inv"
+SPEC_CHOICES = (SPEC_POST_NS, SPEC_NSL_FT, SPEC_INV, "all")
 
 
 class PreconditionUnmet(Exception):
@@ -365,35 +374,40 @@ def _first_failure(name: str, reports) -> PredicateReport:
     return PredicateReport(name, True)
 
 
+def contract_verdict(
+    name: str, initial: GlobalState, final: GlobalState, transitions=None
+) -> SpecVerdict:
+    """The verdict of contract `name` (`post-ns` or `nsl-ft`) from `initial`
+    to `final`.  Given the run's transitions, a `post-ns` failure that an
+    environment step caused is reported as rely-broken."""
+    if name == SPEC_POST_NS:
+        return check_post_ns_all(initial, final, transitions)
+    if name == SPEC_NSL_FT:
+        return check_nsl_ft_all(initial, final, transitions)
+    raise ValueError(f"unknown spec {name!r}")
+
+
 def evaluate_run_specs(run, names) -> list[SpecVerdict]:
-    """Evaluate the requested specs over a finished run record."""
+    """Evaluate the requested specs over a finished run record: `inv` is the
+    first failing report of `check_lemma_suite`, the contracts are judged
+    from the run's initial to its final state with its transitions."""
     states = run.checkable_states()
     initial, final = states[0], states[-1]
+    transitions = list(run.transitions())
     out: list[SpecVerdict] = []
     for name in names:
-        if name == SPEC_POST_NS:
-            out.append(check_post_ns_all(initial, final, list(run.transitions())))
-        elif name == SPEC_NSL_FT:
-            out.append(check_nsl_ft_all(initial, final))
-        elif name == SPEC_INV:
-            reports = check_lemma_suite(run)
-            failing = [r for r in reports if not r.holds]
-            if failing:
-                out.append(
-                    SpecVerdict(
-                        SPEC_INV, holds=False, detail=f"{failing[0].name}: {failing[0].witness}"
-                    )
-                )
-            else:
-                out.append(SpecVerdict(SPEC_INV, holds=True))
+        if name == SPEC_INV:
+            failing = next((r for r in check_lemma_suite(run) if not r.holds), None)
+            detail = "" if failing is None else f"{failing.name}: {failing.witness}"
+            out.append(SpecVerdict(SPEC_INV, holds=failing is None, detail=detail))
         else:
-            raise ValueError(f"unknown spec {name!r}")
+            out.append(contract_verdict(name, initial, final, transitions))
     return out
 
 
 def resolve_spec_names(token: str) -> list[str]:
     if token == "all":
         return [SPEC_POST_NS, SPEC_NSL_FT, SPEC_INV]
-    if token in (SPEC_POST_NS, SPEC_NSL_FT, SPEC_INV):
+    if token in SPEC_CHOICES:
         return [token]
     raise ValueError(f"unknown spec {token!r}")

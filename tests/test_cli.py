@@ -90,9 +90,67 @@ def test_explore_zero_steps_trivially_holds():
 
 
 def test_explore_has_no_workers_flag():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("explore", str(SCENARIOS / "nsl-search.scn"), "--workers", "2")
-    assert exc.value.code == 2
+    # neither --workers nor --level exists for explore, which searches the
+    # abstract level only
+    for flag in (["--workers", "2"], ["--level", "abstract"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explore", str(SCENARIOS / "nsl-search.scn"), *flag)
+        assert exc.value.code == 2, flag
+
+
+LOWE_SCRIPT = """protolab-scenario v1
+user A conforms=true
+user B conforms=true
+user I conforms=false
+role sender user=A peer=I variant=ns
+role receiver user=B variant=ns
+intruder lowe_script {fields}
+level abstract
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ("user=I a=I b=B", "field 'a' must differ from 'user', both are 'I'"),
+        ("user=I a=A b=I", "field 'b' must differ from 'user', both are 'I'"),
+        ("user=I a=A b=A", "field 'b' must differ from 'a', both are 'A'"),
+    ],
+    ids=["a-equals-user", "b-equals-user", "b-equals-a"],
+)
+def test_lowe_script_principals_must_differ(tmp_path, flags, fields, named):
+    # the scripted interceptor sits between two distinct victims; the check
+    # is made on the scenario, not by an assert that -O strips
+    bad = tmp_path / "bad.scn"
+    bad.write_text(LOWE_SCRIPT.format(fields=fields))
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "run", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: intruder: {named}\n"
+
+
+def _directory(tmp_path):
+    return tmp_path
+
+
+def _not_utf8(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes((GOLDEN / "honest-ns.trc").read_bytes().replace(b"user A", b"user \xc4", 1))
+    return bad
+
+
+@pytest.mark.parametrize("command", ["run", "explore", "replay"])
+@pytest.mark.parametrize("make_input", [_directory, _not_utf8], ids=["directory", "not-utf8"])
+def test_unreadable_input_is_a_clean_error(tmp_path, command, make_input):
+    code, out, err = run_cli(command, str(make_input(tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ── golden traces ────────────────────────────────────────────────────────────
@@ -222,6 +280,64 @@ def ns_cex_trace(tmp_path_factory):
 def test_explore_counterexample_trace_replays(ns_cex_trace):
     code, _, _ = run_cli("replay", str(ns_cex_trace))
     assert code == 0
+
+
+@pytest.mark.parametrize("spec", ["inv", "post-ns"])
+def test_replay_reports_a_recorded_verdict_mismatch(tmp_path, spec):
+    text = (GOLDEN / "honest-ns.trc").read_text()
+    recorded = f"verdict spec={spec} holds=true"
+    assert text.count(recorded) == 1
+    edited = tmp_path / "edited.trc"
+    edited.write_text(text.replace(recorded, f"verdict spec={spec} holds=false"))
+    code, out, _ = run_cli("replay", str(edited))
+    assert code == 1
+    assert out == f"replay verdict mismatch for {spec}\n"
+
+
+def test_replay_rejects_a_verdict_for_an_unknown_spec(tmp_path):
+    # a verdict record replay cannot recompute is malformed, not skipped
+    text = (GOLDEN / "honest-ns.trc").read_text()
+    edited = tmp_path / "edited.trc"
+    edited.write_text(text.replace("verdict spec=nsl-ft ", "verdict spec=frob "))
+    code, out, err = run_cli("replay", str(edited))
+    assert (code, out, err) == (2, "", "error: unknown spec 'frob'\n")
+
+
+def test_replay_reports_the_first_failed_obligation(monkeypatch):
+    import protolab.specs as specs
+    from protolab.invariants import PredicateReport
+
+    def planted_dyn_inv(before, after):
+        if len(after.history) == 3:
+            return PredicateReport("dyn-inv", False, "planted at history length 3")
+        return PredicateReport("dyn-inv", True)
+
+    monkeypatch.setattr(specs, "dyn_inv", planted_dyn_inv)
+    code, out, _ = run_cli("replay", str(GOLDEN / "honest-ns.trc"))
+    assert code == 1
+    assert out == "replay obligation failed: dyn-inv: planted at history length 3\n"
+
+
+def test_replay_reports_a_refinement_mismatch(tmp_path, monkeypatch):
+    import protolab.crypto as crypto
+
+    trace = tmp_path / "concrete.trc"
+    code, _, _ = run_cli(
+        "run", str(SCENARIOS / "honest-ns.scn"), "--level", "concrete", "--trace-out", str(trace)
+    )
+    assert code == 0
+    # the refinement check projects the wire history through crypto's own
+    # binding, so dropping the last projected action breaks only that check
+    real_abstract_of = crypto.abstract_of
+    monkeypatch.setattr(
+        crypto, "abstract_of", lambda history, registry: real_abstract_of(history, registry)[:-1]
+    )
+    code, out, _ = run_cli("replay", str(trace))
+    assert code == 1
+    assert out == (
+        "replay refinement mismatch between levels: "
+        "projected wire history differs from the recipient-field history\n"
+    )
 
 
 def test_replay_rejects_inexecutable_schedule(tmp_path):

@@ -194,8 +194,3 @@ def test_script_forwards_opener_then_confirmation_once_each():
     state = append_action(state, Msg(rec="I", sender="A", content=(N2,)))
     move2 = script.pending_move(state, ABSTRACT)
     assert move2 == Compose(rec="B", content=(N2,))
-
-
-def test_script_requires_distinct_principals():
-    with pytest.raises(AssertionError):
-        lowe_script("I", "I", "B")

@@ -150,6 +150,7 @@ def test_safety_failure_is_checked_before_the_quiescent_specs(monkeypatch):
     # complete, which are the quiescent ones, and a post-ns failure on every
     # quiescent node: the safety failure must win
     import protolab.search as search
+    import protolab.specs as specs
     from protolab.invariants import PredicateReport
     from protolab.specs import SpecVerdict
 
@@ -162,7 +163,7 @@ def test_safety_failure_is_checked_before_the_quiescent_specs(monkeypatch):
 
     monkeypatch.setattr(search, "inv_sigma", planted_inv_sigma)
     monkeypatch.setattr(
-        search, "check_post_ns_all", lambda *args: SpecVerdict("post-ns", False, "planted")
+        specs, "check_post_ns_all", lambda *args: SpecVerdict("post-ns", False, "planted")
     )
     verdict = explore(parse_scenario(HONEST_SEARCH), spec="post-ns")
     assert (verdict.spec, verdict.holds, verdict.inconclusive) == (SPEC_INV, False, False)
