@@ -1,34 +1,63 @@
 """Bounded exhaustive exploration of honest-step / intruder-move interleavings.
 
-The search is one level-synchronous breadth-first pass to depth max_steps.
-Children are ordered by actor index (role machines in declaration order,
-intruder last) and then by move enumeration order, and each level is
-expanded in the order its nodes were reached, so every node is first
-reached along its lexicographically least schedule.  A frontier entry
-keeps a link to its parent's entry, and a counterexample's schedule is
-rebuilt from the links.
+The search moves by macro-steps (step compression, after Shmatikov and
+Stern, *Efficient finite-state analysis for large security protocols*,
+1998, as in Clarke, Jha and Marrero's Brutus).  A machine entry runs the
+chosen machine on through its invisible statements: a set-partner or an
+invent runs on into the next statement, and a finish runs right after the
+step before it.  A sender thus takes three transitions, [set-partner,
+invent, send], [recv], [send, finish], and a receiver [recv], [invent,
+send], [recv, finish].  An abort ends a macro, intruder moves stay single
+steps, and a receive is never fused with what follows it, except a finish.
 
-A node is checked once, when it is first reached:
+This is sound, and it loses no behaviour that a check can see:
 
-1. the safety invariants (transition invariant against its parent, state
-   invariant);
-2. whether any move is enabled: machine moves first, then intruder moves,
-   stopping at the first one found;
-3. for a node with no enabled move (quiescent), the requested contracts,
+- set-partner and finish change only the owner's own user record and
+  machine, which no other actor's step reads during a run;
+- an invent also appends an `Invent` and takes the next nonce index, and no
+  receive (`find_match`), intruder `closure` or delivery demand reads an
+  `Invent`, so moving an invent next to its send only renames nonces and
+  shifts history positions;
+- every reduced run is a run of the full model, so every counterexample is
+  real (and `execute_schedule` re-executes it anyway).
+
+Depth is counted in micro-steps.  Every micro-step raises the progress
+measure `sum(machine.pc + [machine aborted]) + #actions by the intruder`
+by exactly one (a machine step advances its pc or aborts it, an intruder
+move appends one action), so every schedule reaching a node has the same
+length.  The frontier is kept in buckets keyed by that measure: a macro of
+k steps from depth d lands in bucket d+k, and duplicates are dropped per
+bucket, which is exact, not an approximation.  Buckets are expanded in
+increasing depth, each in the order its nodes were reached, and the search
+ends when no bucket is left.  A macro that would pass `max_steps` is cut
+there, and since the node where it is cut still has an enabled local step,
+the search is then truncated: every step bound keeps the meaning and the
+verdict it has in the unreduced model.
+
+Every micro state is checked against the safety invariants (transition
+invariant against its own parent, state invariant).  Only the nodes at a
+macro boundary are keyed, counted in `states`, and checked once, when
+first reached:
+
+1. whether any move is enabled: machine moves first, then intruder moves,
+   stopping at the first one found (an intruder list built to decide this
+   is kept for the node's expansion);
+2. for a node with no enabled move (quiescent), the requested contracts,
    through `specs.contract_verdict`.
 
-Live nodes make up the next level.  The first violation returned is
-therefore one of minimal depth, first in canonical order, and identical
-bounds always reproduce the identical verdict, counterexample and state
-count.  The verdict is inconclusive when live nodes remain at the step
-bound.
+No intermediate state of a macro is quiescent: it has a local step left.
+`states explored` counts the distinct macro-boundary nodes, the root
+included.  A frontier entry keeps a link to its parent's entry and the
+micro entries of the macro that reached it, and a counterexample's
+schedule is rebuilt from the links, so its trace has the format of an
+unreduced run.
 
-Duplicates are dropped per level, and that is exact, not an
-approximation: every step raises the progress measure
-`sum(machine.pc + [machine aborted]) + #actions by the intruder` by
-exactly one (a machine step advances its pc or aborts it, an intruder
-move appends one action), so every schedule reaching a node has the same
-length and a node can only recur within its own level.
+The first violation met is returned.  When it is met in bucket d, every
+state of depth d or less has been checked, and it lies at most three
+micro-steps (the longest macro) below d: a counterexample is at most two
+micro-steps longer than the shortest one.  Identical bounds always
+reproduce the identical verdict, counterexample and state count.  The
+verdict is inconclusive when live nodes remain at the step bound.
 
 Compositions are built from demand instead of being generated and then
 filtered.  At each node the search collects the receive patterns waiting
@@ -55,7 +84,6 @@ keep the tree finite:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from .intruder import (
     EMPTY_KNOWLEDGE,
@@ -70,9 +98,12 @@ from .invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
 from .model import GlobalState, Invent, Msg, state_key
 from .roles import (
     ABSTRACT,
+    FinishStmt,
     Inbox,
+    InventStmt,
     RecvStmt,
     RoleMachine,
+    SetPartner,
     Status,
     kinds_match,
     can_fire,
@@ -190,6 +221,28 @@ class _Searcher:
         state = apply_move(node.state, self.intr_user, self.intr_session, move, ABSTRACT)
         return _Node(node.machines, state, node.inbox)
 
+    def macro(self, node: _Node, entry, room: int):
+        """The macro-step that starts with `entry`: its machine runs on
+        through its invisible statements, for at most `room` micro-steps.
+        Each micro state is checked against the safety invariants with its
+        own parent.  Returns (the micro entries taken, the node reached, the
+        safety detail or None, whether the macro was cut at `room` with a
+        local step left)."""
+        steps = []
+        while True:
+            child = self.apply(node, entry)
+            steps.append(entry)
+            bad = self.safety_violation(child, node)
+            if bad is not None:
+                return steps, child, bad, False
+            if entry[0] != "machine" or not _runs_on(
+                node.machines[entry[1]], child.machines[entry[1]]
+            ):
+                return steps, child, None, False
+            if len(steps) == room:
+                return steps, child, None, True
+            node, entry = child, ("machine", entry[1], None)
+
     # ── evaluation ───────────────────────────────────────────────────────
 
     def safety_violation(self, node: _Node, parent: _Node | None) -> str | None:
@@ -226,62 +279,83 @@ class _Searcher:
                 return spec
         return None
 
-    def has_child(self, node: _Node) -> bool:
-        """Whether any move is enabled: machine entries first, then intruder
-        entries, stopping at the first one found."""
-        return any(True for _ in chain(self._machine_entries(node), self._intruder_entries(node)))
+    def first_reach(self, node: _Node):
+        """The checks made once, when a macro-boundary node is first
+        reached: whether any move is enabled, machine entries first, then
+        intruder entries, and for a node with none (quiescent) the quiescent
+        specs.  Returns (violated spec or None, live, the node's moves when
+        they had to be built to decide, else None)."""
+        if next(self._machine_entries(node), None) is not None:
+            return None, True, None
+        moves = list(self._intruder_entries(node))
+        if moves:
+            return None, True, moves
+        return self.quiescent_violation(node), False, None
 
-    def first_reach(self, node: _Node, parent: _Node | None):
-        """The checks made once, when a node is first reached: the safety
-        invariants, then, for a node with no enabled move, the quiescent
-        specs.  Returns (violation, live) with violation None or
-        (spec name, safety detail or None)."""
-        bad = self.safety_violation(node, parent)
-        if bad is not None:
-            return (SPEC_INV, bad), False
-        if self.has_child(node):
-            return None, True
-        spec = self.quiescent_violation(node)
-        return ((spec, None) if spec is not None else None), False
-
-    # ── level-synchronous breadth-first pass ─────────────────────────────
+    # ── breadth-first pass over micro-depth buckets ──────────────────────
 
     def run(self):
         """Returns (violation or None, its schedule, distinct nodes reached,
         whether live nodes remain at the step bound)."""
-        violation, live = self.first_reach(self.root, None)
-        if violation is not None:
-            return violation, [], 1, False
-        states = 1
-        # frontier entries: (node, link); a link is (parent's link, entry), None at the root
-        level = [(self.root, None)] if live else []
-        for _ in range(self.bounds.max_steps):
-            seen: set = set()
-            next_level = []
-            for node, link in level:
-                for entry in self.children(node):
-                    child = self.apply(node, entry)
-                    key = _node_key(child)
-                    if key in seen:
+        bad = self.safety_violation(self.root, None)
+        if bad is not None:
+            return (SPEC_INV, bad), [], 1, False
+        spec, live, moves = self.first_reach(self.root)
+        if spec is not None:
+            return (spec, None), [], 1, False
+        bound, states, truncated = self.bounds.max_steps, 1, False
+        # bucket entries: (node, link, its moves or None to build them); a
+        # link is (parent's link, micro entries of the macro), None at the root
+        buckets = {0: [(self.root, None, moves)]} if live and bound > 0 else {}
+        seen: dict[int, set] = {}
+        while buckets:
+            depth = min(buckets)
+            seen.pop(depth, None)
+            for node, link, moves in buckets.pop(depth):
+                for entry in moves if moves is not None else self.children(node):
+                    steps, child, bad, cut = self.macro(node, entry, bound - depth)
+                    here = (link, steps)
+                    if bad is not None:
+                        return (SPEC_INV, bad), _schedule(here), states, False
+                    if cut:
+                        truncated = True
                         continue
-                    seen.add(key)
+                    at = depth + len(steps)
+                    keys = seen.setdefault(at, set())
+                    key = _node_key(child)
+                    if key in keys:
+                        continue
+                    keys.add(key)
                     states += 1
-                    violation, live = self.first_reach(child, node)
-                    if violation is not None:
-                        return violation, _schedule((link, entry)), states, False
-                    if live:
-                        next_level.append((child, (link, entry)))
-            level = next_level
-        return None, [], states, bool(level)
+                    spec, live, kept = self.first_reach(child)
+                    if spec is not None:
+                        return (spec, None), _schedule(here), states, False
+                    if live and at == bound:
+                        truncated = True
+                    elif live:
+                        buckets.setdefault(at, []).append((child, here, kept))
+        return None, [], states, truncated
+
+
+def _runs_on(before: RoleMachine, after: RoleMachine) -> bool:
+    """Whether a macro goes on after a machine's step from `before` to
+    `after`: a set-partner or an invent runs on into the next statement, and
+    a finish runs right after the step before it.  An abort or a finish ends
+    the macro."""
+    if after.status is not Status.RUNNING:
+        return False
+    return isinstance(before.current(), (SetPartner, InventStmt)) or isinstance(
+        after.current(), FinishStmt
+    )
 
 
 def _schedule(link) -> list:
-    schedule = []
+    """The micro entries from the root to a link, each macro expanded."""
+    macros = []
     while link is not None:
-        link, entry = link
-        schedule.append(entry)
-    schedule.reverse()
-    return schedule
+        link, steps = link
+        macros.append(steps)
+    return [entry for steps in reversed(macros) for entry in steps]
 
 
 def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int) -> SpecVerdict:
@@ -303,10 +377,10 @@ def explore(
     spec: str = "all",
     on_quiescent=None,
 ) -> SpecVerdict:
-    """Search all interleavings within bounds breadth-first and return the
-    first counterexample (minimal depth, first in canonical order) or, with
-    none, holds-within-bounds or inconclusive.  `states` counts the distinct
-    nodes reached, the root included."""
+    """Search the interleavings within bounds breadth-first, by macro-steps,
+    and return the first counterexample met or, with none,
+    holds-within-bounds or inconclusive.  `states` counts the distinct
+    macro-boundary nodes reached, the root included."""
     if scenario.intruder.kind == "lowe_script":
         raise ScenarioError("intruder: exploration drives a search intruder, not a scripted one")
     if scenario.level != "abstract":
@@ -318,7 +392,7 @@ def explore(
     violation, schedule, states, truncated = searcher.run()
     if violation is not None:
         return _counterexample_verdict(scenario, violation, schedule, states)
-    if truncated and bounds.max_steps > 0:
+    if truncated:
         return SpecVerdict(
             spec=spec,
             holds=False,

@@ -2,10 +2,11 @@
 for the identity-checked variant, determinism, and layering."""
 
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
-from protolab.model import Msg, Nonce, state_key
+from protolab.model import Invent, Msg, Nonce, state_key
 from protolab.roles import Status
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -21,6 +22,21 @@ role sender user=A peer=B variant=ns
 role receiver user=B variant=ns
 intruder none
 bounds max_steps=14 max_content_len=2 max_intruder_invents=0 max_sessions_per_user=4
+level abstract
+"""
+
+# Two NSL sessions from A to B, declared sender, receiver, receiver, sender,
+# with no intruder: concurrent honest sessions that can take each other's
+# replies.
+CROSS_TALK = """protolab-scenario v1
+user A conforms=true
+user B conforms=true
+role sender user=A peer=B variant=nsl
+role receiver user=B variant=nsl
+role receiver user=B variant=nsl
+role sender user=A peer=B variant=nsl
+intruder none
+bounds max_steps=22 max_content_len=2 max_intruder_invents=0 max_sessions_per_user=4
 level abstract
 """
 
@@ -178,14 +194,14 @@ def test_explore_rejects_scripted_scenarios():
 
 def test_ns_search_counters_are_pinned(ns_cex):
     # a change of search strategy may move these only on purpose, and says so
-    assert ns_cex.states == 11144
+    assert ns_cex.states == 2786
     golden = parse_trace((GOLDEN / "lowe-on-ns.trc").read_text())
     assert ns_cex.counterexample.digests[-1] == golden.events[-1].digest == "112d8965862b"
 
 
 def test_nsl_search_counter_is_pinned(nsl_quiescents):
     verdict, _ = nsl_quiescents
-    assert verdict.states == 165
+    assert verdict.states == 129
 
 
 def test_invention_moves_are_searched_and_bounded():
@@ -249,7 +265,7 @@ def reference_explore(sc, spec):
 
 
 def _bounded(name, max_steps, invents=0):
-    sc = load_scenario(scenario(name))
+    sc = parse_scenario(CROSS_TALK) if name == "cross-talk" else load_scenario(scenario(name))
     return replace(sc, bounds=replace(sc.bounds, max_steps=max_steps, max_intruder_invents=invents))
 
 
@@ -257,7 +273,7 @@ DIFFERENTIAL_CASES = (
     [("ns-search", steps, 0, "post-ns") for steps in (*range(11), 13)]
     + [("ns-search", 13, 0, "all")]
     + [("nsl-search", steps, 0, "all") for steps in range(15)]
-    + [("ns-search", 6, 1, "post-ns")]
+    + [("ns-search", 6, 1, "post-ns"), ("nsl-search", 8, 1, "all"), ("cross-talk", 14, 0, "all")]
 )
 
 
@@ -267,6 +283,9 @@ DIFFERENTIAL_CASES = (
     ids=[f"{n}-steps{m}-invents{i}-{s}" for n, m, i, s in DIFFERENTIAL_CASES],
 )
 def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spec):
+    # the reference searches every interleaving one step at a time; the
+    # macro-step search may order commuting events differently, so its
+    # counterexample is compared by verdict and length, not digest by digest
     sc = _bounded(name, max_steps, invents)
     verdict = explore(sc, spec=spec)
     violation, schedule, inconclusive = reference_explore(sc, spec)
@@ -279,7 +298,110 @@ def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spe
     expected = _counterexample_verdict(sc, violation, schedule, verdict.states)
     got = (verdict.spec, verdict.holds, verdict.inconclusive, verdict.detail, verdict.rely_broken)
     assert got == (expected.spec, False, False, expected.detail, expected.rely_broken)
-    assert verdict.counterexample.digests == expected.counterexample.digests
+    assert len(verdict.counterexample.events) == len(expected.counterexample.events)
+
+
+def outcome(state):
+    """A quiescent state's user records and the multiset of its messages and
+    inventions, canonical under nonce renaming: the least rendering over
+    all permutations of its nonces."""
+    nonces = sorted(
+        {act.what for act in state.history if isinstance(act, Invent)}
+        | {i for act in state.history if isinstance(act, Msg) for i in act.content
+           if isinstance(i, Nonce)}
+        | {n for user in state.users.values() for known in user.knows.values() for n in known}
+    )
+    renderings = []
+    for perm in permutations(range(len(nonces))):
+        names = dict(zip(nonces, perm))
+
+        def item(i):
+            return ("n", names[i]) if isinstance(i, Nonce) else ("u", i)
+
+        users = tuple(
+            (
+                uid,
+                tuple(sorted(user.int_partner.items())),
+                tuple(sorted((sid, tuple(sorted(map(item, ns)))) for sid, ns in user.knows.items())),
+                tuple(sorted(user.complete.items())),
+            )
+            for uid, user in sorted(state.users.items())
+        )
+        actions = tuple(sorted(
+            ("msg", act.rec, act.sender, tuple(map(item, act.content)))
+            if isinstance(act, Msg)
+            else ("invent", act.user, item(act.what))
+            for act in state.history
+        ))
+        renderings.append((users, actions))
+    return min(renderings)
+
+
+def reference_outcomes(sc):
+    """The outcomes of the quiescent nodes within the step bound, by a
+    breadth-first pass over single steps."""
+    searcher = _Searcher(sc, sc.bounds, SPEC_INV)
+    level, outcomes = [searcher.root], set()
+    for depth in range(sc.bounds.max_steps + 1):
+        seen, next_level = set(), []
+        for node in level:
+            kids = searcher.children(node)
+            if not kids:
+                outcomes.add(outcome(node.state))
+            elif depth < sc.bounds.max_steps:
+                for entry in kids:
+                    child = searcher.apply(node, entry)
+                    if _node_key(child) not in seen:
+                        seen.add(_node_key(child))
+                        next_level.append(child)
+        level = next_level
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "name,max_steps", [("ns-search", 11), ("nsl-search", 14), ("cross-talk", 14)]
+)
+def test_quiescent_outcomes_match_the_unreduced_search(name, max_steps):
+    sc = _bounded(name, max_steps)
+    collected = []
+    explore(sc, spec=SPEC_INV, on_quiescent=collected.append)
+    got = {outcome(state) for state in collected}
+    assert got and got == reference_outcomes(sc)
+
+
+def test_safety_is_checked_inside_a_macro(monkeypatch):
+    # a sender that has invented but not yet sent exists only between the
+    # micro-steps of its first macro; a failure planted there must be found
+    import protolab.search as search
+    from protolab.invariants import PredicateReport
+
+    real_no_read_others = search.no_read_others
+
+    def planted(state):
+        invented = any(isinstance(a, Invent) and a.user == "A" for a in state.history)
+        sent = any(isinstance(a, Msg) and a.sender == "A" for a in state.history)
+        if invented and not sent:
+            return PredicateReport("no-read-others", False, "planted: A invented, not sent")
+        return real_no_read_others(state)
+
+    monkeypatch.setattr(search, "no_read_others", planted)
+    verdict = explore(load_scenario(scenario("ns-search")), spec=SPEC_INV)
+    assert (verdict.spec, verdict.holds, verdict.inconclusive) == (SPEC_INV, False, False)
+    assert verdict.detail == "no-read-others: planted: A invented, not sent"
+    events = verdict.counterexample.events
+    assert [(ev.actor, ev.stmt) for ev in events] == [
+        ("sender@A#1", "set-partner"), ("sender@A#1", "invent")
+    ]
+
+
+def test_a_huge_step_bound_ends_with_the_frontier():
+    sc = load_scenario(scenario("nsl-search"))
+    deep = explore(sc.with_max_steps(64), spec="all")
+    huge = explore(sc.with_max_steps(10**9), spec="all")
+    assert (huge.spec, huge.holds, huge.inconclusive, huge.states) == (
+        deep.spec, deep.holds, deep.inconclusive, deep.states
+    )
+    assert huge.holds and huge.states == 129
 
 
 def progress(node, intruder):
@@ -294,18 +416,23 @@ def progress(node, intruder):
 
 
 def test_every_move_raises_the_progress_measure_by_one():
-    # this is what makes the per-level duplicate check of `explore` exact:
-    # all schedules reaching a node have the same length
+    # this is what makes the per-bucket duplicate check of `explore` exact:
+    # all schedules reaching a node have the same length, and a macro of k
+    # micro-steps raises the measure by exactly k
     sc = load_scenario(scenario('nsl-search'))
     searcher = _Searcher(sc, sc.bounds, "all")
     intruder = sc.intruder.user
-    level, reached, moves = [searcher.root], {_node_key(searcher.root)}, 0
+    level, reached, moves, macros = [searcher.root], {_node_key(searcher.root)}, 0, set()
     for _ in range(sc.bounds.max_steps):
         next_level = []
         for node in level:
             for entry in searcher.children(node):
                 child = searcher.apply(node, entry)
                 assert progress(child, intruder) == progress(node, intruder) + 1, entry
+                steps, end, bad, cut = searcher.macro(node, entry, sc.bounds.max_steps)
+                assert bad is None and not cut
+                assert progress(end, intruder) == progress(node, intruder) + len(steps), steps
+                macros.add(len(steps))
                 moves += 1
                 key = _node_key(child)
                 if key not in reached:
@@ -313,3 +440,4 @@ def test_every_move_raises_the_progress_measure_by_one():
                     next_level.append(child)
         level = next_level
     assert len(reached) == 165 and moves > len(reached)
+    assert macros == {1, 2, 3}
