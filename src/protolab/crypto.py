@@ -74,12 +74,17 @@ class KeyRegistry:
     pkeys: dict[Uid, PKey]
     skeys: dict[Uid, SKey]
     _owners: dict[PKey, Uid] = field(init=False, repr=False, compare=False)
+    _secrets: dict[PKey, frozenset[SKey]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         owners: dict[PKey, Uid] = {}
+        secrets: dict[PKey, frozenset[SKey]] = {}
         for uid in sorted(self.pkeys, reverse=True):
-            owners[self.pkeys[uid]] = uid  # the lowest-named owner is written last
+            pk = self.pkeys[uid]
+            owners[pk] = uid  # the lowest-named owner is written last
+            secrets[pk] = secrets.get(pk, frozenset()) | {self.skeys[uid]}
         object.__setattr__(self, "_owners", owners)
+        object.__setattr__(self, "_secrets", secrets)
 
     def owner_of_pkey(self, pk: PKey) -> Uid | None:
         """The lowest-named owner of a public key, or None."""
@@ -95,10 +100,7 @@ def registry_from_state(state: GlobalState) -> KeyRegistry:
 
 def match(pk: PKey, sk: SKey, registry: KeyRegistry) -> bool:
     """Keys match exactly when one principal owns both."""
-    return any(
-        registry.pkeys.get(uid) == pk and registry.skeys.get(uid) == sk
-        for uid in registry.pkeys
-    )
+    return sk in registry._secrets.get(pk, ())
 
 
 def enc(content: Sequence[Item], pk: PKey) -> EncMsg:
@@ -158,13 +160,6 @@ class ConcreteMedium:
 
     def is_message(self, action) -> bool:
         return isinstance(action, WireMsg)
-
-    def matches_sent(self, action, me: Uid, target: Uid, items, state: GlobalState) -> bool:
-        return (
-            isinstance(action, WireMsg)
-            and action.ghost_sender == me
-            and action.body == enc(tuple(items), self.registry.pkeys[target])
-        )
 
     def replay_action(self, action, me: Uid):
         return WireMsg(body=action.body, ghost_sender=me)

@@ -27,16 +27,13 @@ from .model import (
     item_key,
     next_nonce,
 )
-from .roles import ABSTRACT
+from .roles import ABSTRACT, IllegalMove
 
 
 @dataclass(frozen=True)
 class IntruderKnowledge:
     known_items: frozenset[Item]
     observed_opaque: tuple[int, ...]  # history indices of unreadable messages
-
-
-EMPTY_KNOWLEDGE = IntruderKnowledge(frozenset(), ())
 
 
 @dataclass(frozen=True)
@@ -66,22 +63,12 @@ IntruderMove = Union[InventNonce, Compose, ReplayOpaque]
 Pattern = tuple[str, ...]  # receive pattern: one kind per position, "u" or "n"
 
 
-class IllegalMove(Exception):
-    """An intruder move that cannot be performed on the given state."""
-
-
-def closure(
-    knowledge: IntruderKnowledge,
-    state: GlobalState,
-    me: Uid,
-    medium=ABSTRACT,
-) -> IntruderKnowledge:
+def closure(state: GlobalState, me: Uid, medium=ABSTRACT) -> IntruderKnowledge:
     """Everything derivable from the history: all principal names, every item
     in mail the intruder can read, its own inventions, and the indices of
-    opaque messages.  Idempotent; contents are flat, so one pass suffices."""
-    known = set(knowledge.known_items)
-    known.update(state.users)
-    opaque = set(knowledge.observed_opaque)
+    opaque messages.  Contents are flat, so one pass suffices."""
+    known = set(state.users)
+    opaque = []
     for index, act in enumerate(state.history):
         if isinstance(act, Invent):
             if act.user == me:
@@ -91,8 +78,8 @@ def closure(
         if items is not None:
             known.update(items)
         elif medium.is_message(act):
-            opaque.add(index)
-    return IntruderKnowledge(frozenset(known), tuple(sorted(opaque)))
+            opaque.append(index)
+    return IntruderKnowledge(frozenset(known), tuple(opaque))
 
 
 def legal_moves(
@@ -166,7 +153,7 @@ def apply_move(
         state = append_action(state, medium.replay_action(original, me))
     else:
         raise IllegalMove(f"unknown intruder move {move!r}")
-    know = closure(EMPTY_KNOWLEDGE, state, me, medium)
+    know = closure(state, me, medium)
     nonces = [i for i in know.known_items if isinstance(i, Nonce)]
     return add_knows(state, me, session, nonces)
 
@@ -176,7 +163,8 @@ class LoweScript:
     """The classic interception strategy against an initiator who chose the
     intruder as partner: forward the opener to the second victim under the
     victim's key, then forward the confirmation nonce the initiator sends
-    back.  State-free: pending work is derived from the history."""
+    back.  State-free: pending work is derived from the history.  The three
+    principals are distinct; `scenario` rejects a record where they are not."""
 
     me: Uid
     victim_a: Uid
@@ -199,13 +187,4 @@ class LoweScript:
         return None
 
     def _already_sent(self, state: GlobalState, items: tuple[Item, ...], medium) -> bool:
-        return any(
-            medium.matches_sent(act, self.me, self.victim_b, items, state)
-            for act in state.history
-        )
-
-
-def lowe_script(me: Uid, victim_a: Uid, victim_b: Uid) -> LoweScript:
-    """The interception strategy of `me` between two victims.  The three
-    principals are distinct; `scenario` rejects a record where they are not."""
-    return LoweScript(me=me, victim_a=victim_a, victim_b=victim_b)
+        return medium.send_action(self.me, self.victim_b, items, state) in state.history

@@ -6,6 +6,10 @@ per step.  Sends and receives go through a medium object so the same
 statement code drives both the abstract level (messages readable only by
 their recipient) and the encrypted wire level.
 
+A step is taken only when it is enabled: the machine is running, a sender
+at its set-partner has a partner, and a receive has a message to consume.
+Any other step raises `IllegalMove`; nothing blocks and no step is a no-op.
+
 Receive semantics: a receive consumes the most recent unread message that
 is readable by the owner and whose content matches the statement's pattern
 by arity and item kind.  Messages that do not match are left unread for
@@ -52,13 +56,17 @@ class RoleKind(enum.Enum):
 
 class Status(enum.Enum):
     RUNNING = "running"
-    BLOCKED = "blocked"
     COMPLETED = "completed"
     ABORTED = "aborted"
 
 
 class DeadlockError(Exception):
-    """Both honest machines blocked with nothing deliverable."""
+    """An honest pair quiesced before both machines completed."""
+
+
+class IllegalMove(Exception):
+    """A machine step or an intruder move that is not enabled in the given
+    configuration."""
 
 
 # ── statements ───────────────────────────────────────────────────────────────
@@ -147,14 +155,6 @@ class AbstractMedium:
 
     def is_message(self, action) -> bool:
         return isinstance(action, Msg)
-
-    def matches_sent(self, action, me: Uid, target: Uid, items, state: GlobalState) -> bool:
-        return (
-            isinstance(action, Msg)
-            and action.sender == me
-            and action.rec == target
-            and action.content == tuple(items)
-        )
 
     def replay_action(self, action, me: Uid):
         """Verbatim re-emission; only the ghost originator changes."""
@@ -255,15 +255,15 @@ def find_match(
 
 def needs_peer_choice(machine: RoleMachine) -> bool:
     return (
-        machine.status in (Status.RUNNING, Status.BLOCKED)
+        machine.status is Status.RUNNING
         and isinstance(machine.current(), SetPartner)
         and machine.peer is None
     )
 
 
 def can_fire(machine: RoleMachine, state: GlobalState, inbox: Inbox, medium=ABSTRACT) -> bool:
-    """Whether a step would make progress right now."""
-    if machine.status in (Status.COMPLETED, Status.ABORTED):
+    """Whether a step is enabled right now."""
+    if machine.status is not Status.RUNNING:
         return False
     stmt = machine.current()
     if isinstance(stmt, SetPartner) and machine.peer is None:
@@ -299,18 +299,20 @@ def step(
     medium=ABSTRACT,
     chosen_peer: Uid | None = None,
 ) -> tuple[RoleMachine, GlobalState, Inbox]:
-    """Execute one statement.  A receive with nothing deliverable yields a
-    Blocked machine and leaves state and inbox untouched; a failed content
-    check consumes the message and aborts the machine."""
-    if machine.status in (Status.COMPLETED, Status.ABORTED):
-        return machine, state, inbox
+    """Execute one enabled statement; raise IllegalMove for a step that is
+    not enabled (see `can_fire`; a set-partner with no fixed peer takes
+    `chosen_peer`).  A failed content check consumes the message and aborts
+    the machine."""
+    if machine.status is not Status.RUNNING:
+        raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
     stmt = machine.current()
 
     if isinstance(stmt, SetPartner):
         peer = machine.peer if machine.peer is not None else chosen_peer
-        assert peer is not None, "sender needs an intended partner"
+        if peer is None:
+            raise IllegalMove(f"{machine.actor_id} has no partner to set")
         state = set_partner(state, machine.owner, machine.session, peer)
-        machine = replace(machine, peer=peer, pc=machine.pc + 1, status=Status.RUNNING)
+        machine = replace(machine, peer=peer, pc=machine.pc + 1)
         return machine, state, inbox
 
     if isinstance(stmt, InventStmt):
@@ -318,7 +320,7 @@ def step(
         state = append_action(state, Invent(machine.owner, nonce))
         state = add_knows(state, machine.owner, machine.session, (nonce,))
         machine = _with_locals(machine, {stmt.bind: nonce})
-        machine = replace(machine, pc=machine.pc + 1, status=Status.RUNNING)
+        machine = replace(machine, pc=machine.pc + 1)
         return machine, state, inbox
 
     if isinstance(stmt, SendStmt):
@@ -329,13 +331,13 @@ def step(
         target = machine.peer if stmt.target == "peer" else machine.local(stmt.target)
         assert is_uid(target)
         state = append_action(state, medium.send_action(machine.owner, target, items, state))
-        machine = replace(machine, pc=machine.pc + 1, status=Status.RUNNING)
+        machine = replace(machine, pc=machine.pc + 1)
         return machine, state, inbox
 
     if isinstance(stmt, RecvStmt):
         index = find_match(machine, state, inbox, medium)
         if index is None:
-            return replace(machine, status=Status.BLOCKED), state, inbox
+            raise IllegalMove(f"{machine.actor_id} has nothing to receive")
         items = medium.readable(state.history[index], machine.owner, state)
         assert items is not None
         bound = dict(zip(stmt.binds, items))
@@ -351,7 +353,7 @@ def step(
         assert all(isinstance(n, Nonce) for n in learned)
         if learned:
             state = add_knows(state, machine.owner, machine.session, learned)
-        machine = replace(machine, pc=machine.pc + 1, status=Status.RUNNING)
+        machine = replace(machine, pc=machine.pc + 1)
         return machine, state, inbox
 
     assert isinstance(stmt, FinishStmt)

@@ -1,5 +1,11 @@
 """Scenario execution: deterministic scheduling, run records, and replay.
 
+One function interprets a schedule entry: `apply_entry` maps a
+configuration (machines, global state, inbox) and an entry to the next
+configuration, or raises `IllegalMove` when the entry is not enabled.
+Scripted runs, the re-execution of a schedule (counterexamples and replay)
+and the search all step through it.
+
 Scripted runs use a fixed round-robin schedule: each round polls every role
 machine in declaration order and then gives a scripted intruder one move.
 An actor that cannot make progress is skipped silently; the run ends at the
@@ -15,24 +21,21 @@ from dataclasses import dataclass, field, replace
 from .crypto import ConcreteMedium, KeyRegistry, abstract_of, registry_from_state
 from .intruder import (
     Compose,
-    IllegalMove,
-    IntruderMove,
     InventNonce,
+    LoweScript,
     ReplayOpaque,
     apply_move,
-    lowe_script,
 )
 from .model import GlobalState, Sid, Uid, initial_state, open_session
 from .roles import (
     ABSTRACT,
+    IllegalMove,
     Inbox,
-    RecvStmt,
     RoleMachine,
     SetPartner,
     Status,
     can_fire,
     make_machine,
-    needs_peer_choice,
     step,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
@@ -128,70 +131,79 @@ class TraceRun:
         )
 
 
+# Schedule entries: ("machine", index, chosen_peer | None) or ("intruder", move)
+ScheduleEntry = tuple
+
+
+@dataclass(frozen=True)
+class Config:
+    """A configuration: every role machine, the global state and the inbox."""
+
+    machines: tuple[RoleMachine, ...]
+    state: GlobalState
+    inbox: Inbox
+
+
+def apply_entry(
+    config: Config, entry: ScheduleEntry, medium, intruder: tuple[Uid, Sid] | None
+) -> Config:
+    """The configuration after one schedule entry.  `intruder` is the
+    intruder's user and session, None when the scenario has none (and so no
+    schedule of it holds an intruder entry).  Raises IllegalMove if the entry
+    is not enabled in `config`."""
+    if entry[0] == "machine":
+        _, index, chosen_peer = entry
+        machine, state, inbox = step(
+            config.machines[index], config.state, config.inbox, medium, chosen_peer=chosen_peer
+        )
+        machines = config.machines[:index] + (machine,) + config.machines[index + 1 :]
+        return Config(machines, state, inbox)
+    _, move = entry
+    return replace(config, state=apply_move(config.state, *intruder, move, medium))
+
+
+_INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}
+
+
 @dataclass
 class _Execution:
     scenario: Scenario
     level: str
-    state: GlobalState
-    machines: list[RoleMachine]
-    inbox: Inbox
+    config: Config
     medium: object
     registry: KeyRegistry | None
-    intr_user: Uid | None
-    intr_session: Sid | None
+    intruder: tuple[Uid, Sid] | None
     events: list[RunEvent] = field(default_factory=list)
     states: list[GlobalState] = field(default_factory=list)
     digests: list[str] = field(default_factory=list)
     rendered: Renderings = field(default_factory=Renderings)
 
     def digest(self) -> str:
-        return node_digest(self.state, self.machines, self.inbox, self.rendered)
+        config = self.config
+        return node_digest(config.state, config.machines, config.inbox, self.rendered)
 
-    def record(self, actor: str, session: Sid, stmt: str, arg: str | None, action) -> None:
-        self.events.append(
-            RunEvent(
-                index=len(self.events) + 1,
-                actor=actor,
-                session=session,
-                stmt=stmt,
-                arg=arg,
-                action=action,
-            )
-        )
-        self.states.append(self.state)
-        self.digests.append(self.digest())
-
-    def step_machine(self, index: int, chosen_peer: Uid | None = None) -> None:
-        machine = self.machines[index]
-        stmt = machine.current()
-        before_len = len(self.state.history)
-        machine2, self.state, self.inbox = step(
-            machine, self.state, self.inbox, self.medium, chosen_peer=chosen_peer
-        )
-        self.machines[index] = machine2
-        name = stmt.name
-        if isinstance(stmt, RecvStmt) and machine2.status is Status.ABORTED:
-            name = "recv-abort"
-        arg = machine2.peer if isinstance(stmt, SetPartner) else None
-        action = self.state.history[-1] if len(self.state.history) > before_len else None
-        self.record(machine2.actor_id, machine2.session, name, arg, action)
-
-    def step_intruder(self, move: IntruderMove) -> None:
-        assert self.intr_user is not None and self.intr_session is not None
-        self.state = apply_move(self.state, self.intr_user, self.intr_session, move, self.medium)
-        if isinstance(move, InventNonce):
-            stmt, arg = "invent-nonce", None
-        elif isinstance(move, Compose):
-            stmt, arg = "compose", None
+    def step(self, entry: ScheduleEntry) -> None:
+        """Apply one entry and record its event, worked out from the
+        configurations before and after it."""
+        before = self.config
+        after = self.config = apply_entry(before, entry, self.medium, self.intruder)
+        if entry[0] == "machine":
+            stmt = before.machines[entry[1]].current()
+            machine = after.machines[entry[1]]
+            actor, session = machine.actor_id, machine.session
+            # only a receive aborts
+            name = "recv-abort" if machine.status is Status.ABORTED else stmt.name
+            arg = machine.peer if isinstance(stmt, SetPartner) else None
         else:
-            stmt, arg = "replay", str(move.index)
-        self.record(
-            f"intruder@{self.intr_session}",
-            self.intr_session,
-            stmt,
-            arg,
-            self.state.history[-1],
-        )
+            move = entry[1]
+            session = self.intruder[1]
+            actor, name = f"intruder@{session}", _INTRUDER_STMT[type(move)]
+            arg = str(move.index) if isinstance(move, ReplayOpaque) else None
+        history = after.state.history
+        action = history[-1] if len(history) > len(before.state.history) else None
+        self.events.append(RunEvent(len(self.events) + 1, actor, session, name, arg, action))
+        self.states.append(after.state)
+        self.digests.append(self.digest())
 
     def to_run(self, init_digest: str, initial: GlobalState) -> TraceRun:
         return TraceRun(
@@ -200,8 +212,8 @@ class _Execution:
             initial=initial,
             states=self.states,
             events=self.events,
-            machines=tuple(self.machines),
-            inbox=self.inbox,
+            machines=self.config.machines,
+            inbox=self.config.inbox,
             registry=self.registry,
             init_digest=init_digest,
             digests=self.digests,
@@ -212,28 +224,25 @@ def build_execution(scenario: Scenario, level: str | None = None) -> _Execution:
     level = level or scenario.level
     state = initial_state(scenario.conforms_map())
     sessions = scenario.sessions()
-    machines = [
+    machines = tuple(
         make_machine(role.user, role.kind, role.variant, session, role.peer)
         for role, session in zip(scenario.roles, sessions)
-    ]
+    )
     for machine in machines:
         state = open_session(state, machine.owner, machine.session)
-    intr_user = scenario.intruder.user
-    intr_session = scenario.intruder_session()
-    if intr_user is not None:
-        state = open_session(state, intr_user, intr_session)
+    intruder = None
+    if scenario.intruder.user is not None:
+        intruder = (scenario.intruder.user, scenario.intruder_session())
+        state = open_session(state, *intruder)
     registry = registry_from_state(state) if level == "concrete" else None
     medium = ConcreteMedium(registry) if registry is not None else ABSTRACT
     return _Execution(
         scenario=scenario,
         level=level,
-        state=state,
-        machines=machines,
-        inbox=Inbox(),
+        config=Config(machines, state, Inbox()),
         medium=medium,
         registry=registry,
-        intr_user=intr_user,
-        intr_session=intr_session,
+        intruder=intruder,
     )
 
 
@@ -242,52 +251,43 @@ def execute_scripted(scenario: Scenario, level: str | None = None) -> TraceRun:
     if scenario.intruder.kind == "search":
         raise ScenarioError("intruder: scripted execution cannot drive a search intruder")
     ex = build_execution(scenario, level)
-    initial = ex.state
+    initial = ex.config.state
     init_digest = ex.digest()
     script = None
     if scenario.intruder.kind == "lowe_script":
-        script = lowe_script(scenario.intruder.user, scenario.intruder.a, scenario.intruder.b)
+        intr = scenario.intruder
+        script = LoweScript(me=intr.user, victim_a=intr.a, victim_b=intr.b)
     while True:
         if len(ex.events) > MAX_EVENTS_VALVE:
             raise RuntimeError("run did not quiesce (event valve hit)")
         progressed = False
-        for index in range(len(ex.machines)):
-            machine = ex.machines[index]
-            assert not needs_peer_choice(machine), "scripted senders have fixed partners"
-            if can_fire(machine, ex.state, ex.inbox, ex.medium):
-                ex.step_machine(index)
+        for index in range(len(ex.config.machines)):
+            config = ex.config
+            if can_fire(config.machines[index], config.state, config.inbox, ex.medium):
+                ex.step(("machine", index, None))
                 progressed = True
         if script is not None:
-            move = script.pending_move(ex.state, ex.medium)
+            move = script.pending_move(ex.config.state, ex.medium)
             if move is not None:
-                ex.step_intruder(move)
+                ex.step(("intruder", move))
                 progressed = True
         if not progressed:
             break
     return ex.to_run(init_digest, initial)
 
 
-# Schedule entries: ("machine", index, chosen_peer | None) or ("intruder", move)
-ScheduleEntry = tuple
-
-
 def execute_schedule(scenario: Scenario, schedule, level: str | None = None) -> TraceRun:
     """Re-execute an explicit schedule (from the explorer or a parsed trace).
-    Raises IllegalMove, naming the 1-based event, for an intruder move the
-    state at that point does not allow."""
+    Raises IllegalMove, naming the 1-based event, for an entry that is not
+    enabled at that point."""
     ex = build_execution(scenario, level)
-    initial = ex.state
+    initial = ex.config.state
     init_digest = ex.digest()
     for event, entry in enumerate(schedule, start=1):
-        if entry[0] == "machine":
-            _, index, chosen_peer = entry
-            ex.step_machine(index, chosen_peer=chosen_peer)
-        else:
-            _, move = entry
-            try:
-                ex.step_intruder(move)
-            except IllegalMove as exc:
-                raise IllegalMove(f"event {event}: {exc}") from None
+        try:
+            ex.step(entry)
+        except IllegalMove as exc:
+            raise IllegalMove(f"event {event}: {exc}") from None
     return ex.to_run(init_digest, initial)
 
 
@@ -336,6 +336,8 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
                         f"event {ev.index}: field 'act': compose recipient {rec!r} "
                         "is not a declared user"
                     )
+                if not parsed["content"]:
+                    raise TraceError(f"event {ev.index}: field 'act': compose content is empty")
                 schedule.append(("intruder", Compose(rec=rec, content=parsed["content"])))
             else:
                 raise TraceError(f"event {ev.index}: unknown intruder statement {ev.stmt!r}")
@@ -353,9 +355,6 @@ def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
         run = execute_schedule(scenario, schedule, level=doc.level)
     except IllegalMove as exc:
         raise TraceError(f"trace is not executable: {exc}")
-    except (IndexError, KeyError, AssertionError) as exc:
-        # grammatically fine but not a schedule this tool could have produced
-        raise TraceError(f"trace is not executable: {exc!r}")
     if run.init_digest != doc.init_digest:
         return 0, run
     for ev, digest, recorded in zip(run.events, run.digests, doc.events):

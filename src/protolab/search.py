@@ -21,6 +21,9 @@ This is sound, and it loses no behaviour that a check can see:
 - every reduced run is a run of the full model, so every counterexample is
   real (and `execute_schedule` re-executes it anyway).
 
+A node is a `runner.Config`, and every micro-step is applied through
+`runner.apply_entry`, the interpreter that runs and replays use too.
+
 Depth is counted in micro-steps.  Every micro-step raises the progress
 measure `sum(machine.pc + [machine aborted]) + #actions by the intruder`
 by exactly one (a machine step advances its pc or aborts it, an intruder
@@ -83,23 +86,14 @@ keep the tree finite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .intruder import (
-    EMPTY_KNOWLEDGE,
-    Compose,
-    MoveBounds,
-    ReplayOpaque,
-    apply_move,
-    closure,
-    legal_moves,
-)
+from .intruder import Compose, MoveBounds, ReplayOpaque, closure, legal_moves
 from .invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
-from .model import GlobalState, Invent, Msg, state_key
+from .model import Invent, Msg, state_key
 from .roles import (
     ABSTRACT,
     FinishStmt,
-    Inbox,
     InventStmt,
     RecvStmt,
     RoleMachine,
@@ -108,9 +102,8 @@ from .roles import (
     kinds_match,
     can_fire,
     needs_peer_choice,
-    step,
 )
-from .runner import build_execution, execute_schedule
+from .runner import Config, apply_entry, build_execution, execute_schedule
 from .scenario import Scenario, ScenarioError, SearchBounds
 from .specs import (
     SPEC_CHOICES,
@@ -122,14 +115,7 @@ from .specs import (
 )
 
 
-@dataclass(frozen=True)
-class _Node:
-    machines: tuple[RoleMachine, ...]
-    state: GlobalState
-    inbox: Inbox
-
-
-def _node_key(node: _Node) -> tuple:
+def _node_key(node: Config) -> tuple:
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
@@ -141,17 +127,16 @@ class _Searcher:
         self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
         self.on_quiescent = on_quiescent
         self.universe = scenario.universe()
-        self.intr_user = scenario.intruder.user
-        self.intr_session = scenario.intruder_session()
         ex = build_execution(scenario, "abstract")
-        self.root = _Node(tuple(ex.machines), ex.state, ex.inbox)
-        self.initial = ex.state
+        self.intruder = ex.intruder
+        self.root = ex.config
+        self.initial = ex.config.state
 
     # ── move generation ──────────────────────────────────────────────────
 
-    def _machine_entries(self, node: _Node):
+    def _machine_entries(self, node: Config):
         for index, machine in enumerate(node.machines):
-            if machine.status in (Status.COMPLETED, Status.ABORTED):
+            if machine.status is not Status.RUNNING:
                 continue
             if needs_peer_choice(machine):
                 for peer in self.universe:
@@ -159,14 +144,14 @@ class _Searcher:
             elif can_fire(machine, node.state, node.inbox, ABSTRACT):
                 yield ("machine", index, None)
 
-    def _demand(self, node: _Node):
+    def _demand(self, node: Config):
         """Per-node delivery demand: the receive patterns waiting per
         recipient, and a filter that admits a message while fewer identical
         pending (unconsumed) copies await its recipient than it has waiting
         machines the content matches."""
         waiting: dict = {}
         for machine in node.machines:
-            if machine.status in (Status.COMPLETED, Status.ABORTED):
+            if machine.status is not Status.RUNNING:
                 continue
             stmt = machine.current()
             if isinstance(stmt, RecvStmt):
@@ -183,11 +168,11 @@ class _Searcher:
 
         return waiting, deliverable
 
-    def _intruder_entries(self, node: _Node):
+    def _intruder_entries(self, node: Config):
         if self.scenario.intruder.kind != "search":
             return
-        me = self.intr_user
-        know = closure(EMPTY_KNOWLEDGE, node.state, me, ABSTRACT)
+        me = self.intruder[0]
+        know = closure(node.state, me, ABSTRACT)
         used = sum(
             1 for a in node.state.history if isinstance(a, Invent) and a.user == me
         )
@@ -206,22 +191,13 @@ class _Searcher:
                     continue
             yield ("intruder", move)
 
-    def children(self, node: _Node):
+    def children(self, node: Config):
         return list(self._machine_entries(node)) + list(self._intruder_entries(node))
 
-    def apply(self, node: _Node, entry) -> _Node:
-        if entry[0] == "machine":
-            _, index, peer = entry
-            machine, state, inbox = step(
-                node.machines[index], node.state, node.inbox, ABSTRACT, chosen_peer=peer
-            )
-            machines = node.machines[:index] + (machine,) + node.machines[index + 1 :]
-            return _Node(machines, state, inbox)
-        _, move = entry
-        state = apply_move(node.state, self.intr_user, self.intr_session, move, ABSTRACT)
-        return _Node(node.machines, state, node.inbox)
+    def apply(self, node: Config, entry) -> Config:
+        return apply_entry(node, entry, ABSTRACT, self.intruder)
 
-    def macro(self, node: _Node, entry, room: int):
+    def macro(self, node: Config, entry, room: int):
         """The macro-step that starts with `entry`: its machine runs on
         through its invisible statements, for at most `room` micro-steps.
         Each micro state is checked against the safety invariants with its
@@ -245,7 +221,7 @@ class _Searcher:
 
     # ── evaluation ───────────────────────────────────────────────────────
 
-    def safety_violation(self, node: _Node, parent: _Node | None) -> str | None:
+    def safety_violation(self, node: Config, parent: Config | None) -> str | None:
         """Invariants every step must preserve.  With an intruder in play the
         per-user honesty obligations are rely conditions the environment can
         wreck for a conforming user, so the full state invariant is asserted
@@ -266,7 +242,7 @@ class _Searcher:
             return f"{rep.name}: {rep.witness}"
         return None
 
-    def quiescent_violation(self, node: _Node) -> str | None:
+    def quiescent_violation(self, node: Config) -> str | None:
         """The first requested contract that fails from the initial state to
         this quiescent node, or None.  No transitions are given, so no
         failure is excused as rely-broken here; the counterexample's verdict,
@@ -279,7 +255,7 @@ class _Searcher:
                 return spec
         return None
 
-    def first_reach(self, node: _Node):
+    def first_reach(self, node: Config):
         """The checks made once, when a macro-boundary node is first
         reached: whether any move is enabled, machine entries first, then
         intruder entries, and for a node with none (quiescent) the quiescent

@@ -6,6 +6,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = ROOT / "tests" / "golden"
+TAMPERED = ROOT / "tests" / "tampered"
 
 
 def scenario(name: str) -> str:

@@ -200,7 +200,7 @@ def test_criterion_6_layering(nsl_search_result):
     from protolab.runner import build_execution
 
     verdict, _, collected = nsl_search_result
-    initial = build_execution(load_scenario(SCENARIOS / "nsl-search.scn"), "abstract").state
+    initial = build_execution(load_scenario(SCENARIOS / "nsl-search.scn"), "abstract").config.state
     seen, mutual, violations = set(), 0, 0
     for state in collected:
         key = state_key(state)

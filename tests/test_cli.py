@@ -1,14 +1,16 @@
 """Command-line driver: exit codes, golden traces, replay, determinism."""
 
 import io
+import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from protolab.cli import main
 
-from conftest import GOLDEN, SCENARIOS
+from conftest import GOLDEN, SCENARIOS, TAMPERED
 
 
 def run_cli(*argv):
@@ -411,6 +413,133 @@ def test_undeclared_schedule_targets_are_malformed(tmp_path, ns_cex_trace, flags
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert named in result.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize(
+    "name,named",
+    [
+        # lowe-on-nsl.trc with its final recv-abort copied as events 9 and 10
+        ("repeated-abort", "event 9: sender@A#1 is aborted"),
+        # honest-ns.trc behind a first receive with nothing sent yet, digests
+        # recomputed as if that receive were a no-op
+        ("empty-recv", "event 1: receiver@B#1 has nothing to receive"),
+        # honest-ns.trc with the sender's finish copied as event 12
+        ("after-finish", "event 12: sender@A#1 is completed"),
+    ],
+    ids=["repeated-abort", "empty-recv", "after-finish"],
+)
+def test_steps_that_make_no_progress_are_malformed(flags, name, named):
+    # a replayed event is a step that happened; a step of a finished machine
+    # or a receive with nothing to consume never happens
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "replay", str(TAMPERED / f"{name}.trc")],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"error: trace is not executable: {named}\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_an_empty_wire_compose_is_malformed(tmp_path, flags):
+    trace = tmp_path / "concrete.trc"
+    code, _, _ = run_cli(
+        "run", str(SCENARIOS / "lowe-on-ns.scn"), "--level", "concrete", "--trace-out", str(trace)
+    )
+    assert code == 1
+    lines = trace.read_text().splitlines()
+    target = next(i for i, l in enumerate(lines) if l.startswith("event i=4 "))
+    assert "stmt=compose" in lines[target] and "ghost:payload=[A,n1])" in lines[target]
+    lines[target] = lines[target].replace("ghost:payload=[A,n1])", "ghost:payload=[])")
+    bad = tmp_path / "bad.trc"
+    bad.write_text("\n".join(lines) + "\n")
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "replay", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: event 4: field 'act': compose content is empty\n"
+    )
+
+
+def edited_traces(text, drop=False):
+    """The traces made from `text` by duplicating (or dropping) one event
+    line, one per event, with the events renumbered and `end` fixed."""
+    lines = text.splitlines()
+    for pos, line in enumerate(lines):
+        if not line.startswith("event "):
+            continue
+        edited, count = [], 0
+        for other in lines[:pos] + ([] if drop else [line]) + lines[pos:]:
+            if other.startswith("event "):
+                count += 1
+                other = re.sub(r"^event i=\d+ ", f"event i={count} ", other)
+            elif other.startswith("end "):
+                other = f"end events={count}"
+            edited.append(other)
+        yield "\n".join(edited) + "\n"
+
+
+@pytest.fixture(scope="module")
+def duplicated_event_traces(ns_cex_trace):
+    sources = [GOLDEN / name for name in ("honest-ns.trc", "lowe-on-ns.trc", "lowe-on-nsl.trc")]
+    return [
+        (f"{path.stem}-dup{k}", text)
+        for path in [*sources, ns_cex_trace]
+        for k, text in enumerate(edited_traces(path.read_text()), start=1)
+    ]
+
+
+def test_no_trace_with_a_duplicated_event_replays_ok(tmp_path, duplicated_event_traces):
+    # every event of the three goldens and of the attack counterexample
+    assert len(duplicated_event_traces) == 11 + 13 + 8 + 13
+    wrong = []
+    for name, text in duplicated_event_traces:
+        path = tmp_path / f"{name}.trc"
+        path.write_text(text)
+        code, out, err = run_cli("replay", str(path))
+        diverged = code == 1 and out.startswith("replay diverged at event ")
+        illegal = code == 2 and err.startswith("error: trace is not executable: event ")
+        if not (diverged or illegal):
+            wrong.append((name, code, out, err))
+    assert wrong == []
+
+
+# run under -O: explicit checks only, since -O strips asserts
+_NO_ESCAPE = textwrap.dedent('''
+    import io, pathlib, sys
+    from protolab.cli import main
+    for path in sorted(pathlib.Path(sys.argv[1]).glob("*.trc")):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = main(["replay", str(path)], out=out, err=err)
+        except BaseException as exc:
+            print(f"{path.name}: escaped {exc!r}")
+            continue
+        if code not in (0, 1, 2, 3):
+            print(f"{path.name}: exit {code}")
+        elif code == 2 and not err.getvalue().startswith("error: "):
+            print(f"{path.name}: exit 2 without a diagnostic")
+''')
+
+
+def test_edited_traces_map_to_exit_codes_under_optimisation(tmp_path, duplicated_event_traces):
+    # the duplicated-event traces, and each golden with one event dropped
+    cases = list(duplicated_event_traces)
+    for path in sorted(GOLDEN.glob("*.trc")):
+        cases += [
+            (f"{path.stem}-drop{k}", text)
+            for k, text in enumerate(edited_traces(path.read_text(), drop=True), start=1)
+        ]
+    for name, text in cases:
+        (tmp_path / f"{name}.trc").write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _NO_ESCAPE, str(tmp_path)], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 def test_unwritable_trace_out_is_a_clean_error(tmp_path):

@@ -20,7 +20,7 @@ from protolab.crypto import (
     match,
     registry_from_state,
 )
-from protolab.intruder import EMPTY_KNOWLEDGE, closure
+from protolab.intruder import closure
 from protolab.invariants import no_read_others
 from protolab.model import (
     Invent,
@@ -183,6 +183,6 @@ def test_wire_intruder_learns_nothing_without_matching_key():
         pkeys={**run.registry.pkeys, "I": PKey("pk:I")},
         skeys={**run.registry.skeys, "I": SKey("sk:I")},
     )
-    know = closure(EMPTY_KNOWLEDGE, run.final_state, "I", ConcreteMedium(reg))
+    know = closure(run.final_state, "I", ConcreteMedium(reg))
     assert not any(isinstance(item, Nonce) for item in know.known_items)
     assert len(know.observed_opaque) == 3  # every handshake message stays sealed

@@ -7,17 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protolab.intruder import (
-    EMPTY_KNOWLEDGE,
     Compose,
     IllegalMove,
     IntruderKnowledge,
     InventNonce,
+    LoweScript,
     MoveBounds,
     ReplayOpaque,
     apply_move,
     closure,
     legal_moves,
-    lowe_script,
 )
 from protolab.invariants import dyn_inv, no_read_others, unique_nonces
 from protolab.model import (
@@ -48,33 +47,33 @@ def fresh(*uids):
 
 def test_closure_reads_own_mail():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
-    know = closure(EMPTY_KNOWLEDGE, state, "I")
+    know = closure(state, "I")
     assert {"A", N1} <= know.known_items
     assert know.observed_opaque == ()
 
 
 def test_closure_records_opaque_mail_without_reading():
     state = append_action(fresh("A", "B", "I"), Msg(rec="B", sender="A", content=("A", N1)))
-    know = closure(EMPTY_KNOWLEDGE, state, "I")
+    know = closure(state, "I")
     assert N1 not in know.known_items
     assert know.observed_opaque == (0,)
 
 
 def test_closure_on_empty_history_knows_all_principals():
-    know = closure(EMPTY_KNOWLEDGE, fresh("A", "B", "I"), "I")
+    know = closure(fresh("A", "B", "I"), "I")
     assert know.known_items == {"A", "B", "I"}
 
 
-def test_closure_is_idempotent_and_monotone():
-    state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
-    once = closure(EMPTY_KNOWLEDGE, state, "I")
-    twice = closure(once, state, "I")
-    assert once == twice
-    assert EMPTY_KNOWLEDGE.known_items <= once.known_items
+def test_closure_is_monotone():
+    state = fresh("A", "B", "I")
+    before = closure(state, "I")
+    state = append_action(state, Msg(rec="I", sender="A", content=("A", N1)))
+    after = closure(state, "I")
+    assert before.known_items <= after.known_items
 
 
 def test_legal_moves_counting():
-    know = closure(EMPTY_KNOWLEDGE, fresh("A", "B", "I"), "I")
+    know = closure(fresh("A", "B", "I"), "I")
     moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1), ANY_SINGLE)
     composes = [m for m in moves if isinstance(m, Compose)]
     invents = [m for m in moves if isinstance(m, InventNonce)]
@@ -84,7 +83,7 @@ def test_legal_moves_counting():
 
 
 def test_legal_moves_zero_content_length():
-    know = closure(EMPTY_KNOWLEDGE, fresh("A", "B", "I"), "I")
+    know = closure(fresh("A", "B", "I"), "I")
     waiting = {u: [("u",), ("n",), ("u", "n"), ("n", "n")] for u in ("A", "B", "I")}
     moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1), waiting)
     assert all(not isinstance(m, Compose) for m in moves)
@@ -92,7 +91,7 @@ def test_legal_moves_zero_content_length():
 
 def test_legal_moves_include_the_classic_forward():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
-    know = closure(EMPTY_KNOWLEDGE, state, "I")
+    know = closure(state, "I")
     moves = legal_moves(know, MoveBounds(max_content=2, max_invents=0), {"B": [("u", "n")]})
     assert Compose(rec="B", content=("A", N1)) in moves
 
@@ -180,12 +179,12 @@ def test_invent_move_binds_fresh_nonce_to_knowledge():
 
 
 def test_script_waits_without_trigger():
-    script = lowe_script("I", "A", "B")
+    script = LoweScript("I", "A", "B")
     assert script.pending_move(fresh("A", "B", "I"), ABSTRACT) is None
 
 
 def test_script_forwards_opener_then_confirmation_once_each():
-    script = lowe_script("I", "A", "B")
+    script = LoweScript("I", "A", "B")
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
     move = script.pending_move(state, ABSTRACT)
     assert move == Compose(rec="B", content=("A", N1))

@@ -1,8 +1,13 @@
 """Role machines: statement semantics, receive discipline, honest pairs."""
 
+from dataclasses import replace as dc_replace
+
+import pytest
+
 from protolab.model import Invent, Msg, Nonce, append_action, initial_state, open_session
 from protolab.roles import (
     ABSTRACT,
+    IllegalMove,
     Inbox,
     RoleKind,
     Status,
@@ -47,10 +52,9 @@ def test_sender_blocks_when_nothing_addressed_to_it():
     state = fresh("A", "B")
     machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
     machine, state, inbox = drive(machine, state, steps=3)
-    blocked, state2, inbox2 = step(machine, state, inbox, ABSTRACT)
-    assert blocked.status is Status.BLOCKED
-    assert state2 == state and inbox2 == inbox
-    assert not can_fire(blocked, state2, inbox2, ABSTRACT)
+    assert not can_fire(machine, state, inbox, ABSTRACT)
+    with pytest.raises(IllegalMove, match="sender@A#1 has nothing to receive"):
+        step(machine, state, inbox, ABSTRACT)
 
 
 def test_nsl_sender_aborts_on_identity_mismatch():
@@ -71,12 +75,25 @@ def test_nsl_sender_aborts_on_identity_mismatch():
     assert m2.status is Status.ABORTED
 
 
-def test_step_is_noop_after_completion_or_abort():
+def test_step_is_illegal_after_completion_or_abort():
     state, run = run_honest_pair("A", "B", Variant.NS)
     done = run.machines[0]
     assert done.status is Status.COMPLETED
-    again, state2, inbox2 = step(done, state, run.inbox, ABSTRACT)
-    assert again == done and state2 == state and inbox2 == run.inbox
+    assert not can_fire(done, state, run.inbox, ABSTRACT)
+    with pytest.raises(IllegalMove, match="sender@A#1 is completed"):
+        step(done, state, run.inbox, ABSTRACT)
+    aborted = dc_replace(done, status=Status.ABORTED)
+    assert not can_fire(aborted, state, run.inbox, ABSTRACT)
+    with pytest.raises(IllegalMove, match="sender@A#1 is aborted"):
+        step(aborted, state, run.inbox, ABSTRACT)
+
+
+def test_set_partner_without_a_partner_is_illegal():
+    state = fresh("A", "B")
+    machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1")
+    assert not can_fire(machine, state, Inbox(), ABSTRACT)
+    with pytest.raises(IllegalMove, match="sender@A#1 has no partner to set"):
+        step(machine, state, Inbox(), ABSTRACT)
 
 
 def test_honest_pair_ns_shape():
@@ -120,9 +137,9 @@ def test_non_matching_message_left_for_other_machines():
     state = append_action(state, Msg(rec="B", sender="A", content=(N1,)))
     receiver = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
     assert find_match(receiver, state, Inbox(), ABSTRACT) is None
-    stepped, state2, inbox2 = step(receiver, state, Inbox(), ABSTRACT)
-    assert stepped.status is Status.BLOCKED
-    assert inbox2.consumed_for("B") == frozenset()
+    assert not can_fire(receiver, state, Inbox(), ABSTRACT)
+    with pytest.raises(IllegalMove, match="receiver@B#1 has nothing to receive"):
+        step(receiver, state, Inbox(), ABSTRACT)
 
 
 def test_consumed_message_is_gone_for_everyone():
@@ -154,17 +171,14 @@ def test_mismatched_variants_stall_without_completing():
 
 
 def test_run_honest_pair_raises_on_non_completion(monkeypatch):
-    import pytest
-
     import protolab.runner as runner_mod
-    from dataclasses import replace as dc_replace
     from protolab.roles import DeadlockError
 
     real = runner_mod.execute_scripted
 
     def sabotaged(scenario, level=None):
         run = real(scenario, level)
-        run.machines = (dc_replace(run.machines[0], status=Status.BLOCKED),) + run.machines[1:]
+        run.machines = (dc_replace(run.machines[0], status=Status.RUNNING),) + run.machines[1:]
         return run
 
     monkeypatch.setattr(runner_mod, "execute_scripted", sabotaged)

@@ -108,7 +108,7 @@ def test_layering_mutually_complete_states_satisfy_full_contract(nsl_quiescents)
     from protolab.runner import build_execution
 
     verdict, collected = nsl_quiescents
-    initial = build_execution(load_scenario(scenario('nsl-search')), "abstract").state
+    initial = build_execution(load_scenario(scenario('nsl-search')), "abstract").config.state
     seen = set()
     mutual = 0
     for state in collected:
