@@ -26,7 +26,7 @@ from .intruder import (
     ReplayOpaque,
     apply_move,
 )
-from .model import GlobalState, Sid, Uid, initial_state, open_session
+from .model import GlobalState, Sid, Uid, initial_state, is_uid, open_session
 from .roles import (
     ABSTRACT,
     IllegalMove,
@@ -338,6 +338,12 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
                     )
                 if not parsed["content"]:
                     raise TraceError(f"event {ev.index}: field 'act': compose content is empty")
+                for item in parsed["content"]:
+                    if is_uid(item) and item not in declared:
+                        raise TraceError(
+                            f"event {ev.index}: field 'act': compose item {item!r} "
+                            "is not a declared user"
+                        )
                 schedule.append(("intruder", Compose(rec=rec, content=parsed["content"])))
             else:
                 raise TraceError(f"event {ev.index}: unknown intruder statement {ev.stmt!r}")

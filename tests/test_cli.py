@@ -452,17 +452,24 @@ def test_an_empty_wire_compose_is_malformed(tmp_path, flags):
     lines = trace.read_text().splitlines()
     target = next(i for i, l in enumerate(lines) if l.startswith("event i=4 "))
     assert "stmt=compose" in lines[target] and "ghost:payload=[A,n1])" in lines[target]
-    lines[target] = lines[target].replace("ghost:payload=[A,n1])", "ghost:payload=[])")
-    bad = tmp_path / "bad.trc"
-    bad.write_text("\n".join(lines) + "\n")
-    result = subprocess.run(
-        [sys.executable, *flags, "-m", "protolab", "replay", str(bad)],
-        capture_output=True,
-        text=True,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (
-        2, "", "error: event 4: field 'act': compose content is empty\n"
-    )
+    # an undeclared principal in the content would reach a key lookup of the
+    # receiver's reply, so it is rejected with the empty content
+    for payload, named in [
+        ("[]", "compose content is empty"),
+        ("[Z,n1]", "compose item 'Z' is not a declared user"),
+    ]:
+        edited = list(lines)
+        edited[target] = lines[target].replace("ghost:payload=[A,n1])", f"ghost:payload={payload})")
+        bad = tmp_path / "bad.trc"
+        bad.write_text("\n".join(edited) + "\n")
+        result = subprocess.run(
+            [sys.executable, *flags, "-m", "protolab", "replay", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"error: event 4: field 'act': {named}\n"
+        )
 
 
 def edited_traces(text, drop=False):
