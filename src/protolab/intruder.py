@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .model import (
+    Action,
     GlobalState,
     Invent,
     Item,
@@ -26,8 +27,9 @@ from .model import (
     is_uid,
     item_key,
     next_nonce,
+    render_item,
 )
-from .roles import ABSTRACT, IllegalMove
+from .roles import ABSTRACT, IllegalMove, kinds_match
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,21 @@ def legal_moves(
     knowledge: IntruderKnowledge,
     bounds: MoveBounds,
     waiting: Mapping[Uid, Sequence[Pattern]],
+    history: Sequence[Action],
 ) -> list[IntruderMove]:
     """The intruder's moves in a fixed enumeration order: one invention (if
     allowed), then the compositions a waiting receive could consume, by
-    recipient, length and content, then replays by history index.
+    recipient, length and content, then the replays a waiting receive could
+    consume, by history index.
 
     `waiting` maps a recipient to the kind patterns of its receives that are
     waiting.  Compositions are built from those patterns, position by
     position from the pool items of each position's kind, never generated
     and then filtered: the result equals every recipient x pool^1..max_content
     composition that `kinds_match`es one of its recipient's patterns, in the
-    same item_key-lexicographic order.  Replays are not filtered here."""
+    same item_key-lexicographic order.  A replay of the opaque message at
+    `history[index]` is offered when its content matches one of its
+    recipient's patterns."""
     moves: list[IntruderMove] = []
     if bounds.max_invents > 0:
         moves.append(InventNonce())
@@ -109,7 +115,9 @@ def legal_moves(
             if same_length:
                 moves.extend(Compose(rec=rec, content=c) for c in _contents(same_length, pools))
     for index in knowledge.observed_opaque:
-        moves.append(ReplayOpaque(index))
+        msg = history[index]
+        if any(kinds_match(msg.content, p) for p in waiting.get(msg.rec, ())):
+            moves.append(ReplayOpaque(index))
     return moves
 
 
@@ -138,11 +146,17 @@ def apply_move(
     medium=ABSTRACT,
 ) -> GlobalState:
     """Perform one intruder move and absorb everything now readable into the
-    intruder's knowledge record."""
+    intruder's knowledge record.  Raises IllegalMove for a composition with
+    an item the intruder cannot derive."""
+    known = set(closure(state, me, medium).known_items)
     if isinstance(move, InventNonce):
         nonce = next_nonce(state)
         state = append_action(state, Invent(me, nonce))
+        known.add(nonce)
     elif isinstance(move, Compose):
+        for item in move.content:
+            if item not in known:
+                raise IllegalMove(f"intruder@{session} cannot derive {render_item(item)}")
         state = append_action(state, medium.send_action(me, move.rec, move.content, state))
     elif isinstance(move, ReplayOpaque):
         if not 0 <= move.index < len(state.history):
@@ -153,9 +167,8 @@ def apply_move(
         state = append_action(state, medium.replay_action(original, me))
     else:
         raise IllegalMove(f"unknown intruder move {move!r}")
-    know = closure(state, me, medium)
-    nonces = [i for i in know.known_items if isinstance(i, Nonce)]
-    return add_knows(state, me, session, nonces)
+    known.update(medium.readable(state.history[-1], me, state) or ())
+    return add_knows(state, me, session, [i for i in known if isinstance(i, Nonce)])
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,18 @@ Stern, *Efficient finite-state analysis for large security protocols*,
 1998, as in Clarke, Jha and Marrero's Brutus).  A machine entry runs the
 chosen machine on through its invisible statements: a set-partner or an
 invent runs on into the next statement, and a finish runs right after the
-step before it.  A sender thus takes three transitions, [set-partner,
-invent, send], [recv], [send, finish], and a receiver [recv], [invent,
-send], [recv, finish].  An abort ends a macro, intruder moves stay single
-steps, and a receive is never fused with what follows it, except a finish.
+step before it.  An intruder message (a composition or a replay) runs on
+into the receive that consumes it: there is one macro per running machine
+of the recipient whose receive pattern the content matches, and that
+receive takes the new message, since a receive takes the most recent
+unread match.  A finish after that receive runs on too.  A sender thus
+takes three transitions, [set-partner, invent, send], [recv], [send,
+finish], a receiver [recv], [invent, send], [recv, finish], and the
+intruder [compose or replay, recv], [compose or replay, recv, finish] and
+[invent-nonce].  An abort ends a macro, and a receive is never fused with
+what follows it, except a finish.
 
-This is sound, and it loses no behaviour that a check can see:
+The honest fusion is sound, and it loses no behaviour that a check can see:
 
 - set-partner and finish change only the owner's own user record and
   machine, which no other actor's step reads during a run;
@@ -20,6 +26,55 @@ This is sound, and it loses no behaviour that a check can see:
   shifts history positions;
 - every reduced run is a run of the full model, so every counterexample is
   real (and `execute_schedule` re-executes it anyway).
+
+So is the intruder fusion.  Take a run R of the full model and build R' from
+it: drop every intruder message that no receive consumes, and move every
+consumed one to just before its receive.
+
+- A message that is never consumed changes no machine, inbox or user
+  record but the intruder's own (recipient-only readability keeps it out of
+  every other `knows`).  Dropping it cannot change which message a later
+  receive takes: a receive takes the most recent unread match, and no
+  receive took this one.
+- A consumed message can be sent just before its receive.  It is still
+  derivable there, because the intruder's knowledge only grows (R'
+  renumbers a replay's history index, and a replay of an intruder message
+  is the same message as the replay of its original, or its composition).
+  Between its old and its new place no receive took it, so each receive in
+  between chooses among the same candidates less one it did not take; at
+  its own receive it is the newest unread match, and it is taken again.  It
+  carries no fresh nonce, so `next_nonce`, and every invention after it,
+  is unchanged.
+- R' is never longer than R, and it ends with the same machines, inboxes
+  (up to renumbering) and honest user records.  When R ends quiescent so
+  does R': its pending messages are R's less some that nobody could take,
+  and the intruder's closure, which reads no message the intruder sent to
+  another user, offers the same moves, none of them wanted.
+- The intruder's own `knows` record takes in its closure only when the
+  intruder moves.  Moving a consumed message later only makes that record
+  larger from then on.  Dropping an unconsumed one can leave it smaller at
+  the end, by nonces that reached the intruder after its last consumed
+  message, and no check uses such a nonce.  The safety invariants ask only
+  that records be justified and never shrink, and nsl-ft reads only
+  conforming users' records.  The secrecy clause of post-ns asks whether
+  the intruder holds two nonces of a session that completed with a
+  conforming partner.  In NS and NSL the intruder never learns the nonce of
+  an initiator whose partner conforms: it goes to that partner, and comes
+  back only to the session that invented it, the one session whose nonce
+  check it passes.  So the session is a responder, and the intruder learns
+  its nonce only from an initiator whose partner is the intruder, whose
+  opener gave the intruder the responder's other nonce.  No honest session
+  then sends the responder its nonce back, so the responder's last receive
+  takes an intruder message, which R' keeps, and by then the intruder's
+  record holds both nonces.
+
+The step bound counts the micro-steps of the reduced runs.  Since R' is
+never longer than R, every run of the full model within `max_steps`
+that ends quiescent is matched by a checked run within it.  The verdict is
+inconclusive when a reduced run is cut at the bound with a step left, and
+holds when every reduced run quiesces within it.  Steps spent on messages
+nobody takes no longer count, so some bounds at which the single-step
+search was inconclusive now hold (nsl-search at `max_steps` 11 and 12).
 
 A node is a `runner.Config`, and every micro-step is applied through
 `runner.apply_entry`, the interpreter that runs and replays use too.
@@ -33,9 +88,8 @@ k steps from depth d lands in bucket d+k, and duplicates are dropped per
 bucket, which is exact, not an approximation.  Buckets are expanded in
 increasing depth, each in the order its nodes were reached, and the search
 ends when no bucket is left.  A macro that would pass `max_steps` is cut
-there, and since the node where it is cut still has an enabled local step,
-the search is then truncated: every step bound keeps the meaning and the
-verdict it has in the unreduced model.
+there, and since the node where it is cut still has a step of the macro
+enabled, the search is then truncated.
 
 Every micro state is checked against the safety invariants (transition
 invariant against its own parent, state invariant).  Only the nodes at a
@@ -43,13 +97,13 @@ macro boundary are keyed, counted in `states`, and checked once, when
 first reached:
 
 1. whether any move is enabled: machine moves first, then intruder moves,
-   stopping at the first one found (an intruder list built to decide this
-   is kept for the node's expansion);
+   stopping at the first one found (the intruder's macros built to decide
+   this are kept for the node's expansion);
 2. for a node with no enabled move (quiescent), the requested contracts,
    through `specs.contract_verdict`.
 
-No intermediate state of a macro is quiescent: it has a local step left.
-`states explored` counts the distinct macro-boundary nodes, the root
+No intermediate state of a macro is quiescent: it has a step of the macro
+left.  `states explored` counts the distinct macro-boundary nodes, the root
 included.  A frontier entry keeps a link to its parent's entry and the
 micro entries of the macro that reached it, and a counterexample's
 schedule is rebuilt from the links, so its trace has the format of an
@@ -59,36 +113,28 @@ The first violation met is returned.  When it is met in bucket d, every
 state of depth d or less has been checked, and it lies at most three
 micro-steps (the longest macro) below d: a counterexample is at most two
 micro-steps longer than the shortest one.  Identical bounds always
-reproduce the identical verdict, counterexample and state count.  The
-verdict is inconclusive when live nodes remain at the step bound.
+reproduce the identical verdict, counterexample and state count.
 
-Compositions are built from demand instead of being generated and then
-filtered.  At each node the search collects the receive patterns waiting
-per recipient, and `legal_moves` composes messages only for a recipient
-with a waiting pattern, position by position from the known items of each
-position's kind: the demand-driven idea of OFMC's lazy intruder (Basin,
-Moedersheim and Vigano, 2005) applied to concrete items.  Two filters
-remain, both sound for violation-finding within bounds and both needed to
-keep the tree finite:
-
-- demand-driven delivery: a replayed message is offered only when some
-  machine of its recipient is sitting at a receive whose pattern the
-  content matches, as every composed one already is.  A message nobody can
-  consume never changes any user's records (recipient-only readability
-  keeps it out of `knows`), and a consumer that would only reach its
-  receive later can always be served by taking the same move later: the
-  intruder's knowledge and the pending history only grow.
-- no duplicate pending copies: a move is not offered while identical
-  unconsumed messages already await the same recipient, as many as it has
-  waiting machines the content matches, since consuming either copy leads
-  to the same successor states.
+The intruder's messages are built from demand instead of being generated
+and then filtered.  At each node the search collects the receive patterns
+waiting per recipient.  `legal_moves` composes messages only for a
+recipient with a waiting pattern, position by position from the known
+items of each position's kind (the demand-driven idea of OFMC's lazy
+intruder, Basin, Moedersheim and Vigano, 2005, applied to concrete items),
+and replays only a message whose content matches a pattern waiting at its
+recipient.  Every message the search sends is thus taken at once.  One
+filter remains: a message is not offered while identical unconsumed
+messages already await the same recipient, as many as it has waiting
+machines the content matches, since consuming either copy leads to the
+same successor states.  Without it the search reaches more nodes, with the
+same verdicts (ns-search: 117 instead of 100, nsl-search: 39 instead of 21).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .intruder import Compose, MoveBounds, ReplayOpaque, closure, legal_moves
+from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
 from .invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
 from .model import Invent, Msg, state_key
 from .roles import (
@@ -144,80 +190,92 @@ class _Searcher:
             elif can_fire(machine, node.state, node.inbox, ABSTRACT):
                 yield ("machine", index, None)
 
-    def _demand(self, node: Config):
-        """Per-node delivery demand: the receive patterns waiting per
-        recipient, and a filter that admits a message while fewer identical
-        pending (unconsumed) copies await its recipient than it has waiting
-        machines the content matches."""
-        waiting: dict = {}
-        for machine in node.machines:
-            if machine.status is not Status.RUNNING:
-                continue
-            stmt = machine.current()
-            if isinstance(stmt, RecvStmt):
-                waiting.setdefault(machine.owner, []).append(stmt.pattern)
-        pending: dict = {}
-        for index, act in enumerate(node.state.history):
-            if isinstance(act, Msg) and index not in node.inbox.consumed_for(act.rec):
-                key = (act.rec, act.content)
-                pending[key] = pending.get(key, 0) + 1
-
-        def deliverable(rec, content) -> bool:
-            matching = sum(1 for p in waiting.get(rec, ()) if kinds_match(content, p))
-            return pending.get((rec, content), 0) < matching
-
-        return waiting, deliverable
-
-    def _intruder_entries(self, node: Config):
+    def _intruder_moves(self, node: Config):
+        """The intruder's moves at a node, each with the indices of the
+        machines that would consume its message: the running machines of the
+        recipient whose receive pattern the content matches (none for an
+        invention).  A message is offered while fewer identical pending
+        (unconsumed) copies await its recipient than it has consumers."""
         if self.scenario.intruder.kind != "search":
             return
         me = self.intruder[0]
+        history = node.state.history
         know = closure(node.state, me, ABSTRACT)
-        used = sum(
-            1 for a in node.state.history if isinstance(a, Invent) and a.user == me
-        )
+        used = sum(1 for a in history if isinstance(a, Invent) and a.user == me)
         remaining = self.bounds.max_intruder_invents - used
         move_bounds = MoveBounds(
             max_content=self.bounds.max_content_len, max_invents=max(0, remaining)
         )
-        waiting, deliverable = self._demand(node)
-        for move in legal_moves(know, move_bounds, waiting):
-            if isinstance(move, Compose):
-                if not deliverable(move.rec, move.content):
-                    continue
-            elif isinstance(move, ReplayOpaque):
-                original = node.state.history[move.index]
-                if not deliverable(original.rec, original.content):
-                    continue
-            yield ("intruder", move)
+        waiting: dict = {}
+        for index, machine in enumerate(node.machines):
+            stmt = machine.current() if machine.status is Status.RUNNING else None
+            if isinstance(stmt, RecvStmt):
+                waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
+        pending: dict = {}
+        for index, act in enumerate(history):
+            if isinstance(act, Msg) and index not in node.inbox.consumed_for(act.rec):
+                key = (act.rec, act.content)
+                pending[key] = pending.get(key, 0) + 1
+        patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
+        for move in legal_moves(know, move_bounds, patterns, history):
+            if isinstance(move, InventNonce):
+                yield move, ()
+                continue
+            msg = history[move.index] if isinstance(move, ReplayOpaque) else move
+            consumers = [i for i, p in waiting.get(msg.rec, ()) if kinds_match(msg.content, p)]
+            if pending.get((msg.rec, msg.content), 0) < len(consumers):
+                yield move, consumers
+
+    def _intruder_starts(self, node: Config):
+        """The macro-steps the intruder starts: an invention alone, and each
+        message together with the receive of each of its consumers."""
+        for move, consumers in self._intruder_moves(node):
+            if isinstance(move, InventNonce):
+                yield (("intruder", move),)
+            for index in consumers:
+                yield (("intruder", move), ("machine", index, None))
+
+    def starts(self, node: Config) -> list:
+        """The first entries of every macro-step from a node."""
+        return [(entry,) for entry in self._machine_entries(node)] + list(
+            self._intruder_starts(node)
+        )
 
     def children(self, node: Config):
-        return list(self._machine_entries(node)) + list(self._intruder_entries(node))
+        """The unreduced single steps from a node."""
+        return list(self._machine_entries(node)) + [
+            ("intruder", move) for move, _ in self._intruder_moves(node)
+        ]
 
     def apply(self, node: Config, entry) -> Config:
         return apply_entry(node, entry, ABSTRACT, self.intruder)
 
-    def macro(self, node: Config, entry, room: int):
-        """The macro-step that starts with `entry`: its machine runs on
-        through its invisible statements, for at most `room` micro-steps.
-        Each micro state is checked against the safety invariants with its
-        own parent.  Returns (the micro entries taken, the node reached, the
-        safety detail or None, whether the macro was cut at `room` with a
-        local step left)."""
+    def macro(self, node: Config, start, room: int):
+        """The macro-step that begins with the entries of `start`: its last
+        machine runs on through its invisible statements, for at most `room`
+        micro-steps in all.  Each micro state is checked against the safety
+        invariants with its own parent.  Returns (the micro entries taken,
+        the node reached, the safety detail or None, whether the macro was
+        cut at `room` with a step of it left)."""
         steps = []
+        entries = iter(start)
+        entry = next(entries)
         while True:
             child = self.apply(node, entry)
             steps.append(entry)
             bad = self.safety_violation(child, node)
             if bad is not None:
                 return steps, child, bad, False
-            if entry[0] != "machine" or not _runs_on(
-                node.machines[entry[1]], child.machines[entry[1]]
-            ):
-                return steps, child, None, False
+            following = next(entries, None)
+            if following is None:
+                if entry[0] != "machine" or not _runs_on(
+                    node.machines[entry[1]], child.machines[entry[1]]
+                ):
+                    return steps, child, None, False
+                following = ("machine", entry[1], None)
             if len(steps) == room:
                 return steps, child, None, True
-            node, entry = child, ("machine", entry[1], None)
+            node, entry = child, following
 
     # ── evaluation ───────────────────────────────────────────────────────
 
@@ -259,13 +317,13 @@ class _Searcher:
         """The checks made once, when a macro-boundary node is first
         reached: whether any move is enabled, machine entries first, then
         intruder entries, and for a node with none (quiescent) the quiescent
-        specs.  Returns (violated spec or None, live, the node's moves when
-        they had to be built to decide, else None)."""
+        specs.  Returns (violated spec or None, live, the node's macro
+        starts when they had to be built to decide, else None)."""
         if next(self._machine_entries(node), None) is not None:
             return None, True, None
-        moves = list(self._intruder_entries(node))
-        if moves:
-            return None, True, moves
+        starts = list(self._intruder_starts(node))
+        if starts:
+            return None, True, starts
         return self.quiescent_violation(node), False, None
 
     # ── breadth-first pass over micro-depth buckets ──────────────────────
@@ -276,20 +334,21 @@ class _Searcher:
         bad = self.safety_violation(self.root, None)
         if bad is not None:
             return (SPEC_INV, bad), [], 1, False
-        spec, live, moves = self.first_reach(self.root)
+        spec, live, starts = self.first_reach(self.root)
         if spec is not None:
             return (spec, None), [], 1, False
         bound, states, truncated = self.bounds.max_steps, 1, False
-        # bucket entries: (node, link, its moves or None to build them); a
-        # link is (parent's link, micro entries of the macro), None at the root
-        buckets = {0: [(self.root, None, moves)]} if live and bound > 0 else {}
+        # bucket entries: (node, link, its macro starts or None to build
+        # them); a link is (parent's link, micro entries of the macro), None
+        # at the root
+        buckets = {0: [(self.root, None, starts)]} if live and bound > 0 else {}
         seen: dict[int, set] = {}
         while buckets:
             depth = min(buckets)
             seen.pop(depth, None)
-            for node, link, moves in buckets.pop(depth):
-                for entry in moves if moves is not None else self.children(node):
-                    steps, child, bad, cut = self.macro(node, entry, bound - depth)
+            for node, link, starts in buckets.pop(depth):
+                for start in starts if starts is not None else self.starts(node):
+                    steps, child, bad, cut = self.macro(node, start, bound - depth)
                     here = (link, steps)
                     if bad is not None:
                         return (SPEC_INV, bad), _schedule(here), states, False

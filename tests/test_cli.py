@@ -443,6 +443,20 @@ def test_steps_that_make_no_progress_are_malformed(flags, name, named):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_a_compose_of_an_underivable_item_is_malformed(flags):
+    # ns-search: A sends [A,n1] to B, and the intruder, which never learned
+    # n1, composes the same message to B, which B then receives
+    result = subprocess.run(
+        [sys.executable, *flags, "-m", "protolab", "replay", str(TAMPERED / "guessed-nonce.trc")],
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: trace is not executable: event 4: intruder@I#1 cannot derive n1\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
 def test_an_empty_wire_compose_is_malformed(tmp_path, flags):
     trace = tmp_path / "concrete.trc"
     code, _, _ = run_cli(

@@ -7,6 +7,8 @@ replaced, inserted and deleted below their header line: traces go to
 `explore --max-steps 4`."""
 
 import io
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from protolab.cli import main
 
-from conftest import GOLDEN, SCENARIOS
+from conftest import GOLDEN, ROOT, SCENARIOS
 
 TRACES = sorted(GOLDEN.glob("*.trc"))
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.scn"))
@@ -75,6 +77,7 @@ def fuzz_dir(tmp_path_factory):
 @example(case=("replay", None))
 @example(case=("explore", None))
 def test_every_input_maps_to_an_exit_code(fuzz_dir, case):
+    # explicit checks, not asserts, so that the property also runs under -O
     command, data = case  # data None: the path given is a directory
     path = fuzz_dir
     if data is not None:
@@ -82,6 +85,27 @@ def test_every_input_maps_to_an_exit_code(fuzz_dir, case):
         path.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     code = main([*ARGV[command], str(path)], out=out, err=err)
-    assert code in (0, 1, 2, 3)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
+    if code not in (0, 1, 2, 3):
+        raise AssertionError(f"{command} exited {code}")
+    if code == 2 and not err.getvalue().startswith("error: "):
+        raise AssertionError(f"{command} exited 2 with stderr {err.getvalue()!r}")
+
+
+# the property once more under -O, which strips the program's asserts: an
+# input the program rejects only by an assert would escape as a traceback
+_UNDER_O = """
+import pathlib, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests"]
+from test_cli_fuzz import test_every_input_maps_to_an_exit_code
+test_every_input_maps_to_an_exit_code(fuzz_dir=pathlib.Path(sys.argv[2]))
+"""
+
+
+def test_every_input_maps_to_an_exit_code_under_optimisation(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O, str(ROOT), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr[-2000:]

@@ -74,7 +74,7 @@ def test_closure_is_monotone():
 
 def test_legal_moves_counting():
     know = closure(fresh("A", "B", "I"), "I")
-    moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1), ANY_SINGLE)
+    moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1), ANY_SINGLE, ())
     composes = [m for m in moves if isinstance(m, Compose)]
     invents = [m for m in moves if isinstance(m, InventNonce)]
     assert len(composes) == 9  # 3 recipients x 3 single-item contents
@@ -85,29 +85,40 @@ def test_legal_moves_counting():
 def test_legal_moves_zero_content_length():
     know = closure(fresh("A", "B", "I"), "I")
     waiting = {u: [("u",), ("n",), ("u", "n"), ("n", "n")] for u in ("A", "B", "I")}
-    moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1), waiting)
+    moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1), waiting, ())
     assert all(not isinstance(m, Compose) for m in moves)
 
 
 def test_legal_moves_include_the_classic_forward():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
     know = closure(state, "I")
-    moves = legal_moves(know, MoveBounds(max_content=2, max_invents=0), {"B": [("u", "n")]})
+    moves = legal_moves(
+        know, MoveBounds(max_content=2, max_invents=0), {"B": [("u", "n")]}, state.history
+    )
     assert Compose(rec="B", content=("A", N1)) in moves
 
 
-def brute_force_moves(knowledge, bounds, waiting):
+def brute_force_moves(knowledge, bounds, waiting, history):
     """Reference enumeration: every recipient x pool^1..max_content
-    composition, kept when it matches one of its recipient's patterns."""
+    composition and every replay of an opaque message, each kept when its
+    content matches one of its recipient's patterns."""
+
+    def wanted(rec, content):
+        return any(kinds_match(content, p) for p in waiting.get(rec, ()))
+
     moves = [InventNonce()] if bounds.max_invents > 0 else []
     recipients = sorted(i for i in knowledge.known_items if is_uid(i))
     pool = sorted(knowledge.known_items, key=item_key)
     for rec in recipients:
         for length in range(1, bounds.max_content + 1):
             for content in itertools.product(pool, repeat=length):
-                if any(kinds_match(content, p) for p in waiting.get(rec, ())):
+                if wanted(rec, content):
                     moves.append(Compose(rec=rec, content=content))
-    moves.extend(ReplayOpaque(i) for i in knowledge.observed_opaque)
+    moves.extend(
+        ReplayOpaque(i)
+        for i in knowledge.observed_opaque
+        if wanted(history[i].rec, history[i].content)
+    )
     return moves
 
 
@@ -115,35 +126,56 @@ PATTERNS = st.lists(
     st.lists(st.sampled_from("un"), min_size=1, max_size=4).map(tuple), max_size=5
 )
 
+MESSAGES = st.lists(
+    st.builds(
+        lambda rec, content: Msg(rec=rec, sender="A", content=tuple(content)),
+        st.sampled_from("ABCIZ"),
+        st.lists(
+            st.one_of(st.sampled_from("ABCI"), st.integers(1, 4).map(Nonce)),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    max_size=6,
+).map(tuple)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
     uids=st.sets(st.sampled_from("ABCI")),
     nonces=st.sets(st.integers(1, 4).map(Nonce)),
-    opaque=st.lists(st.integers(0, 20), unique=True).map(sorted).map(tuple),
+    history=MESSAGES,
+    opaque_mask=st.lists(st.booleans(), min_size=6, max_size=6),
     waiting=st.dictionaries(st.sampled_from("ABCIZ"), PATTERNS),
     max_content=st.integers(0, 3),
     max_invents=st.integers(0, 1),
 )
 @example(  # duplicate patterns: one composition each, not two
-    uids={"A", "B"}, nonces={N1}, opaque=(), waiting={"B": [("u", "n"), ("u", "n")]},
-    max_content=2, max_invents=0,
+    uids={"A", "B"}, nonces={N1}, history=(), opaque_mask=[False] * 6,
+    waiting={"B": [("u", "n"), ("u", "n")]}, max_content=2, max_invents=0,
 )
-@example(  # two patterns of one length for one recipient, merged in order
-    uids={"A", "B", "I"}, nonces={N1, N2}, opaque=(3,),
+@example(  # two patterns of one length for one recipient, merged in order; the
+    # replay to B matches a pattern, the one to A matches none
+    uids={"A", "B", "I"}, nonces={N1, N2},
+    history=(Msg(rec="B", sender="A", content=("A", N2)), Msg(rec="A", sender="B", content=(N1,))),
+    opaque_mask=[True] * 6,
     waiting={"A": [("n", "n"), ("u", "n"), ("n", "u")], "B": [("n",), ("u", "n")]},
     max_content=2, max_invents=1,
 )
-@example(  # a pattern longer than max_content yields nothing
-    uids={"A", "B"}, nonces={N1}, opaque=(), waiting={"A": [("u", "n", "n")]},
-    max_content=2, max_invents=1,
+@example(  # a pattern longer than max_content yields no composition, but a
+    # replay of a message that long
+    uids={"A", "B"}, nonces={N1},
+    history=(Msg(rec="A", sender="B", content=("B", N1, N2)),), opaque_mask=[True] * 6,
+    waiting={"A": [("u", "n", "n")]}, max_content=2, max_invents=1,
 )
 def test_legal_moves_equal_brute_force_filtered_by_kinds(
-    uids, nonces, opaque, waiting, max_content, max_invents
+    uids, nonces, history, opaque_mask, waiting, max_content, max_invents
 ):
+    opaque = tuple(i for i, masked in zip(range(len(history)), opaque_mask) if masked)
     know = IntruderKnowledge(frozenset(uids | nonces), opaque)
     bounds = MoveBounds(max_content=max_content, max_invents=max_invents)
-    assert legal_moves(know, bounds, waiting) == brute_force_moves(know, bounds, waiting)
+    expected = brute_force_moves(know, bounds, waiting, history)
+    assert legal_moves(know, bounds, waiting, history) == expected
 
 
 @pytest.mark.parametrize("index,reason", [(0, "does not name a message"), (5, "outside")])
@@ -151,6 +183,15 @@ def test_replay_of_a_non_message_is_an_illegal_move(index, reason):
     state = append_action(fresh("A", "B", "I"), Invent("A", N1))
     with pytest.raises(IllegalMove, match=reason):
         apply_move(state, "I", "I#1", ReplayOpaque(index), ABSTRACT)
+
+
+def test_a_compose_needs_items_the_intruder_can_derive():
+    state = append_action(fresh("A", "B", "I"), Msg(rec="B", sender="A", content=("A", N1)))
+    with pytest.raises(IllegalMove, match="intruder@I#1 cannot derive n1"):
+        apply_move(state, "I", "I#1", Compose(rec="B", content=("A", N1)), ABSTRACT)
+    state = append_action(state, Msg(rec="I", sender="A", content=("A", N1)))
+    after = apply_move(state, "I", "I#1", Compose(rec="B", content=("A", N1)), ABSTRACT)
+    assert after.users["I"].knows["I#1"] == {N1}
 
 
 def test_replay_keeps_message_but_reowns_ghost_sender():
