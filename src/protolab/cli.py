@@ -54,8 +54,6 @@ def cmd_run(args, out, err) -> int:
         scenario = load_scenario(args.scenario)
         if args.level:
             scenario = scenario.with_level(args.level)
-        if scenario.intruder.kind == "search":
-            raise ScenarioError("intruder: 'run' executes scripted scenarios; use 'explore'")
         run = execute_scripted(scenario)
         verdicts = evaluate_run_specs(run, resolve_spec_names(args.spec))
         text = render_trace(run.to_doc(verdicts), no_ghost=args.no_ghost)
@@ -120,7 +118,7 @@ def cmd_replay(args, out, err) -> int:
     if doc.level == "concrete":
         # the wire run must project onto its recipient-field twin exactly
         schedule = schedule_from_doc(doc, run.scenario)
-        twin = execute_schedule(run.scenario, schedule, level="abstract")
+        twin = execute_schedule(run.scenario.with_level("abstract"), schedule)
         refinement = check_refinement(run, twin)
         if not refinement.holds:
             out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")

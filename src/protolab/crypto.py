@@ -148,10 +148,10 @@ class ConcreteMedium:
     def __init__(self, registry: KeyRegistry) -> None:
         self.registry = registry
 
-    def send_action(self, owner: Uid, target: Uid, items: Sequence[Item], state: GlobalState):
+    def send_action(self, owner: Uid, target: Uid, items: Sequence[Item]):
         return WireMsg(body=enc(tuple(items), self.registry.pkeys[target]), ghost_sender=owner)
 
-    def readable(self, action, me: Uid, state: GlobalState):
+    def readable(self, action, me: Uid):
         if isinstance(action, WireMsg):
             out = dec(action.body, self.registry.skeys[me], self.registry)
             if not isinstance(out, DecryptFailure):
@@ -172,14 +172,14 @@ def check_refinement(concrete_run, abstract_run):
     projected states is a run obligation (`specs.check_lemma_suite`)."""
     from .specs import SpecVerdict
 
-    projected = abstract_of(concrete_run.final_state.history, concrete_run.registry)
-    if projected != abstract_run.final_state.history:
+    projected = concrete_run.checkable_states()[-1]
+    if projected.history != abstract_run.final_state.history:
         return SpecVerdict(
             spec="refinement",
             holds=False,
             detail="projected wire history differs from the recipient-field history",
         )
-    if concrete_run.final_state.users != abstract_run.final_state.users:
+    if projected.users != abstract_run.final_state.users:
         return SpecVerdict(
             spec="refinement", holds=False, detail="final user records differ across levels"
         )

@@ -76,7 +76,7 @@ def closure(state: GlobalState, me: Uid, medium=ABSTRACT) -> IntruderKnowledge:
             if act.user == me:
                 known.add(act.what)
             continue
-        items = medium.readable(act, me, state)
+        items = medium.readable(act, me)
         if items is not None:
             known.update(items)
         elif medium.is_message(act):
@@ -157,7 +157,7 @@ def apply_move(
         for item in move.content:
             if item not in known:
                 raise IllegalMove(f"intruder@{session} cannot derive {render_item(item)}")
-        state = append_action(state, medium.send_action(me, move.rec, move.content, state))
+        state = append_action(state, medium.send_action(me, move.rec, move.content))
     elif isinstance(move, ReplayOpaque):
         if not 0 <= move.index < len(state.history):
             raise IllegalMove(f"replay index {move.index} is outside the history")
@@ -167,7 +167,7 @@ def apply_move(
         state = append_action(state, medium.replay_action(original, me))
     else:
         raise IllegalMove(f"unknown intruder move {move!r}")
-    known.update(medium.readable(state.history[-1], me, state) or ())
+    known.update(medium.readable(state.history[-1], me) or ())
     return add_knows(state, me, session, [i for i in known if isinstance(i, Nonce)])
 
 
@@ -185,7 +185,7 @@ class LoweScript:
 
     def pending_move(self, state: GlobalState, medium=ABSTRACT) -> Compose | None:
         for act in state.history:
-            items = medium.readable(act, self.me, state)
+            items = medium.readable(act, self.me)
             if items is None:
                 continue
             forward: Sequence[Item] | None = None
@@ -200,4 +200,4 @@ class LoweScript:
         return None
 
     def _already_sent(self, state: GlobalState, items: tuple[Item, ...], medium) -> bool:
-        return medium.send_action(self.me, self.victim_b, items, state) in state.history
+        return medium.send_action(self.me, self.victim_b, items) in state.history

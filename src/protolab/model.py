@@ -4,7 +4,8 @@ Everything here is a value: principals and nonces are symbolic atoms,
 messages are flat sequences of items, and the global state is an immutable
 record that every step replaces rather than mutates.  The `sender` field of
 a message is ghost data: it records the true originator for checking
-purposes but is stripped (`MsgView`) before any role code sees the message.
+purposes, and role code never sees it, since roles read a message's content
+only through their medium's `readable`.
 """
 
 from __future__ import annotations

@@ -144,11 +144,12 @@ class AbstractMedium:
     """Recipient-only readability modelled directly on the message record."""
 
     level = "abstract"
+    registry = None
 
-    def send_action(self, owner: Uid, target: Uid, items: Sequence[Item], state: GlobalState):
+    def send_action(self, owner: Uid, target: Uid, items: Sequence[Item]):
         return Msg(rec=target, sender=owner, content=tuple(items))
 
-    def readable(self, action, me: Uid, state: GlobalState):
+    def readable(self, action, me: Uid):
         if isinstance(action, Msg) and action.rec == me:
             return action.content
         return None
@@ -247,7 +248,7 @@ def find_match(
     for index in range(len(state.history) - 1, -1, -1):
         if index in taken:
             continue
-        items = medium.readable(state.history[index], machine.owner, state)
+        items = medium.readable(state.history[index], machine.owner)
         if items is not None and kinds_match(items, stmt.pattern):
             return index
     return None
@@ -330,7 +331,7 @@ def step(
         )
         target = machine.peer if stmt.target == "peer" else machine.local(stmt.target)
         assert is_uid(target)
-        state = append_action(state, medium.send_action(machine.owner, target, items, state))
+        state = append_action(state, medium.send_action(machine.owner, target, items))
         machine = replace(machine, pc=machine.pc + 1)
         return machine, state, inbox
 
@@ -338,7 +339,7 @@ def step(
         index = find_match(machine, state, inbox, medium)
         if index is None:
             raise IllegalMove(f"{machine.actor_id} has nothing to receive")
-        items = medium.readable(state.history[index], machine.owner, state)
+        items = medium.readable(state.history[index], machine.owner)
         assert items is not None
         bound = dict(zip(stmt.binds, items))
         inbox = inbox.consume(machine.owner, index)

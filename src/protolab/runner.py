@@ -1,5 +1,12 @@
 """Scenario execution: deterministic scheduling, run records, and replay.
 
+A run has one record, `TraceRun`: `build_execution` makes it empty at the
+scenario's level (the level chooses the medium), and each `step` applies a
+schedule entry and appends the trace event of that step, the same
+`trace.TraceEvent` that a trace file holds and that replay compares.  A
+wire-level run is projected to the recipient-field model once, by
+`checkable_states`, which the specs and `crypto.check_refinement` read.
+
 One function interprets a schedule entry: `apply_entry` maps a
 configuration (machines, global state, inbox) and an entry to the next
 configuration, or raises `IllegalMove` when the entry is not enabled.
@@ -51,86 +58,6 @@ from .trace import (
 
 MAX_EVENTS_VALVE = 10_000
 
-
-@dataclass(frozen=True)
-class RunEvent:
-    index: int
-    actor: str
-    session: Sid
-    stmt: str
-    arg: str | None
-    action: object | None
-
-
-@dataclass
-class TraceRun:
-    scenario: Scenario
-    level: str
-    initial: GlobalState
-    states: list[GlobalState]
-    events: list[RunEvent]
-    machines: tuple[RoleMachine, ...]
-    inbox: Inbox
-    registry: KeyRegistry | None
-    init_digest: str
-    digests: list[str] = field(default_factory=list)
-    _checkable: list[GlobalState] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def final_state(self) -> GlobalState:
-        return self.states[-1] if self.states else self.initial
-
-    def checkable_states(self) -> list[GlobalState]:
-        """All recorded states (initial first), projected to the
-        recipient-field model when the run is at the wire level.
-
-        The projection is made once per run, and each action is projected
-        once: a state whose history is a prefix of the final one takes the
-        matching prefix of the final projection."""
-        if self._checkable is None:
-            states = [self.initial] + self.states
-            if self.level != "abstract":
-                final = self.final_state.history
-                projected = abstract_of(final, self.registry)
-                states = [
-                    replace(
-                        s,
-                        history=projected[: len(s.history)]
-                        if s.history == final[: len(s.history)]
-                        else abstract_of(s.history, self.registry),
-                    )
-                    for s in states
-                ]
-            self._checkable = states
-        return list(self._checkable)
-
-    def transitions(self):
-        states = self.checkable_states()
-        for ev, before, after in zip(self.events, states, states[1:]):
-            yield ev.actor, ev.session, before, after
-
-    def to_doc(self, verdicts=()) -> TraceDoc:
-        return TraceDoc(
-            level=self.level,
-            scenario_text=render_scenario(self.scenario),
-            init_digest=self.init_digest,
-            events=[
-                TraceEvent(
-                    index=ev.index,
-                    actor=ev.actor,
-                    stmt=ev.stmt,
-                    arg=ev.arg,
-                    action_text=render_action(ev.action) if ev.action is not None else "-",
-                    digest=digest,
-                )
-                for ev, digest in zip(self.events, self.digests)
-            ],
-            verdicts=[(v.spec, v.holds, v.detail) for v in verdicts],
-        )
-
-
 # Schedule entries: ("machine", index, chosen_peer | None) or ("intruder", move)
 ScheduleEntry = tuple
 
@@ -166,17 +93,47 @@ _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque:
 
 
 @dataclass
-class _Execution:
+class TraceRun:
+    """A run record, filled in as the run executes: the configuration
+    reached, every state after the initial one, and each step's trace event.
+    The scenario's level chose the medium."""
+
     scenario: Scenario
-    level: str
     config: Config
     medium: object
-    registry: KeyRegistry | None
     intruder: tuple[Uid, Sid] | None
-    events: list[RunEvent] = field(default_factory=list)
+    initial: GlobalState
+    init_digest: str = field(init=False)
     states: list[GlobalState] = field(default_factory=list)
-    digests: list[str] = field(default_factory=list)
-    rendered: Renderings = field(default_factory=Renderings)
+    events: list[TraceEvent] = field(default_factory=list)
+    rendered: Renderings = field(default_factory=Renderings, repr=False, compare=False)
+    _checkable: list[GlobalState] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def machines(self) -> tuple[RoleMachine, ...]:
+        return self.config.machines
+
+    @property
+    def inbox(self) -> Inbox:
+        return self.config.inbox
+
+    @property
+    def level(self) -> str:
+        return self.medium.level
+
+    @property
+    def registry(self) -> KeyRegistry | None:
+        return self.medium.registry
+
+    @property
+    def digests(self) -> list[str]:
+        return [ev.digest for ev in self.events]
+
+    @property
+    def final_state(self) -> GlobalState:
+        return self.states[-1] if self.states else self.initial
 
     def digest(self) -> str:
         config = self.config
@@ -190,38 +147,67 @@ class _Execution:
         if entry[0] == "machine":
             stmt = before.machines[entry[1]].current()
             machine = after.machines[entry[1]]
-            actor, session = machine.actor_id, machine.session
+            actor = machine.actor_id
             # only a receive aborts
             name = "recv-abort" if machine.status is Status.ABORTED else stmt.name
             arg = machine.peer if isinstance(stmt, SetPartner) else None
         else:
             move = entry[1]
-            session = self.intruder[1]
-            actor, name = f"intruder@{session}", _INTRUDER_STMT[type(move)]
+            actor, name = f"intruder@{self.intruder[1]}", _INTRUDER_STMT[type(move)]
             arg = str(move.index) if isinstance(move, ReplayOpaque) else None
+        digest = self.digest()
         history = after.state.history
-        action = history[-1] if len(history) > len(before.state.history) else None
-        self.events.append(RunEvent(len(self.events) + 1, actor, session, name, arg, action))
+        # the digest has rendered every action of the history
+        act = (
+            self.rendered(history[-1], render_action)
+            if len(history) > len(before.state.history)
+            else "-"
+        )
+        self.events.append(TraceEvent(len(self.events) + 1, actor, name, arg, act, digest))
         self.states.append(after.state)
-        self.digests.append(self.digest())
 
-    def to_run(self, init_digest: str, initial: GlobalState) -> TraceRun:
-        return TraceRun(
-            scenario=self.scenario,
+    def checkable_states(self) -> list[GlobalState]:
+        """All recorded states (initial first), projected to the
+        recipient-field model when the run is at the wire level.
+
+        The projection is made once per run, and each action is projected
+        once: a state whose history is a prefix of the final one takes the
+        matching prefix of the final projection."""
+        if self._checkable is None:
+            states = [self.initial] + self.states
+            if self.registry is not None:
+                final = self.final_state.history
+                projected = abstract_of(final, self.registry)
+                states = [
+                    replace(
+                        s,
+                        history=projected[: len(s.history)]
+                        if s.history == final[: len(s.history)]
+                        else abstract_of(s.history, self.registry),
+                    )
+                    for s in states
+                ]
+            self._checkable = states
+        return list(self._checkable)
+
+    def transitions(self):
+        """(actor id, its session, state before, state after) per event."""
+        states = self.checkable_states()
+        for ev, before, after in zip(self.events, states, states[1:]):
+            yield ev.actor, ev.actor.partition("@")[2], before, after
+
+    def to_doc(self, verdicts=()) -> TraceDoc:
+        return TraceDoc(
             level=self.level,
-            initial=initial,
-            states=self.states,
-            events=self.events,
-            machines=self.config.machines,
-            inbox=self.config.inbox,
-            registry=self.registry,
-            init_digest=init_digest,
-            digests=self.digests,
+            scenario_text=render_scenario(self.scenario),
+            init_digest=self.init_digest,
+            events=list(self.events),
+            verdicts=[(v.spec, v.holds, v.detail) for v in verdicts],
         )
 
 
-def build_execution(scenario: Scenario, level: str | None = None) -> _Execution:
-    level = level or scenario.level
+def build_execution(scenario: Scenario) -> TraceRun:
+    """An empty run of `scenario` at the scenario's level."""
     state = initial_state(scenario.conforms_map())
     sessions = scenario.sessions()
     machines = tuple(
@@ -234,61 +220,55 @@ def build_execution(scenario: Scenario, level: str | None = None) -> _Execution:
     if scenario.intruder.user is not None:
         intruder = (scenario.intruder.user, scenario.intruder_session())
         state = open_session(state, *intruder)
-    registry = registry_from_state(state) if level == "concrete" else None
-    medium = ConcreteMedium(registry) if registry is not None else ABSTRACT
-    return _Execution(
-        scenario=scenario,
-        level=level,
-        config=Config(machines, state, Inbox()),
-        medium=medium,
-        registry=registry,
-        intruder=intruder,
-    )
+    medium = ABSTRACT
+    if scenario.level == "concrete":
+        medium = ConcreteMedium(registry_from_state(state))
+    run = TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)
+    run.init_digest = run.digest()
+    return run
 
 
-def execute_scripted(scenario: Scenario, level: str | None = None) -> TraceRun:
+def execute_scripted(scenario: Scenario) -> TraceRun:
     """Run a scenario with no intruder or a scripted one to quiescence."""
     if scenario.intruder.kind == "search":
-        raise ScenarioError("intruder: scripted execution cannot drive a search intruder")
-    ex = build_execution(scenario, level)
-    initial = ex.config.state
-    init_digest = ex.digest()
+        raise ScenarioError(
+            "intruder: scripted execution cannot drive a search intruder; use 'explore'"
+        )
+    run = build_execution(scenario)
     script = None
     if scenario.intruder.kind == "lowe_script":
         intr = scenario.intruder
         script = LoweScript(me=intr.user, victim_a=intr.a, victim_b=intr.b)
     while True:
-        if len(ex.events) > MAX_EVENTS_VALVE:
+        if len(run.events) > MAX_EVENTS_VALVE:
             raise RuntimeError("run did not quiesce (event valve hit)")
         progressed = False
-        for index in range(len(ex.config.machines)):
-            config = ex.config
-            if can_fire(config.machines[index], config.state, config.inbox, ex.medium):
-                ex.step(("machine", index, None))
+        for index in range(len(run.machines)):
+            config = run.config
+            if can_fire(config.machines[index], config.state, config.inbox, run.medium):
+                run.step(("machine", index, None))
                 progressed = True
         if script is not None:
-            move = script.pending_move(ex.config.state, ex.medium)
+            move = script.pending_move(run.final_state, run.medium)
             if move is not None:
-                ex.step(("intruder", move))
+                run.step(("intruder", move))
                 progressed = True
         if not progressed:
             break
-    return ex.to_run(init_digest, initial)
+    return run
 
 
-def execute_schedule(scenario: Scenario, schedule, level: str | None = None) -> TraceRun:
+def execute_schedule(scenario: Scenario, schedule) -> TraceRun:
     """Re-execute an explicit schedule (from the explorer or a parsed trace).
     Raises IllegalMove, naming the 1-based event, for an entry that is not
     enabled at that point."""
-    ex = build_execution(scenario, level)
-    initial = ex.config.state
-    init_digest = ex.digest()
+    run = build_execution(scenario)
     for event, entry in enumerate(schedule, start=1):
         try:
-            ex.step(entry)
+            run.step(entry)
         except IllegalMove as exc:
             raise IllegalMove(f"event {event}: {exc}") from None
-    return ex.to_run(init_digest, initial)
+    return run
 
 
 def _actor_index_map(scenario: Scenario) -> dict[str, int]:
@@ -358,18 +338,12 @@ def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
     scenario = parse_scenario(doc.scenario_text)
     schedule = schedule_from_doc(doc, scenario)
     try:
-        run = execute_schedule(scenario, schedule, level=doc.level)
+        run = execute_schedule(scenario.with_level(doc.level), schedule)
     except IllegalMove as exc:
         raise TraceError(f"trace is not executable: {exc}")
     if run.init_digest != doc.init_digest:
         return 0, run
-    for ev, digest, recorded in zip(run.events, run.digests, doc.events):
-        executed_act = render_action(ev.action) if ev.action is not None else "-"
-        if (
-            digest != recorded.digest
-            or ev.stmt != recorded.stmt
-            or ev.arg != recorded.arg
-            or executed_act != recorded.action_text
-        ):
+    for executed, recorded in zip(run.events, doc.events):
+        if executed != recorded:
             return recorded.index, run
     return None, run

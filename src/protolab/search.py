@@ -173,10 +173,10 @@ class _Searcher:
         self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
         self.on_quiescent = on_quiescent
         self.universe = scenario.universe()
-        ex = build_execution(scenario, "abstract")
-        self.intruder = ex.intruder
-        self.root = ex.config
-        self.initial = ex.config.state
+        run = build_execution(scenario)
+        self.intruder = run.intruder
+        self.root = run.config
+        self.initial = run.initial
 
     # ── move generation ──────────────────────────────────────────────────
 

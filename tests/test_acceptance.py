@@ -200,7 +200,7 @@ def test_criterion_6_layering(nsl_search_result):
     from protolab.runner import build_execution
 
     verdict, _, collected = nsl_search_result
-    initial = build_execution(load_scenario(SCENARIOS / "nsl-search.scn"), "abstract").config.state
+    initial = build_execution(load_scenario(SCENARIOS / "nsl-search.scn")).initial
     seen, mutual, violations = set(), 0, 0
     for state in collected:
         key = state_key(state)
@@ -228,7 +228,7 @@ def test_criterion_7_refinement(runs):
     ok = True
     for name in ("honest-ns", "lowe-on-ns", "lowe-on-nsl"):
         scenario = load_scenario(SCENARIOS / f"{name}.scn")
-        concrete = execute_scripted(scenario, level="concrete")
+        concrete = execute_scripted(scenario.with_level("concrete"))
         abstract = runs[name]
         projected = abstract_of(concrete.final_state.history, concrete.registry)
         ok = ok and projected == abstract.final_state.history

@@ -320,19 +320,33 @@ def test_replay_reports_the_first_failed_obligation(monkeypatch):
     assert out == "replay obligation failed: dyn-inv: planted at history length 3\n"
 
 
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+@pytest.mark.parametrize("name", ["honest-ns", "honest-nsl", "lowe-on-ns", "lowe-on-nsl"])
+def test_trace_events_round_trip(name, level):
+    # replay compares whole events, so the file holds exactly the run's events
+    from protolab.runner import execute_scripted
+    from protolab.scenario import load_scenario
+    from protolab.trace import parse_trace, render_trace
+
+    run = execute_scripted(load_scenario(SCENARIOS / f"{name}.scn").with_level(level))
+    assert run.events
+    assert parse_trace(render_trace(run.to_doc())).events == run.events
+
+
 def test_replay_reports_a_refinement_mismatch(tmp_path, monkeypatch):
-    import protolab.crypto as crypto
+    import protolab.runner as runner
 
     trace = tmp_path / "concrete.trc"
     code, _, _ = run_cli(
         "run", str(SCENARIOS / "honest-ns.scn"), "--level", "concrete", "--trace-out", str(trace)
     )
     assert code == 0
-    # the refinement check projects the wire history through crypto's own
-    # binding, so dropping the last projected action breaks only that check
-    real_abstract_of = crypto.abstract_of
+    # the run projects its wire history through runner's binding; dropping
+    # the last projected action leaves every checked obligation holding and
+    # breaks only the comparison with the recipient-field twin
+    real_abstract_of = runner.abstract_of
     monkeypatch.setattr(
-        crypto, "abstract_of", lambda history, registry: real_abstract_of(history, registry)[:-1]
+        runner, "abstract_of", lambda history, registry: real_abstract_of(history, registry)[:-1]
     )
     code, out, _ = run_cli("replay", str(trace))
     assert code == 1

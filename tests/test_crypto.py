@@ -126,9 +126,9 @@ def test_degenerate_registry_breaks_recipient_only_readability():
     )
     medium = ConcreteMedium(reg)
     state = append_action(state, Invent("A", N1))
-    state = append_action(state, medium.send_action("A", "A", [N1], state))
+    state = append_action(state, medium.send_action("A", "A", [N1]))
     # B can decrypt the shared-key traffic and learn the nonce
-    assert medium.readable(state.history[-1], "B", state) == (N1,)
+    assert medium.readable(state.history[-1], "B") == (N1,)
     state = add_knows(state, "B", "B#1", [N1])
     projected = state.__class__(
         users=state.users, history=abstract_of(state.history, reg), pkeys=state.pkeys
@@ -141,8 +141,8 @@ def test_degenerate_registry_breaks_recipient_only_readability():
 @pytest.mark.parametrize("name", ["honest-ns", "lowe-on-ns", "lowe-on-nsl"])
 def test_refinement_holds_for_shipped_scenarios(name):
     sc = load_scenario(scenario(name))
-    concrete = execute_scripted(sc, level="concrete")
-    verdict = check_refinement(concrete, execute_scripted(sc, level="abstract"))
+    concrete = execute_scripted(sc.with_level("concrete"))
+    verdict = check_refinement(concrete, execute_scripted(sc.with_level("abstract")))
     assert verdict.holds, verdict.detail
     for state in concrete.checkable_states():
         report = no_read_others(state)
@@ -153,8 +153,8 @@ def test_refinement_detects_a_tampered_twin():
     from dataclasses import replace
 
     sc = load_scenario(scenario('honest-ns'))
-    concrete = execute_scripted(sc, level="concrete")
-    twin = execute_scripted(sc, level="abstract")
+    concrete = execute_scripted(sc.with_level("concrete"))
+    twin = execute_scripted(sc.with_level("abstract"))
     # the last event is B's finish: same history, but B's session not yet complete
     unfinished = replace(twin, states=twin.states[:-1])
     verdict = check_refinement(concrete, unfinished)
@@ -168,8 +168,8 @@ def test_refinement_detects_a_tampered_twin():
 
 def test_concrete_attack_projects_to_the_abstract_trace():
     sc = load_scenario(scenario('lowe-on-ns'))
-    concrete = execute_scripted(sc, level="concrete")
-    abstract = execute_scripted(sc, level="abstract")
+    concrete = execute_scripted(sc.with_level("concrete"))
+    abstract = execute_scripted(sc.with_level("abstract"))
     projected = abstract_of(concrete.final_state.history, concrete.registry)
     assert projected == abstract.final_state.history
     assert concrete.final_state.users == abstract.final_state.users
@@ -177,7 +177,7 @@ def test_concrete_attack_projects_to_the_abstract_trace():
 
 def test_wire_intruder_learns_nothing_without_matching_key():
     sc = load_scenario(scenario('honest-ns'))
-    run = execute_scripted(sc, level="concrete")
+    run = execute_scripted(sc.with_level("concrete"))
     # give the observer its own key pair, distinct from both participants
     reg = KeyRegistry(
         pkeys={**run.registry.pkeys, "I": PKey("pk:I")},

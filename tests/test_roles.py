@@ -176,9 +176,10 @@ def test_run_honest_pair_raises_on_non_completion(monkeypatch):
 
     real = runner_mod.execute_scripted
 
-    def sabotaged(scenario, level=None):
-        run = real(scenario, level)
-        run.machines = (dc_replace(run.machines[0], status=Status.RUNNING),) + run.machines[1:]
+    def sabotaged(scenario):
+        run = real(scenario)
+        machines = (dc_replace(run.machines[0], status=Status.RUNNING),) + run.machines[1:]
+        run.config = dc_replace(run.config, machines=machines)
         return run
 
     monkeypatch.setattr(runner_mod, "execute_scripted", sabotaged)

@@ -1,6 +1,7 @@
 """Bounded exploration: rediscovery of the interception attack, its absence
 for the identity-checked variant, determinism, and layering."""
 
+import io
 from dataclasses import replace
 from itertools import permutations
 
@@ -13,7 +14,7 @@ from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 from conftest import GOLDEN, scenario
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
 from protolab.specs import SPEC_INV, check_post_ns_all
-from protolab.trace import parse_trace
+from protolab.trace import parse_trace, render_trace
 
 HONEST_SEARCH = """protolab-scenario v1
 user A conforms=true
@@ -122,7 +123,7 @@ def test_layering_mutually_complete_states_satisfy_full_contract(nsl_quiescents)
     from protolab.runner import build_execution
 
     verdict, collected = nsl_quiescents
-    initial = build_execution(load_scenario(scenario('nsl-search')), "abstract").config.state
+    initial = build_execution(load_scenario(scenario('nsl-search'))).initial
     seen = set()
     mutual = 0
     for state in collected:
@@ -156,6 +157,13 @@ def test_counterexample_replays_to_identical_states(ns_cex):
     divergence, replayed = replay_doc(run.to_doc([ns_cex]))
     assert divergence is None
     assert replayed.final_state == run.final_state  # ghost fields included
+
+
+def test_counterexample_trace_events_round_trip(ns_cex):
+    # replay compares whole events, so the file holds exactly the run's events
+    run = ns_cex.counterexample
+    assert run.events
+    assert parse_trace(render_trace(run.to_doc([ns_cex]))).events == run.events
 
 
 def test_max_steps_zero_trivially_holds():
@@ -262,6 +270,38 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
     assert verdict.states == states
     assert len(verdict.counterexample.events) == events
     assert verdict.detail.startswith(detail)
+
+
+# Post-ns violations with no invented nonce and content length 2, from the
+# same receive discipline as above: with no intruder, B#2 takes a reply meant
+# for B#1 (cross-talk); with one, B#1 takes a nonce the intruder learned from
+# A#2 in place of A#1's and aborts (two senders).  Fixing the receive
+# discipline will flip these verdicts, on purpose.
+RECEIVE_DISCIPLINE = [
+    (CROSS_TALK, 22, ("post-ns", 698, 20)),
+    (TWO_SENDERS, 16, ("post-ns", 1074, 16)),
+]
+
+
+@pytest.mark.parametrize(
+    "text,max_steps,expected", RECEIVE_DISCIPLINE, ids=["cross-talk-22", "two-senders-16"]
+)
+def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expected):
+    from protolab.cli import main
+
+    verdict = explore(parse_scenario(text).with_max_steps(max_steps), spec="all")
+    violated, states, events = expected
+    assert (verdict.spec, verdict.holds, verdict.inconclusive, verdict.rely_broken) == (
+        violated, False, False, False
+    )
+    assert verdict.states == states
+    assert len(verdict.counterexample.events) == events
+    assert verdict.detail.startswith("mutual-partner: A session A#1 completed with partner B")
+    trace = tmp_path / "cex.trc"
+    trace.write_text(render_trace(verdict.counterexample.to_doc([verdict])))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["replay", str(trace)], out=out, err=err) == 0
+    assert out.getvalue() == f"replay ok: {events} events verified\n"
 
 
 # ── differential check against iterative deepening ──────────────────────────

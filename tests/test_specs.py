@@ -293,7 +293,7 @@ class RecordedStates:
 
 
 BASE_RUNS = {
-    (name, level): execute_scripted(load_scenario(scenario(name)), level=level)
+    (name, level): execute_scripted(load_scenario(scenario(name)).with_level(level))
     for name in ("honest-ns", "honest-nsl", "lowe-on-ns", "lowe-on-nsl")
     for level in ("abstract", "concrete")
 }
