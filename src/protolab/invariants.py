@@ -238,7 +238,9 @@ class Audit:
     def step(self, state: GlobalState) -> None:
         if self.unique and self.unread and self.honest:
             return
-        conforms = {uid: user.conforms for uid, user in state.users.items()}
+        conforms = self.conforms
+        if state.users is not self.users:
+            conforms = {uid: user.conforms for uid, user in state.users.items()}
         done = len(self.history)
         if conforms != self.conforms or state.history[:done] != self.history:
             self._rescan()
@@ -304,6 +306,8 @@ def dyn_inv(before: GlobalState, after: GlobalState) -> PredicateReport:
     for uid in sorted(before.users):
         b = before.users[uid]
         a = after.users.get(uid)
+        if a is b:
+            continue
         if a is None:
             return _fail("dyn-inv", f"user {uid} disappeared")
         if a.conforms != b.conforms:

@@ -72,12 +72,14 @@ def check_no_mods_to_others(
 ) -> bool:
     """Users outside `good` are completely untouched, and good users are
     untouched outside the session `sess`."""
-    for uid in before.users:
+    for uid, b in before.users.items():
+        a = after.users.get(uid)
+        if a is b:
+            continue
         if uid not in good:
-            if after.users.get(uid) != before.users[uid]:
+            if a != b:
                 return False
             continue
-        b, a = before.users[uid], after.users[uid]
         if {k: v for k, v in a.complete.items() if k != sess} != {
             k: v for k, v in b.complete.items() if k != sess
         }:
@@ -317,7 +319,7 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     def complete_monotone():
         for b, a in zip(states, states[1:]):
             for uid in sorted(b.users):
-                if not b.users[uid].conforms:
+                if not b.users[uid].conforms or a.users.get(uid) is b.users[uid]:
                     continue
                 for sid, was in b.users[uid].complete.items():
                     if was and not a.users[uid].complete.get(sid, False):

@@ -87,14 +87,32 @@ def _render_consumed(taken) -> str:
 
 
 class Renderings:
-    """Canonical renderings of the values a run's digests cover, kept per
-    object.  These values are immutable and a step replaces only what it
-    changes, so an action, a user record, a machine or an inbox entry that
-    outlives a step is the same object, and is rendered once per run.  Each
-    object is held with its text, so its id is not reused while cached."""
+    """Canonical renderings of the values a run's digests cover, and the
+    joined texts of the run's last digest.
+
+    Each value is rendered once per object.  These values are immutable and
+    a step replaces only what it changes, so an action, a user record, a
+    machine or an inbox entry that outlives a step is the same object, and
+    is rendered once per run.  Each object is held with its text, so its id
+    is not reused while cached.
+
+    The joins are kept for the last digest only, one per slot, so the cache
+    grows with the run's distinct values, not with its states:
+    - a container's text while the container is the same object (the users
+      dict, the inbox and the public keys: a step that changes one makes a
+      copy, and nothing mutates one in place);
+    - a row's text while the row holds the same object at the same position
+      (the machines, and the user records when the users change);
+    - the history text, extended by the new actions when the history
+      extends the last one digested (a run only appends), and rebuilt from
+      empty on any other history.
+    Each kept text is the join of the per-object renderings that a fresh
+    cache would make of the same values, so a digest's bytes do not depend
+    on what was digested before it."""
 
     def __init__(self) -> None:
         self._texts: dict[int, tuple[object, str]] = {}
+        self._last: dict[str, tuple] = {}
 
     def __call__(self, obj, render) -> str:
         hit = self._texts.get(id(obj))
@@ -102,23 +120,70 @@ class Renderings:
             hit = self._texts[id(obj)] = (obj, render(obj))
         return hit[1]
 
+    def joined(self, slot: str, container, join) -> str:
+        """`join(container)`, kept while `container` is the object last
+        joined in `slot`."""
+        hit = self._last.get(slot)
+        if hit is None or hit[0] is not container:
+            hit = self._last[slot] = (container, join(container))
+        return hit[1]
+
+    def rows(self, slot: str, objs: tuple, render) -> list[str]:
+        """The rendering of each of `objs`, kept for a position while it
+        holds the object it held in the last call for `slot`."""
+        last, texts = self._last.get(slot, ((), []))
+        if len(last) == len(objs):
+            texts = [t if o is p else self(o, render) for o, p, t in zip(objs, last, texts)]
+        else:
+            texts = [self(o, render) for o in objs]
+        self._last[slot] = (objs, texts)
+        return texts
+
+    def history(self, history: tuple) -> str:
+        """The joined renderings of `history`'s actions."""
+        last, text = self._last.get("history", ((), ""))
+        if history[: len(last)] != last:
+            last, text = (), ""
+        new = ";".join(self(a, render_action) for a in history[len(last) :])
+        if new:
+            text = f"{text};{new}" if text else new
+        self._last["history"] = (history, text)
+        return text
+
+
+def _join_users(users: dict, rendered: Renderings) -> str:
+    uids = sorted(users)
+    texts = rendered.rows("user records", tuple(users[uid] for uid in uids), _render_user)
+    return "|".join(uid + text for uid, text in zip(uids, texts))
+
+
+def _join_pkeys(pkeys: dict) -> str:
+    return ",".join(f"{uid}={pkeys[uid]!r}" for uid in sorted(pkeys))
+
 
 def canonical_state(state: GlobalState, rendered: Renderings) -> str:
-    users = "|".join(
-        uid + rendered(state.users[uid], _render_user) for uid in sorted(state.users)
-    )
-    history = ";".join(rendered(a, render_action) for a in state.history)
-    pkeys = ",".join(f"{uid}={state.pkeys[uid]!r}" for uid in sorted(state.pkeys))
+    users = rendered.joined("users", state.users, lambda users: _join_users(users, rendered))
+    history = rendered.history(state.history)
+    pkeys = rendered.joined("pkeys", state.pkeys, _join_pkeys)
     return f"users:{users}\nhistory:{history}\npkeys:{pkeys}"
 
 
 def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings) -> str:
     """Digest of a run node: the global state, every machine and the inbox.
-    `rendered` holds the renderings made for the run's earlier nodes."""
+
+    `rendered` holds what the run's earlier digests rendered, so a digest
+    renders only what its step changed: the new actions, a replaced user
+    record, machine or inbox entry, and the join of a replaced container.
+    What it reuses is text the same values render to, so the digest is the
+    one a fresh `Renderings` gives."""
     body = canonical_state(state, rendered)
-    body += "\nmachines:" + "|".join(rendered(m, _render_machine) for m in machines)
-    body += "\ninbox:" + ",".join(
-        f"{uid}={rendered(taken, _render_consumed)}" for uid, taken in inbox.consumed
+    body += "\nmachines:" + "|".join(rendered.rows("machines", machines, _render_machine))
+    body += "\ninbox:" + rendered.joined(
+        "inbox",
+        inbox,
+        lambda inbox: ",".join(
+            f"{uid}={rendered(taken, _render_consumed)}" for uid, taken in inbox.consumed
+        ),
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
 

@@ -1,7 +1,9 @@
 """Shared test paths.  Tests reference scenario and golden files relative to
 the repository root, so anchor them to this file's location."""
 
+import importlib.util
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -11,3 +13,14 @@ TAMPERED = ROOT / "tests" / "tampered"
 
 def scenario(name: str) -> str:
     return str(SCENARIOS / f"{name}.scn")
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, loaded from its file (perfbench/ is a
+    directory of scripts, not a package)."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module

@@ -2,22 +2,12 @@
 that no longer resolves would drop its metrics with only a note."""
 
 import importlib
-import importlib.util
 
 import pytest
 
-from conftest import ROOT
+from conftest import perfbench_module
 
-
-def _tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACER = _tracer()
+TRACER = perfbench_module("tracer")
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,53 @@ def test_lemma_suite_catches_shrinking_knowledge(honest_ns):
     assert failing and failing[0].name == "dyn-inv"
 
 
+# The per-transition sweeps skip a user record that is the same object in
+# both states; a replaced record is checked in full, even when it is equal.
+BYSTANDER_CHANGES = {
+    "equal-copy": (lambda u, sid: {}, set()),
+    "complete-reset": (
+        lambda u, sid: {"complete": {**u.complete, sid: False}},
+        {"complete-monotone", "guarantee-no-mods-to-others"},
+    ),
+    "partner-rebound": (
+        lambda u, sid: {"int_partner": {**u.int_partner, sid: "Z"}},
+        {"guarantee-no-mods-to-others"},
+    ),
+    "knows-shrunk": (
+        lambda u, sid: {"knows": {**u.knows, sid: frozenset()}},
+        {"dyn-inv", "guarantee-no-mods-to-others"},
+    ),
+    "conforms-flipped": (
+        lambda u, sid: {"conforms": False},
+        {"dyn-inv", "guarantee-no-mods-to-others"},
+    ),
+}
+
+
+@pytest.mark.parametrize("change", sorted(BYSTANDER_CHANGES))
+def test_a_replaced_bystander_record_is_checked(change):
+    run = execute_scripted(parse_scenario(nsl_pairs(2)))
+    states = run.checkable_states()
+    # a step before the last that leaves another user's completed session untouched
+    k, uid, user, sid, owner, sess = next(
+        (k, uid, user, sid, sess.split("#")[0], sess)
+        for k, (_, sess, b, a) in enumerate(run.transitions(), start=1)
+        for uid, user in sorted(b.users.items())
+        for sid, done in user.complete.items()
+        if done and uid != sess.split("#")[0] and a.users[uid] is user
+    )
+    assert k < len(run.events) and user.conforms
+    changes, failing = BYSTANDER_CHANGES[change]
+    states[k] = replace(states[k], users={**states[k].users, uid: replace(user, **changes(user, sid))})
+    assert states[k].users[uid] is not user
+    assert dyn_inv(states[k - 1], states[k]).holds == ("dyn-inv" not in failing)
+    assert check_no_mods_to_others(states[k - 1], states[k], {owner}, sess) == (
+        "guarantee-no-mods-to-others" not in failing
+    )
+    run.checkable_states = lambda: list(states)
+    assert {r.name for r in check_lemma_suite(run) if not r.holds} == failing
+
+
 def test_abort_exclusivity_recorded(lowe_nsl):
     reports = {r.name: r for r in check_lemma_suite(lowe_nsl)}
     assert reports["abort-never-completes"].holds

@@ -1,0 +1,138 @@
+"""Node digests: the renderings a run shares between its digests must give
+the digest a fresh cache gives, in any order of configurations, and a
+long run's digests must cost what each event changed."""
+
+import hashlib
+import io
+from dataclasses import replace
+
+import pytest
+
+import protolab.trace as trace
+from protolab.cli import main
+from protolab.model import Invent, Nonce
+from protolab.roles import can_fire
+from protolab.runner import TraceRun, apply_entry, build_execution, execute_scripted
+from protolab.scenario import load_scenario, parse_scenario
+from protolab.trace import Renderings, node_digest
+
+from conftest import perfbench_module, scenario
+
+# The benchmark's audit-long input: 24 intruder-free NSL pairs, 264 events.
+AUDIT = perfbench_module("workloads").audit_scenario(1)
+AUDIT_EVENTS = 264
+
+
+def load(name):
+    return parse_scenario(AUDIT) if name == "audit" else load_scenario(scenario(name))
+
+
+def fresh_digest(config):
+    return node_digest(config.state, config.machines, config.inbox, Renderings())
+
+
+def scripted_configs(monkeypatch, sc):
+    """A scripted run and the configuration after each of its events."""
+    configs = []
+    real_step = TraceRun.step
+
+    def recording_step(self, entry):
+        real_step(self, entry)
+        configs.append(self.config)
+
+    monkeypatch.setattr(TraceRun, "step", recording_step)
+    run = execute_scripted(sc)
+    monkeypatch.setattr(TraceRun, "step", real_step)
+    return run, configs
+
+
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+@pytest.mark.parametrize("name", ["honest-ns", "honest-nsl", "lowe-on-ns", "lowe-on-nsl", "audit"])
+def test_shared_renderings_give_fresh_digests(monkeypatch, name, level):
+    sc = load(name).with_level(level)
+    run, configs = scripted_configs(monkeypatch, sc)
+    assert len(configs) == len(run.events) > 0
+    assert run.init_digest == fresh_digest(build_execution(sc).config)
+    for event, config in zip(run.events, configs):
+        assert event.digest == fresh_digest(config), event.index
+
+
+def test_renderings_fed_out_of_order_give_fresh_digests(monkeypatch):
+    run, configs = scripted_configs(monkeypatch, parse_scenario(AUDIT))
+    initial = build_execution(parse_scenario(AUDIT)).config
+
+    def siblings(config, taken):
+        """The configurations one other enabled machine step away."""
+        enabled = [
+            index
+            for index, machine in enumerate(config.machines)
+            if index != taken and can_fire(machine, config.state, config.inbox, run.medium)
+        ]
+        return [apply_entry(config, ("machine", i, None), run.medium, None) for i in enabled[:2]]
+
+    def last_replaced(config):
+        """The same history length, with a different last action."""
+        history = config.state.history
+        other = Invent("P99", Nonce(999))
+        return replace(config, state=replace(config.state, history=history[:-1] + (other,)))
+
+    first = next(i for i, m in enumerate(initial.machines) if m != configs[0].machines[i])
+    order = [
+        configs[40],
+        configs[20],  # a shorter history after a longer one
+        *siblings(configs[19], None),  # branches beside configs[20]
+        configs[20],
+        last_replaced(configs[20]),
+        configs[20],
+        *siblings(initial, first),  # beside the first event's history
+        configs[-1],
+        initial,
+        configs[0],
+        last_replaced(configs[-1]),
+        configs[-1],
+    ]
+    shared = Renderings()
+    for pos, config in enumerate(order):
+        digest = node_digest(config.state, config.machines, config.inbox, shared)
+        assert digest == fresh_digest(config), pos
+
+
+def test_digests_render_each_appended_action_at_most_twice(monkeypatch):
+    # one lookup for the digest that first covers the action, one for the
+    # event's `act` text: re-joining the history at every event would make
+    # the count grow with the square of the run's length
+    lookups = 0
+    real_call = Renderings.__call__
+
+    def counting(self, obj, render):
+        nonlocal lookups
+        lookups += render is trace.render_action
+        return real_call(self, obj, render)
+
+    monkeypatch.setattr(Renderings, "__call__", counting)
+    for level in ("abstract", "concrete"):
+        lookups = 0
+        run = execute_scripted(parse_scenario(AUDIT).with_level(level))
+        assert len(run.events) == AUDIT_EVENTS
+        appended = len(run.final_state.history)
+        assert 0 < lookups <= 2 * appended, (level, lookups, appended)
+
+
+# sha256 of `run --spec all --level L --trace-out` on the audit scenario,
+# recorded before node digests kept renderings between events
+LONG_TRACE_SHA256 = {
+    "abstract": "e1fde16fffd2b91ac1f380b1a7d2d910e7bd5ce04f9085b715dd5730f8447ff5",
+    "concrete": "c5b0e4617cd3d9125d6d4ef010a5164c67f4c32eb40a45081a0ebfbaca9c7ede",
+}
+
+
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+def test_long_trace_bytes_are_pinned(tmp_path, level):
+    scn, trc = tmp_path / "audit.scn", tmp_path / "audit.trc"
+    scn.write_text(AUDIT, encoding="utf-8")
+    argv = ["run", str(scn), "--spec", "all", "--level", level, "--trace-out", str(trc)]
+    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    assert hashlib.sha256(trc.read_bytes()).hexdigest() == LONG_TRACE_SHA256[level]
+    out = io.StringIO()
+    assert main(["replay", str(trc)], out=out, err=io.StringIO()) == 0
+    assert out.getvalue() == f"replay ok: {AUDIT_EVENTS} events verified\n"
