@@ -19,7 +19,6 @@ from .model import (
     Invent,
     Item,
     Msg,
-    MsgView,
     Nonce,
     UserState,
     append_action,

@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .crypto import check_refinement
-from .runner import execute_schedule, execute_scripted, replay_doc, schedule_from_doc
+from .runner import apply_entry, build_execution, check_refinement, execute_scripted, replay_doc
 from .scenario import ScenarioError, load_scenario
 from .search import explore
 from .specs import SPEC_CHOICES, SPEC_INV, evaluate_run_specs, resolve_spec_names
@@ -97,7 +96,7 @@ def cmd_replay(args, out, err) -> int:
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
             doc = parse_trace(handle.read())
-        divergence, run = replay_doc(doc)
+        divergence, run, schedule = replay_doc(doc)
         if divergence is not None:
             out.write(f"replay diverged at event {divergence}\n")
             return EXIT_VIOLATION
@@ -116,10 +115,13 @@ def cmd_replay(args, out, err) -> int:
             out.write(f"replay verdict mismatch for {spec}\n")
             return EXIT_VIOLATION
     if doc.level == "concrete":
-        # the wire run must project onto its recipient-field twin exactly
-        schedule = schedule_from_doc(doc, run.scenario)
-        twin = execute_schedule(run.scenario.with_level("abstract"), schedule)
-        refinement = check_refinement(run, twin)
+        # the wire run must project onto its recipient-field twin exactly;
+        # the twin is only its final state, so it records no events
+        twin = build_execution(run.scenario.with_level("abstract"))
+        config = twin.config
+        for entry in schedule:
+            config = apply_entry(config, entry, twin.medium, twin.intruder)
+        refinement = check_refinement(run, config.state)
         if not refinement.holds:
             out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")
             return EXIT_VIOLATION

@@ -8,6 +8,9 @@ originator is retained for checking only.
 
 Equality of sealed terms is structural, so an observer can recognise a
 replayed ciphertext without being able to open it.
+
+`abstract_of` projects a wire history to the recipient-field model;
+`runner.check_refinement` compares a projected run with its twin.
 """
 
 from __future__ import annotations
@@ -164,23 +167,3 @@ class ConcreteMedium:
     def replay_action(self, action, me: Uid):
         return WireMsg(body=action.body, ghost_sender=me)
 
-
-def check_refinement(concrete_run, abstract_run):
-    """Check that a wire-level run projects exactly onto its recipient-field
-    twin, the same schedule executed at the abstract level: identical
-    histories and identical user records.  Recipient-only readability of the
-    projected states is a run obligation (`specs.check_lemma_suite`)."""
-    from .specs import SpecVerdict
-
-    projected = concrete_run.checkable_states()[-1]
-    if projected.history != abstract_run.final_state.history:
-        return SpecVerdict(
-            spec="refinement",
-            holds=False,
-            detail="projected wire history differs from the recipient-field history",
-        )
-    if projected.users != abstract_run.final_state.users:
-        return SpecVerdict(
-            spec="refinement", holds=False, detail="final user records differ across levels"
-        )
-    return SpecVerdict(spec="refinement", holds=True)

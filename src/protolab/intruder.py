@@ -23,10 +23,10 @@ from .model import (
     Uid,
     add_knows,
     append_action,
+    append_invention,
     is_nonce,
     is_uid,
     item_key,
-    next_nonce,
     render_item,
 )
 from .roles import ABSTRACT, IllegalMove, kinds_match
@@ -150,8 +150,7 @@ def apply_move(
     an item the intruder cannot derive."""
     known = set(closure(state, me, medium).known_items)
     if isinstance(move, InventNonce):
-        nonce = next_nonce(state)
-        state = append_action(state, Invent(me, nonce))
+        state, nonce = append_invention(state, me)
         known.add(nonce)
     elif isinstance(move, Compose):
         for item in move.content:

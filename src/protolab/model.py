@@ -62,14 +62,6 @@ def render_content(content: Sequence[Item]) -> str:
 
 
 @dataclass(frozen=True)
-class MsgView:
-    """A message as role code may see it: recipient and content, no sender."""
-
-    rec: Uid
-    content: tuple[Item, ...]
-
-
-@dataclass(frozen=True)
 class Msg:
     rec: Uid
     sender: Uid  # ghost: true originator, invisible to role code
@@ -78,9 +70,6 @@ class Msg:
     def __post_init__(self) -> None:
         if not self.content:
             raise ValueError("message content must be non-empty")
-
-    def view(self) -> MsgView:
-        return MsgView(self.rec, self.content)
 
 
 @dataclass(frozen=True)
@@ -189,14 +178,17 @@ def set_complete(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
     return _with_user(state, uid, replace(u, complete=complete))
 
 
-def next_nonce(state: GlobalState) -> Nonce:
-    """Next fresh nonce: one past the highest index in the history, so it is
-    fresh by construction even on hand-written histories.  Deriving the
+def append_invention(state: GlobalState, user: Uid) -> tuple[GlobalState, Nonce]:
+    """Extend the history by `user`'s invention of the next fresh nonce, and
+    return the new state and the nonce.  The nonce is one past the highest
+    index in the history, so it is fresh by construction even on
+    hand-written histories, and the history is scanned once.  Deriving the
     counter from the history keeps branching explorations deterministic
     without a shared mutable context.
     """
     highest = max((n.ix for n in _nonces_in_history(state.history)), default=0)
-    return Nonce(highest + 1)
+    nonce = Nonce(highest + 1)
+    return replace(state, history=state.history + (Invent(user, nonce),)), nonce
 
 
 def _nonces_in_history(history: Sequence) -> set[Nonce]:

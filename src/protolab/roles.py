@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .model import (
     GlobalState,
-    Invent,
     Item,
     Msg,
     Nonce,
@@ -36,9 +35,9 @@ from .model import (
     Uid,
     add_knows,
     append_action,
+    append_invention,
     is_nonce,
     is_uid,
-    next_nonce,
     set_complete,
     set_partner,
 )
@@ -317,8 +316,7 @@ def step(
         return machine, state, inbox
 
     if isinstance(stmt, InventStmt):
-        nonce = next_nonce(state)
-        state = append_action(state, Invent(machine.owner, nonce))
+        state, nonce = append_invention(state, machine.owner)
         state = add_knows(state, machine.owner, machine.session, (nonce,))
         machine = _with_locals(machine, {stmt.bind: nonce})
         machine = replace(machine, pc=machine.pc + 1)

@@ -5,7 +5,8 @@ scenario's level (the level chooses the medium), and each `step` applies a
 schedule entry and appends the trace event of that step, the same
 `trace.TraceEvent` that a trace file holds and that replay compares.  A
 wire-level run is projected to the recipient-field model once, by
-`checkable_states`, which the specs and `crypto.check_refinement` read.
+`checkable_states`, which the specs read, and which `check_refinement`
+compares with the final state of the run's recipient-field twin.
 
 One function interprets a schedule entry: `apply_entry` maps a
 configuration (machines, global state, inbox) and an entry to the next
@@ -46,6 +47,7 @@ from .roles import (
     step,
 )
 from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
+from .specs import SpecVerdict
 from .trace import (
     Renderings,
     TraceDoc,
@@ -126,10 +128,6 @@ class TraceRun:
     @property
     def registry(self) -> KeyRegistry | None:
         return self.medium.registry
-
-    @property
-    def digests(self) -> list[str]:
-        return [ev.digest for ev in self.events]
 
     @property
     def final_state(self) -> GlobalState:
@@ -332,9 +330,9 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
     return schedule
 
 
-def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
+def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun, list[ScheduleEntry]]:
     """Re-execute a parsed trace.  Returns (first divergent event index or
-    None, the re-executed run)."""
+    None, the re-executed run, its schedule)."""
     scenario = parse_scenario(doc.scenario_text)
     schedule = schedule_from_doc(doc, scenario)
     try:
@@ -342,8 +340,28 @@ def replay_doc(doc: TraceDoc) -> tuple[int | None, TraceRun]:
     except IllegalMove as exc:
         raise TraceError(f"trace is not executable: {exc}")
     if run.init_digest != doc.init_digest:
-        return 0, run
+        return 0, run, schedule
     for executed, recorded in zip(run.events, doc.events):
         if executed != recorded:
-            return recorded.index, run
-    return None, run
+            return recorded.index, run, schedule
+    return None, run, schedule
+
+
+def check_refinement(run: TraceRun, twin: GlobalState) -> SpecVerdict:
+    """Check that a wire-level run projects exactly onto `twin`, the final
+    state of its recipient-field twin (the run's schedule applied at the
+    abstract level): identical histories and identical user records.
+    Recipient-only readability of the projected states is a run obligation
+    (`specs.check_lemma_suite`)."""
+    projected = run.checkable_states()[-1]
+    if projected.history != twin.history:
+        return SpecVerdict(
+            spec="refinement",
+            holds=False,
+            detail="projected wire history differs from the recipient-field history",
+        )
+    if projected.users != twin.users:
+        return SpecVerdict(
+            spec="refinement", holds=False, detail="final user records differ across levels"
+        )
+    return SpecVerdict(spec="refinement", holds=True)

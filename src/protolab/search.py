@@ -43,8 +43,8 @@ consumed one to just before its receive.
   Between its old and its new place no receive took it, so each receive in
   between chooses among the same candidates less one it did not take; at
   its own receive it is the newest unread match, and it is taken again.  It
-  carries no fresh nonce, so `next_nonce`, and every invention after it,
-  is unchanged.
+  carries no fresh nonce, so the nonce of every invention after it is
+  unchanged.
 - R' is never longer than R, and it ends with the same machines, inboxes
   (up to renumbering) and honest user records.  When R ends quiescent so
   does R': its pending messages are R's less some that nobody could take,
@@ -241,15 +241,6 @@ class _Searcher:
             self._intruder_starts(node)
         )
 
-    def children(self, node: Config):
-        """The unreduced single steps from a node."""
-        return list(self._machine_entries(node)) + [
-            ("intruder", move) for move, _ in self._intruder_moves(node)
-        ]
-
-    def apply(self, node: Config, entry) -> Config:
-        return apply_entry(node, entry, ABSTRACT, self.intruder)
-
     def macro(self, node: Config, start, room: int):
         """The macro-step that begins with the entries of `start`: its last
         machine runs on through its invisible statements, for at most `room`
@@ -261,7 +252,7 @@ class _Searcher:
         entries = iter(start)
         entry = next(entries)
         while True:
-            child = self.apply(node, entry)
+            child = apply_entry(node, entry, ABSTRACT, self.intruder)
             steps.append(entry)
             bad = self.safety_violation(child, node)
             if bad is not None:

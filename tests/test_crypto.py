@@ -14,7 +14,6 @@ from protolab.crypto import (
     UnknownKey,
     WireMsg,
     abstract_of,
-    check_refinement,
     dec,
     enc,
     match,
@@ -33,7 +32,7 @@ from protolab.model import (
     initial_state,
     open_session,
 )
-from protolab.runner import execute_scripted
+from protolab.runner import check_refinement, execute_scripted
 from protolab.scenario import load_scenario
 
 from conftest import scenario
@@ -142,7 +141,7 @@ def test_degenerate_registry_breaks_recipient_only_readability():
 def test_refinement_holds_for_shipped_scenarios(name):
     sc = load_scenario(scenario(name))
     concrete = execute_scripted(sc.with_level("concrete"))
-    verdict = check_refinement(concrete, execute_scripted(sc.with_level("abstract")))
+    verdict = check_refinement(concrete, execute_scripted(sc.with_level("abstract")).final_state)
     assert verdict.holds, verdict.detail
     for state in concrete.checkable_states():
         report = no_read_others(state)
@@ -150,18 +149,16 @@ def test_refinement_holds_for_shipped_scenarios(name):
 
 
 def test_refinement_detects_a_tampered_twin():
-    from dataclasses import replace
-
     sc = load_scenario(scenario('honest-ns'))
     concrete = execute_scripted(sc.with_level("concrete"))
     twin = execute_scripted(sc.with_level("abstract"))
     # the last event is B's finish: same history, but B's session not yet complete
-    unfinished = replace(twin, states=twin.states[:-1])
+    unfinished = twin.states[-2]
     verdict = check_refinement(concrete, unfinished)
     assert not verdict.holds
     assert verdict.detail == "final user records differ across levels"
     # B's reply not yet sent: the histories differ
-    verdict = check_refinement(concrete, replace(twin, states=twin.states[:-6]))
+    verdict = check_refinement(concrete, twin.states[-7])
     assert not verdict.holds
     assert "history differs" in verdict.detail
 

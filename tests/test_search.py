@@ -8,7 +8,8 @@ from itertools import permutations
 import pytest
 
 from protolab.model import Invent, Msg, Nonce, state_key
-from protolab.roles import Status
+from protolab.roles import ABSTRACT, Status
+from protolab.runner import apply_entry
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
 from conftest import GOLDEN, scenario
@@ -147,14 +148,14 @@ def test_layering_mutually_complete_states_satisfy_full_contract(nsl_quiescents)
 def test_state_counts_are_reproducible(ns_cex):
     again = explore(load_scenario(scenario('ns-search')), spec="post-ns")
     assert again.states == ns_cex.states
-    assert again.counterexample.digests == ns_cex.counterexample.digests
+    assert again.counterexample.events == ns_cex.counterexample.events
 
 
 def test_counterexample_replays_to_identical_states(ns_cex):
     from protolab.runner import replay_doc
 
     run = ns_cex.counterexample
-    divergence, replayed = replay_doc(run.to_doc([ns_cex]))
+    divergence, replayed, _ = replay_doc(run.to_doc([ns_cex]))
     assert divergence is None
     assert replayed.final_state == run.final_state  # ghost fields included
 
@@ -218,7 +219,8 @@ def test_ns_search_counters_are_pinned(ns_cex):
     # a change of search strategy may move these only on purpose, and says so
     assert ns_cex.states == 100
     golden = parse_trace((GOLDEN / "lowe-on-ns.trc").read_text())
-    assert ns_cex.counterexample.digests[-1] == golden.events[-1].digest == "112d8965862b"
+    last = ns_cex.counterexample.events[-1]
+    assert last.digest == golden.events[-1].digest == "112d8965862b"
 
 
 def test_nsl_search_counter_is_pinned(nsl_quiescents):
@@ -307,50 +309,82 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
 # ── differential check against iterative deepening ──────────────────────────
 
 
-def reference_explore(sc, spec):
+def children(searcher, node):
+    """The unreduced single steps from a node."""
+    return list(searcher._machine_entries(node)) + [
+        ("intruder", move) for move, _ in searcher._intruder_moves(node)
+    ]
+
+
+def apply(searcher, node, entry):
+    return apply_entry(node, entry, ABSTRACT, searcher.intruder)
+
+
+class ReferenceSearch:
     """Iterative-deepening depth-first search over the same children, checks
     and duplicate keys as `explore`: depth limits 0..max_steps, each pass a
     canonical-order DFS that skips a node already reached at no greater
-    depth.  Returns (violation or None, its schedule, inconclusive)."""
-    searcher = _Searcher(sc, sc.bounds, spec)
-    truncated = False
+    depth.  A pass reads its depth limit and never the step bound, so each
+    pass is made once and serves every step bound."""
 
-    def dfs(node, depth, limit, path, visited):
-        nonlocal truncated
-        kids = searcher.children(node)
-        if not kids:
-            found = searcher.quiescent_violation(node)
-            return None if found is None else ((found, None), list(path))
-        if depth == limit:
-            truncated = True
+    def __init__(self, sc, spec):
+        self.searcher = _Searcher(sc, sc.bounds, spec)
+        self.passes = []  # per depth limit: (violation and schedule or None, truncated)
+
+    def _pass(self, limit):
+        searcher, truncated = self.searcher, False
+
+        def dfs(node, depth, path, visited):
+            nonlocal truncated
+            kids = children(searcher, node)
+            if not kids:
+                found = searcher.quiescent_violation(node)
+                return None if found is None else ((found, None), list(path))
+            if depth == limit:
+                truncated = True
+                return None
+            for entry in kids:
+                child = apply(searcher, node, entry)
+                key = _node_key(child)
+                seen_at = visited.get(key)
+                if seen_at is not None and seen_at <= depth + 1:
+                    continue
+                visited[key] = depth + 1
+                bad = searcher.safety_violation(child, node)
+                if bad is not None:
+                    return (SPEC_INV, bad), path + [entry]
+                path.append(entry)
+                found = dfs(child, depth + 1, path, visited)
+                path.pop()
+                if found is not None:
+                    return found
             return None
-        for entry in kids:
-            child = searcher.apply(node, entry)
-            key = _node_key(child)
-            seen_at = visited.get(key)
-            if seen_at is not None and seen_at <= depth + 1:
-                continue
-            visited[key] = depth + 1
-            bad = searcher.safety_violation(child, node)
-            if bad is not None:
-                return (SPEC_INV, bad), path + [entry]
-            path.append(entry)
-            found = dfs(child, depth + 1, limit, path, visited)
-            path.pop()
-            if found is not None:
-                return found
-        return None
 
-    root = searcher.root
-    bad = searcher.safety_violation(root, None)
-    if bad is not None:
-        return (SPEC_INV, bad), [], False
-    for limit in range(sc.bounds.max_steps + 1):
-        truncated = False
-        found = dfs(root, 0, limit, [], {_node_key(root): 0})
-        if found is not None:
-            return found + (False,)
-    return None, [], truncated and sc.bounds.max_steps > 0
+        root = searcher.root
+        return dfs(root, 0, [], {_node_key(root): 0}), truncated
+
+    def explore(self, max_steps):
+        """Returns (violation or None, its schedule, inconclusive)."""
+        bad = self.searcher.safety_violation(self.searcher.root, None)
+        if bad is not None:
+            return (SPEC_INV, bad), [], False
+        for limit in range(max_steps + 1):
+            if limit == len(self.passes):
+                self.passes.append(self._pass(limit))
+            found, truncated = self.passes[limit]
+            if found is not None:
+                return found + (False,)
+        return None, [], truncated and max_steps > 0
+
+
+REFERENCES = {}  # (scenario name, invents, spec) -> its ReferenceSearch
+
+
+def reference_explore(name, max_steps, invents, spec):
+    key = (name, invents, spec)
+    if key not in REFERENCES:
+        REFERENCES[key] = ReferenceSearch(_bounded(name, 0, invents), spec)
+    return REFERENCES[key].explore(max_steps)
 
 
 INLINE = {"cross-talk": CROSS_TALK, "two-senders": TWO_SENDERS}
@@ -386,7 +420,7 @@ def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spe
     # counterexample is compared by verdict and length, not digest by digest
     sc = _bounded(name, max_steps, invents)
     verdict = explore(sc, spec=spec)
-    violation, schedule, inconclusive = reference_explore(sc, spec)
+    violation, schedule, inconclusive = reference_explore(name, max_steps, invents, spec)
     if (name, max_steps, invents, spec) in DECIDED_ONLY_BY_FUSION:
         assert violation is None and inconclusive
         assert verdict.holds and not verdict.inconclusive
@@ -450,12 +484,12 @@ def reference_outcomes(sc):
     for depth in range(sc.bounds.max_steps + 1):
         seen, next_level = set(), []
         for node in level:
-            kids = searcher.children(node)
+            kids = children(searcher, node)
             if not kids:
                 outcomes.add(outcome(node.state, sc.intruder.user))
             elif depth < sc.bounds.max_steps:
                 for entry in kids:
-                    child = searcher.apply(node, entry)
+                    child = apply(searcher, node, entry)
                     if _node_key(child) not in seen:
                         seen.add(_node_key(child))
                         next_level.append(child)
@@ -532,8 +566,8 @@ def test_every_move_raises_the_progress_measure_by_one():
     for _ in range(sc.bounds.max_steps):
         next_level = []
         for node in level:
-            for entry in searcher.children(node):
-                child = searcher.apply(node, entry)
+            for entry in children(searcher, node):
+                child = apply(searcher, node, entry)
                 assert progress(child, intruder) == progress(node, intruder) + 1, entry
                 moves += 1
                 key = _node_key(child)

@@ -1,13 +1,17 @@
 """Node digests: the renderings a run shares between its digests must give
 the digest a fresh cache gives, in any order of configurations, and a
-long run's digests must cost what each event changed."""
+long run's digests must cost what each event changed.  A long run does
+only the work it needs: one digest per replayed event, one history scan
+per invention."""
 
 import hashlib
 import io
+import sys
 from dataclasses import replace
 
 import pytest
 
+import protolab.model as model
 import protolab.trace as trace
 from protolab.cli import main
 from protolab.model import Invent, Nonce
@@ -136,3 +140,44 @@ def test_long_trace_bytes_are_pinned(tmp_path, level):
     out = io.StringIO()
     assert main(["replay", str(trc)], out=out, err=io.StringIO()) == 0
     assert out.getvalue() == f"replay ok: {AUDIT_EVENTS} events verified\n"
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of `fn` through every binding of it in protolab's
+    modules; returns a function that reads the count."""
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "protolab" or name.startswith("protolab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return lambda: calls
+
+
+def test_a_wire_replay_digests_each_event_once(monkeypatch, tmp_path):
+    # the replayed run digests its initial configuration and each event;
+    # the recipient-field twin is compared by its final state alone, so it
+    # digests only its initial configuration
+    scn, trc = tmp_path / "audit.scn", tmp_path / "audit.trc"
+    scn.write_text(AUDIT, encoding="utf-8")
+    argv = ["run", str(scn), "--level", "concrete", "--trace-out", str(trc)]
+    assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    digests = count_calls(monkeypatch, trace.node_digest)
+    out = io.StringIO()
+    assert main(["replay", str(trc)], out=out, err=io.StringIO()) == 0
+    assert out.getvalue() == f"replay ok: {AUDIT_EVENTS} events verified\n"
+    assert 0 < digests() <= AUDIT_EVENTS + 2
+
+
+def test_each_invention_scans_the_history_once(monkeypatch):
+    scans = count_calls(monkeypatch, model._nonces_in_history)
+    run = execute_scripted(parse_scenario(AUDIT))
+    inventions = sum(isinstance(act, Invent) for act in run.final_state.history)
+    assert inventions == 48
+    assert scans() == inventions
