@@ -6,6 +6,7 @@ per invention."""
 
 import hashlib
 import io
+import re
 import sys
 from dataclasses import replace
 
@@ -14,7 +15,8 @@ import pytest
 import protolab.model as model
 import protolab.trace as trace
 from protolab.cli import main
-from protolab.model import Invent, Nonce
+from protolab.crypto import WireMsg
+from protolab.model import Invent, Msg, Nonce, render_content
 from protolab.roles import can_fire
 from protolab.runner import TraceRun, apply_entry, build_execution, execute_scripted
 from protolab.scenario import load_scenario, parse_scenario
@@ -140,6 +142,40 @@ def test_long_trace_bytes_are_pinned(tmp_path, level):
     out = io.StringIO()
     assert main(["replay", str(trc)], out=out, err=io.StringIO()) == 0
     assert out.getvalue() == f"replay ok: {AUDIT_EVENTS} events verified\n"
+
+
+def observable(action):
+    """What the receiving side could see of an action: no true originator
+    and no sealed payload."""
+    if isinstance(action, Msg):
+        return f"msg(rec={action.rec},{render_content(action.content)})"
+    if isinstance(action, WireMsg):
+        return f"wire(enc({action.body.pk!r}))"
+    return trace.render_action(action)
+
+
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+@pytest.mark.parametrize("name", ["lowe-on-ns", "lowe-on-nsl"])
+def test_no_ghost_prints_the_observable_projection(name, level):
+    # `--no-ghost` output is the ghost-full output with each `act` stripped
+    # of its ghost fields, and what is left is what the recipient can see
+    argv = ["run", scenario(name), "--level", level]
+    full, bare = io.StringIO(), io.StringIO()
+    code = 1 if name == "lowe-on-ns" else 0  # Lowe's attack breaks NS only
+    assert main(argv, out=full, err=io.StringIO()) == code
+    assert main(argv + ["--no-ghost"], out=bare, err=io.StringIO()) == code
+    act = re.compile(r" act=(\S+) ")
+    full_lines, bare_lines = full.getvalue().splitlines(), bare.getvalue().splitlines()
+    assert len(full_lines) == len(bare_lines)
+    for full_line, bare_line in zip(full_lines, bare_lines):
+        assert bare_line == act.sub(
+            lambda m: f" act={trace.strip_ghost(m.group(1))} ", full_line
+        )
+    acts = [m.group(1) for m in map(act.search, bare_lines) if m and m.group(1) != "-"]
+    history = execute_scripted(load(name).with_level(level)).final_state.history
+    assert acts == [observable(action) for action in history]
+    example = "msg(rec=B,[A,n1])" if level == "abstract" else "wire(enc(pk:B))"
+    assert example in acts and "ghost:" not in bare.getvalue()
 
 
 def count_calls(monkeypatch, fn):
