@@ -155,12 +155,7 @@ class TraceRun:
             arg = str(move.index) if isinstance(move, ReplayOpaque) else None
         digest = self.digest()
         history = after.state.history
-        # the digest has rendered every action of the history
-        act = (
-            self.rendered(history[-1], render_action)
-            if len(history) > len(before.state.history)
-            else "-"
-        )
+        act = render_action(history[-1]) if len(history) > len(before.state.history) else "-"
         self.events.append(TraceEvent(len(self.events) + 1, actor, name, arg, act, digest))
         self.states.append(after.state)
 

@@ -150,7 +150,7 @@ from .roles import (
     needs_peer_choice,
 )
 from .runner import Config, apply_entry, build_execution, execute_schedule
-from .scenario import Scenario, ScenarioError, SearchBounds
+from .scenario import Scenario, ScenarioError
 from .specs import (
     SPEC_CHOICES,
     SPEC_INV,
@@ -166,9 +166,8 @@ def _node_key(node: Config) -> tuple:
 
 
 class _Searcher:
-    def __init__(self, scenario: Scenario, bounds: SearchBounds, spec: str, on_quiescent=None):
+    def __init__(self, scenario: Scenario, spec: str, on_quiescent=None):
         self.scenario = scenario
-        self.bounds = bounds
         # `inv` is the safety check, made at every node
         self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
         self.on_quiescent = on_quiescent
@@ -202,9 +201,9 @@ class _Searcher:
         history = node.state.history
         know = closure(node.state, me, ABSTRACT)
         used = sum(1 for a in history if isinstance(a, Invent) and a.user == me)
-        remaining = self.bounds.max_intruder_invents - used
+        remaining = self.scenario.bounds.max_intruder_invents - used
         move_bounds = MoveBounds(
-            max_content=self.bounds.max_content_len, max_invents=max(0, remaining)
+            max_content=self.scenario.bounds.max_content_len, max_invents=max(0, remaining)
         )
         waiting: dict = {}
         for index, machine in enumerate(node.machines):
@@ -328,11 +327,14 @@ class _Searcher:
         spec, live, starts = self.first_reach(self.root)
         if spec is not None:
             return (spec, None), [], 1, False
-        bound, states, truncated = self.bounds.max_steps, 1, False
+        bound, states, truncated = self.scenario.bounds.max_steps, 1, False
+        if live and bound == 0:
+            # the root is cut at the bound with a step left
+            return None, [], states, True
         # bucket entries: (node, link, its macro starts or None to build
         # them); a link is (parent's link, micro entries of the macro), None
         # at the root
-        buckets = {0: [(self.root, None, starts)]} if live and bound > 0 else {}
+        buckets = {0: [(self.root, None, starts)]} if live else {}
         seen: dict[int, set] = {}
         while buckets:
             depth = min(buckets)
@@ -397,14 +399,9 @@ def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int
     return replace(verdict, counterexample=run, states=states)
 
 
-def explore(
-    scenario: Scenario,
-    bounds: SearchBounds | None = None,
-    spec: str = "all",
-    on_quiescent=None,
-) -> SpecVerdict:
-    """Search the interleavings within bounds breadth-first, by macro-steps,
-    and return the first counterexample met or, with none,
+def explore(scenario: Scenario, spec: str = "all", on_quiescent=None) -> SpecVerdict:
+    """Search the interleavings within the scenario's bounds breadth-first,
+    by macro-steps, and return the first counterexample met or, with none,
     holds-within-bounds or inconclusive.  `states` counts the distinct
     macro-boundary nodes reached, the root included."""
     if scenario.intruder.kind == "lowe_script":
@@ -413,8 +410,7 @@ def explore(
         raise ScenarioError("level: exploration runs at the abstract level")
     if spec not in SPEC_CHOICES:
         raise ScenarioError(f"spec: unknown spec {spec!r}")
-    bounds = bounds if bounds is not None else scenario.bounds
-    searcher = _Searcher(scenario, bounds, spec, on_quiescent=on_quiescent)
+    searcher = _Searcher(scenario, spec, on_quiescent=on_quiescent)
     violation, schedule, states, truncated = searcher.run()
     if violation is not None:
         return _counterexample_verdict(scenario, violation, schedule, states)

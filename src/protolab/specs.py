@@ -208,7 +208,16 @@ def _environment_broke_rely(transitions, sessions: set[tuple[Uid, Sid]]) -> bool
     """True when a step taken by some other actor modified the completion
     or partner record of one of the given (user, session) slots.
 
-    `transitions` iterates (actor_id, session, before, after)."""
+    `transitions` iterates (actor_id, session, before, after).
+
+    No step that `runner.apply_entry` takes does that: a role step changes
+    only its own session's records, an intruder move only the intruder's
+    own `knows`, and `guarantee-no-mods-to-others` checks this on every
+    run.  So this is False on every run, replay and counterexample, and
+    only a hand-built transition sets it
+    (`test_environment_modifying_endpoint_records_downgrades_failure`):
+    as defined, a rely-broken classification of failures would classify
+    none."""
     if not transitions:
         return False
     for actor_id, step_session, b, a in transitions:

@@ -44,21 +44,17 @@ class TraceError(Exception):
 # ── canonical rendering ──────────────────────────────────────────────────────
 
 
-def render_action(action, ghost: bool = True) -> str:
+def render_action(action) -> str:
     if isinstance(action, Invent):
         return f"invent({action.user},{action.what!r})"
     if isinstance(action, Msg):
-        if ghost:
-            return f"msg(rec={action.rec},ghost:sender={action.sender},{render_content(action.content)})"
-        return f"msg(rec={action.rec},{render_content(action.content)})"
+        return f"msg(rec={action.rec},ghost:sender={action.sender},{render_content(action.content)})"
     assert isinstance(action, WireMsg)
-    if ghost:
-        payload = render_content(payload_for_trace(action.body))
-        return (
-            f"wire(enc({action.body.pk!r}),ghost:sender={action.ghost_sender},"
-            f"ghost:payload={payload})"
-        )
-    return f"wire(enc({action.body.pk!r}))"
+    payload = render_content(payload_for_trace(action.body))
+    return (
+        f"wire(enc({action.body.pk!r}),ghost:sender={action.ghost_sender},"
+        f"ghost:payload={payload})"
+    )
 
 
 def _render_user(user) -> str:
@@ -87,38 +83,27 @@ def _render_consumed(taken) -> str:
 
 
 class Renderings:
-    """Canonical renderings of the values a run's digests cover, and the
-    joined texts of the run's last digest.
+    """The texts of the values a run's last digest covered, kept per slot
+    while the next digest holds the same objects.
 
-    Each value is rendered once per object.  These values are immutable and
-    a step replaces only what it changes, so an action, a user record, a
-    machine or an inbox entry that outlives a step is the same object, and
-    is rendered once per run.  Each object is held with its text, so its id
-    is not reused while cached.
-
-    The joins are kept for the last digest only, one per slot, so the cache
-    grows with the run's distinct values, not with its states:
+    These values are immutable, and a step replaces only what it changes,
+    so a user record, a machine, an inbox entry or an action that outlives
+    a step is the same object, and its text is reused:
     - a container's text while the container is the same object (the users
       dict, the inbox and the public keys: a step that changes one makes a
       copy, and nothing mutates one in place);
-    - a row's text while the row holds the same object at the same position
-      (the machines, and the user records when the users change);
+    - a row's text while the row is the same object (the machines, and the
+      user records and inbox entries when their container changes);
     - the history text, extended by the new actions when the history
       extends the last one digested (a run only appends), and rebuilt from
       empty on any other history.
-    Each kept text is the join of the per-object renderings that a fresh
-    cache would make of the same values, so a digest's bytes do not depend
-    on what was digested before it."""
+    There is no cache per object: a slot keeps only the objects of the last
+    digest, so a run holds no text of a value its configuration dropped.
+    Each kept text is the text that rendering the same values afresh gives,
+    so a digest's bytes do not depend on what was digested before it."""
 
     def __init__(self) -> None:
-        self._texts: dict[int, tuple[object, str]] = {}
         self._last: dict[str, tuple] = {}
-
-    def __call__(self, obj, render) -> str:
-        hit = self._texts.get(id(obj))
-        if hit is None:
-            hit = self._texts[id(obj)] = (obj, render(obj))
-        return hit[1]
 
     def joined(self, slot: str, container, join) -> str:
         """`join(container)`, kept while `container` is the object last
@@ -129,13 +114,16 @@ class Renderings:
         return hit[1]
 
     def rows(self, slot: str, objs: tuple, render) -> list[str]:
-        """The rendering of each of `objs`, kept for a position while it
-        holds the object it held in the last call for `slot`."""
+        """`render` of each of `objs`, reusing the text of each object that
+        the last call for `slot` rendered: by position while the number of
+        rows is unchanged, else by identity (an entry inserted into the
+        inbox moves the entries after it)."""
         last, texts = self._last.get(slot, ((), []))
         if len(last) == len(objs):
-            texts = [t if o is p else self(o, render) for o, p, t in zip(objs, last, texts)]
+            texts = [t if o is p else render(o) for o, p, t in zip(objs, last, texts)]
         else:
-            texts = [self(o, render) for o in objs]
+            kept = dict(zip(map(id, last), texts))
+            texts = [kept[id(o)] if id(o) in kept else render(o) for o in objs]
         self._last[slot] = (objs, texts)
         return texts
 
@@ -144,7 +132,7 @@ class Renderings:
         last, text = self._last.get("history", ((), ""))
         if history[: len(last)] != last:
             last, text = (), ""
-        new = ";".join(self(a, render_action) for a in history[len(last) :])
+        new = ";".join(map(render_action, history[len(last) :]))
         if new:
             text = f"{text};{new}" if text else new
         self._last["history"] = (history, text)
@@ -168,22 +156,24 @@ def canonical_state(state: GlobalState, rendered: Renderings) -> str:
     return f"users:{users}\nhistory:{history}\npkeys:{pkeys}"
 
 
+def _join_inbox(inbox: Inbox, rendered: Renderings) -> str:
+    entries = tuple(taken for _, taken in inbox.consumed)
+    texts = rendered.rows("inbox entries", entries, _render_consumed)
+    return ",".join(f"{uid}={text}" for (uid, _), text in zip(inbox.consumed, texts))
+
+
 def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings) -> str:
     """Digest of a run node: the global state, every machine and the inbox.
 
-    `rendered` holds what the run's earlier digests rendered, so a digest
-    renders only what its step changed: the new actions, a replaced user
-    record, machine or inbox entry, and the join of a replaced container.
-    What it reuses is text the same values render to, so the digest is the
+    `rendered` holds the texts of the run's last digest, so a digest renders
+    only what its step replaced: the new actions, a replaced user record,
+    machine or inbox entry, and the join of a replaced container.  What it
+    reuses is the text the same objects rendered to, so the digest is the
     one a fresh `Renderings` gives."""
     body = canonical_state(state, rendered)
     body += "\nmachines:" + "|".join(rendered.rows("machines", machines, _render_machine))
     body += "\ninbox:" + rendered.joined(
-        "inbox",
-        inbox,
-        lambda inbox: ",".join(
-            f"{uid}={rendered(taken, _render_consumed)}" for uid, taken in inbox.consumed
-        ),
+        "inbox", inbox, lambda inbox: _join_inbox(inbox, rendered)
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
 

@@ -85,10 +85,21 @@ def test_explore_inconclusive_exits_three():
     assert code == 3
 
 
-def test_explore_zero_steps_trivially_holds():
+def test_explore_zero_steps_with_a_move_left_exits_three():
     code, out, _ = run_cli("explore", str(SCENARIOS / "ns-search.scn"), "--max-steps", "0")
+    assert code == 3
+    assert out == (
+        "states explored: 1\nverdict spec=all holds=false"
+        ' detail="step bound cut branches that still had enabled moves"\n'
+    )
+
+
+def test_explore_zero_steps_with_no_move_left_exits_zero(tmp_path):
+    role_free = tmp_path / "role-free.scn"
+    role_free.write_text("protolab-scenario v1\nuser A conforms=true\nintruder none\n")
+    code, out, _ = run_cli("explore", str(role_free), "--max-steps", "0")
     assert code == 0
-    assert "states explored: 1" in out
+    assert out == "states explored: 1\nverdict spec=all holds=true\n"
 
 
 def test_explore_has_no_workers_flag():

@@ -27,6 +27,13 @@ bounds max_steps=14 max_content_len=2 max_intruder_invents=0 max_sessions_per_us
 level abstract
 """
 
+# No role and no intruder: the root is quiescent.
+ROLE_FREE = """protolab-scenario v1
+user A conforms=true
+intruder none
+level abstract
+"""
+
 # Two NSL initiators at A and one responder at B: the scale-nsl benchmark
 # scenario.
 TWO_SENDERS = """protolab-scenario v1
@@ -167,9 +174,16 @@ def test_counterexample_trace_events_round_trip(ns_cex):
     assert parse_trace(render_trace(run.to_doc([ns_cex]))).events == run.events
 
 
-def test_max_steps_zero_trivially_holds():
+def test_max_steps_zero_is_inconclusive_with_a_move_left():
+    # the root is cut at the bound with a step left, like any node at it
     verdict = explore(load_scenario(scenario('ns-search')).with_max_steps(0))
-    assert verdict.holds
+    assert not verdict.holds and verdict.inconclusive
+    assert verdict.states == 1
+
+
+def test_max_steps_zero_holds_with_no_move_left():
+    verdict = explore(parse_scenario(ROLE_FREE).with_max_steps(0))
+    assert verdict.holds and not verdict.inconclusive
     assert verdict.states == 1
 
 
@@ -324,25 +338,34 @@ class ReferenceSearch:
     """Iterative-deepening depth-first search over the same children, checks
     and duplicate keys as `explore`: depth limits 0..max_steps, each pass a
     canonical-order DFS that skips a node already reached at no greater
-    depth.  A pass reads its depth limit and never the step bound, so each
-    pass is made once and serves every step bound."""
+    depth.  A pass's order and duplicate keys depend on neither the step
+    bound nor the spec; only where it stops does.  So each depth limit is
+    passed once, and the pass serves every step bound and every spec given:
+    it records the first violation of each spec, and stops at a safety
+    violation (which every spec still open takes as its first) or once every
+    spec has one."""
 
-    def __init__(self, sc, spec):
-        self.searcher = _Searcher(sc, sc.bounds, spec)
-        self.passes = []  # per depth limit: (violation and schedule or None, truncated)
+    def __init__(self, sc, specs):
+        self.searchers = {spec: _Searcher(sc, spec) for spec in specs}
+        self.searcher = next(iter(self.searchers.values()))  # children, keys, safety
+        self.passes = []  # per depth limit: ({spec: violation, schedule}, truncated)
 
     def _pass(self, limit):
-        searcher, truncated = self.searcher, False
+        searcher, found, truncated = self.searcher, {}, False
 
         def dfs(node, depth, path, visited):
+            """Whether the pass is done."""
             nonlocal truncated
             kids = children(searcher, node)
             if not kids:
-                found = searcher.quiescent_violation(node)
-                return None if found is None else ((found, None), list(path))
+                for spec, each in self.searchers.items():
+                    violated = None if spec in found else each.quiescent_violation(node)
+                    if violated is not None:
+                        found[spec] = (violated, None), list(path)
+                return len(found) == len(self.searchers)
             if depth == limit:
                 truncated = True
-                return None
+                return False
             for entry in kids:
                 child = apply(searcher, node, entry)
                 key = _node_key(child)
@@ -352,18 +375,21 @@ class ReferenceSearch:
                 visited[key] = depth + 1
                 bad = searcher.safety_violation(child, node)
                 if bad is not None:
-                    return (SPEC_INV, bad), path + [entry]
+                    for spec in self.searchers:
+                        found.setdefault(spec, ((SPEC_INV, bad), path + [entry]))
+                    return True
                 path.append(entry)
-                found = dfs(child, depth + 1, path, visited)
+                done = dfs(child, depth + 1, path, visited)
                 path.pop()
-                if found is not None:
-                    return found
-            return None
+                if done:
+                    return True
+            return False
 
         root = searcher.root
-        return dfs(root, 0, [], {_node_key(root): 0}), truncated
+        dfs(root, 0, [], {_node_key(root): 0})
+        return found, truncated
 
-    def explore(self, max_steps):
+    def explore(self, max_steps, spec):
         """Returns (violation or None, its schedule, inconclusive)."""
         bad = self.searcher.safety_violation(self.searcher.root, None)
         if bad is not None:
@@ -372,19 +398,20 @@ class ReferenceSearch:
             if limit == len(self.passes):
                 self.passes.append(self._pass(limit))
             found, truncated = self.passes[limit]
-            if found is not None:
-                return found + (False,)
-        return None, [], truncated and max_steps > 0
+            if spec in found:
+                return found[spec] + (False,)
+        return None, [], truncated
 
 
-REFERENCES = {}  # (scenario name, invents, spec) -> its ReferenceSearch
+REFERENCES = {}  # (scenario name, invents) -> its ReferenceSearch
 
 
 def reference_explore(name, max_steps, invents, spec):
-    key = (name, invents, spec)
+    key = (name, invents)
     if key not in REFERENCES:
-        REFERENCES[key] = ReferenceSearch(_bounded(name, 0, invents), spec)
-    return REFERENCES[key].explore(max_steps)
+        specs = sorted({s for n, _, i, s in DIFFERENTIAL_CASES if (n, i) == key})
+        REFERENCES[key] = ReferenceSearch(_bounded(name, 0, invents), specs)
+    return REFERENCES[key].explore(max_steps, spec)
 
 
 INLINE = {"cross-talk": CROSS_TALK, "two-senders": TWO_SENDERS}
@@ -479,7 +506,7 @@ def outcome(state, intruder):
 def reference_outcomes(sc):
     """The outcomes of the quiescent nodes within the step bound, by a
     breadth-first pass over single steps."""
-    searcher = _Searcher(sc, sc.bounds, SPEC_INV)
+    searcher = _Searcher(sc, SPEC_INV)
     level, outcomes = [searcher.root], set()
     for depth in range(sc.bounds.max_steps + 1):
         seen, next_level = set(), []
@@ -559,7 +586,7 @@ def test_every_move_raises_the_progress_measure_by_one():
     # all schedules reaching a node have the same length, and a macro of k
     # micro-steps raises the measure by exactly k
     sc = load_scenario(scenario('nsl-search'))
-    searcher = _Searcher(sc, sc.bounds, "all")
+    searcher = _Searcher(sc, "all")
     intruder = sc.intruder.user
     level, reached, moves = [searcher.root], {_node_key(searcher.root)}, 0
     macros, fused = set(), set()

@@ -1,8 +1,9 @@
-"""Node digests: the renderings a run shares between its digests must give
-the digest a fresh cache gives, in any order of configurations, and a
+"""Node digests: the texts a run keeps between its digests must give the
+digest a fresh `Renderings` gives, in any order of configurations, and a
 long run's digests must cost what each event changed.  A long run does
 only the work it needs: one digest per replayed event, one history scan
-per invention."""
+per invention.  `--no-ghost` prints the observable projection of each
+action."""
 
 import hashlib
 import io
@@ -104,24 +105,30 @@ def test_renderings_fed_out_of_order_give_fresh_digests(monkeypatch):
 
 
 def test_digests_render_each_appended_action_at_most_twice(monkeypatch):
-    # one lookup for the digest that first covers the action, one for the
+    # once for the digest that first covers the action, once for the
     # event's `act` text: re-joining the history at every event would make
     # the count grow with the square of the run's length
-    lookups = 0
-    real_call = Renderings.__call__
-
-    def counting(self, obj, render):
-        nonlocal lookups
-        lookups += render is trace.render_action
-        return real_call(self, obj, render)
-
-    monkeypatch.setattr(Renderings, "__call__", counting)
     for level in ("abstract", "concrete"):
-        lookups = 0
+        renders = count_calls(monkeypatch, trace.render_action)
         run = execute_scripted(parse_scenario(AUDIT).with_level(level))
         assert len(run.events) == AUDIT_EVENTS
         appended = len(run.final_state.history)
-        assert 0 < lookups <= 2 * appended, (level, lookups, appended)
+        assert 0 < renders() <= 2 * appended, (level, renders(), appended)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+def test_digests_render_each_replaced_row_once(monkeypatch, level):
+    # a step replaces at most one machine, one user record and one inbox
+    # entry, and only a replaced row is rendered again
+    machines = count_calls(monkeypatch, trace._render_machine)
+    users = count_calls(monkeypatch, trace._render_user)
+    entries = count_calls(monkeypatch, trace._render_consumed)
+    run = execute_scripted(parse_scenario(AUDIT).with_level(level))
+    assert len(run.events) == AUDIT_EVENTS
+    assert 0 < machines() <= len(run.machines) + AUDIT_EVENTS
+    assert 0 < users() <= len(run.initial.users) + AUDIT_EVENTS
+    assert 0 < entries() <= AUDIT_EVENTS  # the inbox starts empty
 
 
 # sha256 of `run --spec all --level L --trace-out` on the audit scenario,
