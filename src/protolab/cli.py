@@ -63,8 +63,7 @@ def cmd_run(args, out, err) -> int:
     if args.trace_out:
         for verdict in verdicts:
             out.write(_verdict_line(verdict) + "\n")
-    failed = any(not v.holds and not v.rely_broken for v in verdicts)
-    return EXIT_VIOLATION if failed else EXIT_OK
+    return EXIT_OK if all(v.holds for v in verdicts) else EXIT_VIOLATION
 
 
 def cmd_explore(args, out, err) -> int:

@@ -166,16 +166,14 @@ def _node_key(node: Config) -> tuple:
 
 
 class _Searcher:
-    def __init__(self, scenario: Scenario, spec: str, on_quiescent=None):
+    def __init__(self, scenario: Scenario, spec: str):
         self.scenario = scenario
         # `inv` is the safety check, made at every node
         self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
-        self.on_quiescent = on_quiescent
         self.universe = scenario.universe()
         run = build_execution(scenario)
         self.intruder = run.intruder
         self.root = run.config
-        self.initial = run.initial
 
     # ── move generation ──────────────────────────────────────────────────
 
@@ -291,15 +289,11 @@ class _Searcher:
         return None
 
     def quiescent_violation(self, node: Config) -> str | None:
-        """The first requested contract that fails from the initial state to
-        this quiescent node, or None.  No transitions are given, so no
-        failure is excused as rely-broken here; the counterexample's verdict,
-        made on the re-executed run, says whether the environment broke the
-        rely."""
-        if self.on_quiescent is not None:
-            self.on_quiescent(node.state)
+        """The first requested contract that fails on this quiescent node's
+        state, or None.  The counterexample's verdict is made again, on the
+        re-executed run's final state, by `evaluate_run_specs`."""
         for spec in self.quiescent_specs:
-            if not contract_verdict(spec, self.initial, node.state).holds:
+            if not contract_verdict(spec, node.state).holds:
                 return spec
         return None
 
@@ -388,8 +382,9 @@ def _schedule(link) -> list:
 
 def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int) -> SpecVerdict:
     """Re-execute a violating schedule and report the violated spec with
-    the verdict `evaluate_run_specs` gives on the recorded run; a safety
-    violation keeps the detail of the invariant that failed."""
+    the verdict `evaluate_run_specs` gives on the recorded run, whose final
+    state is the quiescent node's; a safety violation keeps the detail of
+    the invariant that failed."""
     spec_name, safety_detail = violation
     run = execute_schedule(scenario, schedule)
     if spec_name == SPEC_INV:
@@ -399,7 +394,7 @@ def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int
     return replace(verdict, counterexample=run, states=states)
 
 
-def explore(scenario: Scenario, spec: str = "all", on_quiescent=None) -> SpecVerdict:
+def explore(scenario: Scenario, spec: str = "all") -> SpecVerdict:
     """Search the interleavings within the scenario's bounds breadth-first,
     by macro-steps, and return the first counterexample met or, with none,
     holds-within-bounds or inconclusive.  `states` counts the distinct
@@ -410,7 +405,7 @@ def explore(scenario: Scenario, spec: str = "all", on_quiescent=None) -> SpecVer
         raise ScenarioError("level: exploration runs at the abstract level")
     if spec not in SPEC_CHOICES:
         raise ScenarioError(f"spec: unknown spec {spec!r}")
-    searcher = _Searcher(scenario, spec, on_quiescent=on_quiescent)
+    searcher = _Searcher(scenario, spec)
     violation, schedule, states, truncated = searcher.run()
     if violation is not None:
         return _counterexample_verdict(scenario, violation, schedule, states)

@@ -12,18 +12,16 @@ a state: they do not need to be told who attacked whom.
 
 This module alone decides what a spec name means.  `SPEC_CHOICES` lists
 the names a user may request, `resolve_spec_names` expands one into the
-specs it stands for, `contract_verdict` evaluates one contract between two
-states, and `evaluate_run_specs` gives a finished run's verdicts, `inv`
-being the obligation suite of `check_lemma_suite`.  `run`, `replay` and
-the explorer's counterexamples take their verdicts from
-`evaluate_run_specs`; the explorer's quiescent check calls
-`contract_verdict`.
+specs it stands for, `contract_verdict` evaluates one contract on a state,
+and `evaluate_run_specs` gives a finished run's verdicts, `inv` being the
+obligation suite of `check_lemma_suite`.  `run`, `replay` and the
+explorer's counterexamples take their verdicts from `evaluate_run_specs`;
+the explorer's quiescent check calls `contract_verdict`.
 
-Rely conditions are treated as assumptions about environment steps.  When a
-sweep finds a violated contract and is given the run's transitions, it
-checks whether some environment step modified the pair's own records; if
-so, the failure is downgraded to "environment broke rely" rather than
-charged to the protocol.
+The suite's `guarantee-no-mods-to-others` obligation is the one
+rely-guarantee check: each step changes only its own session's records.  On
+a run whose `inv` holds, no actor changed another's records, so a contract
+failure there is charged to the protocol.
 """
 
 from __future__ import annotations
@@ -52,19 +50,9 @@ class SpecVerdict:
     counterexample: object | None = None
     inconclusive: bool = False
     states: int = 0
-    rely_broken: bool = False
 
 
 # ── Fig-style frame conditions ───────────────────────────────────────────────
-
-
-def check_guar_no_mods(before: GlobalState, after: GlobalState, u: Uid, sess: Sid) -> bool:
-    """u's completion flag and partner binding for `sess` are unchanged."""
-    b, a = before.users[u], after.users[u]
-    return (
-        a.complete.get(sess) == b.complete.get(sess)
-        and a.int_partner.get(sess) == b.int_partner.get(sess)
-    )
 
 
 def check_no_mods_to_others(
@@ -146,39 +134,35 @@ def check_post_ns(
     return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
 
 
-def check_post_ns_all(
-    before: GlobalState, after: GlobalState, transitions=None
-) -> SpecVerdict:
+def check_post_ns_all(state: GlobalState) -> SpecVerdict:
     """Contract sweep: every completed session of a conforming user whose
     recorded partner is also conforming must be half of a pairing that
     satisfies the full contract."""
     violations: list[str] = []
-    affected_sessions: set[tuple[Uid, Sid]] = set()
-    for uid in sorted(after.users):
-        user = after.users[uid]
+    for uid in sorted(state.users):
+        user = state.users[uid]
         if not user.conforms:
             continue
         for sid in sorted(user.complete):
             if not user.complete[sid]:
                 continue
             partner = user.int_partner.get(sid)
-            if partner is None or not after.users[partner].conforms:
+            if partner is None or not state.users[partner].conforms:
                 continue
             back_sessions = [
                 sx
-                for sx in sorted(after.users[partner].complete)
-                if after.users[partner].complete[sx]
-                and after.users[partner].int_partner.get(sx) == uid
+                for sx in sorted(state.users[partner].complete)
+                if state.users[partner].complete[sx]
+                and state.users[partner].int_partner.get(sx) == uid
             ]
             if not back_sessions:
                 violations.append(
                     f"mutual-partner: {uid} session {sid} completed with partner {partner} "
                     f"but {partner} has no completed session with partner {uid}"
                 )
-                affected_sessions.add((uid, sid))
                 nonces = sorted(user.knows.get(sid, frozenset()))
                 for pair in itertools.combinations(nonces, 2):
-                    holders = list(_third_party_holders(after, pair, {uid, partner}))
+                    holders = list(_third_party_holders(state, pair, {uid, partner}))
                     if holders:
                         huid, hsid = holders[0]
                         violations.append(
@@ -189,43 +173,11 @@ def check_post_ns_all(
                         break
                 continue
             if not any(
-                not _post_ns_violations(after, partner, uid, sx, sid) for sx in back_sessions
+                not _post_ns_violations(state, partner, uid, sx, sid) for sx in back_sessions
             ):
-                violations.extend(_post_ns_violations(after, partner, uid, back_sessions[0], sid))
-                affected_sessions.add((uid, sid))
-                affected_sessions.add((partner, back_sessions[0]))
+                violations.extend(_post_ns_violations(state, partner, uid, back_sessions[0], sid))
     violations = list(dict.fromkeys(violations))
-    if not violations:
-        return SpecVerdict(SPEC_POST_NS, holds=True)
-    rely_broken = _environment_broke_rely(transitions, affected_sessions)
-    detail = "; ".join(violations)
-    if rely_broken:
-        detail = "environment broke rely (own records modified by another actor); " + detail
-    return SpecVerdict(SPEC_POST_NS, holds=False, detail=detail, rely_broken=rely_broken)
-
-
-def _environment_broke_rely(transitions, sessions: set[tuple[Uid, Sid]]) -> bool:
-    """True when a step taken by some other actor modified the completion
-    or partner record of one of the given (user, session) slots.
-
-    `transitions` iterates (actor_id, session, before, after).
-
-    No step that `runner.apply_entry` takes does that: a role step changes
-    only its own session's records, an intruder move only the intruder's
-    own `knows`, and `guarantee-no-mods-to-others` checks this on every
-    run.  So this is False on every run, replay and counterexample, and
-    only a hand-built transition sets it
-    (`test_environment_modifying_endpoint_records_downgrades_failure`):
-    as defined, a rely-broken classification of failures would classify
-    none."""
-    if not transitions:
-        return False
-    for actor_id, step_session, b, a in transitions:
-        for uid, sid in sessions:
-            own = step_session == sid and step_session.split("#", 1)[0] == uid
-            if not own and not check_guar_no_mods(b, a, uid, sid):
-                return True
-    return False
+    return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
 
 
 # ── fault-tolerance layer ────────────────────────────────────────────────────
@@ -269,15 +221,15 @@ def check_post_nsl_ft(
     return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
 
 
-def check_nsl_ft_all(before: GlobalState, after: GlobalState, transitions=None) -> SpecVerdict:
+def check_nsl_ft_all(state: GlobalState) -> SpecVerdict:
     violations: list[str] = []
-    for uid in sorted(after.users):
-        user = after.users[uid]
+    for uid in sorted(state.users):
+        user = state.users[uid]
         if not user.conforms:
             continue
         for sid in sorted(user.complete):
             partner = user.int_partner.get(sid)
-            violations.extend(_nsl_ft_violations(after, uid, partner, sid))
+            violations.extend(_nsl_ft_violations(state, uid, partner, sid))
     violations = list(dict.fromkeys(violations))
     return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
 
@@ -385,26 +337,20 @@ def _first_failure(name: str, reports) -> PredicateReport:
     return PredicateReport(name, True)
 
 
-def contract_verdict(
-    name: str, initial: GlobalState, final: GlobalState, transitions=None
-) -> SpecVerdict:
-    """The verdict of contract `name` (`post-ns` or `nsl-ft`) from `initial`
-    to `final`.  Given the run's transitions, a `post-ns` failure that an
-    environment step caused is reported as rely-broken."""
+def contract_verdict(name: str, state: GlobalState) -> SpecVerdict:
+    """The verdict of contract `name` (`post-ns` or `nsl-ft`) on `state`."""
     if name == SPEC_POST_NS:
-        return check_post_ns_all(initial, final, transitions)
+        return check_post_ns_all(state)
     if name == SPEC_NSL_FT:
-        return check_nsl_ft_all(initial, final, transitions)
+        return check_nsl_ft_all(state)
     raise ValueError(f"unknown spec {name!r}")
 
 
 def evaluate_run_specs(run, names) -> list[SpecVerdict]:
     """Evaluate the requested specs over a finished run record: `inv` is the
-    first failing report of `check_lemma_suite`, the contracts are judged
-    from the run's initial to its final state with its transitions."""
-    states = run.checkable_states()
-    initial, final = states[0], states[-1]
-    transitions = list(run.transitions())
+    first failing report of `check_lemma_suite`, the contracts are judged on
+    the run's final state."""
+    final = run.checkable_states()[-1]
     out: list[SpecVerdict] = []
     for name in names:
         if name == SPEC_INV:
@@ -412,7 +358,7 @@ def evaluate_run_specs(run, names) -> list[SpecVerdict]:
             detail = "" if failing is None else f"{failing.name}: {failing.witness}"
             out.append(SpecVerdict(SPEC_INV, holds=failing is None, detail=detail))
         else:
-            out.append(contract_verdict(name, initial, final, transitions))
+            out.append(contract_verdict(name, final))
     return out
 
 

@@ -5,6 +5,10 @@ import importlib.util
 import pathlib
 import sys
 
+import pytest
+
+from protolab.search import _Searcher, explore
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = ROOT / "tests" / "golden"
@@ -24,3 +28,20 @@ def perfbench_module(name: str):
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def explore_with_quiescents(sc, spec):
+    """`explore(sc, spec)` and the state of every quiescent node it checked,
+    in the order it checked them.  The patch is undone on return, so this
+    works in fixtures of any scope."""
+    collected = []
+    check = _Searcher.quiescent_violation
+
+    def recording(searcher, node):
+        collected.append(node.state)
+        return check(searcher, node)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Searcher, "quiescent_violation", recording)
+        verdict = explore(sc, spec=spec)
+    return verdict, collected

@@ -22,7 +22,7 @@ from protolab.specs import (
     check_post_nsl_ft,
 )
 
-from conftest import GOLDEN, SCENARIOS
+from conftest import GOLDEN, SCENARIOS, explore_with_quiescents
 
 
 def run_cli(*argv):
@@ -53,11 +53,9 @@ def ns_search_verdict():
 
 @pytest.fixture(scope="module")
 def nsl_search_result():
-    collected = []
     start = time.monotonic()
-    verdict = explore(
-        load_scenario(SCENARIOS / "nsl-search.scn"), spec="all", on_quiescent=collected.append
-    )
+    scenario = load_scenario(SCENARIOS / "nsl-search.scn")
+    verdict, collected = explore_with_quiescents(scenario, "all")
     return verdict, time.monotonic() - start, collected
 
 
@@ -94,7 +92,7 @@ def test_criterion_1_honest_ns(runs, tmp_path):
         and len(invents) == 2
         and shapes == [("B", ("A", "x1")), ("A", ("x1", "x2")), ("B", ("x2",))]
         and pair.holds
-        and check_post_ns_all(run.initial, final).holds
+        and check_post_ns_all(final).holds
         and elapsed < 1.0
     )
     report("1 honest-ns shape + full contract incl. secrecy", ok)
@@ -108,7 +106,7 @@ def test_criterion_2_attack_reproduction(runs, tmp_path):
     run = runs["lowe-on-ns"]
     final = run.final_state
     shapes = message_shapes(final.history)
-    verdict = check_post_ns_all(run.initial, final)
+    verdict = check_post_ns_all(final)
     ok = (
         code == 1
         and shapes
@@ -197,10 +195,7 @@ def test_criterion_5_invariant_suite(runs, ns_search_verdict):
 
 
 def test_criterion_6_layering(nsl_search_result):
-    from protolab.runner import build_execution
-
     verdict, _, collected = nsl_search_result
-    initial = build_execution(load_scenario(SCENARIOS / "nsl-search.scn")).initial
     seen, mutual, violations = set(), 0, 0
     for state in collected:
         key = state_key(state)
@@ -217,7 +212,7 @@ def test_criterion_6_layering(nsl_search_result):
         )
         if has_pair:
             mutual += 1
-            if not check_post_ns_all(initial, state).holds:
+            if not check_post_ns_all(state).holds:
                 violations += 1
     report("6 layered contract holds at every mutually-complete quiescent state",
            verdict.holds and mutual > 0 and violations == 0)

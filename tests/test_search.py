@@ -6,15 +6,18 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from protolab.invariants import dyn_inv
 from protolab.model import Invent, Msg, Nonce, state_key
 from protolab.roles import ABSTRACT, Status
 from protolab.runner import apply_entry
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
-from conftest import GOLDEN, scenario
+from conftest import GOLDEN, explore_with_quiescents, scenario
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
-from protolab.specs import SPEC_INV, check_post_ns_all
+from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all
 from protolab.trace import parse_trace, render_trace
 
 HONEST_SEARCH = """protolab-scenario v1
@@ -71,11 +74,7 @@ def ns_cex():
 
 @pytest.fixture(scope="module")
 def nsl_quiescents():
-    collected = []
-    verdict = explore(
-        load_scenario(scenario('nsl-search')), spec="all", on_quiescent=collected.append
-    )
-    return verdict, collected
+    return explore_with_quiescents(load_scenario(scenario('nsl-search')), "all")
 
 
 def message_shapes(history):
@@ -117,7 +116,7 @@ def test_ns_search_finds_the_classic_interception(ns_cex):
 
 def test_ns_counterexample_witnesses_are_checkable(ns_cex):
     run = ns_cex.counterexample
-    verdict = check_post_ns_all(run.initial, run.final_state)
+    verdict = check_post_ns_all(run.final_state)
     assert not verdict.holds
 
 
@@ -128,10 +127,7 @@ def test_nsl_search_holds_within_bounds(nsl_quiescents):
 
 
 def test_layering_mutually_complete_states_satisfy_full_contract(nsl_quiescents):
-    from protolab.runner import build_execution
-
     verdict, collected = nsl_quiescents
-    initial = build_execution(load_scenario(scenario('nsl-search'))).initial
     seen = set()
     mutual = 0
     for state in collected:
@@ -148,7 +144,7 @@ def test_layering_mutually_complete_states_satisfy_full_contract(nsl_quiescents)
         )
         if has_conforming_pair:
             mutual += 1
-            assert check_post_ns_all(initial, state).holds
+            assert check_post_ns_all(state).holds
     assert mutual > 0
 
 
@@ -280,9 +276,7 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
     sc = load_scenario(scenario(name))
     verdict = explore(replace(sc, bounds=replace(sc.bounds, **bounds)), spec=spec)
     violated, states, events, detail = expected
-    assert (verdict.spec, verdict.holds, verdict.inconclusive, verdict.rely_broken) == (
-        violated, False, False, False
-    )
+    assert (verdict.spec, verdict.holds, verdict.inconclusive) == (violated, False, False)
     assert verdict.states == states
     assert len(verdict.counterexample.events) == events
     assert verdict.detail.startswith(detail)
@@ -307,9 +301,7 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
 
     verdict = explore(parse_scenario(text).with_max_steps(max_steps), spec="all")
     violated, states, events = expected
-    assert (verdict.spec, verdict.holds, verdict.inconclusive, verdict.rely_broken) == (
-        violated, False, False, False
-    )
+    assert (verdict.spec, verdict.holds, verdict.inconclusive) == (violated, False, False)
     assert verdict.states == states
     assert len(verdict.counterexample.events) == events
     assert verdict.detail.startswith("mutual-partner: A session A#1 completed with partner B")
@@ -459,8 +451,8 @@ def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spe
         assert verdict.counterexample is None
         return
     expected = _counterexample_verdict(sc, violation, schedule, verdict.states)
-    got = (verdict.spec, verdict.holds, verdict.inconclusive, verdict.detail, verdict.rely_broken)
-    assert got == (expected.spec, False, False, expected.detail, expected.rely_broken)
+    got = (verdict.spec, verdict.holds, verdict.inconclusive, verdict.detail)
+    assert got == (expected.spec, False, False, expected.detail)
     assert len(verdict.counterexample.events) == len(expected.counterexample.events)
 
 
@@ -529,8 +521,7 @@ def reference_outcomes(sc):
 )
 def test_quiescent_outcomes_match_the_unreduced_search(name, max_steps):
     sc = _bounded(name, max_steps)
-    collected = []
-    explore(sc, spec=SPEC_INV, on_quiescent=collected.append)
+    _, collected = explore_with_quiescents(sc, SPEC_INV)
     got = {outcome(state, sc.intruder.user) for state in collected}
     assert got and got == reference_outcomes(sc)
 
@@ -614,3 +605,34 @@ def test_every_move_raises_the_progress_measure_by_one():
         level = next_level
     assert len(reached) == 165 and moves > len(reached)
     assert macros == {1, 2, 3} and fused == {2, 3}
+
+
+# ── the guarantee every step keeps ──────────────────────────────────────────
+
+# (scenario, intruder inventions): role steps, and intruder compositions,
+# replays and inventions
+WALKS = [("ns-search", 1), ("nsl-search", 0), ("two-senders", 0), ("cross-talk", 0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk=st.sampled_from(WALKS), choices=st.lists(st.integers(0, 10**6), max_size=22))
+def test_every_step_changes_only_its_own_session(walk, choices):
+    # the rely-guarantee check is `guarantee-no-mods-to-others`: each step,
+    # a role's or the intruder's, changes only the records of its own session
+    name, invents = walk
+    searcher = _Searcher(_bounded(name, len(choices), invents), SPEC_INV)
+    node = searcher.root
+    for choice in choices:
+        kids = children(searcher, node)
+        if not kids:
+            break
+        entry = kids[choice % len(kids)]
+        if entry[0] == "machine":
+            machine = node.machines[entry[1]]
+            owner, session = machine.owner, machine.session
+        else:
+            owner, session = searcher.intruder
+        child = apply(searcher, node, entry)
+        assert check_no_mods_to_others(node.state, child.state, {owner}, session), entry
+        assert dyn_inv(node.state, child.state).holds, entry
+        node = child

@@ -1,5 +1,6 @@
-"""Contract checkers: frame conditions, the full-functionality contract, the
-fault-tolerance layer, rely downgrading, and the trace-wide obligation suite."""
+"""Contract checkers: the frame condition, the full-functionality contract,
+the fault-tolerance layer, and the trace-wide obligation suite, whose
+`guarantee-no-mods-to-others` obligation is the rely-guarantee check."""
 
 from dataclasses import replace
 
@@ -28,7 +29,6 @@ from protolab.scenario import load_scenario, parse_scenario
 from conftest import scenario
 from protolab.specs import (
     PreconditionUnmet,
-    check_guar_no_mods,
     check_lemma_suite,
     check_no_mods_to_others,
     check_nsl_ft_all,
@@ -69,7 +69,6 @@ def bare(*uids, conforms=None):
 
 def test_frame_conditions_reflexive():
     state = bare("A", "B")
-    assert check_guar_no_mods(state, state, "A", "A#1")
     assert check_no_mods_to_others(state, state, {"A", "B"}, "A#1")
 
 
@@ -77,7 +76,6 @@ def test_receiver_binding_modifies_only_its_own_session():
     state = bare("A", "B")
     after = set_partner(state, "B", "B#1", "A")
     assert check_no_mods_to_others(state, after, {"A", "B"}, "B#1")
-    assert not check_guar_no_mods(state, after, "B", "B#1")
 
 
 def test_mutating_a_bystander_breaks_the_frame():
@@ -106,7 +104,7 @@ def test_post_ns_precondition_requires_incomplete_conforming_sessions(honest_ns)
 
 
 def test_post_ns_sweep_reports_both_failures_on_attack_state(lowe_ns):
-    verdict = check_post_ns_all(lowe_ns.initial, lowe_ns.final_state)
+    verdict = check_post_ns_all(lowe_ns.final_state)
     assert not verdict.holds
     assert "mutual-partner" in verdict.detail
     assert "secrecy" in verdict.detail
@@ -126,28 +124,8 @@ def test_post_ns_secrecy_fails_when_third_user_knows_both(honest_ns):
 
 
 def test_post_ns_sweep_holds_for_honest_run(honest_ns):
-    state, run = honest_ns
-    assert check_post_ns_all(run.initial, state).holds
-
-
-# ── rely downgrade ───────────────────────────────────────────────────────────
-
-
-def test_environment_modifying_endpoint_records_downgrades_failure(lowe_ns):
-    # synthetic: pretend some other actor flipped B's completion mid-run
-    before = lowe_ns.initial
-    tampered = set_complete(before, "B", "B#1")
-    transitions = [("intruder@I#1", "I#1", before, tampered)]
-    verdict = check_post_ns_all(before, lowe_ns.final_state, transitions)
-    assert not verdict.holds
-    assert verdict.rely_broken
-    assert "environment broke rely" in verdict.detail
-
-
-def test_real_attack_does_not_break_rely(lowe_ns):
-    verdict = check_post_ns_all(lowe_ns.initial, lowe_ns.final_state, list(lowe_ns.transitions()))
-    assert not verdict.holds
-    assert not verdict.rely_broken
+    state, _ = honest_ns
+    assert check_post_ns_all(state).holds
 
 
 # ── fault-tolerance layer ────────────────────────────────────────────────────
@@ -166,8 +144,8 @@ def test_nsl_ft_fails_on_completed_ns_attack(lowe_ns):
 
 
 def test_nsl_ft_vacuous_for_honest_run(honest_ns):
-    state, run = honest_ns
-    assert check_nsl_ft_all(run.initial, state).holds
+    state, _ = honest_ns
+    assert check_nsl_ft_all(state).holds
 
 
 def test_nsl_ft_precondition(lowe_ns):
@@ -256,6 +234,22 @@ def test_a_replaced_bystander_record_is_checked(change):
     )
     run.checkable_states = lambda: list(states)
     assert {r.name for r in check_lemma_suite(run) if not r.holds} == failing
+
+
+def test_an_intruder_step_that_completes_an_endpoint_breaks_the_guarantee(monkeypatch):
+    # the intruder's first step also sets B#1 complete, which only B's own
+    # steps may do; B#1 stays complete, as it ends up anyway
+    run = execute_scripted(load_scenario(scenario("lowe-on-ns")))
+    states = run.checkable_states()
+    k = next(k for k, ev in enumerate(run.events, start=1) if ev.actor == "intruder@I#1")
+    assert not states[k].users["B"].complete.get("B#1")
+    states[k:] = [set_complete(s, "B", "B#1") for s in states[k:]]
+    monkeypatch.setattr(run, "checkable_states", lambda: list(states))
+    failing = [r for r in check_lemma_suite(run) if not r.holds]
+    assert [(r.name, r.witness) for r in failing] == [(
+        "guarantee-no-mods-to-others",
+        "step by intruder@I#1 modified records outside its own session",
+    )]
 
 
 def test_abort_exclusivity_recorded(lowe_nsl):
