@@ -60,17 +60,20 @@ def unique_nonces(history: Sequence[Action]) -> PredicateReport:
     return _reused({}, history, 0) or _ok("unique-nonces")
 
 
-def _justify(justified: dict[Uid, set], actions: Sequence[Action]) -> None:
+def _justify(justified: dict[Uid, frozenset], actions: Sequence[Action]) -> None:
     """A user's nonces are justified by their own inventions and by the
-    messages addressed to them."""
+    messages addressed to them.  A user's set is replaced, never changed in
+    place, so a copy of `justified` can be extended on its own."""
     for act in actions:
         if isinstance(act, Invent):
-            justified.setdefault(act.user, set()).add(act.what)
+            justified[act.user] = justified.get(act.user, frozenset()) | {act.what}
         elif isinstance(act, Msg):
-            justified.setdefault(act.rec, set()).update(i for i in act.content if is_nonce(i))
+            nonces = {i for i in act.content if is_nonce(i)}
+            if nonces:
+                justified[act.rec] = justified.get(act.rec, frozenset()) | nonces
 
 
-def _unread(users: dict, justified: dict[Uid, set], passed: dict) -> PredicateReport | None:
+def _unread(users: dict, justified: dict[Uid, frozenset], passed: dict) -> PredicateReport | None:
     """The no-read-others failure of the first user (by name) knowing an
     unjustified nonce; a user record in `passed` already held."""
     for uid in sorted(users):
@@ -78,7 +81,7 @@ def _unread(users: dict, justified: dict[Uid, set], passed: dict) -> PredicateRe
         if passed.get(uid) is user:
             continue
         known = set().union(*user.knows.values()) if user.knows else set()
-        unjustified = known - justified.get(uid, set())
+        unjustified = known - justified.get(uid, frozenset())
         if unjustified:
             return _fail("no-read-others", f"user {uid} knows unjustified {min(unjustified)!r}")
     return None
@@ -87,7 +90,7 @@ def _unread(users: dict, justified: dict[Uid, set], passed: dict) -> PredicateRe
 def no_read_others(state: GlobalState) -> PredicateReport:
     """Every nonce a user knows is justified by an invention of their own or
     by a message addressed to them that carried it."""
-    justified: dict[Uid, set] = {}
+    justified: dict[Uid, frozenset] = {}
     _justify(justified, state.history)
     return _unread(state.users, justified, {}) or _ok("no-read-others")
 
@@ -214,7 +217,9 @@ class Audit:
     only the new actions are checked, against facts carried forward: the
     nonces invented so far, each user's justified nonces, and each
     conforming user's `_Ledger`.  Readability is re-checked only for user
-    records that changed.  Any other state is rescanned from empty.
+    records that changed.  Any other state is rescanned from empty.  The
+    search carries the same facts of nonce freshness and readability along
+    its links, through the same helpers (`search._Searcher.safety_violation`).
 
     Each predicate keeps the failure of the first state where it fails, or
     None: `unique` (unique-nonces), `unread` (no-read-others), `honest`
@@ -232,7 +237,7 @@ class Audit:
         self.users: dict = {}
         self.conforms: dict | None = None
         self.invented: dict = {}
-        self.justified: dict[Uid, set] = {}
+        self.justified: dict[Uid, frozenset] = {}
         self.ledgers: dict[Uid, _Ledger] = {}
 
     def step(self, state: GlobalState) -> None:

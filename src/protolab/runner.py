@@ -55,7 +55,6 @@ from .trace import (
     TraceEvent,
     node_digest,
     parse_message_text,
-    render_action,
 )
 
 MAX_EVENTS_VALVE = 10_000
@@ -154,8 +153,8 @@ class TraceRun:
             actor, name = f"intruder@{self.intruder[1]}", _INTRUDER_STMT[type(move)]
             arg = str(move.index) if isinstance(move, ReplayOpaque) else None
         digest = self.digest()
-        history = after.state.history
-        act = render_action(history[-1]) if len(history) > len(before.state.history) else "-"
+        appended = len(after.state.history) > len(before.state.history)
+        act = self.rendered.last_action() if appended else "-"
         self.events.append(TraceEvent(len(self.events) + 1, actor, name, arg, act, digest))
         self.states.append(after.state)
 

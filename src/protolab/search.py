@@ -91,10 +91,17 @@ ends when no bucket is left.  A macro that would pass `max_steps` is cut
 there, and since the node where it is cut still has a step of the macro
 enabled, the search is then truncated.
 
-Every micro state is checked against the safety invariants (transition
-invariant against its own parent, state invariant).  Only the nodes at a
-macro boundary are keyed, counted in `states`, and checked once, when
-first reached:
+Every micro state is checked against the safety invariants: the
+transition invariant against its own parent, then, with an intruder in
+play, nonce freshness and recipient-only readability for what its step
+added, against facts carried along the links (the nonces invented so far,
+with their positions, and each user's justified nonces), and with none the
+whole state invariant (`_Searcher.safety_violation`).  The check of what a
+step added equals a rescan of the whole state: the parent held, so a
+reused nonce is first met among the new actions, and a user record the
+parent held is still justified, since justified sets only grow along a
+path.  Only the nodes at a macro boundary are keyed, counted in `states`,
+and checked once, when first reached:
 
 1. whether any move is enabled: machine moves first, then intruder moves,
    stopping at the first one found (the intruder's macros built to decide
@@ -135,7 +142,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
-from .invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
+from .invariants import _justify, _reused, _unread, dyn_inv, inv_sigma
 from .model import Invent, Msg, state_key
 from .roles import (
     ABSTRACT,
@@ -238,55 +245,70 @@ class _Searcher:
             self._intruder_starts(node)
         )
 
-    def macro(self, node: Config, start, room: int):
+    def macro(self, node: Config, facts, start, room: int):
         """The macro-step that begins with the entries of `start`: its last
         machine runs on through its invisible statements, for at most `room`
         micro-steps in all.  Each micro state is checked against the safety
-        invariants with its own parent.  Returns (the micro entries taken,
-        the node reached, the safety detail or None, whether the macro was
-        cut at `room` with a step of it left)."""
+        invariants with its own parent, from the facts `node` carries.
+        Returns (the micro entries taken, the node reached, its facts, the
+        safety detail or None, whether the macro was cut at `room` with a
+        step of it left)."""
         steps = []
         entries = iter(start)
         entry = next(entries)
         while True:
             child = apply_entry(node, entry, ABSTRACT, self.intruder)
             steps.append(entry)
-            bad = self.safety_violation(child, node)
+            bad, facts = self.safety_violation(child, node, facts)
             if bad is not None:
-                return steps, child, bad, False
+                return steps, child, facts, bad, False
             following = next(entries, None)
             if following is None:
                 if entry[0] != "machine" or not _runs_on(
                     node.machines[entry[1]], child.machines[entry[1]]
                 ):
-                    return steps, child, None, False
+                    return steps, child, facts, None, False
                 following = ("machine", entry[1], None)
             if len(steps) == room:
-                return steps, child, None, True
+                return steps, child, facts, None, True
             node, entry = child, following
 
     # ── evaluation ───────────────────────────────────────────────────────
 
-    def safety_violation(self, node: Config, parent: Config | None) -> str | None:
-        """Invariants every step must preserve.  With an intruder in play the
-        per-user honesty obligations are rely conditions the environment can
-        wreck for a conforming user, so the full state invariant is asserted
-        per-state only in honest-only exploration; intruder moves must still
-        preserve nonce freshness, recipient-only readability and the
-        transition invariant."""
+    def safety_violation(self, node: Config, parent: Config | None, facts):
+        """The first safety invariant a micro state breaks, as a detail, or
+        None, and the facts the state carries to its children.
+
+        The state must keep the transition invariant with its parent.  With
+        an intruder in play the per-user honesty obligations are rely
+        conditions the environment can wreck for a conforming user, so the
+        full state invariant is asserted per state only in honest-only
+        exploration.  Otherwise nonce freshness and recipient-only
+        readability are checked only for what the step added, against
+        `facts`, the parent's (empty at the root): the nonces invented so
+        far, with their history positions, and each user's justified
+        nonces.  That gives a rescan's verdict and witness: the parent
+        held, so a reuse is first met among the new actions, and a user
+        record the parent held is still justified, since justified sets
+        only grow along a path.  Siblings share their parent's facts, so
+        the facts are copied before they are extended."""
         if parent is not None:
             rep = dyn_inv(parent.state, node.state)
             if not rep.holds:
-                return f"{rep.name}: {rep.witness}"
+                return f"{rep.name}: {rep.witness}", facts
         if self.scenario.intruder.kind == "none":
             rep = inv_sigma(node.state)
+            rep = None if rep.holds else rep
         else:
-            rep = unique_nonces(node.state.history)
-            if rep.holds:
-                rep = no_read_others(node.state)
-        if not rep.holds:
-            return f"{rep.name}: {rep.witness}"
-        return None
+            done, passed = (len(parent.state.history), parent.state.users) if parent else (0, {})
+            new, rep = node.state.history[done:], None
+            if new:
+                invented, justified = facts[0].copy(), facts[1].copy()
+                rep = _reused(invented, new, done)
+                _justify(justified, new)
+                facts = invented, justified
+            rep = rep or _unread(node.state.users, facts[1], passed)
+        return (None if rep is None else f"{rep.name}: {rep.witness}"), facts
 
     def quiescent_violation(self, node: Config) -> str | None:
         """The first requested contract that fails on this quiescent node's
@@ -315,7 +337,7 @@ class _Searcher:
     def run(self):
         """Returns (violation or None, its schedule, distinct nodes reached,
         whether live nodes remain at the step bound)."""
-        bad = self.safety_violation(self.root, None)
+        bad, facts = self.safety_violation(self.root, None, ({}, {}))
         if bad is not None:
             return (SPEC_INV, bad), [], 1, False
         spec, live, starts = self.first_reach(self.root)
@@ -325,17 +347,18 @@ class _Searcher:
         if live and bound == 0:
             # the root is cut at the bound with a step left
             return None, [], states, True
-        # bucket entries: (node, link, its macro starts or None to build
-        # them); a link is (parent's link, micro entries of the macro), None
-        # at the root
-        buckets = {0: [(self.root, None, starts)]} if live else {}
+        # bucket entries: (node, its safety facts, link, its macro starts or
+        # None to build them); a link is (parent's link, micro entries of the
+        # macro), None at the root
+        buckets = {0: [(self.root, facts, None, starts)]} if live else {}
         seen: dict[int, set] = {}
         while buckets:
             depth = min(buckets)
             seen.pop(depth, None)
-            for node, link, starts in buckets.pop(depth):
+            for node, facts, link, starts in buckets.pop(depth):
                 for start in starts if starts is not None else self.starts(node):
-                    steps, child, bad, cut = self.macro(node, start, bound - depth)
+                    macro = self.macro(node, facts, start, bound - depth)
+                    steps, child, child_facts, bad, cut = macro
                     here = (link, steps)
                     if bad is not None:
                         return (SPEC_INV, bad), _schedule(here), states, False
@@ -355,7 +378,7 @@ class _Searcher:
                     if live and at == bound:
                         truncated = True
                     elif live:
-                        buckets.setdefault(at, []).append((child, here, kept))
+                        buckets.setdefault(at, []).append((child, child_facts, here, kept))
         return None, [], states, truncated
 
 

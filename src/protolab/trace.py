@@ -96,7 +96,8 @@ class Renderings:
       user records and inbox entries when their container changes);
     - the history text, extended by the new actions when the history
       extends the last one digested (a run only appends), and rebuilt from
-      empty on any other history.
+      empty on any other history, with the text of its last action, which
+      a run's trace event takes as its `act`.
     There is no cache per object: a slot keeps only the objects of the last
     digest, so a run holds no text of a value its configuration dropped.
     Each kept text is the text that rendering the same values afresh gives,
@@ -129,14 +130,18 @@ class Renderings:
 
     def history(self, history: tuple) -> str:
         """The joined renderings of `history`'s actions."""
-        last, text = self._last.get("history", ((), ""))
+        last, text, tail = self._last.get("history", ((), "", ""))
         if history[: len(last)] != last:
-            last, text = (), ""
-        new = ";".join(map(render_action, history[len(last) :]))
-        if new:
-            text = f"{text};{new}" if text else new
-        self._last["history"] = (history, text)
+            last, text, tail = (), "", ""
+        texts = list(map(render_action, history[len(last) :]))
+        if texts:
+            text, tail = ";".join([text, *texts] if text else texts), texts[-1]
+        self._last["history"] = (history, text, tail)
         return text
+
+    def last_action(self) -> str:
+        """The rendering of the last action of the history last joined."""
+        return self._last["history"][2]
 
 
 def _join_users(users: dict, rendered: Renderings) -> str:

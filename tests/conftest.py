@@ -30,6 +30,25 @@ def perfbench_module(name: str):
     return module
 
 
+def count_calls(monkeypatch, fn, weigh=lambda *args, **kwargs: 1):
+    """Count the calls of `fn` through every binding of it in protolab's
+    modules, each call adding `weigh` of its arguments; returns a function
+    that reads the count."""
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += weigh(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "protolab" or name.startswith("protolab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return lambda: calls
+
+
 def explore_with_quiescents(sc, spec):
     """`explore(sc, spec)` and the state of every quiescent node it checked,
     in the order it checked them.  The patch is undone on return, so this

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protolab.invariants import dyn_inv
-from protolab.model import Invent, Msg, Nonce, state_key
+import protolab.invariants as invariants
+import protolab.runner as runner
+import protolab.search as search
+from protolab.invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
+from protolab.model import Invent, Msg, Nonce, add_knows, state_key
 from protolab.roles import ABSTRACT, Status
 from protolab.runner import apply_entry
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
-from conftest import GOLDEN, explore_with_quiescents, scenario
+from conftest import GOLDEN, count_calls, explore_with_quiescents, scenario
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
 from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all
 from protolab.trace import parse_trace, render_trace
@@ -194,29 +197,41 @@ def test_honest_only_exploration_never_violates():
     assert verdict.holds and not verdict.inconclusive
 
 
+def plant_unjustified(monkeypatch, when):
+    """Make every search step that reaches a configuration satisfying `when`
+    also add the nonce n99, which nobody invents or receives, to what the
+    stepping machine's owner knows in its session: a real no-read-others
+    failure, planted at the state."""
+    real_apply_entry = search.apply_entry
+
+    def planted(config, entry, medium, intruder):
+        after = real_apply_entry(config, entry, medium, intruder)
+        if entry[0] == "machine" and when(after):
+            machine = after.machines[entry[1]]
+            state = add_knows(after.state, machine.owner, machine.session, [Nonce(99)])
+            after = replace(after, state=state)
+        return after
+
+    monkeypatch.setattr(search, "apply_entry", planted)
+
+
 def test_safety_failure_is_checked_before_the_quiescent_specs(monkeypatch):
     # plant a state-invariant failure on the nodes where both sessions are
     # complete, which are the quiescent ones, and a post-ns failure on every
     # quiescent node: the safety failure must win
-    import protolab.search as search
     import protolab.specs as specs
-    from protolab.invariants import PredicateReport
     from protolab.specs import SpecVerdict
 
-    real_inv_sigma = search.inv_sigma
+    def complete(config):
+        return all(all(user.complete.values()) for user in config.state.users.values())
 
-    def planted_inv_sigma(state):
-        if all(all(user.complete.values()) for user in state.users.values()):
-            return PredicateReport("inv-sigma", False, "planted: both sessions complete")
-        return real_inv_sigma(state)
-
-    monkeypatch.setattr(search, "inv_sigma", planted_inv_sigma)
+    plant_unjustified(monkeypatch, complete)
     monkeypatch.setattr(
         specs, "check_post_ns_all", lambda *args: SpecVerdict("post-ns", False, "planted")
     )
     verdict = explore(parse_scenario(HONEST_SEARCH), spec="post-ns")
     assert (verdict.spec, verdict.holds, verdict.inconclusive) == (SPEC_INV, False, False)
-    assert verdict.detail == "inv-sigma: planted: both sessions complete"
+    assert verdict.detail == "inv-sigma: no-read-others: user B knows unjustified n99"
     assert len(verdict.counterexample.events) == 11  # the first completed handshake
 
 
@@ -326,18 +341,44 @@ def apply(searcher, node, entry):
     return apply_entry(node, entry, ABSTRACT, searcher.intruder)
 
 
+def rescan(sc, node, parent):
+    """The safety check made afresh on the whole state: the transition
+    invariant against the parent, then with an intruder unique-nonces and
+    no-read-others, and with none the state invariant.  The detail of the
+    first failure, or None."""
+    rep = dyn_inv(parent.state, node.state) if parent is not None else None
+    if rep is None or rep.holds:
+        if sc.intruder.kind == "none":
+            rep = inv_sigma(node.state)
+        else:
+            rep = unique_nonces(node.state.history)
+            rep = no_read_others(node.state) if rep.holds else rep
+    return None if rep.holds else f"{rep.name}: {rep.witness}"
+
+
+def facts_of(state):
+    """The safety facts a search node carries, gathered from its whole
+    state: the nonces invented, with their positions, and each user's
+    justified nonces."""
+    invented, justified = {}, {}
+    invariants._reused(invented, state.history, 0)
+    invariants._justify(justified, state.history)
+    return invented, justified
+
+
 class ReferenceSearch:
-    """Iterative-deepening depth-first search over the same children, checks
-    and duplicate keys as `explore`: depth limits 0..max_steps, each pass a
-    canonical-order DFS that skips a node already reached at no greater
-    depth.  A pass's order and duplicate keys depend on neither the step
-    bound nor the spec; only where it stops does.  So each depth limit is
-    passed once, and the pass serves every step bound and every spec given:
-    it records the first violation of each spec, and stops at a safety
-    violation (which every spec still open takes as its first) or once every
-    spec has one."""
+    """Iterative-deepening depth-first search over the same children and
+    duplicate keys as `explore`, with each state's safety rescanned whole:
+    depth limits 0..max_steps, each pass a canonical-order DFS that skips a
+    node already reached at no greater depth.  A pass's order and duplicate
+    keys depend on neither the step bound nor the spec; only where it stops
+    does.  So each depth limit is passed once, and the pass serves every
+    step bound and every spec given: it records the first violation of each
+    spec, and stops at a safety violation (which every spec still open takes
+    as its first) or once every spec has one."""
 
     def __init__(self, sc, specs):
+        self.sc = sc
         self.searchers = {spec: _Searcher(sc, spec) for spec in specs}
         self.searcher = next(iter(self.searchers.values()))  # children, keys, safety
         self.passes = []  # per depth limit: ({spec: violation, schedule}, truncated)
@@ -365,7 +406,7 @@ class ReferenceSearch:
                 if seen_at is not None and seen_at <= depth + 1:
                     continue
                 visited[key] = depth + 1
-                bad = searcher.safety_violation(child, node)
+                bad = rescan(self.sc, child, node)
                 if bad is not None:
                     for spec in self.searchers:
                         found.setdefault(spec, ((SPEC_INV, bad), path + [entry]))
@@ -383,7 +424,7 @@ class ReferenceSearch:
 
     def explore(self, max_steps, spec):
         """Returns (violation or None, its schedule, inconclusive)."""
-        bad = self.searcher.safety_violation(self.searcher.root, None)
+        bad = rescan(self.sc, self.searcher.root, None)
         if bad is not None:
             return (SPEC_INV, bad), [], False
         for limit in range(max_steps + 1):
@@ -529,22 +570,16 @@ def test_quiescent_outcomes_match_the_unreduced_search(name, max_steps):
 def test_safety_is_checked_inside_a_macro(monkeypatch):
     # a sender that has invented but not yet sent exists only between the
     # micro-steps of its first macro; a failure planted there must be found
-    import protolab.search as search
-    from protolab.invariants import PredicateReport
+    def invented_not_sent(config):
+        history = config.state.history
+        invented = any(isinstance(a, Invent) and a.user == "A" for a in history)
+        sent = any(isinstance(a, Msg) and a.sender == "A" for a in history)
+        return invented and not sent
 
-    real_no_read_others = search.no_read_others
-
-    def planted(state):
-        invented = any(isinstance(a, Invent) and a.user == "A" for a in state.history)
-        sent = any(isinstance(a, Msg) and a.sender == "A" for a in state.history)
-        if invented and not sent:
-            return PredicateReport("no-read-others", False, "planted: A invented, not sent")
-        return real_no_read_others(state)
-
-    monkeypatch.setattr(search, "no_read_others", planted)
+    plant_unjustified(monkeypatch, invented_not_sent)
     verdict = explore(load_scenario(scenario("ns-search")), spec=SPEC_INV)
     assert (verdict.spec, verdict.holds, verdict.inconclusive) == (SPEC_INV, False, False)
-    assert verdict.detail == "no-read-others: planted: A invented, not sent"
+    assert verdict.detail == "no-read-others: user A knows unjustified n99"
     events = verdict.counterexample.events
     assert [(ev.actor, ev.stmt) for ev in events] == [
         ("sender@A#1", "set-partner"), ("sender@A#1", "invent")
@@ -593,7 +628,8 @@ def test_every_move_raises_the_progress_measure_by_one():
                     reached.add(key)
                     next_level.append(child)
             for start in searcher.starts(node):
-                steps, end, bad, cut = searcher.macro(node, start, sc.bounds.max_steps)
+                macro = searcher.macro(node, facts_of(node.state), start, sc.bounds.max_steps)
+                steps, end, _, bad, cut = macro
                 assert bad is None and not cut and steps[: len(start)] == list(start)
                 assert progress(end, intruder) == progress(node, intruder) + len(steps), steps
                 macros.add(len(steps))
@@ -636,3 +672,63 @@ def test_every_step_changes_only_its_own_session(walk, choices):
         assert check_no_mods_to_others(node.state, child.state, {owner}, session), entry
         assert dyn_inv(node.state, child.state).holds, entry
         node = child
+
+
+# ── safety checked for what each step adds ──────────────────────────────────
+
+# (scenario, its step bound, intruder inventions), each explored in full
+CARRIED = [("ns-search", 14, 1), ("nsl-search", 14, 0), ("two-senders", 10, 0)]
+
+
+def planted(node):
+    """Configurations like `node` that break safety: one that invents a
+    nonce of the run again (or n99 twice), and one per user whose record,
+    now changed, knows every nonce of the run and n99."""
+    history, users = node.state.history, node.state.users
+    nonces = sorted({act.what for act in history if isinstance(act, Invent)})
+    first = sorted(users)[0]
+    again = (Invent(first, nonces[-1]),) if nonces else (Invent(first, Nonce(99)),) * 2
+    yield replace(node, state=replace(node.state, history=history + again))
+    for uid in sorted(users):
+        sid = min(users[uid].knows, default=f"{uid}#9")
+        yield replace(node, state=add_knows(node.state, uid, sid, [*nonces, Nonce(99)]))
+
+
+@pytest.mark.parametrize("name,max_steps,invents", CARRIED, ids=[n for n, _, _ in CARRIED])
+def test_carried_safety_facts_give_the_rescan_verdict(monkeypatch, name, max_steps, invents):
+    # every micro state the search checks, and each planted failure beside
+    # it, gets from the facts carried along its links the verdict and the
+    # witness of a rescan of its whole state
+    sc = _bounded(name, max_steps, invents)
+    check = _Searcher.safety_violation
+    checked, witnesses = 0, set()
+
+    def checking(searcher, node, parent, facts):
+        nonlocal checked
+        found = check(searcher, node, parent, facts)
+        assert found[0] == rescan(sc, node, parent)
+        for bad in planted(node):
+            expected = rescan(sc, bad, parent)
+            assert expected is not None
+            assert check(searcher, bad, parent, facts)[0] == expected
+            witnesses.add(expected)
+        checked += 1
+        return found
+
+    monkeypatch.setattr(_Searcher, "safety_violation", checking)
+    verdict = explore(sc, spec=SPEC_INV)
+    assert verdict.counterexample is None and checked > verdict.states
+    # the least unjustified nonce is not always the planted n99
+    assert any(w.startswith("no-read-others") and not w.endswith("n99") for w in witnesses)
+
+
+def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
+    # the scale-nsl input: the whole state is rescanned at the root at most,
+    # and every other check reads only the actions its step appended
+    rescans = [count_calls(monkeypatch, fn) for fn in (unique_nonces, no_read_others)]
+    justified = count_calls(monkeypatch, invariants._justify, weigh=lambda _, acts: len(acts))
+    steps = count_calls(monkeypatch, runner.apply_entry)
+    verdict = explore(parse_scenario(TWO_SENDERS), spec="all")
+    assert verdict.inconclusive and verdict.states == 249
+    assert max(count() for count in rescans) <= 1
+    assert 0 < justified() <= steps()
