@@ -8,6 +8,7 @@ would count them).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +33,10 @@ class PredicateReport:
         assert (self.witness is not None) == (not self.holds)
 
 
+@functools.cache
 def _ok(name: str) -> PredicateReport:
+    """The holding report of a predicate, one per name: a report is frozen,
+    so every holding result can share it."""
     return PredicateReport(name, True)
 
 

@@ -10,7 +10,7 @@ only through their medium's `readable`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 Uid = str  # principal identifier, a symbolic atom from the scenario universe
@@ -139,12 +139,16 @@ def initial_state(conforms: dict[Uid, bool]) -> GlobalState:
 
 
 # ── state update helpers (always copy, never mutate) ────────────────────────
+#
+# A step changes at most one user record and the history.  Each helper builds
+# the records it changes once, directly, and shares every other field and
+# record with the state it was given.
 
 
 def _with_user(state: GlobalState, uid: Uid, user: UserState) -> GlobalState:
     users = dict(state.users)
     users[uid] = user
-    return replace(state, users=users)
+    return GlobalState(users, state.history, state.pkeys)
 
 
 def open_session(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
@@ -154,28 +158,28 @@ def open_session(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
     complete = dict(u.complete)
     knows.setdefault(sid, frozenset())
     complete.setdefault(sid, False)
-    return _with_user(state, uid, replace(u, knows=knows, complete=complete))
+    return _with_user(state, uid, UserState(u.int_partner, knows, u.skey, u.conforms, complete))
 
 
 def set_partner(state: GlobalState, uid: Uid, sid: Sid, partner: Uid) -> GlobalState:
     u = state.users[uid]
     partners = dict(u.int_partner)
     partners[sid] = partner
-    return _with_user(state, uid, replace(u, int_partner=partners))
+    return _with_user(state, uid, UserState(partners, u.knows, u.skey, u.conforms, u.complete))
 
 
 def add_knows(state: GlobalState, uid: Uid, sid: Sid, nonces: Iterable[Nonce]) -> GlobalState:
     u = state.users[uid]
     knows = dict(u.knows)
     knows[sid] = knows.get(sid, frozenset()) | frozenset(nonces)
-    return _with_user(state, uid, replace(u, knows=knows))
+    return _with_user(state, uid, UserState(u.int_partner, knows, u.skey, u.conforms, u.complete))
 
 
 def set_complete(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
     u = state.users[uid]
     complete = dict(u.complete)
     complete[sid] = True
-    return _with_user(state, uid, replace(u, complete=complete))
+    return _with_user(state, uid, UserState(u.int_partner, u.knows, u.skey, u.conforms, complete))
 
 
 def append_invention(state: GlobalState, user: Uid) -> tuple[GlobalState, Nonce]:
@@ -188,7 +192,8 @@ def append_invention(state: GlobalState, user: Uid) -> tuple[GlobalState, Nonce]
     """
     highest = max((n.ix for n in _nonces_in_history(state.history)), default=0)
     nonce = Nonce(highest + 1)
-    return replace(state, history=state.history + (Invent(user, nonce),)), nonce
+    history = state.history + (Invent(user, nonce),)
+    return GlobalState(state.users, history, state.pkeys), nonce
 
 
 def _nonces_in_history(history: Sequence) -> set[Nonce]:
@@ -210,7 +215,7 @@ def append_action(state: GlobalState, act) -> GlobalState:
     """
     if isinstance(act, Invent) and act.what in _nonces_in_history(state.history):
         raise FreshnessViolation(f"nonce {act.what!r} already appears in the history")
-    return replace(state, history=state.history + (act,))
+    return GlobalState(state.users, state.history + (act,), state.pkeys)
 
 
 # ── history functions ────────────────────────────────────────────────────────
@@ -232,19 +237,24 @@ def u_hist(history: Sequence[Action], user: Uid):
 
 
 def user_key(user: UserState) -> tuple:
+    """Hashable key of a user record, equal exactly when the records are.
+    A dict is keyed by the frozenset of its items, which is independent of
+    insertion order and needs no sorting; the `knows` values are frozensets
+    already, which keep their hash once computed."""
     return (
-        tuple(sorted(user.int_partner.items())),
-        tuple(sorted((sid, tuple(sorted(ns))) for sid, ns in user.knows.items())),
+        frozenset(user.int_partner.items()),
+        frozenset(user.knows.items()),
         user.skey,
         user.conforms,
-        tuple(sorted(user.complete.items())),
+        frozenset(user.complete.items()),
     )
 
 
 def state_key(state: GlobalState) -> tuple:
-    """Hashable canonical key for duplicate detection."""
+    """Hashable canonical key for duplicate detection: users in uid order."""
+    users = state.users
     return (
-        tuple(sorted((uid, user_key(u)) for uid, u in state.users.items())),
+        tuple((uid, user_key(users[uid])) for uid in sorted(users)),
         state.history,
         tuple(sorted(state.pkeys.items())),
     )

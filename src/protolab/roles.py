@@ -22,8 +22,7 @@ one expected.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
@@ -106,7 +105,6 @@ class FinishStmt:
     name: str = "finish"
 
 
-@functools.cache
 def sender_statements(variant: Variant) -> tuple:
     if variant is Variant.NS:
         recv = RecvStmt(("n", "n"), ("ret", "Nt"), guard="sender-check", learn=("Nt",))
@@ -124,7 +122,6 @@ def sender_statements(variant: Variant) -> tuple:
     )
 
 
-@functools.cache
 def receiver_statements(variant: Variant) -> tuple:
     reply = ("Nf", "NB") if variant is Variant.NS else ("this", "Nf", "NB")
     return (
@@ -134,6 +131,12 @@ def receiver_statements(variant: Variant) -> tuple:
         RecvStmt(("n",), ("ret",), guard="ret-eq-nb"),
         FinishStmt(),
     )
+
+
+# The four programs, built once; a machine picks its own by identity, since
+# hashing an enum member runs Python code.
+_NS_SENDER, _NSL_SENDER = sender_statements(Variant.NS), sender_statements(Variant.NSL)
+_NS_RECEIVER, _NSL_RECEIVER = receiver_statements(Variant.NS), receiver_statements(Variant.NSL)
 
 
 # ── media ────────────────────────────────────────────────────────────────────
@@ -183,9 +186,10 @@ class RoleMachine:
         return f"{self.kind.value}@{self.session}"
 
     def statements(self) -> tuple:
+        ns = self.variant is Variant.NS
         if self.kind is RoleKind.SENDER:
-            return sender_statements(self.variant)
-        return receiver_statements(self.variant)
+            return _NS_SENDER if ns else _NSL_SENDER
+        return _NS_RECEIVER if ns else _NSL_RECEIVER
 
     def current(self):
         return self.statements()[self.pc]
@@ -273,10 +277,32 @@ def can_fire(machine: RoleMachine, state: GlobalState, inbox: Inbox, medium=ABST
     return True
 
 
-def _with_locals(machine: RoleMachine, binds: dict[str, Item]) -> RoleMachine:
+def _with_locals(machine: RoleMachine, binds: dict[str, Item]) -> tuple[tuple[str, Item], ...]:
+    """The machine's locals with `binds` merged in."""
     merged = dict(machine.locals)
     merged.update(binds)
-    return replace(machine, locals=tuple(sorted(merged.items())))
+    return tuple(sorted(merged.items()))
+
+
+def _successor(
+    machine: RoleMachine,
+    pc: int,
+    locals: tuple[tuple[str, Item], ...],
+    status: Status = Status.RUNNING,
+    peer: Uid | None = None,
+) -> RoleMachine:
+    """The machine a step leaves, built once: `machine` at `pc` with
+    `locals` and `status`, and `peer` when the step chose one."""
+    return RoleMachine(
+        machine.owner,
+        machine.variant,
+        machine.kind,
+        machine.session,
+        machine.peer if peer is None else peer,
+        pc,
+        locals,
+        status,
+    )
 
 
 def _guard_passes(machine: RoleMachine, stmt: RecvStmt, bound: dict[str, Item]) -> bool:
@@ -302,25 +328,24 @@ def step(
     """Execute one enabled statement; raise IllegalMove for a step that is
     not enabled (see `can_fire`; a set-partner with no fixed peer takes
     `chosen_peer`).  A failed content check consumes the message and aborts
-    the machine."""
+    the machine.  The successor machine and each changed state record are
+    built once, directly."""
     if machine.status is not Status.RUNNING:
         raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
     stmt = machine.current()
+    pc = machine.pc + 1
 
     if isinstance(stmt, SetPartner):
         peer = machine.peer if machine.peer is not None else chosen_peer
         if peer is None:
             raise IllegalMove(f"{machine.actor_id} has no partner to set")
         state = set_partner(state, machine.owner, machine.session, peer)
-        machine = replace(machine, peer=peer, pc=machine.pc + 1)
-        return machine, state, inbox
+        return _successor(machine, pc, machine.locals, peer=peer), state, inbox
 
     if isinstance(stmt, InventStmt):
         state, nonce = append_invention(state, machine.owner)
         state = add_knows(state, machine.owner, machine.session, (nonce,))
-        machine = _with_locals(machine, {stmt.bind: nonce})
-        machine = replace(machine, pc=machine.pc + 1)
-        return machine, state, inbox
+        return _successor(machine, pc, _with_locals(machine, {stmt.bind: nonce})), state, inbox
 
     if isinstance(stmt, SendStmt):
         items = tuple(
@@ -330,8 +355,7 @@ def step(
         target = machine.peer if stmt.target == "peer" else machine.local(stmt.target)
         assert is_uid(target)
         state = append_action(state, medium.send_action(machine.owner, target, items))
-        machine = replace(machine, pc=machine.pc + 1)
-        return machine, state, inbox
+        return _successor(machine, pc, machine.locals), state, inbox
 
     if isinstance(stmt, RecvStmt):
         index = find_match(machine, state, inbox, medium)
@@ -341,9 +365,9 @@ def step(
         assert items is not None
         bound = dict(zip(stmt.binds, items))
         inbox = inbox.consume(machine.owner, index)
-        machine = _with_locals(machine, bound)
+        merged = _with_locals(machine, bound)
         if not _guard_passes(machine, stmt, bound):
-            return replace(machine, status=Status.ABORTED), state, inbox
+            return _successor(machine, machine.pc, merged, Status.ABORTED), state, inbox
         if stmt.bind_partner is not None:
             partner = bound[stmt.bind_partner]
             assert is_uid(partner)
@@ -352,13 +376,11 @@ def step(
         assert all(isinstance(n, Nonce) for n in learned)
         if learned:
             state = add_knows(state, machine.owner, machine.session, learned)
-        machine = replace(machine, pc=machine.pc + 1)
-        return machine, state, inbox
+        return _successor(machine, pc, merged), state, inbox
 
     assert isinstance(stmt, FinishStmt)
     state = set_complete(state, machine.owner, machine.session)
-    machine = replace(machine, pc=machine.pc + 1, status=Status.COMPLETED)
-    return machine, state, inbox
+    return _successor(machine, pc, machine.locals, Status.COMPLETED), state, inbox
 
 
 def run_honest_pair(frm: Uid, to: Uid, variant: Variant):

@@ -87,7 +87,7 @@ def apply_entry(
         machines = config.machines[:index] + (machine,) + config.machines[index + 1 :]
         return Config(machines, state, inbox)
     _, move = entry
-    return replace(config, state=apply_move(config.state, *intruder, move, medium))
+    return Config(config.machines, apply_move(config.state, *intruder, move, medium), config.inbox)
 
 
 _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}

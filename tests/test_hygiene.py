@@ -10,7 +10,8 @@ from conftest import ROOT
 # `__init__.py` imports are the package's public API, not uses.
 MODULES = sorted(
     path
-    for path in [*(ROOT / "src" / "protolab").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for folder in (ROOT / "src" / "protolab", ROOT / "tests", ROOT / "perfbench")
+    for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
 

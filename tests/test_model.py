@@ -11,10 +11,13 @@ from protolab.model import (
     LengthMismatch,
     Msg,
     Nonce,
+    add_knows,
     append_action,
     initial_state,
     open_session,
     select,
+    set_complete,
+    set_partner,
     state_key,
     subseq,
     u_hist,
@@ -220,3 +223,16 @@ def test_state_key_is_hashable_and_stable():
     assert hash(state_key(state)) == hash(state_key(state))
     state2 = append_action(state, Msg(rec="B", sender="A", content=(N1,)))
     assert state_key(state2) != state_key(state)
+
+
+def test_state_key_ignores_dict_order_and_sees_every_nonce():
+    # equal records bound in another insertion order get equal keys; one
+    # nonce more in one session's knows gives another key
+    state = open_session(fresh_state("A", "B"), "A", "A#2")
+    one = set_complete(set_partner(set_partner(state, "A", "A#1", "B"), "A", "A#2", "I"), "A", "A#2")
+    two = set_partner(set_partner(set_complete(state, "A", "A#2"), "A", "A#2", "I"), "A", "A#1", "B")
+    assert list(one.users["A"].int_partner) != list(two.users["A"].int_partner)
+    assert one == two and state_key(one) == state_key(two)
+    knows = add_knows(one, "A", "A#1", [N1, N2])
+    more = add_knows(knows, "A", "A#1", [N3])
+    assert knows != more and state_key(knows) != state_key(more)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import protolab.invariants as invariants
 import protolab.runner as runner
 import protolab.search as search
-from protolab.invariants import dyn_inv, inv_sigma, no_read_others, unique_nonces
+from protolab.invariants import PredicateReport, dyn_inv, inv_sigma, no_read_others, unique_nonces
 from protolab.model import Invent, Msg, Nonce, add_knows, state_key
-from protolab.roles import ABSTRACT, Status
+from protolab.roles import ABSTRACT, RoleMachine, Status
 from protolab.runner import apply_entry
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -732,3 +732,95 @@ def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
     assert verdict.inconclusive and verdict.states == 249
     assert max(count() for count in rescans) <= 1
     assert 0 < justified() <= steps()
+
+
+# ── each successor built once, keyed exactly ─────────────────────────────────
+
+
+def sorted_key(state):
+    """The state key as it was before frozensets: every dict of a user
+    record as a sorted tuple, every knows set as a sorted tuple."""
+
+    def user(u):
+        return (
+            tuple(sorted(u.int_partner.items())),
+            tuple(sorted((sid, tuple(sorted(ns))) for sid, ns in u.knows.items())),
+            u.skey,
+            u.conforms,
+            tuple(sorted(u.complete.items())),
+        )
+
+    return (
+        tuple(sorted((uid, user(u)) for uid, u in state.users.items())),
+        state.history,
+        tuple(sorted(state.pkeys.items())),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,max_steps,invents", [("ns-search", 10, 1), ("nsl-search", 14, 0), ("two-senders", 10, 0)]
+)
+def test_the_state_key_groups_micro_states_as_the_sorted_key_does(monkeypatch, name, max_steps, invents):
+    # every micro state of a full exploration: two states get equal keys
+    # exactly when they got equal sorted keys
+    states = []
+    real_apply = search.apply_entry
+
+    def applying(*args):
+        child = real_apply(*args)
+        states.append(child.state)
+        return child
+
+    monkeypatch.setattr(search, "apply_entry", applying)
+    explore(_bounded(name, max_steps, invents), spec=SPEC_INV)
+    groups = {(sorted_key(state), state_key(state)) for state in states}
+    assert len(groups) == len({old for old, _ in groups}) == len({new for _, new in groups})
+    assert len(states) > len(groups)  # some micro states are reached twice
+
+
+def constructions(monkeypatch, cls):
+    """Count the instances of `cls` made from now on; returns a reader."""
+    made = 0
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return lambda: made
+
+
+def test_each_step_builds_its_successor_machine_once(monkeypatch):
+    # the scale-nsl input: a machine entry builds exactly one RoleMachine, an
+    # intruder entry none, and a holding transition check no report (every
+    # holding result shares the one report made here)
+    sc = parse_scenario(TWO_SENDERS)
+    root = _Searcher(sc, "all").root.state
+    assert dyn_inv(root, root).holds
+    machines = constructions(monkeypatch, RoleMachine)
+    reports = constructions(monkeypatch, PredicateReport)
+    built = {"machine": set(), "intruder": set()}
+    holding = set()
+    real_apply, real_check = search.apply_entry, search.dyn_inv
+
+    def applying(config, entry, *rest):
+        before = machines()
+        child = real_apply(config, entry, *rest)
+        built[entry[0]].add(machines() - before)
+        return child
+
+    def checking(before, after):
+        made = reports()
+        rep = real_check(before, after)
+        if rep.holds:
+            holding.add(reports() - made)
+        return rep
+
+    monkeypatch.setattr(search, "apply_entry", applying)
+    monkeypatch.setattr(search, "dyn_inv", checking)
+    verdict = explore(sc, spec="all")
+    assert verdict.inconclusive and verdict.states == 249
+    assert built == {"machine": {1}, "intruder": {0}}
+    assert holding == {0}
