@@ -29,9 +29,10 @@ EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_INCONCLUSIVE = 3
 
-# Malformed input, reported as "error: ..." with exit 2: scenario and trace
-# errors, unreadable paths (missing, a directory, unwritable), and text that
-# is not UTF-8 (UnicodeDecodeError is a ValueError).
+# Malformed input, which `main` reports as "error: ..." with exit 2 whichever
+# command raised it: scenario and trace errors, unreadable paths (missing, a
+# directory, unwritable), and text that is not UTF-8 (UnicodeDecodeError is a
+# ValueError).
 INPUT_ERRORS = (ScenarioError, TraceError, OSError, ValueError)
 
 
@@ -48,33 +49,25 @@ def _emit_trace(text: str, trace_out: str | None, out) -> None:
         out.write(text)
 
 
-def cmd_run(args, out, err) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.level:
-            scenario = scenario.with_level(args.level)
-        run = execute_scripted(scenario)
-        verdicts = evaluate_run_specs(run, resolve_spec_names(args.spec))
-        text = render_trace(run.to_doc(verdicts), no_ghost=args.no_ghost)
-        _emit_trace(text, args.trace_out, out)
-    except INPUT_ERRORS as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
+def cmd_run(args, out) -> int:
+    scenario = load_scenario(args.scenario)
+    if args.level:
+        scenario = scenario.with_level(args.level)
+    run = execute_scripted(scenario)
+    verdicts = evaluate_run_specs(run, resolve_spec_names(args.spec))
+    text = render_trace(run.to_doc(verdicts), no_ghost=args.no_ghost)
+    _emit_trace(text, args.trace_out, out)
     if args.trace_out:
         for verdict in verdicts:
             out.write(_verdict_line(verdict) + "\n")
     return EXIT_OK if all(v.holds for v in verdicts) else EXIT_VIOLATION
 
 
-def cmd_explore(args, out, err) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.max_steps is not None:
-            scenario = scenario.with_max_steps(args.max_steps)
-        verdict = explore(scenario, spec=args.spec)
-    except INPUT_ERRORS as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
+def cmd_explore(args, out) -> int:
+    scenario = load_scenario(args.scenario)
+    if args.max_steps is not None:
+        scenario = scenario.with_max_steps(args.max_steps)
+    verdict = explore(scenario, spec=args.spec)
     out.write(f"states explored: {verdict.states}\n")
     out.write(_verdict_line(verdict) + "\n")
     if verdict.inconclusive:
@@ -83,28 +76,21 @@ def cmd_explore(args, out, err) -> int:
         return EXIT_OK
     run = verdict.counterexample
     text = render_trace(run.to_doc([verdict]), no_ghost=args.no_ghost)
-    try:
-        _emit_trace(text, args.trace_out, out)
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
+    # an unwritable --trace-out is reported after the verdict lines
+    _emit_trace(text, args.trace_out, out)
     return EXIT_VIOLATION
 
 
-def cmd_replay(args, out, err) -> int:
-    try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            doc = parse_trace(handle.read())
-        divergence, run, schedule = replay_doc(doc)
-        if divergence is not None:
-            out.write(f"replay diverged at event {divergence}\n")
-            return EXIT_VIOLATION
-        # `inv` comes first and once: its suite decides before any recorded verdict
-        recorded = [spec for spec, _, _ in doc.verdicts if spec != SPEC_INV]
-        inv, *others = evaluate_run_specs(run, [SPEC_INV, *recorded])
-    except INPUT_ERRORS as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_MALFORMED
+def cmd_replay(args, out) -> int:
+    with open(args.trace, "r", encoding="utf-8") as handle:
+        doc = parse_trace(handle.read())
+    divergence, run, schedule = replay_doc(doc)
+    if divergence is not None:
+        out.write(f"replay diverged at event {divergence}\n")
+        return EXIT_VIOLATION
+    # `inv` comes first and once: its suite decides before any recorded verdict
+    recorded = [spec for spec, _, _ in doc.verdicts if spec != SPEC_INV]
+    inv, *others = evaluate_run_specs(run, [SPEC_INV, *recorded])
     if not inv.holds:
         out.write(f"replay obligation failed: {inv.detail}\n")
         return EXIT_VIOLATION
@@ -158,11 +144,12 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args, out, err)
-    if args.command == "explore":
-        return cmd_explore(args, out, err)
-    return cmd_replay(args, out, err)
+    command = {"run": cmd_run, "explore": cmd_explore, "replay": cmd_replay}[args.command]
+    try:
+        return command(args, out)
+    except INPUT_ERRORS as exc:
+        err.write(f"error: {exc}\n")
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,6 +34,10 @@ class ScenarioError(Exception):
     """Malformed scenario; the message names the offending record or field."""
 
 
+# The fields of the `bounds` record, in the order it is written.
+_BOUND_FIELDS = ("max_steps", "max_content_len", "max_intruder_invents", "max_sessions_per_user")
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     max_steps: int
@@ -42,14 +46,9 @@ class SearchBounds:
     max_sessions_per_user: int
 
     def __post_init__(self) -> None:
-        for field_name in (
-            "max_steps",
-            "max_intruder_invents",
-            "max_content_len",
-            "max_sessions_per_user",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ScenarioError(f"bounds: {field_name} must be >= 0")
+        for name in _BOUND_FIELDS:
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"bounds: {name} must be >= 0")
 
 
 def default_bounds() -> SearchBounds:
@@ -221,18 +220,10 @@ def parse_scenario(text: str) -> Scenario:
             if bounds is not None:
                 raise ScenarioError("bounds: duplicate record")
             kv = _parse_kv(parts[1:], "bounds")
-            needed = {"max_steps", "max_content_len", "max_intruder_invents", "max_sessions_per_user"}
-            if set(kv) != needed:
-                raise ScenarioError(f"bounds: expected fields {sorted(needed)}")
+            if set(kv) != set(_BOUND_FIELDS):
+                raise ScenarioError(f"bounds: expected fields {sorted(_BOUND_FIELDS)}")
             bounds = SearchBounds(
-                max_steps=_parse_int(kv["max_steps"], "bounds", "max_steps"),
-                max_intruder_invents=_parse_int(
-                    kv["max_intruder_invents"], "bounds", "max_intruder_invents"
-                ),
-                max_content_len=_parse_int(kv["max_content_len"], "bounds", "max_content_len"),
-                max_sessions_per_user=_parse_int(
-                    kv["max_sessions_per_user"], "bounds", "max_sessions_per_user"
-                ),
+                **{name: _parse_int(kv[name], "bounds", name) for name in _BOUND_FIELDS}
             )
         elif record == "level":
             if level is not None:
@@ -312,14 +303,8 @@ def render_scenario(scenario: Scenario) -> str:
         lines.append(f"intruder lowe_script user={intr.user} a={intr.a} b={intr.b}")
     else:
         lines.append(f"intruder search user={intr.user}")
-    b = scenario.bounds
-    lines.append(
-        "bounds"
-        f" max_steps={b.max_steps}"
-        f" max_content_len={b.max_content_len}"
-        f" max_intruder_invents={b.max_intruder_invents}"
-        f" max_sessions_per_user={b.max_sessions_per_user}"
-    )
+    bounds = scenario.bounds
+    lines.append("bounds" + "".join(f" {name}={getattr(bounds, name)}" for name in _BOUND_FIELDS))
     lines.append(f"level {scenario.level}")
     return "\n".join(lines) + "\n"
 

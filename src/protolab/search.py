@@ -367,10 +367,10 @@ class _Searcher:
                         continue
                     at = depth + len(steps)
                     keys = seen.setdefault(at, set())
-                    key = _node_key(child)
-                    if key in keys:
+                    known = len(keys)
+                    keys.add(_node_key(child))  # hashed once: a tuple keeps no hash
+                    if len(keys) == known:
                         continue
-                    keys.add(key)
                     states += 1
                     spec, live, kept = self.first_reach(child)
                     if spec is not None:

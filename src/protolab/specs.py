@@ -64,6 +64,8 @@ def check_no_mods_to_others(
         a = after.users.get(uid)
         if a is b:
             continue
+        if a is None:
+            return False  # a vanished record is a change
         if uid not in good:
             if a != b:
                 return False
@@ -237,8 +239,20 @@ def check_nsl_ft_all(state: GlobalState) -> SpecVerdict:
 # ── trace-wide obligation suite ──────────────────────────────────────────────
 
 
+_SUITE = (
+    "dyn-inv", "unique-nonces", "no-read-others", "inv-sigma", "conforming-obligations",
+    "complete-monotone", "guarantee-no-mods-to-others", "abort-never-completes",
+)
+
+
+def _done(user) -> set[Sid]:
+    """The sessions a user record shows complete."""
+    return {sid for sid, flag in user.complete.items() if flag}
+
+
 def check_lemma_suite(run) -> list[PredicateReport]:
-    """Audit a run record end to end:
+    """Audit a run record end to end, one report per obligation, in `_SUITE`
+    order:
 
     - the transition invariant on every adjacent state pair,
     - nonce freshness and recipient-only readability in every state,
@@ -249,92 +263,66 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     - each step touches only the stepping principal's own session records,
     - an aborted machine's session never reaches completion.
 
-    The state predicates come from one pass of `invariants.Audit` over the
-    recorded states.  Each state is checked only for what it adds to the
-    one before (its new actions, its changed user records), which keeps
-    the audit linear in the run's length; a state whose history does not
-    extend the previous one, or whose users or `conforms` flags differ, is
-    rescanned from empty.  Each report is the first failing state's, with
-    the witness the predicate gives on that state alone, so `inv-sigma`
-    and `conforming-obligations` come from the same pass.
+    The run is walked once.  A loop over the recorded states feeds
+    `invariants.Audit`, which checks each state only for what it adds to
+    the one before, and checks `dyn_inv` and complete-monotone on each
+    adjacent pair.  A loop over `run.transitions()` checks each step's
+    frame, and a loop over `run.machines` checks each machine's end
+    against the completion flags the states showed.  A user record that is
+    the same object as the one before is skipped, a replaced one is
+    checked in full, and a vanished one shows nothing complete and fails
+    `dyn-inv`.  Each report is its obligation's first failure.
     """
-    reports: list[PredicateReport] = []
     states = run.checkable_states()
+    failed: dict[str, PredicateReport | None] = {}
 
-    rep = _first_failure(
-        "dyn-inv",
-        (dyn_inv(b, a) for b, a in zip(states, states[1:])),
-    )
-    reports.append(rep)
+    def fail(name: str, witness: str) -> None:
+        failed.setdefault(name, PredicateReport(name, False, witness))
+
     audit = Audit()
-    for state in states:
-        audit.step(state)
-    for name, failure in (
-        ("unique-nonces", audit.unique),
-        ("no-read-others", audit.unread),
-        ("inv-sigma", audit.inv),
-        ("conforming-obligations", audit.honest),
-    ):
-        reports.append(failure or PredicateReport(name, True))
-
-    def complete_monotone():
-        for b, a in zip(states, states[1:]):
-            for uid in sorted(b.users):
-                if not b.users[uid].conforms or a.users.get(uid) is b.users[uid]:
-                    continue
-                for sid, was in b.users[uid].complete.items():
-                    if was and not a.users[uid].complete.get(sid, False):
-                        yield PredicateReport(
-                            "complete-monotone",
-                            False,
-                            f"completion reset for ({uid},{sid})",
-                        )
-        yield PredicateReport("complete-monotone", True)
-
-    reports.append(_first_failure("complete-monotone", complete_monotone()))
-
-    def step_frames():
-        for actor_id, sess, b, a in run.transitions():
-            owner = sess.split("#", 1)[0]
-            if not check_no_mods_to_others(b, a, {owner}, sess):
-                yield PredicateReport(
-                    "guarantee-no-mods-to-others",
-                    False,
-                    f"step by {actor_id} modified records outside its own session",
-                )
-        yield PredicateReport("guarantee-no-mods-to-others", True)
-
-    reports.append(_first_failure("guarantee-no-mods-to-others", step_frames()))
-
-    def abort_exclusive():
-        final = states[-1]
-        for machine in run.machines:
-            if machine.status.value == "aborted":
-                if any(s.users[machine.owner].complete.get(machine.session) for s in states):
-                    yield PredicateReport(
-                        "abort-never-completes",
-                        False,
-                        f"aborted session ({machine.owner},{machine.session}) shows complete",
-                    )
-            if machine.status.value == "completed" and not final.users[machine.owner].complete.get(
-                machine.session
-            ):
-                yield PredicateReport(
-                    "abort-never-completes",
-                    False,
-                    f"completed machine without completion flag ({machine.owner},{machine.session})",
-                )
-        yield PredicateReport("abort-never-completes", True)
-
-    reports.append(_first_failure("abort-never-completes", abort_exclusive()))
-    return reports
-
-
-def _first_failure(name: str, reports) -> PredicateReport:
-    for rep in reports:
-        if not rep.holds:
-            return rep
-    return PredicateReport(name, True)
+    audit.step(states[0])
+    # the sessions the first state, or a record that changed later, shows complete
+    shown = {(uid, sid) for uid, user in states[0].users.items() for sid in _done(user)}
+    for before, after in zip(states, states[1:]):
+        audit.step(after)
+        if "dyn-inv" not in failed:
+            rep = dyn_inv(before, after)
+            if not rep.holds:
+                failed["dyn-inv"] = rep
+        for uid in sorted(before.users):
+            b, a = before.users[uid], after.users.get(uid)
+            if a is b:
+                continue
+            done = _done(a) if a is not None else set()
+            shown.update((uid, sid) for sid in done)
+            for sid, was in b.complete.items():
+                if was and b.conforms and sid not in done:
+                    fail("complete-monotone", f"completion reset for ({uid},{sid})")
+    for actor_id, sess, before, after in run.transitions():
+        if not check_no_mods_to_others(before, after, {sess.split("#", 1)[0]}, sess):
+            fail(
+                "guarantee-no-mods-to-others",
+                f"step by {actor_id} modified records outside its own session",
+            )
+    final = states[-1].users
+    for machine in run.machines:
+        owner, sess = machine.owner, machine.session
+        if machine.status.value == "aborted" and (owner, sess) in shown:
+            fail("abort-never-completes", f"aborted session ({owner},{sess}) shows complete")
+        elif machine.status.value == "completed" and not (
+            owner in final and final[owner].complete.get(sess)
+        ):
+            fail(
+                "abort-never-completes",
+                f"completed machine without completion flag ({owner},{sess})",
+            )
+    failed.update({
+        "unique-nonces": audit.unique,
+        "no-read-others": audit.unread,
+        "inv-sigma": audit.inv,
+        "conforming-obligations": audit.honest,
+    })
+    return [failed.get(name) or PredicateReport(name, True) for name in _SUITE]
 
 
 def contract_verdict(name: str, state: GlobalState) -> SpecVerdict:

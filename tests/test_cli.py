@@ -166,6 +166,134 @@ def test_unreadable_input_is_a_clean_error(tmp_path, command, make_input):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _scenario(*records):
+    return "\n".join(["protolab-scenario v1", "user A conforms=true", *records]) + "\n"
+
+
+def _bounds(invents=0, sessions=4):
+    return (
+        f"bounds max_steps=9 max_content_len=2 max_intruder_invents={invents} "
+        f"max_sessions_per_user={sessions}"
+    )
+
+
+LOWE_TRACE = (GOLDEN / "lowe-on-ns.trc").read_text(encoding="utf-8")
+INTRUDER_COMPOSE = "i=4 actor=intruder@I#1 stmt=compose"
+
+
+def _trace(old, new):
+    assert old in LOWE_TRACE
+    return LOWE_TRACE.replace(old, new, 1)
+
+
+# (command, input text, the whole error line's message): every message names
+# its record and, where the record has one, the field
+MALFORMED_INPUTS = {
+    "negative-bound": (
+        "run",
+        _scenario("intruder none", _bounds(invents=-1)),
+        "bounds: max_intruder_invents must be >= 0",
+    ),
+    "conforms-not-a-bool": (
+        "run",
+        _scenario("user B conforms=yes", "intruder none"),
+        "user: field 'conforms' must be true or false, got 'yes'",
+    ),
+    "receiver-peer": (
+        "run",
+        _scenario("user B conforms=true", "role receiver user=B peer=A variant=ns", "intruder none"),
+        "role: peer= is only meaningful on a sender",
+    ),
+    "unknown-variant": (
+        "run",
+        _scenario("user B conforms=true", "role sender user=A peer=B variant=tls", "intruder none"),
+        "role: field 'variant' must be ns or nsl, got 'tls'",
+    ),
+    "none-with-fields": (
+        "run",
+        _scenario("intruder none user=A"),
+        "intruder: 'none' takes no fields",
+    ),
+    "lowe-script-fields": (
+        "run",
+        _scenario("user B conforms=true", "user I conforms=false", "intruder lowe_script user=I a=A"),
+        "intruder: lowe_script needs user=, a= and b=",
+    ),
+    "search-fields": (
+        "run",
+        _scenario("user I conforms=false", "intruder search user=I a=A"),
+        "intruder: search needs exactly user=",
+    ),
+    "no-principal": (
+        "run",
+        "protolab-scenario v1\nintruder none\n",
+        "user: at least one principal is required",
+    ),
+    "sender-without-peer": (
+        "run",
+        _scenario("role sender user=A variant=ns", "intruder none"),
+        "role: a sender may omit peer= only in search scenarios",
+    ),
+    "conforming-intruder": (
+        "run",
+        _scenario("user I conforms=true", "intruder search user=I"),
+        "intruder: user 'I' must be declared conforms=false",
+    ),
+    "intruder-with-role": (
+        "run",
+        _scenario("user I conforms=false", "role receiver user=I variant=ns", "intruder search user=I"),
+        "intruder: user 'I' cannot also hold a role",
+    ),
+    "too-many-sessions": (
+        "run",
+        _scenario(
+            "user B conforms=true",
+            "role sender user=A peer=B variant=ns",
+            "role sender user=A peer=B variant=nsl",
+            "intruder none",
+            _bounds(sessions=1),
+        ),
+        "role: user 'A' has 2 sessions, above max_sessions_per_user",
+    ),
+    "undeclared-set-partner-peer": (
+        "replay",
+        _trace("stmt=set-partner arg=I", "stmt=set-partner arg=Z"),
+        "event 1: field 'arg': set-partner peer must be a declared user, got 'Z'",
+    ),
+    "replay-without-index": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=replay"),
+        "event 4: replay needs a history index",
+    ),
+    "unrecognised-key-atom": (
+        "replay",
+        _trace(
+            "act=msg(rec=B,ghost:sender=I,[A,n1])",
+            "act=wire(enc(xk:B),ghost:sender=I,ghost:payload=[A,n1])",
+        ),
+        "event 4: unrecognised key atom 'xk:B'",
+    ),
+    "unknown-intruder-statement": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=dance"),
+        "event 4: unknown intruder statement 'dance'",
+    ),
+    "embedded-scenario-missing": (
+        "replay",
+        "".join(line for line in LOWE_TRACE.splitlines(True) if not line.startswith("scn ")),
+        "scn: embedded scenario missing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_named_on_stderr(tmp_path, case):
+    command, text, message = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(command, str(path)) == (2, "", f"error: {message}\n")
+
+
 # ── golden traces ────────────────────────────────────────────────────────────
 
 

@@ -824,3 +824,25 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
     assert verdict.inconclusive and verdict.states == 249
     assert built == {"machine": {1}, "intruder": {0}}
     assert holding == {0}
+
+
+def test_each_node_key_is_hashed_once(monkeypatch):
+    # a tuple keeps no hash, so every hash of a key hashes each machine and
+    # the whole history again
+    counts = {"keys": 0, "hashes": 0}
+
+    class CountedKey(tuple):
+        def __hash__(self):
+            counts["hashes"] += 1
+            return super().__hash__()
+
+    real = search._node_key
+
+    def keying(node):
+        counts["keys"] += 1
+        return CountedKey(real(node))
+
+    monkeypatch.setattr(search, "_node_key", keying)
+    verdict = explore(load_scenario(scenario("nsl-search")), spec="all")
+    assert verdict.holds and verdict.states > 1
+    assert counts["hashes"] == counts["keys"] > 0

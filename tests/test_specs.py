@@ -257,6 +257,71 @@ def test_abort_exclusivity_recorded(lowe_nsl):
     assert reports["abort-never-completes"].holds
 
 
+# The last step of honest-nsl is B's, which completes B#1; A completed A#1
+# before it.  A vanished record shows no session complete.
+LAST_STEP_FRAME = (
+    "guarantee-no-mods-to-others",
+    "step by receiver@B#1 modified records outside its own session",
+)
+VANISHED = {
+    "A": [
+        ("dyn-inv", "user A disappeared"),
+        ("complete-monotone", "completion reset for (A,A#1)"),
+        LAST_STEP_FRAME,
+        ("abort-never-completes", "completed machine without completion flag (A,A#1)"),
+    ],
+    "B": [  # the vanished user owns the last step
+        ("dyn-inv", "user B disappeared"),
+        LAST_STEP_FRAME,
+        ("abort-never-completes", "completed machine without completion flag (B,B#1)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("uid", sorted(VANISHED))
+def test_a_vanished_user_record_is_reported(uid):
+    run = execute_scripted(load_scenario(scenario("honest-nsl")))
+    states = run.checkable_states()
+    assert run.events[-1].actor == "receiver@B#1"
+    assert states[-2].users["A"].complete["A#1"] and not states[-2].users["B"].complete["B#1"]
+    last = states[-1]
+    states[-1] = replace(last, users={u: r for u, r in last.users.items() if u != uid})
+    run.checkable_states = lambda: list(states)
+    failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
+    assert failing == VANISHED[uid]
+    assert evaluate_run_specs(run, ["inv"])[0].detail == f"dyn-inv: user {uid} disappeared"
+
+
+def test_an_aborted_session_shown_complete_breaks_abort_exclusivity():
+    # A#1 aborts; from its abort on, every state shows it complete.  The
+    # aborting step is A#1's own, so no frame or completion flag is broken
+    run = execute_scripted(load_scenario(scenario("lowe-on-nsl")))
+    states = run.checkable_states()
+    k = next(k for k, ev in enumerate(run.events, start=1) if ev.stmt == "recv-abort")
+    assert run.events[k - 1].actor == "sender@A#1"
+    assert not any(s.users["A"].complete.get("A#1") for s in states)
+    states[k:] = [set_complete(s, "A", "A#1") for s in states[k:]]
+    run.checkable_states = lambda: list(states)
+    failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
+    assert failing == [("abort-never-completes", "aborted session (A,A#1) shows complete")]
+
+
+def test_a_completed_machine_without_its_flag_breaks_abort_exclusivity():
+    # B#1's last step completes it; the final state loses that flag, which
+    # B's own step may change, and B#1 was not complete before it
+    run = execute_scripted(load_scenario(scenario("honest-nsl")))
+    states = run.checkable_states()
+    last = states[-1]
+    assert not states[-2].users["B"].complete["B#1"] and last.users["B"].complete["B#1"]
+    b = last.users["B"]
+    states[-1] = replace(last, users={**last.users, "B": replace(b, complete={"B#1": False})})
+    run.checkable_states = lambda: list(states)
+    failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
+    assert failing == [
+        ("abort-never-completes", "completed machine without completion flag (B,B#1)")
+    ]
+
+
 def test_evaluate_run_specs_inv_verdict(lowe_ns):
     verdicts = {v.spec: v for v in evaluate_run_specs(lowe_ns, ["post-ns", "nsl-ft", "inv"])}
     assert not verdicts["post-ns"].holds
