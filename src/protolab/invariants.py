@@ -77,13 +77,21 @@ def _justify(justified: dict[Uid, frozenset], actions: Sequence[Action]) -> None
                 justified[act.rec] = justified.get(act.rec, frozenset()) | nonces
 
 
+def _replaced(records: dict, other: dict) -> list:
+    """The uids of `records`, sorted, whose record is not the very object
+    `other` holds for them.  A step replaces at most one user record, so a
+    walk over these visits the changed records in name order, as a walk over
+    every uid in name order that skips the unchanged ones would."""
+    if records is other:
+        return []
+    return sorted([uid for uid, user in records.items() if other.get(uid) is not user])
+
+
 def _unread(users: dict, justified: dict[Uid, frozenset], passed: dict) -> PredicateReport | None:
     """The no-read-others failure of the first user (by name) knowing an
     unjustified nonce; a user record in `passed` already held."""
-    for uid in sorted(users):
+    for uid in _replaced(users, passed):
         user = users[uid]
-        if passed.get(uid) is user:
-            continue
         known = set().union(*user.knows.values()) if user.knows else set()
         unjustified = known - justified.get(uid, frozenset())
         if unjustified:
@@ -312,11 +320,9 @@ def dyn_inv(before: GlobalState, after: GlobalState) -> PredicateReport:
     n = len(before.history)
     if after.history[:n] != before.history:
         return _fail("dyn-inv", "history is not extended prefix-preservingly")
-    for uid in sorted(before.users):
+    for uid in _replaced(before.users, after.users):
         b = before.users[uid]
         a = after.users.get(uid)
-        if a is b:
-            continue
         if a is None:
             return _fail("dyn-inv", f"user {uid} disappeared")
         if a.conforms != b.conforms:

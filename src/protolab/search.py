@@ -91,6 +91,48 @@ ends when no bucket is left.  A macro that would pass `max_steps` is cut
 there, and since the node where it is cut still has a step of the macro
 enabled, the search is then truncated.
 
+Duplicates are found by `_node_key`, which forgets the order of the
+history, as Mitchell, Mitchell and Stern's Murphi model does (*Automated
+analysis of cryptographic protocols using Murphi*, 1997): the intruder's
+knowledge is a set, and only the messages still in flight keep their order.
+A node is keyed by its machines, each user's partner, knows and complete
+records, the history as a multiset, and, for each user that owns a machine,
+the messages to it that no receive has taken, in history order.  So runs
+that differ only in the order of commuting steps meet in one node.  The key
+is exact: two nodes with equal keys have the same successors, up to the
+history positions of their actions, and every reader of the history reads
+only what the key keeps.
+
+- A receive (`roles.find_match`) takes the newest unread message to its
+  owner that its pattern matches: the last match in the owner's queue.
+- The intruder's `closure` is the user names, the items of the messages to
+  the intruder and its own inventions, all sets.  Its opaque list names the
+  positions of the other messages, and a replay re-sends the message at
+  one, so both nodes offer the same replayed messages, by other indices.
+- The next nonce is one past the highest in the history, and the
+  intruder's invention count counts its `Invent`s: both read the multiset.
+- The pending-copies filter counts the unconsumed copies per recipient and
+  content: the owner's queue.  The intruder offers nothing to a recipient
+  with no machine, whose messages no receive ever takes.
+- Depth, the progress measure, reads the machines and the number of the
+  intruder's actions.
+- A successor's safety is checked against its real parent (`dyn_inv`)
+  and the facts carried along its own links.  The parent held, so what the
+  step added fails exactly when it fails on the other node: freshness and
+  justified nonces read the multiset, and the honesty obligations of an
+  intruder-free search pair each new message with every earlier one.
+- The contracts read only the user records.
+- A counterexample is rebuilt from the links of the node reached first,
+  and re-executed, so it is a run of the model, whatever was merged into
+  it.
+
+The public and private keys never change in a search, and a step that
+changed a `conforms` flag fails `dyn_inv` before its node is keyed, so
+none of them is in the key.  The consumed history indices are not either:
+the queues and the multiset fix everything they told apart, up to history
+positions.  Keying by the ordered history instead finds the same verdicts
+from more nodes (attack-ns: 100 instead of 54).
+
 Every micro state is checked against the safety invariants: the
 transition invariant against its own parent, then, with an intruder in
 play, nonce freshness and recipient-only readability for what its step
@@ -134,16 +176,18 @@ filter remains: a message is not offered while identical unconsumed
 messages already await the same recipient, as many as it has waiting
 machines the content matches, since consuming either copy leads to the
 same successor states.  Without it the search reaches more nodes, with the
-same verdicts (ns-search: 117 instead of 100, nsl-search: 39 instead of 21).
+same verdicts (ns-search: 70 instead of 54, nsl-search: 38 instead of 21).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
 from .invariants import _justify, _reused, _unread, dyn_inv, inv_sigma
-from .model import Invent, Msg, state_key
+from .model import Invent, Msg
 from .roles import (
     ABSTRACT,
     FinishStmt,
@@ -168,8 +212,39 @@ from .specs import (
 )
 
 
+_recipient = attrgetter("rec")
+
+
 def _node_key(node: Config) -> tuple:
-    return (node.machines, state_key(node.state), node.inbox.consumed)
+    """The node's machines, each user's records, the history as a multiset,
+    and the messages no receive has taken yet to each user that owns a
+    machine, in history order per recipient; see the module docstring.  The
+    users come in the order of the users dict, which every state of one
+    search shares."""
+    state = node.state
+    history = state.history
+    actions = frozenset(history)
+    if len(actions) < len(history):
+        actions = frozenset(Counter(history).items())
+    taken = set()
+    for _, indices in node.inbox.consumed:
+        taken |= indices
+    owners = {machine.owner for machine in node.machines}
+    pending = [
+        act
+        for index, act in enumerate(history)
+        if act.__class__ is Msg and act.rec in owners and index not in taken
+    ]
+    pending.sort(key=_recipient)
+    users = tuple([
+        (
+            frozenset(u.int_partner.items()),
+            frozenset(u.knows.items()),
+            frozenset(u.complete.items()),
+        )
+        for u in state.users.values()
+    ])
+    return (node.machines, users, actions, tuple(pending))
 
 
 class _Searcher:

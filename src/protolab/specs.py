@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .invariants import Audit, PredicateReport, dyn_inv
+from .invariants import Audit, PredicateReport, _replaced, dyn_inv
 from .model import GlobalState, Sid, Uid
 
 SPEC_POST_NS = "post-ns"
@@ -289,10 +289,8 @@ def check_lemma_suite(run) -> list[PredicateReport]:
             rep = dyn_inv(before, after)
             if not rep.holds:
                 failed["dyn-inv"] = rep
-        for uid in sorted(before.users):
+        for uid in _replaced(before.users, after.users):
             b, a = before.users[uid], after.users.get(uid)
-            if a is b:
-                continue
             done = _done(a) if a is not None else set()
             shown.update((uid, sid) for sid in done)
             for sid, was in b.complete.items():

@@ -242,7 +242,7 @@ def test_explore_rejects_scripted_scenarios():
 
 def test_ns_search_counters_are_pinned(ns_cex):
     # a change of search strategy may move these only on purpose, and says so
-    assert ns_cex.states == 100
+    assert ns_cex.states == 54
     golden = parse_trace((GOLDEN / "lowe-on-ns.trc").read_text())
     last = ns_cex.counterexample.events[-1]
     assert last.digest == golden.events[-1].digest == "112d8965862b"
@@ -274,11 +274,11 @@ def test_invention_moves_are_searched_and_bounded():
 # verdicts on purpose.
 NEWLY_TRACTABLE = [
     ("ns-search", {"max_intruder_invents": 1, "max_steps": 16}, "post-ns",
-     ("post-ns", 2403, 12, "mutual-partner: A session A#1 completed with partner B")),
+     ("post-ns", 897, 12, "mutual-partner: A session A#1 completed with partner B")),
     ("nsl-search", {"max_intruder_invents": 1, "max_steps": 16}, "all",
-     ("post-ns", 290, 12, "mutual-partner: A session A#1 completed with partner B")),
+     ("post-ns", 225, 12, "mutual-partner: A session A#1 completed with partner B")),
     ("nsl-search", {"max_content_len": 3, "max_steps": 14}, "all",
-     ("nsl-ft", 192, 13, "abnormal-termination: A completed session A#1")),
+     ("nsl-ft", 94, 13, "abnormal-termination: A completed session A#1")),
 ]
 
 
@@ -303,8 +303,8 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
 # A#2 in place of A#1's and aborts (two senders).  Fixing the receive
 # discipline will flip these verdicts, on purpose.
 RECEIVE_DISCIPLINE = [
-    (CROSS_TALK, 22, ("post-ns", 698, 20)),
-    (TWO_SENDERS, 16, ("post-ns", 1074, 16)),
+    (CROSS_TALK, 22, ("post-ns", 462, 20)),
+    (TWO_SENDERS, 16, ("post-ns", 746, 16)),
 ]
 
 
@@ -328,6 +328,14 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
 
 
 # ── differential check against iterative deepening ──────────────────────────
+
+
+def ordered_key(node):
+    """The node key `explore` used before it keyed the history as a
+    multiset: the machines, the whole state with its history in order, and
+    the consumed history indices.  The references below drop duplicates by
+    it, so each differential also compares the two keys."""
+    return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
 def children(searcher, node):
@@ -367,15 +375,15 @@ def facts_of(state):
 
 
 class ReferenceSearch:
-    """Iterative-deepening depth-first search over the same children and
-    duplicate keys as `explore`, with each state's safety rescanned whole:
-    depth limits 0..max_steps, each pass a canonical-order DFS that skips a
-    node already reached at no greater depth.  A pass's order and duplicate
-    keys depend on neither the step bound nor the spec; only where it stops
-    does.  So each depth limit is passed once, and the pass serves every
-    step bound and every spec given: it records the first violation of each
-    spec, and stops at a safety violation (which every spec still open takes
-    as its first) or once every spec has one."""
+    """Iterative-deepening depth-first search over the same children as
+    `explore`, duplicates keyed by `ordered_key`, with each state's safety
+    rescanned whole: depth limits 0..max_steps, each pass a canonical-order
+    DFS that skips a node already reached at no greater depth.  A pass's
+    order and duplicate keys depend on neither the step bound nor the spec;
+    only where it stops does.  So each depth limit is passed once, and the
+    pass serves every step bound and every spec given: it records the first
+    violation of each spec, and stops at a safety violation (which every
+    spec still open takes as its first) or once every spec has one."""
 
     def __init__(self, sc, specs):
         self.sc = sc
@@ -401,7 +409,7 @@ class ReferenceSearch:
                 return False
             for entry in kids:
                 child = apply(searcher, node, entry)
-                key = _node_key(child)
+                key = ordered_key(child)
                 seen_at = visited.get(key)
                 if seen_at is not None and seen_at <= depth + 1:
                     continue
@@ -419,7 +427,7 @@ class ReferenceSearch:
             return False
 
         root = searcher.root
-        dfs(root, 0, [], {_node_key(root): 0})
+        dfs(root, 0, [], {ordered_key(root): 0})
         return found, truncated
 
     def explore(self, max_steps, spec):
@@ -447,7 +455,7 @@ def reference_explore(name, max_steps, invents, spec):
     return REFERENCES[key].explore(max_steps, spec)
 
 
-INLINE = {"cross-talk": CROSS_TALK, "two-senders": TWO_SENDERS}
+INLINE = {"cross-talk": CROSS_TALK, "two-senders": TWO_SENDERS, "honest": HONEST_SEARCH}
 
 
 def _bounded(name, max_steps, invents=0):
@@ -550,8 +558,8 @@ def reference_outcomes(sc):
             elif depth < sc.bounds.max_steps:
                 for entry in kids:
                     child = apply(searcher, node, entry)
-                    if _node_key(child) not in seen:
-                        seen.add(_node_key(child))
+                    if ordered_key(child) not in seen:
+                        seen.add(ordered_key(child))
                         next_level.append(child)
         level = next_level
     return outcomes
@@ -614,7 +622,7 @@ def test_every_move_raises_the_progress_measure_by_one():
     sc = load_scenario(scenario('nsl-search'))
     searcher = _Searcher(sc, "all")
     intruder = sc.intruder.user
-    level, reached, moves = [searcher.root], {_node_key(searcher.root)}, 0
+    level, reached, moves = [searcher.root], {ordered_key(searcher.root)}, 0
     macros, fused = set(), set()
     for _ in range(sc.bounds.max_steps):
         next_level = []
@@ -623,7 +631,7 @@ def test_every_move_raises_the_progress_measure_by_one():
                 child = apply(searcher, node, entry)
                 assert progress(child, intruder) == progress(node, intruder) + 1, entry
                 moves += 1
-                key = _node_key(child)
+                key = ordered_key(child)
                 if key not in reached:
                     reached.add(key)
                     next_level.append(child)
@@ -729,7 +737,7 @@ def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
     justified = count_calls(monkeypatch, invariants._justify, weigh=lambda _, acts: len(acts))
     steps = count_calls(monkeypatch, runner.apply_entry)
     verdict = explore(parse_scenario(TWO_SENDERS), spec="all")
-    assert verdict.inconclusive and verdict.states == 249
+    assert verdict.inconclusive and verdict.states == 225
     assert max(count() for count in rescans) <= 1
     assert 0 < justified() <= steps()
 
@@ -821,14 +829,14 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
     monkeypatch.setattr(search, "apply_entry", applying)
     monkeypatch.setattr(search, "dyn_inv", checking)
     verdict = explore(sc, spec="all")
-    assert verdict.inconclusive and verdict.states == 249
+    assert verdict.inconclusive and verdict.states == 225
     assert built == {"machine": {1}, "intruder": {0}}
     assert holding == {0}
 
 
 def test_each_node_key_is_hashed_once(monkeypatch):
     # a tuple keeps no hash, so every hash of a key hashes each machine and
-    # the whole history again
+    # each message in flight again
     counts = {"keys": 0, "hashes": 0}
 
     class CountedKey(tuple):
@@ -846,3 +854,116 @@ def test_each_node_key_is_hashed_once(monkeypatch):
     verdict = explore(load_scenario(scenario("nsl-search")), spec="all")
     assert verdict.holds and verdict.states > 1
     assert counts["hashes"] == counts["keys"] > 0
+
+
+# ── the node key: the history as a multiset, the queues in flight ──────────
+
+# (scenario, step bound, intruder inventions, content length or None, spec):
+# violations, holds and inconclusive verdicts, with and without an intruder
+KEY_CASES = [
+    ("ns-search", 12, 0, None, "nsl-ft"),
+    ("ns-search", 13, 0, None, "post-ns"),
+    ("ns-search", 14, 0, None, "inv"),
+    ("ns-search", 10, 1, None, "all"),
+    ("nsl-search", 12, 1, None, "all"),
+    ("nsl-search", 12, 1, None, "nsl-ft"),
+    ("nsl-search", 13, 0, 3, "nsl-ft"),
+    ("nsl-search", 14, 0, 3, "post-ns"),
+    ("two-senders", 13, 0, None, "all"),
+    ("two-senders", 16, 0, None, "nsl-ft"),
+    ("cross-talk", 16, 0, None, "all"),
+    ("honest", 12, 0, None, "all"),
+]
+
+
+def verdict_line(verdict):
+    cex = verdict.counterexample
+    return (
+        verdict.spec, verdict.holds, verdict.inconclusive, verdict.detail,
+        None if cex is None else len(cex.events),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,max_steps,invents,content,spec",
+    KEY_CASES,
+    ids=[f"{n}-steps{m}-invents{i}-content{c}-{s}" for n, m, i, c, s in KEY_CASES],
+)
+def test_the_multiset_key_gives_the_ordered_key_verdict(
+    monkeypatch, name, max_steps, invents, content, spec
+):
+    sc = _bounded(name, max_steps, invents)
+    if content is not None:
+        sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
+    merged = explore(sc, spec=spec)
+    monkeypatch.setattr(search, "_node_key", ordered_key)
+    ordered = explore(sc, spec=spec)
+    assert verdict_line(merged) == verdict_line(ordered)
+    assert merged.states <= ordered.states
+
+
+def reach(schedule):
+    """The configuration of the two-senders scenario (senders A#1 and A#2,
+    receiver B#1) after the single steps of `schedule`, each a machine index
+    and the peer it chooses, if any.  The first four steps give A#1 the
+    nonce n1 and A#2 the nonce n2."""
+    searcher = _Searcher(parse_scenario(TWO_SENDERS), SPEC_INV)
+    node = searcher.root
+    for index, peer in schedule:
+        node = apply(searcher, node, ("machine", index, peer))
+    return node
+
+
+def opened(peer1, peer2):
+    return [(0, peer1), (0, None), (1, peer2), (1, None)]
+
+
+def test_commuting_interleavings_key_equal():
+    # A#1's opener to B, taken by B#1, and A#2's opener to I, in either order
+    one = reach(opened("B", "I") + [(0, None), (2, None), (1, None)])
+    two = reach(opened("B", "I") + [(1, None), (0, None), (2, None)])
+    assert one.machines == two.machines and one.state.users == two.state.users
+    assert one.state.history != two.state.history
+    assert one.inbox.consumed != two.inbox.consumed
+    assert _node_key(one) == _node_key(two)
+    assert ordered_key(one) != ordered_key(two)
+
+
+def test_messages_to_a_user_without_a_machine_key_equal_in_either_order():
+    # both openers go to the intruder, which runs no machine and takes nothing
+    one = reach(opened("I", "I") + [(0, None), (1, None)])
+    two = reach(opened("I", "I") + [(1, None), (0, None)])
+    assert one.state.history != two.state.history
+    assert _node_key(one) == _node_key(two)
+
+
+def test_the_order_of_a_machine_owners_pending_messages_is_kept():
+    # both openers wait for B, whose receive takes the newer: n2, or n1
+    sends = [[(0, None), (1, None)], [(1, None), (0, None)]]
+    one, two = (reach(opened("B", "B") + order) for order in sends)
+    assert set(one.state.history) == set(two.state.history)
+    assert _node_key(one) != _node_key(two)
+    received = [reach(opened("B", "B") + order + [(2, None)]) for order in sends]
+    assert [node.machines[2].local("Nf") for node in received] == [Nonce(2), Nonce(1)]
+
+
+def with_history(*history):
+    """The two-senders root with `history` planted, no message consumed."""
+    root = reach([])
+    return replace(root, state=replace(root.state, history=history))
+
+
+def test_the_history_is_keyed_with_multiplicity():
+    # only the multiset tells these apart: the messages go to the intruder
+    a, b = Msg("I", "A", ("A",)), Msg("I", "B", ("B",))
+    assert _node_key(with_history(a, a, b)) != _node_key(with_history(a, b, b))
+    assert _node_key(with_history(a, b)) != _node_key(with_history(a, a, b))
+    assert _node_key(with_history(a, b, a)) == _node_key(with_history(a, a, b))
+
+
+def test_the_queues_of_two_machine_owners_interleave_freely():
+    # each receive reads only its own owner's queue
+    to_a, to_b = Msg("A", "I", ("I", Nonce(1))), Msg("B", "I", ("I", Nonce(1)))
+    assert _node_key(with_history(to_a, to_b)) == _node_key(with_history(to_b, to_a))
+    again = Msg("B", "I", ("A", Nonce(1)))
+    assert _node_key(with_history(to_a, to_b, again)) != _node_key(with_history(again, to_a, to_b))

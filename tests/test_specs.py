@@ -14,6 +14,7 @@ from protolab.model import (
     Msg,
     Nonce,
     add_knows,
+    append_invention,
     initial_state,
     is_nonce,
     is_uid,
@@ -290,6 +291,26 @@ def test_a_vanished_user_record_is_reported(uid):
     failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
     assert failing == VANISHED[uid]
     assert evaluate_run_specs(run, ["inv"])[0].detail == f"dyn-inv: user {uid} disappeared"
+
+
+def test_two_records_changed_at_once_are_reported_by_name():
+    # B's record comes first in the users dict and both records change in
+    # one pair: each witness names A, the lower uid, as a walk over every
+    # uid by name would
+    before = initial_state({"B": True, "A": True})
+    for uid in ("B", "A"):
+        sid = f"{uid}#1"
+        before, nonce = append_invention(open_session(before, uid, sid), uid)
+        before = set_complete(add_knows(before, uid, sid, [nonce]), uid, sid)
+    users = {uid: replace(user, knows={}, complete={}) for uid, user in before.users.items()}
+    after = replace(before, users=users)
+    assert list(after.users) == ["B", "A"]
+    assert dyn_inv(before, after).witness == "knows shrank for (A,A#1)"
+    reports = check_lemma_suite(RecordedStates([before, after]))
+    assert [(r.name, r.witness) for r in reports if not r.holds] == [
+        ("dyn-inv", "knows shrank for (A,A#1)"),
+        ("complete-monotone", "completion reset for (A,A#1)"),
+    ]
 
 
 def test_an_aborted_session_shown_complete_breaks_abort_exclusivity():
