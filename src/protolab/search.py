@@ -133,6 +133,61 @@ the queues and the multiset fix everything they told apart, up to history
 positions.  Keying by the ordered history instead finds the same verdicts
 from more nodes (attack-ns: 100 instead of 54).
 
+Nodes that differ only in the names of their nonces, or in which of two
+interchangeable sessions did what, meet in one node too (symmetry
+reduction, after the scalarsets of Ip and Dill, *Better verification
+through symmetry*, 1996, which Murphi implements).  Two machines are
+interchangeable when their role declarations are identical: the same user,
+kind, variant and declared peer (`_Searcher.groups`).  `_node_key` keys the
+node's canonical image:
+
+- the members of each group take the group's positions in the order of a
+  signature that no renaming changes (pc, highest first, status, chosen
+  peer, and the session's recorded partner and completion), each under
+  the session id of the position it takes, in its machine and in its
+  user's records;
+- the honest machines' inventions are renamed 1, 2, ... in the image's
+  machine order, and the intruder's inventions follow in index order;
+- when members' signatures tie, the image is rendered in an orderable form
+  (tuples, and sorted sets) under every order of the tied members, and the
+  key is the least rendering (`_tied_key`), which never equals a plain key.
+  Tied members with equal locals and knows have invented nothing, and
+  swapping them changes only their session ids, so they are not ordered.
+  Whether a node has a tie that is ordered does not change under renaming
+  or permutation, so equivalent nodes take the same branch.
+
+When the image is the node itself, as at every node of a search with one
+machine per declaration that invents its nonces in machine order (attack-ns,
+certify-nsl), the key is the node's plain key, found in time linear in the
+machines, with no image built.  The image exists only to be keyed: the
+search keeps the node it reached first, and a counterexample is rebuilt from
+its links and re-executed, so it names the sessions and nonces of a run.
+The intruder's inventions are not permuted among themselves, so nodes that
+differ only in which of two intruder nonces was used where stay apart.
+
+The merge is exact.  A permutation of interchangeable sessions, with a
+bijection of the nonces 1..k of a node, maps the node to one with the same
+successors, mapped alike, and the same verdicts, because each reader of a
+nonce index or a session id is equivariant or decides only which of
+equivalent nodes or violations is met first:
+
+- `model.append_invention` takes one past the highest nonce.  The nonces of
+  a search node are 1..k, in every image too, so the next is k+1 on both
+  sides, and fresh either way.
+- `intruder.legal_moves` orders its pool by `item_key`, so by nonce index,
+  and the search tries machines in position order: a renaming or a
+  permutation reorders a node's successors, not their set.  It can change
+  which of two equivalent successors is reached first, and kept.
+- The intruder's invention count counts its `Invent`s by user, which a
+  renaming keeps.
+- The contracts in `specs` and the safety invariants walk sessions and
+  nonces in `sorted` order and name the first failure, so a renaming can
+  change which names a detail gives, never a verdict.  The detail reported
+  is taken from the re-executed run of the node reached first.
+- A session id only names the records its machine writes, and a
+  permutation moves a machine together with its records.  No step reads
+  another session's id, and the history holds none.
+
 Every micro state is checked against the safety invariants: the
 transition invariant against its own parent, then, with an intruder in
 play, nonce freshness and recipient-only readability for what its step
@@ -183,11 +238,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations, product
 from operator import attrgetter
 
 from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
 from .invariants import _justify, _reused, _unread, dyn_inv, inv_sigma
-from .model import Invent, Msg
+from .model import GlobalState, Invent, Msg, Nonce, UserState
 from .roles import (
     ABSTRACT,
     FinishStmt,
@@ -215,36 +271,241 @@ from .specs import (
 _recipient = attrgetter("rec")
 
 
-def _node_key(node: Config) -> tuple:
-    """The node's machines, each user's records, the history as a multiset,
-    and the messages no receive has taken yet to each user that owns a
-    machine, in history order per recipient; see the module docstring.  The
-    users come in the order of the users dict, which every state of one
-    search shares."""
-    state = node.state
-    history = state.history
-    actions = frozenset(history)
-    if len(actions) < len(history):
-        actions = frozenset(Counter(history).items())
+def _node_key(node: Config, groups, binds) -> tuple:
+    """The key of the node's canonical image: the members of each group of
+    interchangeable machines in signature order, and each nonce renamed by
+    the position of the machine that invented it, the intruder's after them
+    in index order; see the module docstring.  `groups` holds the positions
+    of each group of two or more identical role declarations, and `binds`
+    the local each machine's invent binds.  A node whose image is itself is
+    keyed without building it."""
+    machines, order = node.machines, None
+    if groups:
+        order, tied = _canonical_order(machines, node.state.users, groups)
+        if tied:
+            return _tied_key(node, order, tied, binds)
+    table = _renaming(machines, order, binds, node.state.history)
+    if order is None and table is None:
+        return _plain_key(node)
+    return _plain_key(_image(node, order, table))
+
+
+def _pending(node: Config) -> list:
+    """The messages no receive has taken yet to each user that owns a
+    machine, in history order per recipient."""
     taken = set()
     for _, indices in node.inbox.consumed:
         taken |= indices
     owners = {machine.owner for machine in node.machines}
     pending = [
         act
-        for index, act in enumerate(history)
+        for index, act in enumerate(node.state.history)
         if act.__class__ is Msg and act.rec in owners and index not in taken
     ]
     pending.sort(key=_recipient)
+    return pending
+
+
+def _plain_key(node: Config) -> tuple:
+    """The node's machines, each user's records, the history as a multiset,
+    and its pending messages.  The users come in the order of the users
+    dict, which every state of one search shares."""
+    history = node.state.history
+    actions = frozenset(history)
+    if len(actions) < len(history):
+        actions = frozenset(Counter(history).items())
     users = tuple([
         (
             frozenset(u.int_partner.items()),
             frozenset(u.knows.items()),
             frozenset(u.complete.items()),
         )
-        for u in state.users.values()
+        for u in node.state.users.values()
     ])
-    return (node.machines, users, actions, tuple(pending))
+    return (node.machines, users, actions, tuple(_pending(node)))
+
+
+def _signature(machine: RoleMachine, user) -> tuple:
+    """What a renaming of nonces leaves of a machine and its session's
+    records: pc (highest first), status, chosen peer, recorded partner and
+    completion."""
+    session = machine.session
+    return (
+        -machine.pc,
+        machine.status.value,
+        machine.peer or "",
+        user.int_partner.get(session) or "",
+        user.complete.get(session, False),
+    )
+
+
+def _canonical_order(machines, users, groups):
+    """The machine each position of the image takes, or None when every
+    group is in signature order already, and the runs of positions whose
+    members' signatures tie but whose locals or knows differ.  The members
+    of any other tie are interchangeable: they have invented nothing, and
+    swapping them changes nothing but their session ids."""
+    order, tied = None, []
+    for group in groups:
+        user = users[machines[group[0]].owner]
+        signed = sorted((_signature(machines[i], user), i) for i in group)
+        if [i for _, i in signed] != list(group):
+            order = order or list(range(len(machines)))
+            for position, (_, i) in zip(group, signed):
+                order[position] = i
+        start = 0
+        for end in range(1, len(signed) + 1):
+            if end < len(signed) and signed[end][0] == signed[start][0]:
+                continue
+            run = [i for _, i in signed[start:end]]
+            first = machines[run[0]]
+            if any(
+                machines[i].locals != first.locals
+                or user.knows.get(machines[i].session) != user.knows.get(first.session)
+                for i in run[1:]
+            ):
+                tied.append(group[start:end])
+            start = end
+    return order, tied
+
+
+def _renaming(machines, order, binds, history) -> list | None:
+    """Each nonce's canonical name, indexed by its own index, or None when
+    every nonce has it already: the honest machines' inventions are named
+    1, 2, ... in the order of the image's positions, and the intruder's
+    follow in index order."""
+    honest = []
+    for index in order or range(len(machines)):
+        bind = binds[index]
+        for name, value in machines[index].locals:
+            if name == bind:
+                honest.append(value.ix)
+                break
+    if honest == list(range(1, len(honest) + 1)):
+        return None
+    highest = max(act.what.ix for act in history if act.__class__ is Invent)
+    names = dict(zip(honest, range(1, len(honest) + 1)))
+    others = [old for old in range(1, highest + 1) if old not in names]
+    names.update(zip(others, range(len(honest) + 1, highest + 1)))
+    table = [None] * (highest + 1)
+    for old, ix in names.items():
+        table[old] = Nonce(ix)
+    return table
+
+
+def _image(node: Config, order, table) -> Config:
+    """The node with position p running machine `order[p]` under p's session
+    id, and every nonce renamed by `table` (either may be None, for none)."""
+    machines, state = node.machines, node.state
+    sids, image = {}, []
+    for position, index in enumerate(order or range(len(machines))):
+        machine, session = machines[index], machines[position].session
+        if index == position and table is None:
+            image.append(machine)
+            continue
+        sids[machine.session] = session
+        locals = machine.locals
+        if table is not None:
+            locals = tuple([
+                (name, table[value.ix] if value.__class__ is Nonce else value)
+                for name, value in locals
+            ])
+        image.append(
+            RoleMachine(
+                machine.owner, machine.variant, machine.kind, session,
+                machine.peer, machine.pc, locals, machine.status,
+            )
+        )
+    users = {uid: _renamed_user(user, sids, table) for uid, user in state.users.items()}
+    history = state.history
+    if table is not None:
+        history = tuple([
+            Invent(act.user, table[act.what.ix]) if act.__class__ is Invent
+            else Msg(act.rec, act.sender, tuple([
+                table[i.ix] if i.__class__ is Nonce else i for i in act.content
+            ]))
+            for act in history
+        ])
+    return Config(tuple(image), GlobalState(users, history, state.pkeys), node.inbox)
+
+
+def _renamed_user(user: UserState, sids: dict, table) -> UserState:
+    """`user` with its sessions renamed by `sids` and its nonces by `table`."""
+    if table is None and sids.keys().isdisjoint(user.complete):
+        return user
+    return UserState(
+        {sids.get(sid, sid): partner for sid, partner in user.int_partner.items()},
+        {
+            sids.get(sid, sid): nonces if table is None else frozenset([table[n.ix] for n in nonces])
+            for sid, nonces in user.knows.items()
+        },
+        user.skey,
+        user.conforms,
+        {sids.get(sid, sid): done for sid, done in user.complete.items()},
+    )
+
+
+def _tied_key(node: Config, order, tied, binds) -> tuple:
+    """The least orderable rendering of the node's images under every order
+    of the tied runs' members; only the orders whose machines render least
+    are rendered in full."""
+    machines, history = node.machines, node.state.history
+    base = list(order or range(len(machines)))
+    candidates = []
+    for choice in product(*(permutations([base[p] for p in run]) for run in tied)):
+        for run, members in zip(tied, choice):
+            for position, index in zip(run, members):
+                base[position] = index
+        table = _renaming(machines, base, binds, history)
+        candidates.append((_machine_rendering(machines, base, table), list(base), table))
+    least = min(rendered for rendered, _, _ in candidates)
+    return min(
+        _rendering(node, positions, table, rendered)
+        for rendered, positions, table in candidates
+        if rendered == least
+    )
+
+
+def _rank(item, table) -> tuple:
+    """An item as an orderable tuple, a nonce renamed by `table`."""
+    if item.__class__ is Nonce:
+        return (1, item.ix if table is None else table[item.ix].ix)
+    return (0, item)
+
+
+def _action_rank(act, table) -> tuple:
+    if act.__class__ is Invent:
+        return (1, act.user, _rank(act.what, table))
+    return (0, act.rec, act.sender, tuple([_rank(i, table) for i in act.content]))
+
+
+def _machine_rendering(machines, order: list, table) -> tuple:
+    """The machines of `_image(node, order, table)` as orderable tuples,
+    less their session ids, which are their positions'."""
+    return tuple([
+        (m.pc, m.status.value, m.peer or "", tuple([(k, _rank(v, table)) for k, v in m.locals]))
+        for m in (machines[index] for index in order)
+    ])
+
+
+def _rendering(node: Config, order: list, table, machines: tuple) -> tuple:
+    """The plain key of `_image(node, order, table)` with every part
+    orderable, given its machines' rendering: dicts and sets sorted, the
+    history as a sorted tuple."""
+    sids = {node.machines[i].session: node.machines[p].session for p, i in enumerate(order)}
+    users = tuple([
+        (
+            tuple(sorted([(sids.get(sid, sid), p) for sid, p in u.int_partner.items()])),
+            tuple(sorted([
+                (sids.get(sid, sid), tuple(sorted([_rank(n, table) for n in ns])))
+                for sid, ns in u.knows.items()
+            ])),
+            tuple(sorted([(sids.get(sid, sid), done) for sid, done in u.complete.items()])),
+        )
+        for u in node.state.users.values()
+    ])
+    actions = tuple(sorted([_action_rank(act, table) for act in node.state.history]))
+    return (machines, users, actions, tuple([_action_rank(act, table) for act in _pending(node)]))
 
 
 class _Searcher:
@@ -256,6 +517,16 @@ class _Searcher:
         run = build_execution(scenario)
         self.intruder = run.intruder
         self.root = run.config
+        # the positions of each group of identical role declarations, and
+        # the local each machine's invent binds, for the node key
+        declared: dict = {}
+        for index, role in enumerate(scenario.roles):
+            declared.setdefault(role, []).append(index)
+        self.groups = tuple(tuple(group) for group in declared.values() if len(group) > 1)
+        self.binds = tuple(
+            next(s.bind for s in machine.statements() if isinstance(s, InventStmt))
+            for machine in self.root.machines
+        )
 
     # ── move generation ──────────────────────────────────────────────────
 
@@ -443,7 +714,8 @@ class _Searcher:
                     at = depth + len(steps)
                     keys = seen.setdefault(at, set())
                     known = len(keys)
-                    keys.add(_node_key(child))  # hashed once: a tuple keeps no hash
+                    # hashed once: a tuple keeps no hash
+                    keys.add(_node_key(child, self.groups, self.binds))
                     if len(keys) == known:
                         continue
                     states += 1

@@ -2,8 +2,9 @@
 for the identity-checked variant, determinism, and layering."""
 
 import io
+from collections import Counter
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,15 @@ import protolab.invariants as invariants
 import protolab.runner as runner
 import protolab.search as search
 from protolab.invariants import PredicateReport, dyn_inv, inv_sigma, no_read_others, unique_nonces
-from protolab.model import Invent, Msg, Nonce, add_knows, state_key
+from protolab.intruder import InventNonce
+from protolab.model import Invent, Msg, Nonce, add_knows, set_complete, state_key
 from protolab.roles import ABSTRACT, RoleMachine, Status
-from protolab.runner import apply_entry
+from protolab.runner import apply_entry, check_refinement, execute_schedule, schedule_from_doc
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
-from conftest import GOLDEN, count_calls, explore_with_quiescents, scenario
+from conftest import GOLDEN, ROOT, count_calls, explore_with_quiescents, scenario
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
-from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all
+from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all, contract_verdict
 from protolab.trace import parse_trace, render_trace
 
 HONEST_SEARCH = """protolab-scenario v1
@@ -274,9 +276,9 @@ def test_invention_moves_are_searched_and_bounded():
 # verdicts on purpose.
 NEWLY_TRACTABLE = [
     ("ns-search", {"max_intruder_invents": 1, "max_steps": 16}, "post-ns",
-     ("post-ns", 897, 12, "mutual-partner: A session A#1 completed with partner B")),
+     ("post-ns", 390, 12, "mutual-partner: A session A#1 completed with partner B")),
     ("nsl-search", {"max_intruder_invents": 1, "max_steps": 16}, "all",
-     ("post-ns", 225, 12, "mutual-partner: A session A#1 completed with partner B")),
+     ("post-ns", 117, 12, "mutual-partner: A session A#1 completed with partner B")),
     ("nsl-search", {"max_content_len": 3, "max_steps": 14}, "all",
      ("nsl-ft", 94, 13, "abnormal-termination: A completed session A#1")),
 ]
@@ -303,8 +305,8 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
 # A#2 in place of A#1's and aborts (two senders).  Fixing the receive
 # discipline will flip these verdicts, on purpose.
 RECEIVE_DISCIPLINE = [
-    (CROSS_TALK, 22, ("post-ns", 462, 20)),
-    (TWO_SENDERS, 16, ("post-ns", 746, 16)),
+    (CROSS_TALK, 22, ("post-ns", 36, 20)),
+    (TWO_SENDERS, 16, ("post-ns", 172, 16)),
 ]
 
 
@@ -330,11 +332,12 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
 # ── differential check against iterative deepening ──────────────────────────
 
 
-def ordered_key(node):
+def ordered_key(node, *symmetry):
     """The node key `explore` used before it keyed the history as a
-    multiset: the machines, the whole state with its history in order, and
-    the consumed history indices.  The references below drop duplicates by
-    it, so each differential also compares the two keys."""
+    multiset and merged symmetric nodes: the machines, the whole state with
+    its history in order, and the consumed history indices.  It takes and
+    ignores `_node_key`'s groups and binds.  The references below drop
+    duplicates by it, so each differential also compares the two keys."""
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
@@ -505,12 +508,30 @@ def test_breadth_first_matches_iterative_deepening(name, max_steps, invents, spe
     assert len(verdict.counterexample.events) == len(expected.counterexample.events)
 
 
-def outcome(state, intruder):
+def session_renamings(sc):
+    """Every renaming of session ids that permutes the sessions of each
+    group of identical role declarations among themselves."""
+    groups = {}
+    for role, sid in zip(sc.roles, sc.sessions()):
+        groups.setdefault(role, []).append(sid)
+    renamings = [{}]
+    for sids in groups.values():
+        renamings = [
+            {**renaming, **dict(zip(sids, perm))}
+            for renaming in renamings
+            for perm in permutations(sids)
+        ]
+    return renamings
+
+
+def outcome(state, sc):
     """A quiescent state's user records and the multiset of its actions other
-    than the intruder's messages, canonical under nonce renaming: the least
-    rendering over all permutations of its nonces.  The intruder's messages
-    are left out because the macro-step search sends only those that a
-    receive takes, and the single-step search sends others too."""
+    than the intruder's messages, canonical under nonce renaming and under
+    permutations of the sessions of identical role declarations: the least
+    rendering over all of those.  The intruder's messages are left out
+    because the macro-step search sends only those that a receive takes,
+    and the single-step search sends others too."""
+    intruder = sc.intruder.user
     nonces = sorted(
         {act.what for act in state.history if isinstance(act, Invent)}
         | {i for act in state.history if isinstance(act, Msg) for i in act.content
@@ -518,18 +539,21 @@ def outcome(state, intruder):
         | {n for user in state.users.values() for known in user.knows.values() for n in known}
     )
     renderings = []
-    for perm in permutations(range(len(nonces))):
+    for perm, sids in product(permutations(range(len(nonces))), session_renamings(sc)):
         names = dict(zip(nonces, perm))
 
         def item(i):
             return ("n", names[i]) if isinstance(i, Nonce) else ("u", i)
 
+        def sid(s):
+            return sids.get(s, s)
+
         users = tuple(
             (
                 uid,
-                tuple(sorted(user.int_partner.items())),
-                tuple(sorted((sid, tuple(sorted(map(item, ns)))) for sid, ns in user.knows.items())),
-                tuple(sorted(user.complete.items())),
+                tuple(sorted((sid(s), p) for s, p in user.int_partner.items())),
+                tuple(sorted((sid(s), tuple(sorted(map(item, ns)))) for s, ns in user.knows.items())),
+                tuple(sorted((sid(s), done) for s, done in user.complete.items())),
             )
             for uid, user in sorted(state.users.items())
         )
@@ -554,7 +578,7 @@ def reference_outcomes(sc):
         for node in level:
             kids = children(searcher, node)
             if not kids:
-                outcomes.add(outcome(node.state, sc.intruder.user))
+                outcomes.add(outcome(node.state, sc))
             elif depth < sc.bounds.max_steps:
                 for entry in kids:
                     child = apply(searcher, node, entry)
@@ -566,12 +590,13 @@ def reference_outcomes(sc):
 
 
 @pytest.mark.parametrize(
-    "name,max_steps", [("ns-search", 11), ("nsl-search", 14), ("cross-talk", 14)]
+    "name,max_steps",
+    [("ns-search", 11), ("nsl-search", 14), ("cross-talk", 14), ("two-senders", 8)],
 )
 def test_quiescent_outcomes_match_the_unreduced_search(name, max_steps):
     sc = _bounded(name, max_steps)
     _, collected = explore_with_quiescents(sc, SPEC_INV)
-    got = {outcome(state, sc.intruder.user) for state in collected}
+    got = {outcome(state, sc) for state in collected}
     assert got and got == reference_outcomes(sc)
 
 
@@ -737,7 +762,7 @@ def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
     justified = count_calls(monkeypatch, invariants._justify, weigh=lambda _, acts: len(acts))
     steps = count_calls(monkeypatch, runner.apply_entry)
     verdict = explore(parse_scenario(TWO_SENDERS), spec="all")
-    assert verdict.inconclusive and verdict.states == 225
+    assert verdict.inconclusive and verdict.states == 65
     assert max(count() for count in rescans) <= 1
     assert 0 < justified() <= steps()
 
@@ -829,14 +854,15 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
     monkeypatch.setattr(search, "apply_entry", applying)
     monkeypatch.setattr(search, "dyn_inv", checking)
     verdict = explore(sc, spec="all")
-    assert verdict.inconclusive and verdict.states == 225
+    assert verdict.inconclusive and verdict.states == 65
     assert built == {"machine": {1}, "intruder": {0}}
     assert holding == {0}
 
 
 def test_each_node_key_is_hashed_once(monkeypatch):
     # a tuple keeps no hash, so every hash of a key hashes each machine and
-    # each message in flight again
+    # each message in flight again; the two-senders search also keys images
+    # and tied renderings
     counts = {"keys": 0, "hashes": 0}
 
     class CountedKey(tuple):
@@ -846,14 +872,15 @@ def test_each_node_key_is_hashed_once(monkeypatch):
 
     real = search._node_key
 
-    def keying(node):
+    def keying(*args):
         counts["keys"] += 1
-        return CountedKey(real(node))
+        return CountedKey(real(*args))
 
     monkeypatch.setattr(search, "_node_key", keying)
-    verdict = explore(load_scenario(scenario("nsl-search")), spec="all")
-    assert verdict.holds and verdict.states > 1
-    assert counts["hashes"] == counts["keys"] > 0
+    for name in ("nsl-search", "two-senders"):
+        verdict = explore(_bounded(name, 14), spec="all")
+        assert verdict.counterexample is None and verdict.states > 1
+        assert counts["hashes"] == counts["keys"] > 0
 
 
 # ── the node key: the history as a multiset, the queues in flight ──────────
@@ -872,6 +899,7 @@ KEY_CASES = [
     ("two-senders", 13, 0, None, "all"),
     ("two-senders", 16, 0, None, "nsl-ft"),
     ("cross-talk", 16, 0, None, "all"),
+    ("cross-talk", 22, 0, None, "all"),
     ("honest", 12, 0, None, "all"),
 ]
 
@@ -900,17 +928,40 @@ def test_the_multiset_key_gives_the_ordered_key_verdict(
     ordered = explore(sc, spec=spec)
     assert verdict_line(merged) == verdict_line(ordered)
     assert merged.states <= ordered.states
+    # a counterexample reached through merged nodes is a run at both levels
+    if merged.counterexample is not None:
+        run = merged.counterexample
+        schedule = schedule_from_doc(run.to_doc([merged]), sc)
+        wire = execute_schedule(sc.with_level("concrete"), schedule)
+        assert check_refinement(wire, run.final_state).holds
 
 
-def reach(schedule):
-    """The configuration of the two-senders scenario (senders A#1 and A#2,
-    receiver B#1) after the single steps of `schedule`, each a machine index
-    and the peer it chooses, if any.  The first four steps give A#1 the
-    nonce n1 and A#2 the nonce n2."""
-    searcher = _Searcher(parse_scenario(TWO_SENDERS), SPEC_INV)
+SEARCHERS = {}  # scenario text -> its _Searcher
+
+
+def searcher_of(text):
+    if text not in SEARCHERS:
+        SEARCHERS[text] = _Searcher(parse_scenario(text), SPEC_INV)
+    return SEARCHERS[text]
+
+
+def key(node, text=TWO_SENDERS):
+    """The node's key in a search of the scenario `text`."""
+    searcher = searcher_of(text)
+    return _node_key(node, searcher.groups, searcher.binds)
+
+
+def reach(schedule, text=TWO_SENDERS):
+    """The configuration of a scenario, by default the two-senders one
+    (senders A#1 and A#2, receiver B#1), after the single steps of
+    `schedule`: an intruder entry, or a machine index and the peer it
+    chooses, if any.  In the two-senders scenario the first four steps of
+    `opened` give A#1 the nonce n1 and A#2 the nonce n2."""
+    searcher = searcher_of(text)
     node = searcher.root
-    for index, peer in schedule:
-        node = apply(searcher, node, ("machine", index, peer))
+    for step in schedule:
+        entry = step if step[0] == "intruder" else ("machine", *step)
+        node = apply(searcher, node, entry)
     return node
 
 
@@ -925,7 +976,7 @@ def test_commuting_interleavings_key_equal():
     assert one.machines == two.machines and one.state.users == two.state.users
     assert one.state.history != two.state.history
     assert one.inbox.consumed != two.inbox.consumed
-    assert _node_key(one) == _node_key(two)
+    assert key(one) == key(two)
     assert ordered_key(one) != ordered_key(two)
 
 
@@ -934,17 +985,29 @@ def test_messages_to_a_user_without_a_machine_key_equal_in_either_order():
     one = reach(opened("I", "I") + [(0, None), (1, None)])
     two = reach(opened("I", "I") + [(1, None), (0, None)])
     assert one.state.history != two.state.history
-    assert _node_key(one) == _node_key(two)
+    assert key(one) == key(two)
+
+
+# Two NSL senders at A that are not interchangeable: the first has B as its
+# declared peer, the second chooses one.
+DISTINCT_PEERS = TWO_SENDERS.replace(
+    "role sender user=A variant=nsl\n", "role sender user=A peer=B variant=nsl\n", 1
+)
 
 
 def test_the_order_of_a_machine_owners_pending_messages_is_kept():
-    # both openers wait for B, whose receive takes the newer: n2, or n1
+    # both openers wait for B, whose receive takes the newer: n2, or n1.
+    # With two interchangeable senders the two nodes are images of each
+    # other, swapping the senders and their nonces, and key equal.
+    first = [(0, None), (0, None), (1, "B"), (1, None)]
     sends = [[(0, None), (1, None)], [(1, None), (0, None)]]
-    one, two = (reach(opened("B", "B") + order) for order in sends)
+    one, two = (reach(first + order, DISTINCT_PEERS) for order in sends)
     assert set(one.state.history) == set(two.state.history)
-    assert _node_key(one) != _node_key(two)
-    received = [reach(opened("B", "B") + order + [(2, None)]) for order in sends]
+    assert key(one, DISTINCT_PEERS) != key(two, DISTINCT_PEERS)
+    received = [reach(first + order + [(2, None)], DISTINCT_PEERS) for order in sends]
     assert [node.machines[2].local("Nf") for node in received] == [Nonce(2), Nonce(1)]
+    one, two = (reach(opened("B", "B") + order) for order in sends)
+    assert key(one) == key(two)
 
 
 def with_history(*history):
@@ -956,14 +1019,132 @@ def with_history(*history):
 def test_the_history_is_keyed_with_multiplicity():
     # only the multiset tells these apart: the messages go to the intruder
     a, b = Msg("I", "A", ("A",)), Msg("I", "B", ("B",))
-    assert _node_key(with_history(a, a, b)) != _node_key(with_history(a, b, b))
-    assert _node_key(with_history(a, b)) != _node_key(with_history(a, a, b))
-    assert _node_key(with_history(a, b, a)) == _node_key(with_history(a, a, b))
+    assert key(with_history(a, a, b)) != key(with_history(a, b, b))
+    assert key(with_history(a, b)) != key(with_history(a, a, b))
+    assert key(with_history(a, b, a)) == key(with_history(a, a, b))
 
 
 def test_the_queues_of_two_machine_owners_interleave_freely():
     # each receive reads only its own owner's queue
     to_a, to_b = Msg("A", "I", ("I", Nonce(1))), Msg("B", "I", ("I", Nonce(1)))
-    assert _node_key(with_history(to_a, to_b)) == _node_key(with_history(to_b, to_a))
+    assert key(with_history(to_a, to_b)) == key(with_history(to_b, to_a))
     again = Msg("B", "I", ("A", Nonce(1)))
-    assert _node_key(with_history(to_a, to_b, again)) != _node_key(with_history(again, to_a, to_b))
+    assert key(with_history(to_a, to_b, again)) != key(with_history(again, to_a, to_b))
+
+
+# ── the node key: interchangeable sessions and nonce names ──────────────────
+
+
+def test_swapped_interchangeable_sessions_key_equal():
+    # A#1 opens to B and A#2 to I, or A#1 to I and A#2 to B: swapping the
+    # two senders, with their nonces, maps one node to the other
+    one = reach(opened("B", "I") + [(0, None), (1, None)])
+    two = reach(opened("I", "B") + [(0, None), (1, None)])
+    assert one.machines != two.machines and one.state.history != two.state.history
+    assert key(one) == key(two)
+    assert ordered_key(one) != ordered_key(two)
+
+
+NS_INVENTS_1 = (ROOT / "scenarios" / "ns-search.scn").read_text().replace(
+    "max_intruder_invents=0", "max_intruder_invents=1"
+)
+
+
+def test_nonces_invented_in_the_other_order_key_equal():
+    # the intruder invents before or after A#1 opens to B: n1 and n2 swap
+    invent, opener = ("intruder", InventNonce()), [(0, "B"), (0, None), (0, None)]
+    one, two = reach([invent] + opener, NS_INVENTS_1), reach(opener + [invent], NS_INVENTS_1)
+    assert one.machines[0].local("NA") == Nonce(2) and two.machines[0].local("NA") == Nonce(1)
+    assert key(one, NS_INVENTS_1) == key(two, NS_INVENTS_1)
+    assert ordered_key(one) != ordered_key(two)
+
+
+def beside_a_sender(role):
+    """An NSL scenario whose first role is a peer-free sender at A, its
+    second `role`, and its third a receiver at B."""
+    return TWO_SENDERS.replace(
+        "role sender user=A variant=nsl\nrole sender user=A variant=nsl\n",
+        f"role sender user=A variant=nsl\n{role}\n",
+    )
+
+
+SECOND_ROLE = {
+    "identical": "role sender user=A variant=nsl",
+    "declared-peer": "role sender user=A peer=I variant=nsl",
+    "variant": "role sender user=A variant=ns",
+    "kind": "role receiver user=A variant=nsl",
+}
+
+
+def completed(text, index):
+    """The root of `text` with the session of machine `index` complete."""
+    root = searcher_of(text).root
+    return replace(root, state=set_complete(root.state, "A", root.machines[index].session))
+
+
+@pytest.mark.parametrize("case", SECOND_ROLE)
+def test_only_identical_declarations_are_interchanged(case):
+    # the same thing done by the first or the second role of A: the nodes
+    # key equal only when the two declarations are identical
+    text = beside_a_sender(SECOND_ROLE[case])
+    assert searcher_of(text).groups == (((0, 1),) if case == "identical" else ())
+    pairs = [(completed(text, 0), completed(text, 1))]
+    if case != "kind":
+        # the role opens to I; the second one of declared-peer need not choose
+        def opener(index):
+            peer = None if (case, index) == ("declared-peer", 1) else "I"
+            return [(index, peer), (index, None), (index, None)]
+
+        pairs.append((reach(opener(0), text), reach(opener(1), text)))
+    for one, two in pairs:
+        assert ordered_key(one) != ordered_key(two)
+        assert (key(one, text) == key(two, text)) == (case == "identical")
+
+
+# (scenario, its machine positions with each group of identical declarations
+# reversed): a schedule and its mirror reach images of each other
+MIRRORS = [("two-senders", (1, 0, 2)), ("cross-talk", (3, 2, 1, 0))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mirror=st.sampled_from(MIRRORS), choices=st.lists(st.integers(0, 10**6), max_size=12))
+def test_nodes_with_equal_keys_behave_alike(mirror, choices):
+    # every node of a random schedule keys equal to its mirror image; around
+    # the node the schedule ends at, two macro-steps deep, any two nodes with
+    # equal keys have the same multiset of successor keys, the same contract
+    # verdicts when quiescent, and the same user records and honest actions
+    # up to renaming (`outcome`)
+    name, swap = mirror
+    sc = _bounded(name, 99)
+    searcher = _Searcher(sc, SPEC_INV)
+
+    def key_of(node):
+        return _node_key(node, searcher.groups, searcher.binds)
+
+    def successors(node):
+        facts = facts_of(node.state)
+        return [searcher.macro(node, facts, start, 99)[1] for start in searcher.starts(node)]
+
+    def behaviour(node):
+        after = Counter(key_of(child) for child in successors(node))
+        verdicts = tuple(contract_verdict(spec, node.state).holds for spec in ("post-ns", "nsl-ft"))
+        return after, None if after else verdicts, outcome(node.state, sc)
+
+    node = image = searcher.root
+    for choice in choices:
+        kids = children(searcher, node)
+        if not kids:
+            break
+        entry = kids[choice % len(kids)]
+        mirrored = ("machine", swap[entry[1]], entry[2]) if entry[0] == "machine" else entry
+        node, image = apply(searcher, node, entry), apply(searcher, image, mirrored)
+        assert key_of(node) == key_of(image)
+    met = {}
+    for child in successors(node):
+        for each in [child, *successors(child)]:
+            met.setdefault(key_of(each), {}).setdefault(ordered_key(each), each)
+    for nodes in met.values():
+        first, *others = (behaviour(each) for each in nodes.values())
+        assert all(other == first for other in others)
+
+
