@@ -87,10 +87,11 @@ def _replaced(records: dict, other: dict) -> list:
     return sorted([uid for uid, user in records.items() if other.get(uid) is not user])
 
 
-def _unread(users: dict, justified: dict[Uid, frozenset], passed: dict) -> PredicateReport | None:
+def _unread(users: dict, justified: dict[Uid, frozenset], changed: list) -> PredicateReport | None:
     """The no-read-others failure of the first user (by name) knowing an
-    unjustified nonce; a user record in `passed` already held."""
-    for uid in _replaced(users, passed):
+    unjustified nonce, among the users `changed` (sorted); any other user's
+    record already held."""
+    for uid in changed:
         user = users[uid]
         known = set().union(*user.knows.values()) if user.knows else set()
         unjustified = known - justified.get(uid, frozenset())
@@ -104,7 +105,7 @@ def no_read_others(state: GlobalState) -> PredicateReport:
     by a message addressed to them that carried it."""
     justified: dict[Uid, frozenset] = {}
     _justify(justified, state.history)
-    return _unread(state.users, justified, {}) or _ok("no-read-others")
+    return _unread(state.users, justified, sorted(state.users)) or _ok("no-read-others")
 
 
 def _shared_nonces(earlier: Msg, later: Msg) -> list:
@@ -224,12 +225,14 @@ class Audit:
     freshness, recipient-only readability and every conforming user's
     honest-code obligations, each state checked for what it adds.
 
-    `step` feeds the next state.  While a state's history extends the
-    previous one and the users and their `conforms` flags are unchanged,
-    only the new actions are checked, against facts carried forward: the
-    nonces invented so far, each user's justified nonces, and each
-    conforming user's `_Ledger`.  Readability is re-checked only for user
-    records that changed.  Any other state is rescanned from empty.  The
+    `step` feeds the next state, with the uids of the previous state's
+    records it replaced.  While a state's history extends the previous one
+    and the users and their `conforms` flags are unchanged (which only a
+    replaced record can break), only the new actions are checked, against
+    facts carried forward: the nonces invented so far, each user's
+    justified nonces, the conforming users, and each conforming user's
+    `_Ledger`.  Readability is re-checked only for the replaced records.
+    Any other state is rescanned from empty, every record checked.  The
     search carries the same facts of nonce freshness and readability along
     its links, through the same helpers (`search._Searcher.safety_violation`).
 
@@ -242,26 +245,31 @@ class Audit:
 
     def __init__(self) -> None:
         self.unique = self.unread = self.honest = self.inv = None
-        self._rescan()
-
-    def _rescan(self) -> None:
         self.history: tuple = ()
         self.users: dict = {}
-        self.conforms: dict | None = None
+        self._rescan({})
+
+    def _rescan(self, users: dict) -> None:
+        self.conforming = {uid for uid, user in users.items() if user.conforms}
         self.invented: dict = {}
         self.justified: dict[Uid, frozenset] = {}
         self.ledgers: dict[Uid, _Ledger] = {}
 
-    def step(self, state: GlobalState) -> None:
+    def step(self, state: GlobalState, changed: list[Uid]) -> None:
+        """Feed the next state.  `changed` lists, sorted, the uids of the
+        last state's records that `state` does not hold as the same object
+        (`_replaced(last.users, state.users)`; none before the first)."""
         if self.unique and self.unread and self.honest:
             return
-        conforms = self.conforms
-        if state.users is not self.users:
-            conforms = {uid: user.conforms for uid, user in state.users.items()}
-        done = len(self.history)
-        if conforms != self.conforms or state.history[:done] != self.history:
-            self._rescan()
-            done = 0
+        users, last, done = state.users, self.users, len(self.history)
+        if (
+            len(users) != len(last)
+            or any(uid not in users or users[uid].conforms != last[uid].conforms
+                   for uid in changed)
+            or state.history[:done] != self.history
+        ):
+            self._rescan(users)
+            changed, done = sorted(users), 0
         new = state.history[done:]
         # a predicate with a failure is not evaluated again, and `inv` then has one too
         unique = unread = honest = None
@@ -269,11 +277,11 @@ class Audit:
             unique = self.unique = _reused(self.invented, new, done)
         if self.unread is None:
             _justify(self.justified, new)
-            unread = self.unread = _unread(state.users, self.justified, self.users)
+            unread = self.unread = _unread(users, self.justified, changed)
         if self.honest is None:
-            honest = self._obligations(new, conforms)
+            honest = self._obligations(new)
             self.honest = honest and honest[1]
-        self.history, self.users, self.conforms = state.history, state.users, conforms
+        self.history, self.users = state.history, users
         if self.inv is None and (unique or unread):
             rep = unique or unread
             self.inv = _fail("inv-sigma", f"{rep.name}: {rep.witness}")
@@ -281,13 +289,13 @@ class Audit:
             uid, rep = honest
             self.inv = _fail("inv-sigma", f"{rep.name} for user {uid}: {rep.witness}")
 
-    def _obligations(self, new: Sequence[Action], conforms: dict):
+    def _obligations(self, new: Sequence[Action]):
         """(user, failure) for the first conforming user, by name, whose new
         actions break an obligation, or None."""
         slices: dict[Uid, list] = {}
         for act in new:
             for uid in _owners(act):
-                if conforms.get(uid):
+                if uid in self.conforming:
                     slices.setdefault(uid, []).append(act)
         found = None
         for uid in sorted(slices):
@@ -310,7 +318,7 @@ def inv_sigma(state: GlobalState) -> PredicateReport:
     available to them.  It remains available as a separate diagnostic.
     """
     audit = Audit()
-    audit.step(state)
+    audit.step(state, [])
     return audit.inv or _ok("inv-sigma")
 
 

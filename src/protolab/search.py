@@ -242,7 +242,7 @@ from itertools import permutations, product
 from operator import attrgetter
 
 from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
-from .invariants import _justify, _reused, _unread, dyn_inv, inv_sigma
+from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
 from .model import GlobalState, Invent, Msg, Nonce, UserState
 from .roles import (
     ABSTRACT,
@@ -653,7 +653,8 @@ class _Searcher:
                 rep = _reused(invented, new, done)
                 _justify(justified, new)
                 facts = invented, justified
-            rep = rep or _unread(node.state.users, facts[1], passed)
+            users = node.state.users
+            rep = rep or _unread(users, facts[1], _replaced(users, passed))
         return (None if rep is None else f"{rep.name}: {rep.witness}"), facts
 
     def quiescent_violation(self, node: Config) -> str | None:

@@ -8,7 +8,16 @@ initiator's session nonces and claims the initiator as partner, the
 initiator must not have completed.
 
 The `*_all` sweeps evaluate those contracts over every eligible session of
-a state: they do not need to be told who attacked whom.
+a state: they do not need to be told who attacked whom.  Each sweep reads
+one index of the state (`_Holders`), built the first time it meets a
+completed session: for post-ns secrecy, each nonce's holders (uid, sid)
+over every user; for nsl-ft, each (claimed partner, nonce)'s holders among
+the conforming users.  Each list is filled walking the uids, then each
+user's sids, in sorted order.  So its first entry outside the excluded
+endpoints is the session that a scan of every user's sessions in name
+order meets first, and each detail names the witness such a scan named.
+A sweep takes time linear in the state's sessions and their nonces, not
+in their product with the completed sessions it judges.
 
 This module alone decides what a spec name means.  `SPEC_CHOICES` lists
 the names a user may request, `resolve_spec_names` expands one into the
@@ -26,11 +35,12 @@ failure there is charged to the protocol.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .invariants import Audit, PredicateReport, _replaced, dyn_inv
-from .model import GlobalState, Sid, Uid
+from .model import GlobalState, Nonce, Sid, Uid
 
 SPEC_POST_NS = "post-ns"
 SPEC_NSL_FT = "nsl-ft"
@@ -60,10 +70,16 @@ def check_no_mods_to_others(
 ) -> bool:
     """Users outside `good` are completely untouched, and good users are
     untouched outside the session `sess`."""
-    for uid, b in before.users.items():
-        a = after.users.get(uid)
-        if a is b:
-            continue
+    return _frame_holds(before, after, _replaced(before.users, after.users), good, sess)
+
+
+def _frame_holds(
+    before: GlobalState, after: GlobalState, changed: list[Uid], good: set[Uid], sess: Sid
+) -> bool:
+    """`check_no_mods_to_others`, looking only at the uids `changed`: those
+    of `before`'s records that `after` does not hold as the same object."""
+    for uid in changed:
+        b, a = before.users[uid], after.users.get(uid)
         if a is None:
             return False  # a vanished record is a change
         if uid not in good:
@@ -84,20 +100,56 @@ def check_no_mods_to_others(
 # ── full-functionality contract ──────────────────────────────────────────────
 
 
-def _third_party_holders(state: GlobalState, pair, exclude: set[Uid]):
-    for uid in sorted(state.users):
-        if uid in exclude:
-            continue
-        for sid in sorted(state.users[uid].knows):
-            if set(pair) <= state.users[uid].knows[sid]:
-                yield uid, sid
+class _Holders:
+    """Who holds which nonce in one state, each index built on first use:
+    `by_nonce` maps a nonce to the sessions (uid, sid) of every user that
+    know it, `by_claim` maps (partner, nonce) to the sessions of conforming
+    users that know the nonce and record that partner, each list in name
+    order."""
+
+    def __init__(self, state: GlobalState) -> None:
+        self.users = state.users
+
+    @functools.cached_property
+    def by_nonce(self) -> dict[Nonce, list[tuple[Uid, Sid]]]:
+        index: dict[Nonce, list[tuple[Uid, Sid]]] = {}
+        for uid in sorted(self.users):
+            knows = self.users[uid].knows
+            for sid in sorted(knows):
+                for nonce in knows[sid]:
+                    index.setdefault(nonce, []).append((uid, sid))
+        return index
+
+    @functools.cached_property
+    def by_claim(self) -> dict[tuple[Uid, Nonce], list[tuple[Uid, Sid]]]:
+        index: dict[tuple[Uid, Nonce], list[tuple[Uid, Sid]]] = {}
+        for uid in sorted(self.users):
+            user = self.users[uid]
+            if not user.conforms:
+                continue
+            for sid in sorted(user.knows):
+                partner = user.int_partner.get(sid)
+                if partner is not None:
+                    for nonce in user.knows[sid]:
+                        index.setdefault((partner, nonce), []).append((uid, sid))
+        return index
+
+
+def _third_party_holder(holders: _Holders, pair, exclude: set[Uid]):
+    """The first session, in name order, of a user outside `exclude` that
+    knows both nonces of `pair`, or None."""
+    first, second = pair
+    for uid, sid in holders.by_nonce.get(first, ()):
+        if uid not in exclude and second in holders.users[uid].knows[sid]:
+            return uid, sid
+    return None
 
 
 def _post_ns_violations(
-    after: GlobalState, frm: Uid, to: Uid, sf: Sid, st: Sid
+    holders: _Holders, frm: Uid, to: Uid, sf: Sid, st: Sid
 ) -> list[str]:
     v: list[str] = []
-    fu, tu = after.users[frm], after.users[to]
+    fu, tu = holders.users[frm], holders.users[to]
     if fu.int_partner.get(sf) != to:
         v.append(f"partner: {frm} session {sf} is bound to {fu.int_partner.get(sf)}, not {to}")
     if tu.int_partner.get(st) != frm:
@@ -111,10 +163,10 @@ def _post_ns_violations(
         return v
     leaks = []
     for pair in pairs:
-        holders = list(_third_party_holders(after, pair, {frm, to}))
-        if not holders:
+        holder = _third_party_holder(holders, pair, {frm, to})
+        if holder is None:
             return v  # some distinct pair is exclusive to the two endpoints
-        leaks.append((pair, holders[0]))
+        leaks.append((pair, holder))
     pair, (uid, sid) = leaks[0]
     v.append(
         "secrecy: nonces {"
@@ -132,7 +184,7 @@ def check_post_ns(
         raise PreconditionUnmet("a session is already complete in the before-state")
     if not bu.conforms or not bt.conforms:
         raise PreconditionUnmet("both endpoints must be conforming")
-    violations = _post_ns_violations(after, frm, to, sf, st)
+    violations = _post_ns_violations(_Holders(after), frm, to, sf, st)
     return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
 
 
@@ -140,6 +192,7 @@ def check_post_ns_all(state: GlobalState) -> SpecVerdict:
     """Contract sweep: every completed session of a conforming user whose
     recorded partner is also conforming must be half of a pairing that
     satisfies the full contract."""
+    holders = _Holders(state)
     violations: list[str] = []
     for uid in sorted(state.users):
         user = state.users[uid]
@@ -164,9 +217,9 @@ def check_post_ns_all(state: GlobalState) -> SpecVerdict:
                 )
                 nonces = sorted(user.knows.get(sid, frozenset()))
                 for pair in itertools.combinations(nonces, 2):
-                    holders = list(_third_party_holders(state, pair, {uid, partner}))
-                    if holders:
-                        huid, hsid = holders[0]
+                    holder = _third_party_holder(holders, pair, {uid, partner})
+                    if holder is not None:
+                        huid, hsid = holder
                         violations.append(
                             "secrecy: nonces {"
                             + ",".join(repr(n) for n in pair)
@@ -175,9 +228,9 @@ def check_post_ns_all(state: GlobalState) -> SpecVerdict:
                         break
                 continue
             if not any(
-                not _post_ns_violations(state, partner, uid, sx, sid) for sx in back_sessions
+                not _post_ns_violations(holders, partner, uid, sx, sid) for sx in back_sessions
             ):
-                violations.extend(_post_ns_violations(state, partner, uid, back_sessions[0], sid))
+                violations.extend(_post_ns_violations(holders, partner, uid, back_sessions[0], sid))
     violations = list(dict.fromkeys(violations))
     return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
 
@@ -185,22 +238,17 @@ def check_post_ns_all(state: GlobalState) -> SpecVerdict:
 # ── fault-tolerance layer ────────────────────────────────────────────────────
 
 
-def _nsl_ft_violations(after: GlobalState, frm: Uid, to: Uid | None, sf: Sid) -> list[str]:
-    fu = after.users[frm]
+def _nsl_ft_violations(holders: _Holders, frm: Uid, to: Uid | None, sf: Sid) -> list[str]:
+    fu = holders.users[frm]
     if not fu.complete.get(sf):
         return []
-    exclude = {frm} | ({to} if to is not None else set())
     for nonce in sorted(fu.knows.get(sf, frozenset())):
-        for uid in sorted(after.users):
-            if uid in exclude or not after.users[uid].conforms:
-                continue
-            third = after.users[uid]
-            for sid in sorted(third.knows):
-                if nonce in third.knows[sid] and third.int_partner.get(sid) == frm:
-                    return [
-                        f"abnormal-termination: {frm} completed session {sf} while conforming "
-                        f"{uid} session {sid} holds {nonce!r} and records {frm} as partner"
-                    ]
+        for uid, sid in holders.by_claim.get((frm, nonce), ()):
+            if uid not in (frm, to):
+                return [
+                    f"abnormal-termination: {frm} completed session {sf} while conforming "
+                    f"{uid} session {sid} holds {nonce!r} and records {frm} as partner"
+                ]
     return []
 
 
@@ -219,11 +267,12 @@ def check_post_nsl_ft(
         raise PreconditionUnmet(f"session ({frm},{sf}) already complete in the before-state")
     if any(before.users[to].complete.values()):
         raise PreconditionUnmet(f"partner {to} has a completed session in the before-state")
-    violations = _nsl_ft_violations(after, frm, to, sf)
+    violations = _nsl_ft_violations(_Holders(after), frm, to, sf)
     return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
 
 
 def check_nsl_ft_all(state: GlobalState) -> SpecVerdict:
+    holders = _Holders(state)
     violations: list[str] = []
     for uid in sorted(state.users):
         user = state.users[uid]
@@ -231,7 +280,7 @@ def check_nsl_ft_all(state: GlobalState) -> SpecVerdict:
             continue
         for sid in sorted(user.complete):
             partner = user.int_partner.get(sid)
-            violations.extend(_nsl_ft_violations(state, uid, partner, sid))
+            violations.extend(_nsl_ft_violations(holders, uid, partner, sid))
     violations = list(dict.fromkeys(violations))
     return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
 
@@ -267,11 +316,13 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     `invariants.Audit`, which checks each state only for what it adds to
     the one before, and checks `dyn_inv` and complete-monotone on each
     adjacent pair.  A loop over `run.transitions()` checks each step's
-    frame, and a loop over `run.machines` checks each machine's end
-    against the completion flags the states showed.  A user record that is
-    the same object as the one before is skipped, a replaced one is
-    checked in full, and a vanished one shows nothing complete and fails
-    `dyn-inv`.  Each report is its obligation's first failure.
+    frame (its k-th step is the k-th adjacent pair), and a loop over
+    `run.machines` checks each machine's end against the completion flags
+    the states showed.  A user record that is the same object as the one
+    before is skipped, a replaced one is checked in full, and a vanished
+    one shows nothing complete and fails `dyn-inv`.  The replaced records
+    of a pair are found once, for the audit, complete-monotone and the
+    frame.  Each report is its obligation's first failure.
     """
     states = run.checkable_states()
     failed: dict[str, PredicateReport | None] = {}
@@ -280,24 +331,28 @@ def check_lemma_suite(run) -> list[PredicateReport]:
         failed.setdefault(name, PredicateReport(name, False, witness))
 
     audit = Audit()
-    audit.step(states[0])
+    audit.step(states[0], [])
     # the sessions the first state, or a record that changed later, shows complete
     shown = {(uid, sid) for uid, user in states[0].users.items() for sid in _done(user)}
+    # per adjacent pair, the uids of the records the later state replaced
+    changes = []
     for before, after in zip(states, states[1:]):
-        audit.step(after)
+        changed = _replaced(before.users, after.users)
+        changes.append(changed)
+        audit.step(after, changed)
         if "dyn-inv" not in failed:
             rep = dyn_inv(before, after)
             if not rep.holds:
                 failed["dyn-inv"] = rep
-        for uid in _replaced(before.users, after.users):
+        for uid in changed:
             b, a = before.users[uid], after.users.get(uid)
             done = _done(a) if a is not None else set()
             shown.update((uid, sid) for sid in done)
             for sid, was in b.complete.items():
                 if was and b.conforms and sid not in done:
                     fail("complete-monotone", f"completion reset for ({uid},{sid})")
-    for actor_id, sess, before, after in run.transitions():
-        if not check_no_mods_to_others(before, after, {sess.split("#", 1)[0]}, sess):
+    for (actor_id, sess, before, after), changed in zip(run.transitions(), changes):
+        if not _frame_holds(before, after, changed, {sess.split("#", 1)[0]}, sess):
             fail(
                 "guarantee-no-mods-to-others",
                 f"step by {actor_id} modified records outside its own session",

@@ -20,6 +20,8 @@ replay diverging anywhere is caught at the first differing event.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -84,7 +86,8 @@ def _render_consumed(taken) -> str:
 
 class Renderings:
     """The texts of the values a run's last digest covered, kept per slot
-    while the next digest holds the same objects.
+    while the next digest holds the same objects, a container's and the
+    history's as the encoded bytes the digest hashes.
 
     These values are immutable, and a step replaces only what it changes,
     so a user record, a machine, an inbox entry or an action that outlives
@@ -94,10 +97,10 @@ class Renderings:
       copy, and nothing mutates one in place);
     - a row's text while the row is the same object (the machines, and the
       user records and inbox entries when their container changes);
-    - the history text, extended by the new actions when the history
-      extends the last one digested (a run only appends), and rebuilt from
-      empty on any other history, with the text of its last action, which
-      a run's trace event takes as its `act`.
+    - the history bytes, extended in place by the new actions when the
+      history extends the last one digested (a run only appends), and
+      rebuilt from empty on any other history, with the text of its last
+      action, which a run's trace event takes as its `act`.
     There is no cache per object: a slot keeps only the objects of the last
     digest, so a run holds no text of a value its configuration dropped.
     Each kept text is the text that rendering the same values afresh gives,
@@ -106,12 +109,12 @@ class Renderings:
     def __init__(self) -> None:
         self._last: dict[str, tuple] = {}
 
-    def joined(self, slot: str, container, join) -> str:
-        """`join(container)`, kept while `container` is the object last
-        joined in `slot`."""
+    def joined(self, slot: str, container, join) -> bytes:
+        """`join(container)`, encoded, kept while `container` is the object
+        last joined in `slot`."""
         hit = self._last.get(slot)
         if hit is None or hit[0] is not container:
-            hit = self._last[slot] = (container, join(container))
+            hit = self._last[slot] = (container, join(container).encode("utf-8"))
         return hit[1]
 
     def rows(self, slot: str, objs: tuple, render) -> list[str]:
@@ -121,23 +124,28 @@ class Renderings:
         inbox moves the entries after it)."""
         last, texts = self._last.get(slot, ((), []))
         if len(last) == len(objs):
-            texts = [t if o is p else render(o) for o, p, t in zip(objs, last, texts)]
+            texts = list(texts)
+            for pos in itertools.compress(range(len(objs)), map(operator.is_not, objs, last)):
+                texts[pos] = render(objs[pos])
         else:
             kept = dict(zip(map(id, last), texts))
             texts = [kept[id(o)] if id(o) in kept else render(o) for o in objs]
         self._last[slot] = (objs, texts)
         return texts
 
-    def history(self, history: tuple) -> str:
-        """The joined renderings of `history`'s actions."""
-        last, text, tail = self._last.get("history", ((), "", ""))
+    def history(self, history: tuple) -> bytearray:
+        """The joined renderings of `history`'s actions, encoded."""
+        last, data, tail = self._last.get("history", ((), bytearray(), ""))
         if history[: len(last)] != last:
-            last, text, tail = (), "", ""
+            last, data, tail = (), bytearray(), ""
         texts = list(map(render_action, history[len(last) :]))
         if texts:
-            text, tail = ";".join([text, *texts] if text else texts), texts[-1]
-        self._last["history"] = (history, text, tail)
-        return text
+            if data:
+                data += b";"
+            data += ";".join(texts).encode("utf-8")
+            tail = texts[-1]
+        self._last["history"] = (history, data, tail)
+        return data
 
     def last_action(self) -> str:
         """The rendering of the last action of the history last joined."""
@@ -146,25 +154,18 @@ class Renderings:
 
 def _join_users(users: dict, rendered: Renderings) -> str:
     uids = sorted(users)
-    texts = rendered.rows("user records", tuple(users[uid] for uid in uids), _render_user)
-    return "|".join(uid + text for uid, text in zip(uids, texts))
+    texts = rendered.rows("user records", tuple(map(users.__getitem__, uids)), _render_user)
+    return "|".join(map(operator.add, uids, texts))
 
 
 def _join_pkeys(pkeys: dict) -> str:
     return ",".join(f"{uid}={pkeys[uid]!r}" for uid in sorted(pkeys))
 
 
-def canonical_state(state: GlobalState, rendered: Renderings) -> str:
-    users = rendered.joined("users", state.users, lambda users: _join_users(users, rendered))
-    history = rendered.history(state.history)
-    pkeys = rendered.joined("pkeys", state.pkeys, _join_pkeys)
-    return f"users:{users}\nhistory:{history}\npkeys:{pkeys}"
-
-
 def _join_inbox(inbox: Inbox, rendered: Renderings) -> str:
-    entries = tuple(taken for _, taken in inbox.consumed)
+    entries = tuple([taken for _, taken in inbox.consumed])
     texts = rendered.rows("inbox entries", entries, _render_consumed)
-    return ",".join(f"{uid}={text}" for (uid, _), text in zip(inbox.consumed, texts))
+    return ",".join([f"{uid}={text}" for (uid, _), text in zip(inbox.consumed, texts)])
 
 
 def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings) -> str:
@@ -174,13 +175,23 @@ def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings
     only what its step replaced: the new actions, a replaced user record,
     machine or inbox entry, and the join of a replaced container.  What it
     reuses is the text the same objects rendered to, so the digest is the
-    one a fresh `Renderings` gives."""
-    body = canonical_state(state, rendered)
-    body += "\nmachines:" + "|".join(rendered.rows("machines", machines, _render_machine))
-    body += "\ninbox:" + rendered.joined(
-        "inbox", inbox, lambda inbox: _join_inbox(inbox, rendered)
+    one a fresh `Renderings` gives.  The hashed body is five lines,
+    `users:`, `history:`, `pkeys:`, `machines:` and `inbox:`, each followed
+    by its section's text; it is hashed part by part from the kept bytes, so
+    no event copies the whole body."""
+    digest = hashlib.sha256(b"users:")
+    digest.update(
+        rendered.joined("users", state.users, lambda users: _join_users(users, rendered))
     )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
+    digest.update(b"\nhistory:")
+    digest.update(rendered.history(state.history))
+    digest.update(b"\npkeys:")
+    digest.update(rendered.joined("pkeys", state.pkeys, _join_pkeys))
+    digest.update(b"\nmachines:")
+    digest.update("|".join(rendered.rows("machines", machines, _render_machine)).encode("utf-8"))
+    digest.update(b"\ninbox:")
+    digest.update(rendered.joined("inbox", inbox, lambda inbox: _join_inbox(inbox, rendered)))
+    return digest.hexdigest()[:12]
 
 
 # ── documents ────────────────────────────────────────────────────────────────

@@ -2,6 +2,7 @@
 the fault-tolerance layer, and the trace-wide obligation suite, whose
 `guarantee-no-mods-to-others` obligation is the rely-guarantee check."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ from protolab.scenario import load_scenario, parse_scenario
 from conftest import scenario
 from protolab.specs import (
     PreconditionUnmet,
+    SpecVerdict,
     check_lemma_suite,
     check_no_mods_to_others,
     check_nsl_ft_all,
@@ -560,3 +562,212 @@ def test_audit_work_grows_linearly_with_the_run(monkeypatch):
     for pairs in (2, 4):
         assert 0 < min(work[pairs]) and max(work[pairs]) <= events[pairs], work
     assert work[4][0] <= 2 * work[2][0] and work[4][1] <= 2 * work[2][1], work
+
+
+# ── contract sweeps against their per-session scans ─────────────────────────
+
+
+def reference_holders(state, pair, exclude):
+    """The sessions outside `exclude` knowing both nonces of `pair`, found
+    as the sweeps found them before they indexed a state: a scan of every
+    user's sessions, in name order."""
+    for uid in sorted(state.users):
+        if uid in exclude:
+            continue
+        for sid in sorted(state.users[uid].knows):
+            if set(pair) <= state.users[uid].knows[sid]:
+                yield uid, sid
+
+
+def reference_post_ns_violations(after, frm, to, sf, st):
+    v = []
+    fu, tu = after.users[frm], after.users[to]
+    if fu.int_partner.get(sf) != to:
+        v.append(f"partner: {frm} session {sf} is bound to {fu.int_partner.get(sf)}, not {to}")
+    if tu.int_partner.get(st) != frm:
+        v.append(f"partner: {to} session {st} is bound to {tu.int_partner.get(st)}, not {frm}")
+    if not fu.complete.get(sf) or not tu.complete.get(st):
+        v.append(f"completion: sessions ({frm},{sf})/({to},{st}) are not both complete")
+    shared = sorted(fu.knows.get(sf, frozenset()) & tu.knows.get(st, frozenset()))
+    pairs = list(itertools.combinations(shared, 2))
+    if not pairs:
+        v.append(f"shared-nonces: sessions ({frm},{sf})/({to},{st}) share fewer than two nonces")
+        return v
+    leaks = []
+    for pair in pairs:
+        holders = list(reference_holders(after, pair, {frm, to}))
+        if not holders:
+            return v
+        leaks.append((pair, holders[0]))
+    pair, (uid, sid) = leaks[0]
+    v.append(
+        "secrecy: nonces {"
+        + ",".join(repr(n) for n in pair)
+        + f"}} of sessions ({frm},{sf})/({to},{st}) also known to {uid} session {sid}"
+    )
+    return v
+
+
+def reference_post_ns_all(state):
+    """`check_post_ns_all` as a scan of every user's sessions for each
+    nonce pair it judges."""
+    violations = []
+    for uid in sorted(state.users):
+        user = state.users[uid]
+        if not user.conforms:
+            continue
+        for sid in sorted(user.complete):
+            if not user.complete[sid]:
+                continue
+            partner = user.int_partner.get(sid)
+            if partner is None or not state.users[partner].conforms:
+                continue
+            back_sessions = [
+                sx
+                for sx in sorted(state.users[partner].complete)
+                if state.users[partner].complete[sx]
+                and state.users[partner].int_partner.get(sx) == uid
+            ]
+            if not back_sessions:
+                violations.append(
+                    f"mutual-partner: {uid} session {sid} completed with partner {partner} "
+                    f"but {partner} has no completed session with partner {uid}"
+                )
+                nonces = sorted(user.knows.get(sid, frozenset()))
+                for pair in itertools.combinations(nonces, 2):
+                    holders = list(reference_holders(state, pair, {uid, partner}))
+                    if holders:
+                        huid, hsid = holders[0]
+                        violations.append(
+                            "secrecy: nonces {"
+                            + ",".join(repr(n) for n in pair)
+                            + f"}} of session ({uid},{sid}) also known to {huid} session {hsid}"
+                        )
+                        break
+                continue
+            if not any(
+                not reference_post_ns_violations(state, partner, uid, sx, sid)
+                for sx in back_sessions
+            ):
+                violations.extend(
+                    reference_post_ns_violations(state, partner, uid, back_sessions[0], sid)
+                )
+    violations = list(dict.fromkeys(violations))
+    return SpecVerdict("post-ns", holds=not violations, detail="; ".join(violations))
+
+
+def reference_nsl_ft_violations(after, frm, to, sf):
+    fu = after.users[frm]
+    if not fu.complete.get(sf):
+        return []
+    exclude = {frm} | ({to} if to is not None else set())
+    for nonce in sorted(fu.knows.get(sf, frozenset())):
+        for uid in sorted(after.users):
+            if uid in exclude or not after.users[uid].conforms:
+                continue
+            third = after.users[uid]
+            for sid in sorted(third.knows):
+                if nonce in third.knows[sid] and third.int_partner.get(sid) == frm:
+                    return [
+                        f"abnormal-termination: {frm} completed session {sf} while conforming "
+                        f"{uid} session {sid} holds {nonce!r} and records {frm} as partner"
+                    ]
+    return []
+
+
+def reference_nsl_ft_all(state):
+    """`check_nsl_ft_all` as a scan of every user's sessions for each
+    nonce of each completed session."""
+    violations = []
+    for uid in sorted(state.users):
+        user = state.users[uid]
+        if not user.conforms:
+            continue
+        for sid in sorted(user.complete):
+            partner = user.int_partner.get(sid)
+            violations.extend(reference_nsl_ft_violations(state, uid, partner, sid))
+    violations = list(dict.fromkeys(violations))
+    return SpecVerdict("nsl-ft", holds=not violations, detail="; ".join(violations))
+
+
+PAIRED_STATES = [
+    s
+    for pairs in (1, 2, 3)
+    for s in execute_scripted(parse_scenario(nsl_pairs(pairs))).checkable_states()[-12:]
+]
+SWEPT_STATES = [s for run in BASE_RUNS.values() for s in run.checkable_states()] + PAIRED_STATES
+
+
+def plant(state, planting):
+    """Change one session of one user: add nonces to what it knows
+    (`holds`, a third-party holder when another session shares them),
+    bind it to a partner (`claims`), toggle its completion, or flip the
+    user's `conforms` flag.  Indices wrap around the state's users, the
+    user's sessions plus one new session, and the state's nonces plus one
+    nobody holds."""
+    kind, who, which, whom, picks = planting
+    uids = sorted(state.users)
+    uid = uids[who % len(uids)]
+    user = state.users[uid]
+    sessions = sorted(set(user.knows) | set(user.complete) | set(user.int_partner))
+    sid = (sessions + [f"{uid}#9"])[which % (len(sessions) + 1)]
+    pool = sorted({n for u in state.users.values() for k in u.knows.values() for n in k})
+    pool.append(Nonce(99))
+    if kind == "holds":
+        nonces = {pool[p % len(pool)] for p in picks}
+        knows = {**user.knows, sid: user.knows.get(sid, frozenset()) | nonces}
+        return _with_user(state, uid, knows=knows)
+    if kind == "claims":
+        partners = {**user.int_partner, sid: uids[whom % len(uids)]}
+        return _with_user(state, uid, int_partner=partners)
+    if kind == "completes":
+        complete = {**user.complete, sid: not user.complete.get(sid)}
+        return _with_user(state, uid, complete=complete)
+    return _with_user(state, uid, conforms=not user.conforms)
+
+
+PLANTINGS = st.tuples(
+    st.sampled_from(["holds", "claims", "completes", "flips"]),
+    st.integers(0, 5),
+    st.integers(0, 2),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 7), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    at=st.integers(0, len(SWEPT_STATES) - 1),
+    plantings=st.lists(PLANTINGS, min_size=0, max_size=5),
+)
+def test_indexed_sweeps_give_the_scanning_verdicts(at, plantings):
+    state = SWEPT_STATES[at]
+    for planting in plantings:
+        state = plant(state, planting)
+    assert check_post_ns_all(state) == reference_post_ns_all(state)
+    assert check_nsl_ft_all(state) == reference_nsl_ft_all(state)
+
+
+def test_sweep_work_grows_linearly_with_the_users():
+    # a sweep looks each session of a state up once to index it, not once
+    # per completed session it judges: twice the users, at most twice the work
+    looked = {"sessions": 0}
+
+    class CountedKnows(dict):
+        def __getitem__(self, sid):
+            looked["sessions"] += 1
+            return dict.__getitem__(self, sid)
+
+        def get(self, sid, default=None):
+            looked["sessions"] += 1
+            return dict.get(self, sid, default)
+
+    work = {}
+    for pairs in (8, 16):
+        state = execute_scripted(parse_scenario(nsl_pairs(pairs))).final_state
+        users = {uid: replace(u, knows=CountedKnows(u.knows)) for uid, u in state.users.items()}
+        state = replace(state, users=users)
+        looked["sessions"] = 0
+        assert check_post_ns_all(state).holds and check_nsl_ft_all(state).holds
+        work[pairs] = looked["sessions"]
+    assert 0 < work[16] <= 2 * work[8], work
