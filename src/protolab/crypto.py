@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import GlobalState, Invent, Item, Msg, PKey, SKey, Uid
+from .roles import Medium
 
 
 class EmptyContent(Exception):
@@ -142,14 +143,24 @@ def abstract_of(wire_history: Sequence, registry: KeyRegistry) -> tuple:
     return tuple(out)
 
 
-class ConcreteMedium:
+class ConcreteMedium(Medium):
     """Wire-level medium: sends encrypt for the target's public key, receives
     succeed only where decryption does."""
 
     level = "concrete"
 
     def __init__(self, registry: KeyRegistry) -> None:
+        super().__init__()
         self.registry = registry
+        # who can open a message under each key: every user whose secret key
+        # `match`es it, which in a degenerate registry is each user sharing it
+        holders: dict[SKey, list[Uid]] = {}
+        for uid, sk in registry.skeys.items():
+            holders.setdefault(sk, []).append(uid)
+        self._keyholders = {
+            pk: tuple([uid for sk in secrets for uid in holders.get(sk, ())])
+            for pk, secrets in registry._secrets.items()
+        }
 
     def send_action(self, owner: Uid, target: Uid, items: Sequence[Item]):
         return WireMsg(body=enc(tuple(items), self.registry.pkeys[target]), ghost_sender=owner)
@@ -161,9 +172,13 @@ class ConcreteMedium:
                 return out
         return None
 
+    def _readers(self, action) -> tuple:
+        if isinstance(action, WireMsg):
+            return self._keyholders.get(action.body.pk, ()), action.body._payload
+        return (), None
+
     def is_message(self, action) -> bool:
         return isinstance(action, WireMsg)
 
     def replay_action(self, action, me: Uid):
         return WireMsg(body=action.body, ghost_sender=me)
-

@@ -322,13 +322,19 @@ def inv_sigma(state: GlobalState) -> PredicateReport:
     return audit.inv or _ok("inv-sigma")
 
 
-def dyn_inv(before: GlobalState, after: GlobalState) -> PredicateReport:
+def dyn_inv(
+    before: GlobalState, after: GlobalState, changed: list[Uid] | None = None
+) -> PredicateReport:
     """Transition invariant: the history only grows (prefix order), per-session
-    knowledge only grows, and conformity flags never change."""
+    knowledge only grows, and conformity flags never change.  `changed` is
+    `_replaced(before.users, after.users)`, for a caller that has it already;
+    only those records are compared."""
     n = len(before.history)
     if after.history[:n] != before.history:
         return _fail("dyn-inv", "history is not extended prefix-preservingly")
-    for uid in _replaced(before.users, after.users):
+    if changed is None:
+        changed = _replaced(before.users, after.users)
+    for uid in changed:
         b = before.users[uid]
         a = after.users.get(uid)
         if a is None:

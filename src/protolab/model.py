@@ -5,7 +5,7 @@ messages are flat sequences of items, and the global state is an immutable
 record that every step replaces rather than mutates.  The `sender` field of
 a message is ghost data: it records the true originator for checking
 purposes, and role code never sees it, since roles read a message's content
-only through their medium's `readable`.
+only through their medium (`readable`, `newest_match`).
 """
 
 from __future__ import annotations
@@ -182,17 +182,42 @@ def set_complete(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
     return _with_user(state, uid, UserState(u.int_partner, u.knows, u.skey, u.conforms, complete))
 
 
+def extends(history: tuple, last: tuple) -> bool:
+    """Whether `history` begins with `last`, holding its last action as the
+    same object, as a run's next history does: the test of a memo kept for
+    the last history.  Identity rejects a search's other branches without
+    comparing actions field by field; an equal history it rejects costs a
+    rescan."""
+    n = len(last)
+    return n <= len(history) and (n == 0 or history[n - 1] is last[-1]) and history[:n] == last
+
+
+# The history `append_invention` last returned and its highest nonce index,
+# that of the nonce it invented (None before the first call): a one-entry
+# memo, so that a run's next invention scans only the actions appended since.
+_invented: tuple = ((), None)
+
+
 def append_invention(state: GlobalState, user: Uid) -> tuple[GlobalState, Nonce]:
     """Extend the history by `user`'s invention of the next fresh nonce, and
     return the new state and the nonce.  The nonce is one past the highest
     index in the history, so it is fresh by construction even on
-    hand-written histories, and the history is scanned once.  Deriving the
-    counter from the history keeps branching explorations deterministic
-    without a shared mutable context.
+    hand-written histories.  Deriving the counter from the history keeps
+    branching explorations deterministic without a shared mutable context;
+    a history that does not extend the memo's is scanned whole, so the
+    nonce never depends on earlier calls.
     """
-    highest = max((n.ix for n in _nonces_in_history(state.history)), default=0)
-    nonce = Nonce(highest + 1)
-    history = state.history + (Invent(user, nonce),)
+    global _invented
+    seen, highest = _invented
+    history, done = state.history, len(seen)
+    if not extends(history, seen):
+        done, highest = 0, None
+    indices = [n.ix for n in _nonces_in_history(history[done:])]
+    if highest is not None:
+        indices.append(highest)
+    nonce = Nonce(max(indices, default=0) + 1)
+    history = history + (Invent(user, nonce),)
+    _invented = (history, nonce.ix)
     return GlobalState(state.users, history, state.pkeys), nonce
 
 

@@ -22,7 +22,9 @@ one expected.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .model import (
@@ -35,6 +37,7 @@ from .model import (
     add_knows,
     append_action,
     append_invention,
+    extends,
     is_nonce,
     is_uid,
     set_complete,
@@ -142,7 +145,45 @@ _NS_RECEIVER, _NSL_RECEIVER = receiver_statements(Variant.NS), receiver_statemen
 # ── media ────────────────────────────────────────────────────────────────────
 
 
-class AbstractMedium:
+class Medium:
+    """What a medium keeps of the history it was last asked about: each
+    user's mail in it, (history index, content) oldest first, and the last
+    receive match (`find_match`).  A history that extends it (a run only
+    appends) is indexed only past it; any other is scanned, newest first,
+    and changes nothing kept, so an answer never depends on earlier calls.
+    A subclass gives `readable`, for one action and one user, and
+    `_readers`: who can read one action, and its content."""
+
+    def __init__(self) -> None:
+        self._indexed: tuple = ((), {})
+        self.matched: tuple = (None, None, None, None)
+
+    def newest_match(self, history: tuple, me: Uid, taken, pattern) -> int | None:
+        """The index of the newest entry of `history` that `me` can read,
+        that `taken` does not hold and whose content `kinds_match`es
+        `pattern`, or None."""
+        seen, mail = self._indexed
+        if history is not seen:
+            done = len(seen)
+            if not extends(history, seen):
+                for index in range(len(history) - 1, -1, -1):
+                    if index not in taken:
+                        items = self.readable(history[index], me)
+                        if items is not None and kinds_match(items, pattern):
+                            return index
+                return None
+            for index in range(done, len(history)):
+                uids, content = self._readers(history[index])
+                for uid in uids:
+                    mail.setdefault(uid, []).append((index, content))
+            self._indexed = (history, mail)
+        for index, items in reversed(mail.get(me, ())):
+            if index not in taken and kinds_match(items, pattern):
+                return index
+        return None
+
+
+class AbstractMedium(Medium):
     """Recipient-only readability modelled directly on the message record."""
 
     level = "abstract"
@@ -155,6 +196,11 @@ class AbstractMedium:
         if isinstance(action, Msg) and action.rec == me:
             return action.content
         return None
+
+    def _readers(self, action) -> tuple:
+        if isinstance(action, Msg):
+            return (action.rec,), action.content
+        return (), None
 
     def is_message(self, action) -> bool:
         return isinstance(action, Msg)
@@ -183,7 +229,7 @@ class RoleMachine:
 
     @property
     def actor_id(self) -> str:
-        return f"{self.kind.value}@{self.session}"
+        return f"{self.kind._value_}@{self.session}"  # `value` runs Python code
 
     def statements(self) -> tuple:
         ns = self.variant is Variant.NS
@@ -209,7 +255,8 @@ def make_machine(
 
 @dataclass(frozen=True)
 class Inbox:
-    """Per-user record of which history entries have been consumed.
+    """Per-user record of which history entries have been consumed, in uid
+    order.
 
     The set only grows, and an entry is consumed by at most one machine of
     its owner.
@@ -218,15 +265,21 @@ class Inbox:
     consumed: tuple[tuple[Uid, frozenset[int]], ...] = ()
 
     def consumed_for(self, uid: Uid) -> frozenset[int]:
-        for key, value in self.consumed:
-            if key == uid:
-                return value
+        entries = self.consumed
+        pos = bisect_left(entries, uid, key=_first)
+        if pos < len(entries) and entries[pos][0] == uid:
+            return entries[pos][1]
         return frozenset()
 
     def consume(self, uid: Uid, index: int) -> Inbox:
-        entries = dict(self.consumed)
-        entries[uid] = entries.get(uid, frozenset()) | {index}
-        return Inbox(tuple(sorted(entries.items())))
+        entries = self.consumed
+        pos = bisect_left(entries, uid, key=_first)
+        if pos < len(entries) and entries[pos][0] == uid:
+            return Inbox(entries[:pos] + ((uid, entries[pos][1] | {index}),) + entries[pos + 1 :])
+        return Inbox(entries[:pos] + ((uid, frozenset((index,))),) + entries[pos:])
+
+
+_first = itemgetter(0)
 
 
 def kinds_match(items: Sequence[Item], pattern: Sequence[str]) -> bool:
@@ -244,17 +297,20 @@ def find_match(
     inbox: Inbox,
     medium=ABSTRACT,
 ) -> int | None:
-    """Index of the most recent unread, readable, pattern-matching entry."""
+    """Index of the most recent unread, readable, pattern-matching entry
+    (`Medium.newest_match`).  The medium keeps the answer for the same
+    machine, history and inbox, so a receive that `can_fire` found is not
+    looked for again by `step`."""
+    history = state.history
+    last = medium.matched
+    if last[0] is machine and last[1] is history and last[2] is inbox:
+        return last[3]
     stmt = machine.current()
     assert isinstance(stmt, RecvStmt)
     taken = inbox.consumed_for(machine.owner)
-    for index in range(len(state.history) - 1, -1, -1):
-        if index in taken:
-            continue
-        items = medium.readable(state.history[index], machine.owner)
-        if items is not None and kinds_match(items, stmt.pattern):
-            return index
-    return None
+    found = medium.newest_match(history, machine.owner, taken, stmt.pattern)
+    medium.matched = (machine, history, inbox, found)
+    return found
 
 
 def needs_peer_choice(machine: RoleMachine) -> bool:

@@ -36,7 +36,7 @@ from .intruder import (
 )
 from .model import GlobalState, Sid, Uid, initial_state, is_uid, open_session
 from .roles import (
-    ABSTRACT,
+    AbstractMedium,
     IllegalMove,
     Inbox,
     RoleMachine,
@@ -212,7 +212,8 @@ def build_execution(scenario: Scenario) -> TraceRun:
     if scenario.intruder.user is not None:
         intruder = (scenario.intruder.user, scenario.intruder_session())
         state = open_session(state, *intruder)
-    medium = ABSTRACT
+    # a medium of the run's own, so that what it keeps lasts as long as the run
+    medium = AbstractMedium()
     if scenario.level == "concrete":
         medium = ConcreteMedium(registry_from_state(state))
     run = TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)

@@ -245,7 +245,6 @@ from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_move
 from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
 from .model import GlobalState, Invent, Msg, Nonce, UserState
 from .roles import (
-    ABSTRACT,
     FinishStmt,
     InventStmt,
     RecvStmt,
@@ -515,8 +514,7 @@ class _Searcher:
         self.quiescent_specs = [name for name in resolve_spec_names(spec) if name != SPEC_INV]
         self.universe = scenario.universe()
         run = build_execution(scenario)
-        self.intruder = run.intruder
-        self.root = run.config
+        self.medium, self.intruder, self.root = run.medium, run.intruder, run.config
         # the positions of each group of identical role declarations, and
         # the local each machine's invent binds, for the node key
         declared: dict = {}
@@ -537,7 +535,7 @@ class _Searcher:
             if needs_peer_choice(machine):
                 for peer in self.universe:
                     yield ("machine", index, peer)
-            elif can_fire(machine, node.state, node.inbox, ABSTRACT):
+            elif can_fire(machine, node.state, node.inbox, self.medium):
                 yield ("machine", index, None)
 
     def _intruder_moves(self, node: Config):
@@ -550,7 +548,7 @@ class _Searcher:
             return
         me = self.intruder[0]
         history = node.state.history
-        know = closure(node.state, me, ABSTRACT)
+        know = closure(node.state, me, self.medium)
         used = sum(1 for a in history if isinstance(a, Invent) and a.user == me)
         remaining = self.scenario.bounds.max_intruder_invents - used
         move_bounds = MoveBounds(
@@ -562,8 +560,9 @@ class _Searcher:
             if isinstance(stmt, RecvStmt):
                 waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
         pending: dict = {}
+        consumed = dict(node.inbox.consumed)
         for index, act in enumerate(history):
-            if isinstance(act, Msg) and index not in node.inbox.consumed_for(act.rec):
+            if isinstance(act, Msg) and index not in consumed.get(act.rec, ()):
                 key = (act.rec, act.content)
                 pending[key] = pending.get(key, 0) + 1
         patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
@@ -603,7 +602,7 @@ class _Searcher:
         entries = iter(start)
         entry = next(entries)
         while True:
-            child = apply_entry(node, entry, ABSTRACT, self.intruder)
+            child = apply_entry(node, entry, self.medium, self.intruder)
             steps.append(entry)
             bad, facts = self.safety_violation(child, node, facts)
             if bad is not None:
@@ -636,25 +635,31 @@ class _Searcher:
         nonces.  That gives a rescan's verdict and witness: the parent
         held, so a reuse is first met among the new actions, and a user
         record the parent held is still justified, since justified sets
-        only grow along a path.  Siblings share their parent's facts, so
-        the facts are copied before they are extended."""
+        only grow along a path.  The replaced records are found once, for
+        both checks.  Siblings share their parent's facts, so the facts are
+        copied before they are extended."""
+        done, passed = (len(parent.state.history), parent.state.users) if parent else (0, {})
+        users = node.state.users
+        changed = _replaced(passed, users)
         if parent is not None:
-            rep = dyn_inv(parent.state, node.state)
+            rep = dyn_inv(parent.state, node.state, changed)
             if not rep.holds:
                 return f"{rep.name}: {rep.witness}", facts
         if self.scenario.intruder.kind == "none":
             rep = inv_sigma(node.state)
             rep = None if rep.holds else rep
         else:
-            done, passed = (len(parent.state.history), parent.state.users) if parent else (0, {})
             new, rep = node.state.history[done:], None
             if new:
                 invented, justified = facts[0].copy(), facts[1].copy()
                 rep = _reused(invented, new, done)
                 _justify(justified, new)
                 facts = invented, justified
-            users = node.state.users
-            rep = rep or _unread(users, facts[1], _replaced(users, passed))
+            # no record vanished (`dyn_inv`), so with as many users as the
+            # parent these are the records the step replaced; at the root, all
+            if len(users) != len(passed):
+                changed = sorted(users)
+            rep = rep or _unread(users, facts[1], changed)
         return (None if rep is None else f"{rep.name}: {rep.witness}"), facts
 
     def quiescent_violation(self, node: Config) -> str | None:

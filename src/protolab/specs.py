@@ -321,8 +321,8 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     the states showed.  A user record that is the same object as the one
     before is skipped, a replaced one is checked in full, and a vanished
     one shows nothing complete and fails `dyn-inv`.  The replaced records
-    of a pair are found once, for the audit, complete-monotone and the
-    frame.  Each report is its obligation's first failure.
+    of a pair are found once, for the audit, `dyn_inv`, complete-monotone
+    and the frame.  Each report is its obligation's first failure.
     """
     states = run.checkable_states()
     failed: dict[str, PredicateReport | None] = {}
@@ -341,7 +341,7 @@ def check_lemma_suite(run) -> list[PredicateReport]:
         changes.append(changed)
         audit.step(after, changed)
         if "dyn-inv" not in failed:
-            rep = dyn_inv(before, after)
+            rep = dyn_inv(before, after, changed)
             if not rep.holds:
                 failed["dyn-inv"] = rep
         for uid in changed:

@@ -20,10 +20,9 @@ replay diverging anywhere is caught at the first differing event.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import operator
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .crypto import WireMsg, payload_for_trace
 from .model import (
@@ -31,6 +30,7 @@ from .model import (
     Invent,
     Msg,
     Nonce,
+    extends,
     render_content,
     render_item,
 )
@@ -73,10 +73,11 @@ def _render_user(user) -> str:
 
 
 def _render_machine(machine: RoleMachine) -> str:
-    locals_ = ",".join(f"{k}={render_item(v)}" for k, v in machine.locals)
+    # an enum member's `_value_` is a plain attribute; `value` runs Python code
+    locals_ = ",".join([f"{k}={render_item(v)}" for k, v in machine.locals])
     return (
-        f"{machine.actor_id}:variant={machine.variant.value}:peer={machine.peer or '-'}"
-        f":pc={machine.pc}:status={machine.status.value}:locals={{{locals_}}}"
+        f"{machine.actor_id}:variant={machine.variant._value_}:peer={machine.peer or '-'}"
+        f":pc={machine.pc}:status={machine.status._value_}:locals={{{locals_}}}"
     )
 
 
@@ -85,58 +86,69 @@ def _render_consumed(taken) -> str:
 
 
 class Renderings:
-    """The texts of the values a run's last digest covered, kept per slot
-    while the next digest holds the same objects, a container's and the
-    history's as the encoded bytes the digest hashes.
+    """The encoded rows of the values a run's last digest covered, kept per
+    section while the next digest holds the same objects, and the encoded
+    history.
 
     These values are immutable, and a step replaces only what it changes,
     so a user record, a machine, an inbox entry or an action that outlives
-    a step is the same object, and its text is reused:
-    - a container's text while the container is the same object (the users
-      dict, the inbox and the public keys: a step that changes one makes a
-      copy, and nothing mutates one in place);
-    - a row's text while the row is the same object (the machines, and the
-      user records and inbox entries when their container changes);
+    a step is the same object, and its row is reused:
+    - a section's join while its container is the same object (the users
+      dict, the machines, the inbox and the public keys: a step that changes
+      one makes a copy, and nothing mutates one in place);
+    - a row while the object at its place is the same object and the
+      section's keys are the last digest's: the uids of the users, sorted
+      once, the machines' positions and the inbox's uids, to which a user's
+      first receive inserts one;
     - the history bytes, extended in place by the new actions when the
       history extends the last one digested (a run only appends), and
       rebuilt from empty on any other history, with the text of its last
       action, which a run's trace event takes as its `act`.
-    There is no cache per object: a slot keeps only the objects of the last
+    There is no cache per object: a section keeps only the rows of the last
     digest, so a run holds no text of a value its configuration dropped.
-    Each kept text is the text that rendering the same values afresh gives,
+    Each kept row is the text that rendering the same values afresh gives,
     so a digest's bytes do not depend on what was digested before it."""
 
     def __init__(self) -> None:
         self._last: dict[str, tuple] = {}
 
-    def joined(self, slot: str, container, join) -> bytes:
-        """`join(container)`, encoded, kept while `container` is the object
+    def joined(self, slot: str, container, section) -> bytes:
+        """`section(self, container)`, kept while `container` is the object
         last joined in `slot`."""
         hit = self._last.get(slot)
         if hit is None or hit[0] is not container:
-            hit = self._last[slot] = (container, join(container).encode("utf-8"))
+            hit = self._last[slot] = (container, section(self, container))
         return hit[1]
 
-    def rows(self, slot: str, objs: tuple, render) -> list[str]:
-        """`render` of each of `objs`, reusing the text of each object that
-        the last call for `slot` rendered: by position while the number of
-        rows is unchanged, else by identity (an entry inserted into the
-        inbox moves the entries after it)."""
-        last, texts = self._last.get(slot, ((), []))
-        if len(last) == len(objs):
-            texts = list(texts)
-            for pos in itertools.compress(range(len(objs)), map(operator.is_not, objs, last)):
-                texts[pos] = render(objs[pos])
+    def rows(self, slot: str, keys, objs: tuple, row) -> list[bytes]:
+        """`row(key, obj)`, encoded, for `keys` and `objs` taken in step.  A
+        row is rendered again only where its object is not the one the last
+        call for `slot` had at its place, while the keys are the last call's
+        or theirs with one key inserted; any other keys render every row."""
+        last_keys, last_objs, rows = self._last.get(slot, ((), (), []))
+        if len(keys) == len(last_keys) + 1:
+            pos = next((at for at, key in enumerate(last_keys) if keys[at] != key), len(last_keys))
+            if keys[pos + 1 :] == last_keys[pos:]:
+                last_keys = keys
+                last_objs = last_objs[:pos] + (None,) + last_objs[pos:]
+                rows = rows[:pos] + [b""] + rows[pos:]
+        if keys is last_keys or keys == last_keys:
+            changed = [pos for pos in range(len(objs)) if objs[pos] is not last_objs[pos]]
         else:
-            kept = dict(zip(map(id, last), texts))
-            texts = [kept[id(o)] if id(o) in kept else render(o) for o in objs]
-        self._last[slot] = (objs, texts)
-        return texts
+            rows, changed = [b""] * len(keys), range(len(keys))
+        for pos in changed:
+            rows[pos] = row(keys[pos], objs[pos]).encode("utf-8")
+        self._last[slot] = (keys, objs, rows)
+        return rows
+
+    def keys(self, slot: str):
+        """The keys of the last call of `rows` for `slot`."""
+        return self._last.get(slot, ((),))[0]
 
     def history(self, history: tuple) -> bytearray:
         """The joined renderings of `history`'s actions, encoded."""
         last, data, tail = self._last.get("history", ((), bytearray(), ""))
-        if history[: len(last)] != last:
+        if not extends(history, last):
             last, data, tail = (), bytearray(), ""
         texts = list(map(render_action, history[len(last) :]))
         if texts:
@@ -152,45 +164,67 @@ class Renderings:
         return self._last["history"][2]
 
 
-def _join_users(users: dict, rendered: Renderings) -> str:
-    uids = sorted(users)
-    texts = rendered.rows("user records", tuple(map(users.__getitem__, uids)), _render_user)
-    return "|".join(map(operator.add, uids, texts))
+_first, _second = itemgetter(0), itemgetter(1)
 
 
-def _join_pkeys(pkeys: dict) -> str:
-    return ",".join(f"{uid}={pkeys[uid]!r}" for uid in sorted(pkeys))
+def _user_row(uid, user) -> str:
+    return uid + _render_user(user)
 
 
-def _join_inbox(inbox: Inbox, rendered: Renderings) -> str:
-    entries = tuple([taken for _, taken in inbox.consumed])
-    texts = rendered.rows("inbox entries", entries, _render_consumed)
-    return ",".join([f"{uid}={text}" for (uid, _), text in zip(inbox.consumed, texts)])
+def _machine_row(_, machine) -> str:
+    return _render_machine(machine)
+
+
+def _inbox_row(uid, taken) -> str:
+    return f"{uid}={_render_consumed(taken)}"
+
+
+def _users_section(rendered: Renderings, users: dict) -> bytes:
+    # the uids in name order, sorted again only when the set of users changes
+    uids = rendered.keys("user records")
+    records = tuple(map(users.get, uids))
+    if len(uids) != len(users) or not all(records):
+        uids = tuple(sorted(users))
+        records = tuple(map(users.get, uids))
+    return b"|".join(rendered.rows("user records", uids, records, _user_row))
+
+
+def _machines_section(rendered: Renderings, machines: tuple) -> bytes:
+    return b"|".join(rendered.rows("machine rows", range(len(machines)), machines, _machine_row))
+
+
+def _inbox_section(rendered: Renderings, inbox: Inbox) -> bytes:
+    consumed = inbox.consumed
+    uids, taken = tuple(map(_first, consumed)), tuple(map(_second, consumed))
+    return b",".join(rendered.rows("inbox entries", uids, taken, _inbox_row))
+
+
+def _pkeys_section(_, pkeys: dict) -> bytes:
+    return ",".join(f"{uid}={pkeys[uid]!r}" for uid in sorted(pkeys)).encode("utf-8")
 
 
 def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings) -> str:
     """Digest of a run node: the global state, every machine and the inbox.
 
-    `rendered` holds the texts of the run's last digest, so a digest renders
-    only what its step replaced: the new actions, a replaced user record,
-    machine or inbox entry, and the join of a replaced container.  What it
-    reuses is the text the same objects rendered to, so the digest is the
-    one a fresh `Renderings` gives.  The hashed body is five lines,
-    `users:`, `history:`, `pkeys:`, `machines:` and `inbox:`, each followed
-    by its section's text; it is hashed part by part from the kept bytes, so
-    no event copies the whole body."""
+    `rendered` holds the rows of the run's last digest, so a digest renders
+    only what its step replaced: the new actions and a replaced user record,
+    machine or inbox entry; each section of a replaced container is joined
+    again from its encoded rows.  What it reuses is the text the same
+    objects rendered to, so the digest is the one a fresh `Renderings`
+    gives.  The hashed body is five lines, `users:`, `history:`, `pkeys:`,
+    `machines:` and `inbox:`, each followed by its section's text; it is
+    hashed part by part from the kept bytes, so no event copies the whole
+    body."""
     digest = hashlib.sha256(b"users:")
-    digest.update(
-        rendered.joined("users", state.users, lambda users: _join_users(users, rendered))
-    )
+    digest.update(rendered.joined("users", state.users, _users_section))
     digest.update(b"\nhistory:")
     digest.update(rendered.history(state.history))
     digest.update(b"\npkeys:")
-    digest.update(rendered.joined("pkeys", state.pkeys, _join_pkeys))
+    digest.update(rendered.joined("pkeys", state.pkeys, _pkeys_section))
     digest.update(b"\nmachines:")
-    digest.update("|".join(rendered.rows("machines", machines, _render_machine)).encode("utf-8"))
+    digest.update(rendered.joined("machines", machines, _machines_section))
     digest.update(b"\ninbox:")
-    digest.update(rendered.joined("inbox", inbox, lambda inbox: _join_inbox(inbox, rendered)))
+    digest.update(rendered.joined("inbox", inbox, _inbox_section))
     return digest.hexdigest()[:12]
 
 

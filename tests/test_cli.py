@@ -448,7 +448,7 @@ def test_replay_reports_the_first_failed_obligation(monkeypatch):
     import protolab.specs as specs
     from protolab.invariants import PredicateReport
 
-    def planted_dyn_inv(before, after):
+    def planted_dyn_inv(before, after, changed):
         if len(after.history) == 3:
             return PredicateReport("dyn-inv", False, "planted at history length 3")
         return PredicateReport("dyn-inv", True)

@@ -3,10 +3,23 @@
 from dataclasses import replace as dc_replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from protolab.model import Invent, Msg, Nonce, append_action, initial_state, open_session
+from protolab.crypto import ConcreteMedium, KeyRegistry, WireMsg, enc
+from protolab.model import (
+    Invent,
+    Msg,
+    Nonce,
+    PKey,
+    SKey,
+    append_action,
+    initial_state,
+    open_session,
+)
 from protolab.roles import (
     ABSTRACT,
+    AbstractMedium,
     IllegalMove,
     Inbox,
     RoleKind,
@@ -14,6 +27,7 @@ from protolab.roles import (
     Variant,
     can_fire,
     find_match,
+    kinds_match,
     make_machine,
     run_honest_pair,
     step,
@@ -185,3 +199,101 @@ def test_run_honest_pair_raises_on_non_completion(monkeypatch):
     monkeypatch.setattr(runner_mod, "execute_scripted", sabotaged)
     with pytest.raises(DeadlockError):
         run_honest_pair("A", "B", Variant.NS)
+
+
+# ── receive matching against a scan of the whole history ────────────────────
+
+
+def reference_find_match(machine, state, inbox, medium):
+    """The receive rule as a scan of the whole history, newest first,
+    asking `medium.readable` about each entry it passes."""
+    stmt = machine.current()
+    taken = inbox.consumed_for(machine.owner)
+    for index in range(len(state.history) - 1, -1, -1):
+        if index in taken:
+            continue
+        items = medium.readable(state.history[index], machine.owner)
+        if items is not None and kinds_match(items, stmt.pattern):
+            return index
+    return None
+
+
+MATCH_USERS = ("A", "B", "C")
+# A and B share a public key, so a wire message under it is mail for both;
+# nobody holds pk:B, and Z is no user at all
+SHARED_KEY = KeyRegistry(
+    pkeys={"A": PKey("pk:A"), "B": PKey("pk:A"), "C": PKey("pk:C")},
+    skeys={uid: SKey(f"sk:{uid}") for uid in MATCH_USERS},
+)
+# a medium of each level, kept across examples, so that what a medium keeps
+# between calls is also asked about histories it did not build
+MATCH_MEDIA = {"abstract": AbstractMedium(), "concrete": ConcreteMedium(SHARED_KEY)}
+# (kind, variant, pc) of each receive statement
+RECEIVES = [
+    (RoleKind.RECEIVER, Variant.NS, 0),  # (u, n)
+    (RoleKind.RECEIVER, Variant.NSL, 3),  # (n)
+    (RoleKind.SENDER, Variant.NS, 3),  # (n, n)
+    (RoleKind.SENDER, Variant.NSL, 3),  # (u, n, n)
+]
+MATCH_ITEMS = st.sampled_from(["A", "B", "C", N1, N2, Nonce(3)])
+MATCH_ACTIONS = st.one_of(
+    st.tuples(
+        st.just("msg"),
+        st.sampled_from(["A", "B", "C", "Z"]),  # the recipient, or the key's name
+        st.sampled_from(MATCH_USERS),
+        st.lists(MATCH_ITEMS, min_size=1, max_size=3).map(tuple),
+    ),
+    st.tuples(st.just("invent"), st.sampled_from(MATCH_USERS), st.integers(1, 3)),
+)
+
+
+def planted(action, level):
+    if action[0] == "invent":
+        _, user, ix = action
+        return Invent(user, Nonce(ix))
+    _, who, sender, content = action
+    if level == "abstract":
+        return Msg(rec=who, sender=sender, content=content)
+    return WireMsg(body=enc(content, PKey(f"pk:{who}")), ghost_sender=sender)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    level=st.sampled_from(["abstract", "concrete"]),
+    actions=st.lists(MATCH_ACTIONS, max_size=12),
+    owner=st.sampled_from(MATCH_USERS),
+    receive=st.sampled_from(RECEIVES),
+    consumed=st.lists(st.tuples(st.sampled_from(MATCH_USERS), st.integers(0, 11)), max_size=8),
+    lengths=st.lists(st.integers(0, 12), max_size=4),
+)
+@example(  # B reads the wire message to A under their shared key
+    level="concrete",
+    actions=[("msg", "A", "C", ("C", N1)), ("msg", "C", "C", ("C", N2))],
+    owner="B",
+    receive=RECEIVES[0],
+    consumed=[("C", 1)],
+    lengths=[],
+)
+def test_receive_matching_equals_a_scan_of_the_history(
+    level, actions, owner, receive, consumed, lengths
+):
+    # consumed entries, wrong item kinds and mail to others are passed over;
+    # a fresh medium is asked about growing prefixes, each extending the
+    # last, and the kept medium about prefixes in any order, shorter ones too
+    fresh = AbstractMedium() if level == "abstract" else ConcreteMedium(SHARED_KEY)
+    history = tuple(planted(action, level) for action in actions)
+    inbox, taken = Inbox(), {}
+    for uid, index in consumed:
+        inbox = inbox.consume(uid, index)
+        taken[uid] = taken.get(uid, frozenset()) | {index}
+    assert inbox.consumed == tuple(sorted(taken.items()))
+    kind, variant, pc = receive
+    machine = dc_replace(make_machine(owner, kind, variant, f"{owner}#1", peer="C"), pc=pc)
+    state = initial_state({uid: True for uid in MATCH_USERS})
+    asked = [*lengths, len(history)]
+    for medium, order in ((fresh, sorted(asked)), (MATCH_MEDIA[level], asked)):
+        for length in order:
+            prefix = dc_replace(state, history=history[:length])
+            found = find_match(machine, prefix, inbox, medium)
+            assert found == reference_find_match(machine, prefix, inbox, medium)
+            assert find_match(machine, prefix, inbox, medium) == found

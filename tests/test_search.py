@@ -844,9 +844,9 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
         built[entry[0]].add(machines() - before)
         return child
 
-    def checking(before, after):
+    def checking(before, after, *rest):
         made = reports()
-        rep = real_check(before, after)
+        rep = real_check(before, after, *rest)
         if rep.holds:
             holding.add(reports() - made)
         return rep

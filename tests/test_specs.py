@@ -28,7 +28,7 @@ from protolab.roles import Variant, run_honest_pair
 from protolab.runner import execute_scripted
 from protolab.scenario import load_scenario, parse_scenario
 
-from conftest import scenario
+from conftest import count_calls, scenario
 from protolab.specs import (
     PreconditionUnmet,
     SpecVerdict,
@@ -562,6 +562,69 @@ def test_audit_work_grows_linearly_with_the_run(monkeypatch):
     for pairs in (2, 4):
         assert 0 < min(work[pairs]) and max(work[pairs]) <= events[pairs], work
     assert work[4][0] <= 2 * work[2][0] and work[4][1] <= 2 * work[2][1], work
+
+
+def per_event_work(monkeypatch, pairs: int, level: str) -> dict[str, float]:
+    """The work a scripted run, its re-execution and its obligation suite do
+    per unit of what they handle, on `pairs` disjoint NSL pairs:
+    - `examined`: history entries a medium indexes or scans, plus mail
+      entries a receive matches, per fired receive;
+    - `replaced`: `_replaced` calls per adjacent pair in `check_lemma_suite`;
+    - `visited`: actions scanned for nonces, per invention;
+    - `rendered`: rows and actions rendered, per digest."""
+    import protolab.invariants as invariants
+    import protolab.model as model
+    import protolab.roles as roles
+    import protolab.trace as trace
+    from protolab.crypto import ConcreteMedium
+    from protolab.runner import execute_schedule, schedule_from_doc
+
+    # an action a medium indexes or scans, and a mail entry a receive matches
+    examined = count_calls(monkeypatch, roles.kinds_match)
+    scanned = {"actions": 0}
+    for medium in (roles.AbstractMedium, ConcreteMedium):
+        for name in ("_readers", "readable"):
+
+            def scanning(*args, method=getattr(medium, name)):
+                scanned["actions"] += 1
+                return method(*args)
+
+            monkeypatch.setattr(medium, name, scanning)
+    visited = count_calls(monkeypatch, model._nonces_in_history, len)
+    rendered = [
+        count_calls(monkeypatch, getattr(trace, name))
+        for name in ("_render_user", "_render_machine", "_render_consumed", "render_action")
+    ]
+    digests = count_calls(monkeypatch, trace.node_digest)
+
+    sc = parse_scenario(nsl_pairs(pairs)).with_level(level)
+    run = execute_scripted(sc)
+    execute_schedule(sc, schedule_from_doc(run.to_doc(), sc))
+    receives = 2 * sum(ev.stmt.startswith("recv") for ev in run.events)
+    inventions = 2 * sum(isinstance(act, Invent) for act in run.final_state.history)
+    work = {
+        "examined": (scanned["actions"] + examined()) / receives,
+        "visited": visited() / inventions,
+        "rendered": sum(c() for c in rendered) / digests(),
+    }
+    replaced = count_calls(monkeypatch, invariants._replaced)
+    assert all(report.holds for report in check_lemma_suite(run))
+    work["replaced"] = replaced() / len(run.events)
+    assert len(run.events) == 11 * pairs
+    monkeypatch.undo()
+    return work
+
+
+@pytest.mark.parametrize("level", ["abstract", "concrete"])
+def test_per_event_work_does_not_grow_with_the_run(monkeypatch, level):
+    # a step changes one machine, at most one user record and inbox entry,
+    # and appends at most one action: twice the pairs, about the same work
+    # per event (a backward scan of the history for each receive, or of the
+    # whole history for each invention, came close to doubling it)
+    work = {pairs: per_event_work(monkeypatch, pairs, level) for pairs in (12, 24)}
+    assert work[12]["replaced"] == work[24]["replaced"] == 1, work
+    for name in work[12]:
+        assert 0 < work[24][name] <= 1.5 * work[12][name], (name, work)
 
 
 # ── contract sweeps against their per-session scans ─────────────────────────

@@ -1,9 +1,9 @@
 """Node digests: the texts a run keeps between its digests must give the
 digest a fresh `Renderings` gives, in any order of configurations, and a
 long run's digests must cost what each event changed.  A long run does
-only the work it needs: one digest per replayed event, one history scan
-per invention.  `--no-ghost` prints the observable projection of each
-action."""
+only the work it needs: one digest per replayed event, and one look at
+each action for its inventions.  `--no-ghost` prints the observable
+projection of each action."""
 
 import hashlib
 import io
@@ -200,8 +200,10 @@ def test_a_wire_replay_digests_each_event_once(monkeypatch, tmp_path):
 
 
 def test_each_invention_scans_the_history_once(monkeypatch):
-    scans = count_calls(monkeypatch, model._nonces_in_history)
+    # between them, a run's inventions look at each action once: each one
+    # scans only what was appended since the one before
+    visited = count_calls(monkeypatch, model._nonces_in_history, len)
     run = execute_scripted(parse_scenario(AUDIT))
-    inventions = sum(isinstance(act, Invent) for act in run.final_state.history)
-    assert inventions == 48
-    assert scans() == inventions
+    history = run.final_state.history
+    assert sum(isinstance(act, Invent) for act in history) == 48
+    assert visited() <= len(history)
