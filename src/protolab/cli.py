@@ -7,7 +7,7 @@
 
 Exit codes: 0 all requested specs hold, 1 a spec is violated (run) or a
 counterexample was found (explore) or a replay diverged, 2 malformed input,
-3 exploration inconclusive (step bound cut live branches).
+3 exploration inconclusive (step bound cut live branches, or out of memory).
 
 Output is byte-stable: identical inputs and flags produce identical traces
 and identical stdout.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .runner import apply_entry, build_execution, check_refinement, execute_scripted, replay_doc
 from .scenario import ScenarioError, load_scenario
@@ -114,7 +115,10 @@ def cmd_replay(args, out) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="protolab",
         description="Run, explore and replay symbolic protocol scenarios.",

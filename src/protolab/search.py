@@ -143,27 +143,40 @@ node's canonical image:
 
 - the members of each group take the group's positions in the order of a
   signature that no renaming changes (pc, highest first, status, chosen
-  peer, and the session's recorded partner and completion), each under
-  the session id of the position it takes, in its machine and in its
-  user's records;
-- the honest machines' inventions are renamed 1, 2, ... in the image's
-  machine order, and the intruder's inventions follow in index order;
-- when members' signatures tie, the image is rendered in an orderable form
-  (tuples, and sorted sets) under every order of the tied members, and the
-  key is the least rendering (`_tied_key`), which never equals a plain key.
-  Tied members with equal locals and knows have invented nothing, and
-  swapping them changes only their session ids, so they are not ordered.
-  Whether a node has a tie that is ordered does not change under renaming
-  or permutation, so equivalent nodes take the same branch.
+  peer, and the session's recorded partner and completion), each under the
+  session id of the position it takes;
+- members whose signatures tie are split, as colour refinement does (McKay,
+  *Practical graph isomorphism*, 1981), by what each is to the nonces
+  labelled so far (the placed machines' by position, the intruder's by
+  index) in its locals, its known nonces and the actions that hold its own
+  nonce, with their places among the pending messages.  A member split off
+  alone is placed and labels its nonce, until nothing splits;
+- each nonce is named by who invented it: a machine's by the position the
+  machine takes, the intruder's by its index among the intruder's;
+- the members still tied are tried in every order, and the key is the
+  least image; members with equal codes have invented nothing, and are not
+  ordered, as their order changes no code.
 
-When the image is the node itself, as at every node of a search with one
-machine per declaration that invents its nonces in machine order (attack-ns,
-certify-nsl), the key is the node's plain key, found in time linear in the
-machines, with no image built.  The image exists only to be keyed: the
-search keeps the node it reached first, and a counterexample is rebuilt from
-its links and re-executed, so it names the sessions and nonces of a run.
-The intruder's inventions are not permuted among themselves, so nodes that
+One encoder (`_Encoder`) writes every key, plain, image or tied, as a tuple
+of tuples of small ints: the machines by position, each session's records,
+the history as a sorted tuple of actions, and the pending messages.  A
+node's codes are carried along its links, as the safety facts are: a
+macro-step re-encodes only the machines and records it replaced and the
+actions it appended, and an image's codes are interned.  At every node of
+attack-ns and certify-nsl the image is the node, and the key its codes.
+The image exists only to be keyed: the search keeps the node it reached
+first, and a counterexample is rebuilt from its links and re-executed.  The
+intruder's inventions are not permuted among themselves, so nodes that
 differ only in which of two intruder nonces was used where stay apart.
+
+The key is canonical.  It describes its image completely: each code has a
+fixed layout, an action's kind shows in its length, a machine's local names
+follow from its declaration, pc and status, and each session is one user's.
+A permutation of interchangeable sessions, with a bijection of the nonces
+that keeps the intruder's in index order, keeps every signature and
+feature, as a label or a nonce's code names a position or an index, never a
+nonce.  So equivalent nodes leave the same cells tied and try the same
+images, and nodes that are not equivalent have no image in common.
 
 The merge is exact.  A permutation of interchangeable sessions, with a
 bijection of the nonces 1..k of a node, maps the node to one with the same
@@ -236,16 +249,17 @@ same verdicts (ns-search: 70 instead of 54, nsl-search: 38 instead of 21).
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import insort
 from dataclasses import replace
 from itertools import permutations, product
 from operator import attrgetter
 
 from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
 from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
-from .model import GlobalState, Invent, Msg, Nonce, UserState
+from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history
 from .roles import (
     FinishStmt,
+    Inbox,
     InventStmt,
     RecvStmt,
     RoleMachine,
@@ -267,244 +281,220 @@ from .specs import (
 )
 
 
-_recipient = attrgetter("rec")
+_STATUS = {status._value_: code for code, status in enumerate(Status)}
+_IX = attrgetter("ix")
 
 
-def _node_key(node: Config, groups, binds) -> tuple:
-    """The key of the node's canonical image: the members of each group of
-    interchangeable machines in signature order, and each nonce renamed by
-    the position of the machine that invented it, the intruder's after them
-    in index order; see the module docstring.  `groups` holds the positions
-    of each group of two or more identical role declarations, and `binds`
-    the local each machine's invent binds.  A node whose image is itself is
-    keyed without building it."""
-    machines, order = node.machines, None
-    if groups:
-        order, tied = _canonical_order(machines, node.state.users, groups)
-        if tied:
-            return _tied_key(node, order, tied, binds)
-    table = _renaming(machines, order, binds, node.state.history)
-    if order is None and table is None:
-        return _plain_key(node)
-    return _plain_key(_image(node, order, table))
+def _node_key(node: Config, groups, binds, codes=None) -> tuple:
+    """The key of the node's canonical image (see the module docstring):
+    `groups` holds the positions of each group of two or more identical role
+    declarations, `binds` the local each machine's invent binds, and `codes`
+    the node's codes carried along its links (None: encode it afresh)."""
+    codes = codes or _Encoder(node, binds).codes(node)
+    return codes[0].key(groups, codes)
 
 
-def _pending(node: Config) -> list:
-    """The messages no receive has taken yet to each user that owns a
-    machine, in history order per recipient."""
-    taken = set()
-    for _, indices in node.inbox.consumed:
-        taken |= indices
-    owners = {machine.owner for machine in node.machines}
-    pending = [
-        act
-        for index, act in enumerate(node.state.history)
-        if act.__class__ is Msg and act.rec in owners and index not in taken
-    ]
-    pending.sort(key=_recipient)
-    return pending
+def _split(cells: list, order: list, feature) -> list:
+    """Each cell's members sorted by `feature` and placed in its positions
+    in that order; the runs of two or more equal features, as cells of
+    (positions, members)."""
+    left = []
+    for positions, members in cells:
+        signed, start = sorted([(feature(i), i) for i in members]), 0
+        for k, (value, i) in enumerate(signed):
+            order[positions[k]] = i
+            if k + 1 == len(signed) or signed[k + 1][0] != value:
+                if k > start:
+                    left.append((positions[start : k + 1], [j for _, j in signed[start : k + 1]]))
+                start = k + 1
+    return left
 
 
-def _plain_key(node: Config) -> tuple:
-    """The node's machines, each user's records, the history as a multiset,
-    and its pending messages.  The users come in the order of the users
-    dict, which every state of one search shares."""
-    history = node.state.history
-    actions = frozenset(history)
-    if len(actions) < len(history):
-        actions = frozenset(Counter(history).items())
-    users = tuple([
-        (
-            frozenset(u.int_partner.items()),
-            frozenset(u.knows.items()),
-            frozenset(u.complete.items()),
-        )
-        for u in node.state.users.values()
-    ])
-    return (node.machines, users, actions, tuple(_pending(node)))
+class _Encoder:
+    """The codes of one search's nodes, tuples of small ints: a uid is its
+    index in the users dict and a session the position of its machine (any
+    other session follows them), as all states of a search have the same
+    users and sessions.  A nonce is coded by who invented it: -1 - i for
+    machine i's, and -1 - n - j for the intruder's j-th, n the number of
+    machines.  A node's codes are (this encoder, its machines, its sessions'
+    records, its history as a sorted tuple, its pending messages as
+    (recipient, history index, action), each nonce's code by index); a
+    node shares those it did not change with its parent.  `table` interns
+    the codes of images, so that kept keys share them, and `moved` keeps by
+    value what a permutation made of a code."""
 
+    def __init__(self, node: Config, binds):
+        machines, users = node.machines, node.state.users
+        self.binds, self.table, self.moved = binds, {}, {}
+        self.names = list(users)
+        self.uids = {uid: code for code, uid in enumerate(users)}
+        self.sids = {machine.session: index for index, machine in enumerate(machines)}
+        opened = [u.int_partner.keys() | u.knows.keys() | u.complete.keys() for u in users.values()]
+        for sid in sorted(set().union(*opened) - self.sids.keys()):
+            self.sids[sid] = len(self.sids)
+        # each user's sessions with their codes (every session is one user's)
+        self.opened = [[(sid, self.sids[sid]) for sid in sids] for sids in opened]
+        self.owners = {self.uids[machine.owner] for machine in machines}
 
-def _signature(machine: RoleMachine, user) -> tuple:
-    """What a renaming of nonces leaves of a machine and its session's
-    records: pc (highest first), status, chosen peer, recorded partner and
-    completion."""
-    session = machine.session
-    return (
-        -machine.pc,
-        machine.status.value,
-        machine.peer or "",
-        user.int_partner.get(session) or "",
-        user.complete.get(session, False),
-    )
+    def intern(self, code: tuple) -> tuple:
+        return self.table.setdefault(code, code)
 
+    def machine(self, machine: RoleMachine, nonces: dict) -> tuple:
+        """(pc, status, peer, the locals' values)."""
+        uids = self.uids
+        values = [nonces[v.ix] if v.__class__ is Nonce else uids[v] for _, v in machine.locals]
+        peer = uids.get(machine.peer, len(uids))
+        return (machine.pc, _STATUS[machine.status._value_], peer, *values)
 
-def _canonical_order(machines, users, groups):
-    """The machine each position of the image takes, or None when every
-    group is in signature order already, and the runs of positions whose
-    members' signatures tie but whose locals or knows differ.  The members
-    of any other tie are interchangeable: they have invented nothing, and
-    swapping them changes nothing but their session ids."""
-    order, tied = None, []
-    for group in groups:
-        user = users[machines[group[0]].owner]
-        signed = sorted((_signature(machines[i], user), i) for i in group)
-        if [i for _, i in signed] != list(group):
-            order = order or list(range(len(machines)))
-            for position, (_, i) in zip(group, signed):
-                order[position] = i
-        start = 0
-        for end in range(1, len(signed) + 1):
-            if end < len(signed) and signed[end][0] == signed[start][0]:
-                continue
-            run = [i for _, i in signed[start:end]]
-            first = machines[run[0]]
-            if any(
-                machines[i].locals != first.locals
-                or user.knows.get(machines[i].session) != user.knows.get(first.session)
-                for i in run[1:]
-            ):
-                tied.append(group[start:end])
-            start = end
-    return order, tied
+    def session(self, user: UserState, sid: str, nonces: dict) -> tuple:
+        """(partner or the user count, completion (2 unrecorded, 3 more if
+        knows has no entry), its known nonces in order)."""
+        known = user.knows.get(sid)
+        partner = self.uids.get(user.int_partner.get(sid), len(self.uids))
+        done = user.complete.get(sid, 2) + 3 * (known is None)
+        return (partner, done, *sorted(map(nonces.__getitem__, map(_IX, known or ()))))
 
+    def action(self, act, nonces: dict) -> tuple:
+        """(user, nonce) for an invention, (recipient, sender, *items) else."""
+        uids = self.uids
+        if act.__class__ is Invent:
+            return (uids[act.user], nonces[act.what.ix])
+        items = [nonces[i.ix] if i.__class__ is Nonce else uids[i] for i in act.content]
+        return (uids[act.rec], uids[act.sender], *items)
 
-def _renaming(machines, order, binds, history) -> list | None:
-    """Each nonce's canonical name, indexed by its own index, or None when
-    every nonce has it already: the honest machines' inventions are named
-    1, 2, ... in the order of the image's positions, and the intruder's
-    follow in index order."""
-    honest = []
-    for index in order or range(len(machines)):
-        bind = binds[index]
-        for name, value in machines[index].locals:
-            if name == bind:
-                honest.append(value.ix)
-                break
-    if honest == list(range(1, len(honest) + 1)):
-        return None
-    highest = max(act.what.ix for act in history if act.__class__ is Invent)
-    names = dict(zip(honest, range(1, len(honest) + 1)))
-    others = [old for old in range(1, highest + 1) if old not in names]
-    names.update(zip(others, range(len(honest) + 1, highest + 1)))
-    table = [None] * (highest + 1)
-    for old, ix in names.items():
-        table[old] = Nonce(ix)
-    return table
+    def codes(self, node: Config) -> tuple:
+        """The node's codes, extended from those of a node with nothing once
+        its nonces are coded: one that no machine binds is the intruder's."""
+        machines, users, binds = node.machines, dict.fromkeys(node.state.users), self.binds
+        own = {v.ix: -1 - i for i, m in enumerate(machines) for k, v in m.locals if k == binds[i]}
+        others = sorted({n.ix for n in _nonces_in_history(node.state.history)} - own.keys())
+        nonces = {**own, **{ix: -1 - len(machines) - j for j, ix in enumerate(others)}}
+        blank = Config((None,) * len(machines), GlobalState(users, (), {}), Inbox())
+        sessions = (None,) * len(self.sids)
+        return self.extend((self, blank.machines, sessions, (), (), nonces), blank, node)
 
+    def extend(self, codes: tuple, parent: Config, child: Config) -> tuple:
+        """The codes of `child`, a macro-step from `parent`, from `codes`,
+        the parent's: its actions are added, its inventions coded first, the
+        machines and sessions' records it replaced encoded, and the messages
+        it consumed dropped."""
+        _, machines, sessions, multiset, pending, nonces = codes
+        before, after = parent.state, child.state
+        if len(after.history) > len(before.history):
+            multiset, pending = list(multiset), list(pending)
+            for index in range(len(before.history), len(after.history)):
+                act = after.history[index]
+                if act.__class__ is Invent and act.what.ix not in nonces:
+                    nonces = self.invented(nonces, act.what, child.machines)
+                code = self.action(act, nonces)
+                insort(multiset, code)
+                if len(code) > 2 and code[0] in self.owners:
+                    insort(pending, (code[0], index, code))
+            multiset, pending = tuple(multiset), tuple(pending)
+        if child.machines is not parent.machines:
+            changed = zip(machines, parent.machines, child.machines)
+            machines = tuple([c if m is o else self.machine(m, nonces) for c, o, m in changed])
+        if after.users is not before.users:
+            sessions = list(sessions)
+            for opened, old, new in zip(self.opened, before.users.values(), after.users.values()):
+                for sid, code in opened if new is not old else ():
+                    # a record left as it was holds the same nonce objects
+                    if old is None or new.knows.get(sid) != old.knows.get(sid) or (
+                        new.int_partner.get(sid) != old.int_partner.get(sid)
+                        or new.complete.get(sid) != old.complete.get(sid)
+                    ):
+                        sessions[code] = self.session(new, sid, nonces)
+            sessions = tuple(sessions)
+        if child.inbox is not parent.inbox:
+            taken = dict(child.inbox.consumed)
+            pending = tuple([p for p in pending if p[1] not in taken.get(self.names[p[0]], ())])
+        return self, machines, sessions, multiset, pending, nonces
 
-def _image(node: Config, order, table) -> Config:
-    """The node with position p running machine `order[p]` under p's session
-    id, and every nonce renamed by `table` (either may be None, for none)."""
-    machines, state = node.machines, node.state
-    sids, image = {}, []
-    for position, index in enumerate(order or range(len(machines))):
-        machine, session = machines[index], machines[position].session
-        if index == position and table is None:
-            image.append(machine)
-            continue
-        sids[machine.session] = session
-        locals = machine.locals
-        if table is not None:
-            locals = tuple([
-                (name, table[value.ix] if value.__class__ is Nonce else value)
-                for name, value in locals
-            ])
-        image.append(
-            RoleMachine(
-                machine.owner, machine.variant, machine.kind, session,
-                machine.peer, machine.pc, locals, machine.status,
+    def invented(self, nonces: dict, nonce, machines) -> dict:
+        """`nonces` with `nonce` coded: the binding machine's invention, else the intruder's."""
+        bound = [i for i, m in enumerate(machines) if (self.binds[i], nonce) in m.locals]
+        others = sum(1 for c in nonces.values() if c < -len(machines))
+        return {**nonces, nonce.ix: -1 - bound[0] if bound else -1 - len(machines) - others}
+
+    def key(self, groups, codes: tuple) -> tuple:
+        """The least image over the orders of the members left tied."""
+        order, cells = self.rank(groups, codes) if groups else (None, ())
+        if not cells:
+            return self.image(codes, order)
+        images = []
+        for choice in product(*(permutations(members) for _, members in cells)):
+            for (positions, _), members in zip(cells, choice):
+                for position, index in zip(positions, members):
+                    order[position] = index
+            images.append(self.image(codes, order))
+        return min(images)
+
+    def rank(self, groups, codes: tuple):
+        """The machine each position of the image takes (None: each its own),
+        and the cells (positions, members) that splitting by signature, then
+        by feature, leaves tied; a feature marks a nonce -1 if it is the
+        member's own and -2 if it has no label."""
+        _, machines, sessions, multiset, pending, nonces = codes
+        signatures = [(-m[0], *m[1:3], *e[:2]) for m, e in zip(machines, sessions)]
+        order = list(range(len(machines)))
+        cells = _split([(group, group) for group in groups], order, signatures.__getitem__)
+        # members with equal codes have invented nothing: all their orders give one image
+        cells = [c for c in cells if len({(machines[i], sessions[i]) for i in c[1]}) > 1]
+        if not cells:
+            return (None if order == sorted(order) else order), cells
+        tied = {i for _, members in cells for i in members}
+        label = {-1 - i: -3 - p for p, i in enumerate(order) if i not in tied}
+        label.update((c, c - 2) for c in nonces.values() if c < -len(machines))
+
+        def feature(i):
+            own = -1 - i
+            get = {**label, own: -1}.get
+            acts = [tuple([c if c >= 0 else get(c, -2) for c in a]) for a in multiset if own in a]
+            return (
+                tuple([c if c >= 0 else get(c, -2) for c in machines[i][3:]]),
+                sorted([get(c, -2) for c in sessions[i][2:]]),
+                sorted(acts),
+                [place for place, (_, _, act) in enumerate(pending) if own in act],
             )
-        )
-    users = {uid: _renamed_user(user, sids, table) for uid, user in state.users.items()}
-    history = state.history
-    if table is not None:
-        history = tuple([
-            Invent(act.user, table[act.what.ix]) if act.__class__ is Invent
-            else Msg(act.rec, act.sender, tuple([
-                table[i.ix] if i.__class__ is Nonce else i for i in act.content
-            ]))
-            for act in history
-        ])
-    return Config(tuple(image), GlobalState(users, history, state.pkeys), node.inbox)
 
+        while cells:
+            left = _split(cells, order, feature)
+            placed = tied.difference(*(members for _, members in left))
+            if not placed and len(left) == len(cells):
+                break
+            label.update((-1 - i, -3 - p) for p, i in enumerate(order) if i in placed)
+            cells, tied = left, tied - placed
+        return order, cells
 
-def _renamed_user(user: UserState, sids: dict, table) -> UserState:
-    """`user` with its sessions renamed by `sids` and its nonces by `table`."""
-    if table is None and sids.keys().isdisjoint(user.complete):
-        return user
-    return UserState(
-        {sids.get(sid, sid): partner for sid, partner in user.int_partner.items()},
-        {
-            sids.get(sid, sid): nonces if table is None else frozenset([table[n.ix] for n in nonces])
-            for sid, nonces in user.knows.items()
-        },
-        user.skey,
-        user.conforms,
-        {sids.get(sid, sid): done for sid, done in user.complete.items()},
-    )
+    def image(self, codes: tuple, order) -> tuple:
+        """The key of the node with position p running machine `order[p]`
+        under p's session, with p's nonce code (None: each its own)."""
+        _, machines, sessions, multiset, pending, _ = codes
+        waiting = tuple([act for _, _, act in pending])
+        if order is None:
+            return machines, sessions, multiset, waiting
+        # what this permutation makes of a machine or an action, and of a
+        # session's records, which sort their nonces (kept apart: a code of
+        # one kind can equal one of the other)
+        memo, entries = self.moved.setdefault(tuple(order), ({}, {}))
+        get, intern, n = memo.get, self.intern, len(machines)
+        to = list(range(n))
+        for position, index in enumerate(order):
+            to[index] = position
 
+        def moved(code):
+            new = [-1 - to[-1 - c] if -n <= c < 0 else c for c in code]
+            return memo.setdefault(code, intern(tuple(new)))
 
-def _tied_key(node: Config, order, tied, binds) -> tuple:
-    """The least orderable rendering of the node's images under every order
-    of the tied runs' members; only the orders whose machines render least
-    are rendered in full."""
-    machines, history = node.machines, node.state.history
-    base = list(order or range(len(machines)))
-    candidates = []
-    for choice in product(*(permutations([base[p] for p in run]) for run in tied)):
-        for run, members in zip(tied, choice):
-            for position, index in zip(run, members):
-                base[position] = index
-        table = _renaming(machines, base, binds, history)
-        candidates.append((_machine_rendering(machines, base, table), list(base), table))
-    least = min(rendered for rendered, _, _ in candidates)
-    return min(
-        _rendering(node, positions, table, rendered)
-        for rendered, positions, table in candidates
-        if rendered == least
-    )
+        def entry(code):
+            known = sorted([-1 - to[-1 - c] if c >= -n else c for c in code[2:]])
+            return entries.setdefault(code, intern((*code[:2], *known)))
 
-
-def _rank(item, table) -> tuple:
-    """An item as an orderable tuple, a nonce renamed by `table`."""
-    if item.__class__ is Nonce:
-        return (1, item.ix if table is None else table[item.ix].ix)
-    return (0, item)
-
-
-def _action_rank(act, table) -> tuple:
-    if act.__class__ is Invent:
-        return (1, act.user, _rank(act.what, table))
-    return (0, act.rec, act.sender, tuple([_rank(i, table) for i in act.content]))
-
-
-def _machine_rendering(machines, order: list, table) -> tuple:
-    """The machines of `_image(node, order, table)` as orderable tuples,
-    less their session ids, which are their positions'."""
-    return tuple([
-        (m.pc, m.status.value, m.peer or "", tuple([(k, _rank(v, table)) for k, v in m.locals]))
-        for m in (machines[index] for index in order)
-    ])
-
-
-def _rendering(node: Config, order: list, table, machines: tuple) -> tuple:
-    """The plain key of `_image(node, order, table)` with every part
-    orderable, given its machines' rendering: dicts and sets sorted, the
-    history as a sorted tuple."""
-    sids = {node.machines[i].session: node.machines[p].session for p, i in enumerate(order)}
-    users = tuple([
-        (
-            tuple(sorted([(sids.get(sid, sid), p) for sid, p in u.int_partner.items()])),
-            tuple(sorted([
-                (sids.get(sid, sid), tuple(sorted([_rank(n, table) for n in ns])))
-                for sid, ns in u.knows.items()
-            ])),
-            tuple(sorted([(sids.get(sid, sid), done) for sid, done in u.complete.items()])),
-        )
-        for u in node.state.users.values()
-    ])
-    actions = tuple(sorted([_action_rank(act, table) for act in node.state.history]))
-    return (machines, users, actions, tuple([_action_rank(act, table) for act in _pending(node)]))
+        machines = tuple([get(machines[i]) or moved(machines[i]) for i in order])
+        places = (*order, *range(n, len(sessions)))
+        sessions = tuple([entries.get(sessions[i]) or entry(sessions[i]) for i in places])
+        multiset = tuple(sorted([get(act) or moved(act) for act in multiset]))
+        return machines, sessions, multiset, tuple([get(act) or moved(act) for act in waiting])
 
 
 class _Searcher:
@@ -525,6 +515,8 @@ class _Searcher:
             next(s.bind for s in machine.statements() if isinstance(s, InventStmt))
             for machine in self.root.machines
         )
+        self.encoder = _Encoder(self.root, self.binds)
+        self.states = self.depth = 0  # how far `run` got: nodes reached, depth expanded
 
     # ── move generation ──────────────────────────────────────────────────
 
@@ -687,52 +679,57 @@ class _Searcher:
     # ── breadth-first pass over micro-depth buckets ──────────────────────
 
     def run(self):
-        """Returns (violation or None, its schedule, distinct nodes reached,
-        whether live nodes remain at the step bound)."""
+        """Returns (violation or None, its schedule, whether live nodes
+        remain at the step bound); `states` counts the distinct nodes
+        reached."""
         bad, facts = self.safety_violation(self.root, None, ({}, {}))
+        self.states = 1
         if bad is not None:
-            return (SPEC_INV, bad), [], 1, False
+            return (SPEC_INV, bad), [], False
         spec, live, starts = self.first_reach(self.root)
         if spec is not None:
-            return (spec, None), [], 1, False
-        bound, states, truncated = self.scenario.bounds.max_steps, 1, False
+            return (spec, None), [], False
+        bound, truncated = self.scenario.bounds.max_steps, False
         if live and bound == 0:
             # the root is cut at the bound with a step left
-            return None, [], states, True
-        # bucket entries: (node, its safety facts, link, its macro starts or
-        # None to build them); a link is (parent's link, micro entries of the
-        # macro), None at the root
-        buckets = {0: [(self.root, facts, None, starts)]} if live else {}
+            return None, [], True
+        # bucket entries: (node, its safety facts, its codes, link, its macro
+        # starts or None to build them); a link is (parent's link, micro
+        # entries of the macro), None at the root
+        codes = self.encoder.codes(self.root)
+        buckets = {0: [(self.root, facts, codes, None, starts)]} if live else {}
         seen: dict[int, set] = {}
         while buckets:
-            depth = min(buckets)
+            self.depth = depth = min(buckets)
             seen.pop(depth, None)
-            for node, facts, link, starts in buckets.pop(depth):
+            for node, facts, codes, link, starts in buckets.pop(depth):
                 for start in starts if starts is not None else self.starts(node):
                     macro = self.macro(node, facts, start, bound - depth)
                     steps, child, child_facts, bad, cut = macro
                     here = (link, steps)
                     if bad is not None:
-                        return (SPEC_INV, bad), _schedule(here), states, False
+                        return (SPEC_INV, bad), _schedule(here), False
                     if cut:
                         truncated = True
                         continue
                     at = depth + len(steps)
                     keys = seen.setdefault(at, set())
                     known = len(keys)
+                    child_codes = self.encoder.extend(codes, node, child)
                     # hashed once: a tuple keeps no hash
-                    keys.add(_node_key(child, self.groups, self.binds))
+                    keys.add(_node_key(child, self.groups, self.binds, child_codes))
                     if len(keys) == known:
                         continue
-                    states += 1
+                    self.states += 1
                     spec, live, kept = self.first_reach(child)
                     if spec is not None:
-                        return (spec, None), _schedule(here), states, False
+                        return (spec, None), _schedule(here), False
                     if live and at == bound:
                         truncated = True
                     elif live:
-                        buckets.setdefault(at, []).append((child, child_facts, here, kept))
-        return None, [], states, truncated
+                        entry = (child, child_facts, child_codes, here, kept)
+                        buckets.setdefault(at, []).append(entry)
+        return None, [], truncated
 
 
 def _runs_on(before: RoleMachine, after: RoleMachine) -> bool:
@@ -782,15 +779,18 @@ def explore(scenario: Scenario, spec: str = "all") -> SpecVerdict:
     if spec not in SPEC_CHOICES:
         raise ScenarioError(f"spec: unknown spec {spec!r}")
     searcher = _Searcher(scenario, spec)
-    violation, schedule, states, truncated = searcher.run()
-    if violation is not None:
-        return _counterexample_verdict(scenario, violation, schedule, states)
-    if truncated:
-        return SpecVerdict(
-            spec=spec,
-            holds=False,
-            inconclusive=True,
-            states=states,
-            detail="step bound cut branches that still had enabled moves",
-        )
-    return SpecVerdict(spec=spec, holds=True, states=states)
+    try:
+        found = searcher.run()
+    except MemoryError:
+        found = None
+    states = searcher.states
+    if found is None:
+        # past the handler the frontier and keys are gone; the encoder's go here
+        detail, searcher = f"out of memory at depth {searcher.depth}: the search was dropped", None
+    elif found[0] is not None:
+        return _counterexample_verdict(scenario, found[0], found[1], states)
+    elif found[2]:
+        detail = "step bound cut branches that still had enabled moves"
+    else:
+        return SpecVerdict(spec=spec, holds=True, states=states)
+    return SpecVerdict(spec=spec, holds=False, inconclusive=True, states=states, detail=detail)

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, golden traces, replay, determinism."""
 
+import argparse
 import io
 import re
 import subprocess
@@ -8,7 +9,7 @@ import textwrap
 
 import pytest
 
-from protolab.cli import main
+from protolab.cli import build_parser, main
 
 from conftest import GOLDEN, SCENARIOS, TAMPERED
 
@@ -17,6 +18,39 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+# ── one parser per process ──────────────────────────────────────────────────
+
+# argv that argparse itself answers: usage errors (exit 2) and help (exit 0)
+PARSER_ANSWERS = [
+    [], ["--help"], ["bogus"], ["run"], ["explore", "x.scn", "--max-steps", "many"],
+    ["explore", "x.scn", "--spec", "none"], ["replay", "--help"], ["replay", "a", "b"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ANSWERS, ids=[" ".join(a) or "-" for a in PARSER_ANSWERS])
+def test_the_shared_parser_answers_as_a_fresh_one(capsys, argv):
+    # `main` parses with the one parser of the process: every call answers
+    # with the bytes and the exit code of a parser built afresh
+    def answer(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    fresh = answer(build_parser.__wrapped__().parse_args)
+    assert fresh[0] in (0, 2)
+    assert answer(main) == answer(main) == fresh
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch):
+    main(["replay", str(GOLDEN / "honest-ns.trc")], out=io.StringIO(), err=io.StringIO())
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: built.append(a))
+    for _ in range(3):
+        assert run_cli("replay", str(GOLDEN / "honest-ns.trc"))[0] == 0
+    assert built == []
 
 
 # ── exit codes ───────────────────────────────────────────────────────────────

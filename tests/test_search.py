@@ -1,10 +1,13 @@
 """Bounded exploration: rediscovery of the interception attack, its absence
 for the identity-checked variant, determinism, and layering."""
 
+import gc
 import io
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +330,67 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
     out, err = io.StringIO(), io.StringIO()
     assert main(["replay", str(trace)], out=out, err=err) == 0
     assert out.getvalue() == f"replay ok: {events} events verified\n"
+
+
+def test_the_content_length_three_over_reach_is_pinned(tmp_path):
+    # ROADMAP item 1's nsl-ft over-reach as it stands: A completes with the
+    # intruder, which forwards A's opener to B.  Replay of this trace once
+    # failed no-app-leaks: in the older counterexample B's reply reached A
+    # unread before A sent n1 on, and replay's honesty obligations count a
+    # message that merely arrived as received.  Since the search delivers
+    # each intruder message with the receive that takes it, the
+    # counterexample met first has A send n1 on before B replies.
+    from protolab.cli import main
+
+    path, trace = tmp_path / "nsl-content3.scn", tmp_path / "cex.trc"
+    text = Path(scenario("nsl-search")).read_text()
+    path.write_text(text.replace("max_content_len=2", "max_content_len=3"))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["explore", str(path), "--spec", "all", "--max-steps", "13", "--trace-out", str(trace)]
+    assert main(argv, out=out, err=err) == 1
+    states, verdict = out.getvalue().splitlines()
+    assert states == "states explored: 94"
+    assert verdict.startswith(
+        'verdict spec=nsl-ft holds=false detail="abnormal-termination: A completed session A#1'
+    )
+    out = io.StringIO()
+    assert main(["replay", str(trace)], out=out, err=err) == 0
+    assert out.getvalue() == "replay ok: 13 events verified\n"
+
+
+def test_running_out_of_memory_ends_in_an_inconclusive_verdict(tmp_path, monkeypatch):
+    # a MemoryError planted in the 40th key of the scale-nsl search: the
+    # verdict names memory and the depth reached, exit 3, and it is built
+    # once no node the search keyed and not its encoder is left
+    from protolab.cli import main
+
+    reached, keyed = [], 0
+    real_key, real_verdict = search._node_key, search.SpecVerdict
+
+    def keying(node, *rest):
+        nonlocal keyed
+        keyed += 1
+        if keyed == 40:
+            raise MemoryError
+        reached.extend([weakref.ref(node), weakref.ref(rest[-1][0])])
+        return real_key(node, *rest)
+
+    def verdict(**fields):
+        gc.collect()
+        assert reached and all(ref() is None for ref in reached)
+        return real_verdict(**fields)
+
+    monkeypatch.setattr(search, "_node_key", keying)
+    monkeypatch.setattr(search, "SpecVerdict", verdict)
+    path = tmp_path / "scale-nsl.scn"
+    path.write_text(TWO_SENDERS)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["explore", str(path), "--spec", "all"], out=out, err=err) == 3
+    assert out.getvalue() == (
+        "states explored: 30\nverdict spec=all holds=false"
+        ' detail="out of memory at depth 6: the search was dropped"\n'
+    )
+    assert err.getvalue() == ""
 
 
 # ── differential check against iterative deepening ──────────────────────────
