@@ -144,14 +144,18 @@ def apply_move(
     session: Sid,
     move: IntruderMove,
     medium=ABSTRACT,
+    known: frozenset[Item] | None = None,
 ) -> GlobalState:
     """Perform one intruder move and absorb everything now readable into the
-    intruder's knowledge record.  Raises IllegalMove for a composition with
-    an item the intruder cannot derive."""
-    known = set(closure(state, me, medium).known_items)
+    intruder's knowledge record, `known` being what it knew before the move
+    (None: its `closure`).  The record is replaced only when it lacks a
+    nonce the intruder knows.  Raises IllegalMove for a composition with an
+    item the intruder cannot derive."""
+    if known is None:
+        known = closure(state, me, medium).known_items
     if isinstance(move, InventNonce):
         state, nonce = append_invention(state, me)
-        known.add(nonce)
+        known = known | {nonce}
     elif isinstance(move, Compose):
         for item in move.content:
             if item not in known:
@@ -166,8 +170,12 @@ def apply_move(
         state = append_action(state, medium.replay_action(original, me))
     else:
         raise IllegalMove(f"unknown intruder move {move!r}")
-    known.update(medium.readable(state.history[-1], me) or ())
-    return add_knows(state, me, session, [i for i in known if isinstance(i, Nonce)])
+    read = medium.readable(state.history[-1], me)
+    nonces = {i for i in (known.union(read) if read else known) if isinstance(i, Nonce)}
+    record = state.users[me].knows.get(session)
+    if record is not None and nonces <= record:
+        return state
+    return add_knows(state, me, session, nonces)
 
 
 @dataclass(frozen=True)

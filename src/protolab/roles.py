@@ -313,14 +313,6 @@ def find_match(
     return found
 
 
-def needs_peer_choice(machine: RoleMachine) -> bool:
-    return (
-        machine.status is Status.RUNNING
-        and isinstance(machine.current(), SetPartner)
-        and machine.peer is None
-    )
-
-
 def can_fire(machine: RoleMachine, state: GlobalState, inbox: Inbox, medium=ABSTRACT) -> bool:
     """Whether a step is enabled right now."""
     if machine.status is not Status.RUNNING:
@@ -380,12 +372,15 @@ def step(
     inbox: Inbox,
     medium=ABSTRACT,
     chosen_peer: Uid | None = None,
+    found: int | None = None,
 ) -> tuple[RoleMachine, GlobalState, Inbox]:
     """Execute one enabled statement; raise IllegalMove for a step that is
     not enabled (see `can_fire`; a set-partner with no fixed peer takes
-    `chosen_peer`).  A failed content check consumes the message and aborts
-    the machine.  The successor machine and each changed state record are
-    built once, directly."""
+    `chosen_peer`).  A receive takes the message at history index `found`,
+    which the caller found as `find_match` would (None: `find_match`
+    finds it).  A failed content check consumes the message and aborts the
+    machine.  The successor machine and each changed state record are built
+    once, directly."""
     if machine.status is not Status.RUNNING:
         raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
     stmt = machine.current()
@@ -414,7 +409,7 @@ def step(
         return _successor(machine, pc, machine.locals), state, inbox
 
     if isinstance(stmt, RecvStmt):
-        index = find_match(machine, state, inbox, medium)
+        index = find_match(machine, state, inbox, medium) if found is None else found
         if index is None:
             raise IllegalMove(f"{machine.actor_id} has nothing to receive")
         items = medium.readable(state.history[index], machine.owner)

@@ -73,21 +73,30 @@ class Config:
 
 
 def apply_entry(
-    config: Config, entry: ScheduleEntry, medium, intruder: tuple[Uid, Sid] | None
+    config: Config,
+    entry: ScheduleEntry,
+    medium,
+    intruder: tuple[Uid, Sid] | None,
+    found: int | None = None,
+    known: frozenset | None = None,
 ) -> Config:
     """The configuration after one schedule entry.  `intruder` is the
     intruder's user and session, None when the scenario has none (and so no
-    schedule of it holds an intruder entry).  Raises IllegalMove if the entry
-    is not enabled in `config`."""
+    schedule of it holds an intruder entry).  A caller that already has them
+    passes the history index a machine's receive takes (`found`) and the
+    items the intruder knows before its move (`known`); None derives them
+    from `config`.  Raises IllegalMove if the entry is not enabled in
+    `config`."""
     if entry[0] == "machine":
         _, index, chosen_peer = entry
         machine, state, inbox = step(
-            config.machines[index], config.state, config.inbox, medium, chosen_peer=chosen_peer
+            config.machines[index], config.state, config.inbox, medium, chosen_peer, found
         )
         machines = config.machines[:index] + (machine,) + config.machines[index + 1 :]
         return Config(machines, state, inbox)
     _, move = entry
-    return Config(config.machines, apply_move(config.state, *intruder, move, medium), config.inbox)
+    state = apply_move(config.state, *intruder, move, medium, known)
+    return Config(config.machines, state, config.inbox)
 
 
 _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}

@@ -9,12 +9,14 @@ step before it.  An intruder message (a composition or a replay) runs on
 into the receive that consumes it: there is one macro per running machine
 of the recipient whose receive pattern the content matches, and that
 receive takes the new message, since a receive takes the most recent
-unread match.  A finish after that receive runs on too.  A sender thus
-takes three transitions, [set-partner, invent, send], [recv], [send,
-finish], a receiver [recv], [invent, send], [recv, finish], and the
-intruder [compose or replay, recv], [compose or replay, recv, finish] and
-[invent-nonce].  An abort ends a macro, and a receive is never fused with
-what follows it, except a finish.
+unread match: the search hands it the index of the message just sent, and
+the intruder's move the knowledge the node carries.  A finish after that
+receive runs on too.  A sender thus takes three transitions, [set-partner,
+invent, send], [recv], [send, finish], a receiver [recv], [invent, send],
+[recv, finish], and the intruder [compose or replay, recv], [compose or
+replay, recv, finish] and [invent-nonce].  An abort ends a macro, and a
+receive is never fused with what follows it, except a finish, so a macro
+takes at most one message.
 
 The honest fusion is sound, and it loses no behaviour that a check can see:
 
@@ -104,16 +106,22 @@ history positions of their actions, and every reader of the history reads
 only what the key keeps.
 
 - A receive (`roles.find_match`) takes the newest unread message to its
-  owner that its pattern matches: the last match in the owner's queue.
+  owner that its pattern matches: the last match in the owner's queue.  The
+  search reads it from the node's pending codes, where an item's kind shows
+  in its code's sign, and hands its index to the step.
 - The intruder's `closure` is the user names, the items of the messages to
-  the intruder and its own inventions, all sets.  Its opaque list names the
-  positions of the other messages, and a replay re-sends the message at
-  one, so both nodes offer the same replayed messages, by other indices.
+  the intruder and its own inventions, all sets: the users and the
+  intruder's justified nonces in the carried safety facts.  Its opaque
+  list, carried along the links too, names the positions of the other
+  messages, and a replay re-sends the message at one, so both nodes offer
+  the same replayed messages, by other indices.
 - The next nonce is one past the highest in the history, and the
-  intruder's invention count counts its `Invent`s: both read the multiset.
+  intruder's invention count counts its `Invent`s, read as the intruder's
+  codes in the nonce table: both read the multiset.
 - The pending-copies filter counts the unconsumed copies per recipient and
-  content: the owner's queue.  The intruder offers nothing to a recipient
-  with no machine, whose messages no receive ever takes.
+  content, read from the pending codes: the owner's queue.  The intruder
+  offers nothing to a recipient with no machine, whose messages no receive
+  ever takes.
 - Depth, the progress measure, reads the machines and the number of the
   intruder's actions.
 - A successor's safety is checked against its real parent (`dyn_inv`)
@@ -205,17 +213,18 @@ Every micro state is checked against the safety invariants: the
 transition invariant against its own parent, then, with an intruder in
 play, nonce freshness and recipient-only readability for what its step
 added, against facts carried along the links (the nonces invented so far,
-with their positions, and each user's justified nonces), and with none the
-whole state invariant (`_Searcher.safety_violation`).  The check of what a
-step added equals a rescan of the whole state: the parent held, so a
-reused nonce is first met among the new actions, and a user record the
-parent held is still justified, since justified sets only grow along a
-path.  Only the nodes at a macro boundary are keyed, counted in `states`,
-and checked once, when first reached:
+with their positions, each user's justified nonces, and the positions the
+intruder cannot read), and with none the whole state invariant
+(`_Searcher.safety_violation`).  The check of what a step added equals a
+rescan of the whole state: the parent held, so a reused nonce is first met
+among the new actions, and a user record the parent held is still
+justified, since justified sets only grow along a path.  Only the nodes at
+a macro boundary are keyed, counted in `states`, and checked once, when
+first reached:
 
-1. whether any move is enabled: machine moves first, then intruder moves,
-   stopping at the first one found (the intruder's macros built to decide
-   this are kept for the node's expansion);
+1. whether any move is enabled: machine moves first, then, with none,
+   intruder moves (the macro starts built to decide this are kept for the
+   node's expansion);
 2. for a node with no enabled move (quiescent), the requested contracts,
    through `specs.contract_verdict`.
 
@@ -251,10 +260,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import attrgetter
 
-from .intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
+from .intruder import IntruderKnowledge, InventNonce, MoveBounds, ReplayOpaque, legal_moves
 from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
 from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history
 from .roles import (
@@ -266,8 +275,6 @@ from .roles import (
     SetPartner,
     Status,
     kinds_match,
-    can_fire,
-    needs_peer_choice,
 )
 from .runner import Config, apply_entry, build_execution, execute_schedule
 from .scenario import Scenario, ScenarioError
@@ -292,6 +299,17 @@ def _node_key(node: Config, groups, binds, codes=None) -> tuple:
     the node's codes carried along its links (None: encode it afresh)."""
     codes = codes or _Encoder(node, binds).codes(node)
     return codes[0].key(groups, codes)
+
+
+def _newest(pending: tuple, owner: int, pattern: tuple) -> int | None:
+    """The history index of the newest of the pending messages (codes) to
+    `owner` whose content kinds match `pattern`, as `find_match` finds it:
+    a nonce's code is negative and a user's is not."""
+    for rec, index, code in reversed(pending):
+        if rec == owner and len(code) == len(pattern) + 2:
+            if all((c < 0) is (kind == "n") for c, kind in zip(code[2:], pattern)):
+                return index
+    return None
 
 
 def _split(cells: list, order: list, feature) -> list:
@@ -516,21 +534,63 @@ class _Searcher:
             for machine in self.root.machines
         )
         self.encoder = _Encoder(self.root, self.binds)
+        # what the intruder always knows, each machine's owner code, and its
+        # own step and its peer choices as macro starts that take no
+        # message, shared by the nodes that keep their starts
+        self.users = frozenset(self.root.state.users)
+        self.owners = tuple(self.encoder.uids[m.owner] for m in self.root.machines)
+        positions = range(len(self.owners))
+        self.alone = tuple(((("machine", i, None),), None) for i in positions)
+        self.choices = tuple(
+            tuple(((("machine", i, peer),), None) for peer in self.universe) for i in positions
+        )
         self.states = self.depth = 0  # how far `run` got: nodes reached, depth expanded
 
     # ── move generation ──────────────────────────────────────────────────
 
-    def _machine_entries(self, node: Config):
+    def _machine_starts(self, node: Config, codes: tuple) -> list:
+        """The macro starts of the running machines, by position, each as
+        (entries, the history index its receive takes or None): a
+        set-partner with no peer yet once per peer, a receive when a pending
+        message to its owner matches its pattern (`_newest`), and any other
+        statement."""
+        *_, pending, _ = codes
+        starts = []
         for index, machine in enumerate(node.machines):
             if machine.status is not Status.RUNNING:
                 continue
-            if needs_peer_choice(machine):
-                for peer in self.universe:
-                    yield ("machine", index, peer)
-            elif can_fire(machine, node.state, node.inbox, self.medium):
-                yield ("machine", index, None)
+            stmt = machine.current()
+            if stmt.__class__ is RecvStmt:
+                found = _newest(pending, self.owners[index], stmt.pattern)
+                if found is not None:
+                    starts.append((self.alone[index][0], found))
+            elif stmt.__class__ is SetPartner and machine.peer is None:
+                starts.extend(self.choices[index])
+            else:
+                starts.append(self.alone[index])
+        return starts
 
-    def _intruder_moves(self, node: Config):
+    def known(self, facts) -> frozenset:
+        """The items the intruder knows at a node, its `closure`: the users,
+        and its justified nonces, which its inventions and its mail justify."""
+        return self.users | facts[1].get(self.intruder[0], frozenset())
+
+    def carried(self, node: Config, facts, codes: tuple):
+        """What the intruder's moves read at a node, from what the node
+        carries: the intruder's `closure` (`known`, and the opaque positions
+        in `facts`), its invention count (its codes in the nonce table) and
+        the pending copies per (recipient, content) (the pending codes,
+        which hold the messages to machine owners)."""
+        *_, pending, nonces = codes
+        history, floor = node.state.history, -len(node.machines)
+        used = sum(1 for code in nonces.values() if code < floor)
+        copies: dict = {}
+        for _, index, _ in pending:
+            msg = history[index]
+            copies[msg.rec, msg.content] = copies.get((msg.rec, msg.content), 0) + 1
+        return IntruderKnowledge(self.known(facts), facts[2]), used, copies
+
+    def _intruder_moves(self, node: Config, facts, codes: tuple):
         """The intruder's moves at a node, each with the indices of the
         machines that would consume its message: the running machines of the
         recipient whose receive pattern the content matches (none for an
@@ -538,63 +598,52 @@ class _Searcher:
         (unconsumed) copies await its recipient than it has consumers."""
         if self.scenario.intruder.kind != "search":
             return
-        me = self.intruder[0]
-        history = node.state.history
-        know = closure(node.state, me, self.medium)
-        used = sum(1 for a in history if isinstance(a, Invent) and a.user == me)
-        remaining = self.scenario.bounds.max_intruder_invents - used
-        move_bounds = MoveBounds(
-            max_content=self.scenario.bounds.max_content_len, max_invents=max(0, remaining)
-        )
+        know, used, copies = self.carried(node, facts, codes)
+        bounds = self.scenario.bounds
+        move_bounds = MoveBounds(bounds.max_content_len, max(0, bounds.max_intruder_invents - used))
         waiting: dict = {}
         for index, machine in enumerate(node.machines):
             stmt = machine.current() if machine.status is Status.RUNNING else None
-            if isinstance(stmt, RecvStmt):
+            if stmt.__class__ is RecvStmt:
                 waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
-        pending: dict = {}
-        consumed = dict(node.inbox.consumed)
-        for index, act in enumerate(history):
-            if isinstance(act, Msg) and index not in consumed.get(act.rec, ()):
-                key = (act.rec, act.content)
-                pending[key] = pending.get(key, 0) + 1
         patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
+        history = node.state.history
         for move in legal_moves(know, move_bounds, patterns, history):
             if isinstance(move, InventNonce):
                 yield move, ()
                 continue
             msg = history[move.index] if isinstance(move, ReplayOpaque) else move
             consumers = [i for i, p in waiting.get(msg.rec, ()) if kinds_match(msg.content, p)]
-            if pending.get((msg.rec, msg.content), 0) < len(consumers):
+            if copies.get((msg.rec, msg.content), 0) < len(consumers):
                 yield move, consumers
 
-    def _intruder_starts(self, node: Config):
-        """The macro-steps the intruder starts: an invention alone, and each
-        message together with the receive of each of its consumers."""
-        for move, consumers in self._intruder_moves(node):
+    def _intruder_starts(self, node: Config, facts, codes: tuple):
+        """The macro starts the intruder makes: an invention alone, and each
+        message together with the receive of each of its consumers, which
+        takes the message just sent."""
+        sent = len(node.state.history)
+        for move, consumers in self._intruder_moves(node, facts, codes):
             if isinstance(move, InventNonce):
-                yield (("intruder", move),)
+                yield (("intruder", move),), None
             for index in consumers:
-                yield (("intruder", move), ("machine", index, None))
-
-    def starts(self, node: Config) -> list:
-        """The first entries of every macro-step from a node."""
-        return [(entry,) for entry in self._machine_entries(node)] + list(
-            self._intruder_starts(node)
-        )
+                yield (("intruder", move), ("machine", index, None)), sent
 
     def macro(self, node: Config, facts, start, room: int):
-        """The macro-step that begins with the entries of `start`: its last
-        machine runs on through its invisible statements, for at most `room`
-        micro-steps in all.  Each micro state is checked against the safety
-        invariants with its own parent, from the facts `node` carries.
-        Returns (the micro entries taken, the node reached, its facts, the
-        safety detail or None, whether the macro was cut at `room` with a
-        step of it left)."""
+        """The macro-step from `start`, (its first entries, the history index
+        its receive takes or None): its last machine runs on through its
+        invisible statements, for at most `room` micro-steps in all.  A
+        macro takes at most one message, and an intruder move comes first.
+        Each micro state is checked against the safety invariants with its
+        own parent, from the facts `node` carries.  Returns (the micro
+        entries taken, the node reached, its facts, the safety detail or
+        None, whether the macro was cut at `room` with a step of it left)."""
         steps = []
-        entries = iter(start)
+        entries, found = start
+        entries = iter(entries)
         entry = next(entries)
         while True:
-            child = apply_entry(node, entry, self.medium, self.intruder)
+            known = self.known(facts) if entry[0] == "intruder" else None
+            child = apply_entry(node, entry, self.medium, self.intruder, found, known)
             steps.append(entry)
             bad, facts = self.safety_violation(child, node, facts)
             if bad is not None:
@@ -624,12 +673,13 @@ class _Searcher:
         readability are checked only for what the step added, against
         `facts`, the parent's (empty at the root): the nonces invented so
         far, with their history positions, and each user's justified
-        nonces.  That gives a rescan's verdict and witness: the parent
-        held, so a reuse is first met among the new actions, and a user
-        record the parent held is still justified, since justified sets
-        only grow along a path.  The replaced records are found once, for
-        both checks.  Siblings share their parent's facts, so the facts are
-        copied before they are extended."""
+        nonces, and with them the history positions of the messages the
+        intruder cannot read.  That gives a rescan's verdict and witness:
+        the parent held, so a reuse is first met among the new actions, and
+        a user record the parent held is still justified, since justified
+        sets only grow along a path.  The replaced records are found once,
+        for both checks.  Siblings share their parent's facts, so the facts
+        are copied before they are extended."""
         done, passed = (len(parent.state.history), parent.state.users) if parent else (0, {})
         users = node.state.users
         changed = _replaced(passed, users)
@@ -646,7 +696,9 @@ class _Searcher:
                 invented, justified = facts[0].copy(), facts[1].copy()
                 rep = _reused(invented, new, done)
                 _justify(justified, new)
-                facts = invented, justified
+                me = self.intruder[0]
+                opaque = [i for i, a in enumerate(new, done) if a.__class__ is Msg and a.rec != me]
+                facts = invented, justified, facts[2] + tuple(opaque)
             # no record vanished (`dyn_inv`), so with as many users as the
             # parent these are the records the step replaced; at the root, all
             if len(users) != len(passed):
@@ -663,18 +715,17 @@ class _Searcher:
                 return spec
         return None
 
-    def first_reach(self, node: Config):
+    def first_reach(self, node: Config, facts, codes: tuple):
         """The checks made once, when a macro-boundary node is first
-        reached: whether any move is enabled, machine entries first, then
-        intruder entries, and for a node with none (quiescent) the quiescent
-        specs.  Returns (violated spec or None, live, the node's macro
-        starts when they had to be built to decide, else None)."""
-        if next(self._machine_entries(node), None) is not None:
-            return None, True, None
-        starts = list(self._intruder_starts(node))
-        if starts:
-            return None, True, starts
-        return self.quiescent_violation(node), False, None
+        reached: whether any move is enabled, machine starts first, then
+        intruder starts, and for a node with none (quiescent) the quiescent
+        specs.  Returns (violated spec or None, the node's machine starts,
+        its intruder starts, or None when a machine start decided)."""
+        machine = self._machine_starts(node, codes)
+        if machine:
+            return None, machine, None
+        intruder = list(self._intruder_starts(node, facts, codes))
+        return (None if intruder else self.quiescent_violation(node)), machine, intruder
 
     # ── breadth-first pass over micro-depth buckets ──────────────────────
 
@@ -682,28 +733,31 @@ class _Searcher:
         """Returns (violation or None, its schedule, whether live nodes
         remain at the step bound); `states` counts the distinct nodes
         reached."""
-        bad, facts = self.safety_violation(self.root, None, ({}, {}))
+        bad, facts = self.safety_violation(self.root, None, ({}, {}, ()))
         self.states = 1
         if bad is not None:
             return (SPEC_INV, bad), [], False
-        spec, live, starts = self.first_reach(self.root)
+        codes = self.encoder.codes(self.root)
+        spec, machine, intruder = self.first_reach(self.root, facts, codes)
         if spec is not None:
             return (spec, None), [], False
         bound, truncated = self.scenario.bounds.max_steps, False
-        if live and bound == 0:
+        if (machine or intruder) and bound == 0:
             # the root is cut at the bound with a step left
             return None, [], True
-        # bucket entries: (node, its safety facts, its codes, link, its macro
-        # starts or None to build them); a link is (parent's link, micro
-        # entries of the macro), None at the root
-        codes = self.encoder.codes(self.root)
-        buckets = {0: [(self.root, facts, codes, None, starts)]} if live else {}
+        # bucket entries: (node, its safety facts, its codes, link, its
+        # machine starts, its intruder starts or None to build them); a link
+        # is (parent's link, micro entries of the macro), None at the root
+        root = (self.root, facts, codes, None, machine, intruder)
+        buckets = {0: [root]} if machine or intruder else {}
         seen: dict[int, set] = {}
         while buckets:
             self.depth = depth = min(buckets)
             seen.pop(depth, None)
-            for node, facts, codes, link, starts in buckets.pop(depth):
-                for start in starts if starts is not None else self.starts(node):
+            for node, facts, codes, link, machine, intruder in buckets.pop(depth):
+                if intruder is None:
+                    intruder = self._intruder_starts(node, facts, codes)
+                for start in chain(machine, intruder):
                     macro = self.macro(node, facts, start, bound - depth)
                     steps, child, child_facts, bad, cut = macro
                     here = (link, steps)
@@ -721,13 +775,13 @@ class _Searcher:
                     if len(keys) == known:
                         continue
                     self.states += 1
-                    spec, live, kept = self.first_reach(child)
+                    spec, kept, more = self.first_reach(child, child_facts, child_codes)
                     if spec is not None:
                         return (spec, None), _schedule(here), False
-                    if live and at == bound:
+                    if (kept or more) and at == bound:
                         truncated = True
-                    elif live:
-                        entry = (child, child_facts, child_codes, here, kept)
+                    elif kept or more:
+                        entry = (child, child_facts, child_codes, here, kept, more)
                         buckets.setdefault(at, []).append(entry)
         return None, [], truncated
 

@@ -17,9 +17,19 @@ import protolab.invariants as invariants
 import protolab.runner as runner
 import protolab.search as search
 from protolab.invariants import PredicateReport, dyn_inv, inv_sigma, no_read_others, unique_nonces
-from protolab.intruder import InventNonce
+from protolab.intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
 from protolab.model import Invent, Msg, Nonce, add_knows, set_complete, state_key
-from protolab.roles import ABSTRACT, RoleMachine, Status
+from protolab.roles import (
+    ABSTRACT,
+    AbstractMedium,
+    RecvStmt,
+    RoleMachine,
+    SetPartner,
+    Status,
+    can_fire,
+    find_match,
+    kinds_match,
+)
 from protolab.runner import apply_entry, check_refinement, execute_schedule, schedule_from_doc
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -209,8 +219,8 @@ def plant_unjustified(monkeypatch, when):
     failure, planted at the state."""
     real_apply_entry = search.apply_entry
 
-    def planted(config, entry, medium, intruder):
-        after = real_apply_entry(config, entry, medium, intruder)
+    def planted(config, entry, *rest):
+        after = real_apply_entry(config, entry, *rest)
         if entry[0] == "machine" and when(after):
             machine = after.machines[entry[1]]
             state = add_knows(after.state, machine.owner, machine.session, [Nonce(99)])
@@ -405,10 +415,62 @@ def ordered_key(node, *symmetry):
     return (node.machines, state_key(node.state), node.inbox.consumed)
 
 
+def machine_entries(searcher, node):
+    """The machine entries enabled at a node, derived from its whole state
+    (`can_fire`), independently of what the search carries."""
+    for index, machine in enumerate(node.machines):
+        if machine.status is not Status.RUNNING:
+            continue
+        if isinstance(machine.current(), SetPartner) and machine.peer is None:
+            for peer in searcher.universe:
+                yield ("machine", index, peer)
+        elif can_fire(machine, node.state, node.inbox, searcher.medium):
+            yield ("machine", index, None)
+
+
+def pending_copies(node):
+    """The unconsumed messages of a node per (recipient, content), counted
+    over its whole history."""
+    consumed = dict(node.inbox.consumed)
+    return Counter(
+        (act.rec, act.content)
+        for index, act in enumerate(node.state.history)
+        if isinstance(act, Msg) and index not in consumed.get(act.rec, ())
+    )
+
+
+def intruder_moves(searcher, node):
+    """The intruder's moves at a node, each with its consumers, derived from
+    its whole state: the intruder's `closure`, its inventions and the
+    pending copies counted over the history."""
+    sc = searcher.scenario
+    if sc.intruder.kind != "search":
+        return
+    me, history = searcher.intruder[0], node.state.history
+    know = closure(node.state, me, searcher.medium)
+    used = sum(1 for act in history if isinstance(act, Invent) and act.user == me)
+    bounds = MoveBounds(sc.bounds.max_content_len, max(0, sc.bounds.max_intruder_invents - used))
+    waiting = {}
+    for index, machine in enumerate(node.machines):
+        stmt = machine.current() if machine.status is Status.RUNNING else None
+        if isinstance(stmt, RecvStmt):
+            waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
+    pending = pending_copies(node)
+    patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
+    for move in legal_moves(know, bounds, patterns, history):
+        if isinstance(move, InventNonce):
+            yield move, ()
+            continue
+        msg = history[move.index] if isinstance(move, ReplayOpaque) else move
+        consumers = [i for i, p in waiting.get(msg.rec, ()) if kinds_match(msg.content, p)]
+        if pending[msg.rec, msg.content] < len(consumers):
+            yield move, consumers
+
+
 def children(searcher, node):
     """The unreduced single steps from a node."""
-    return list(searcher._machine_entries(node)) + [
-        ("intruder", move) for move, _ in searcher._intruder_moves(node)
+    return list(machine_entries(searcher, node)) + [
+        ("intruder", move) for move, _ in intruder_moves(searcher, node)
     ]
 
 
@@ -431,14 +493,25 @@ def rescan(sc, node, parent):
     return None if rep.holds else f"{rep.name}: {rep.witness}"
 
 
-def facts_of(state):
-    """The safety facts a search node carries, gathered from its whole
-    state: the nonces invented, with their positions, and each user's
-    justified nonces."""
+def facts_of(state, me):
+    """The facts a search node carries, gathered from its whole state: the
+    nonces invented, with their positions, each user's justified nonces,
+    and the positions of the messages that the intruder `me` (None: there is
+    none) cannot read."""
     invented, justified = {}, {}
     invariants._reused(invented, state.history, 0)
     invariants._justify(justified, state.history)
-    return invented, justified
+    opaque = () if me is None else closure(state, me).observed_opaque
+    return invented, justified, opaque
+
+
+def macro_starts(searcher, node):
+    """Every macro start from a node, and the facts it was built from,
+    with its facts and codes rebuilt from its whole state."""
+    facts = facts_of(node.state, searcher.intruder and searcher.intruder[0])
+    codes = searcher.encoder.codes(node)
+    starts = searcher._machine_starts(node, codes)
+    return starts + list(searcher._intruder_starts(node, facts, codes)), facts
 
 
 class ReferenceSearch:
@@ -522,7 +595,17 @@ def reference_explore(name, max_steps, invents, spec):
     return REFERENCES[key].explore(max_steps, spec)
 
 
-INLINE = {"cross-talk": CROSS_TALK, "two-senders": TWO_SENDERS, "honest": HONEST_SEARCH}
+# Two NSL senders at A and two receivers at B, none with a declared peer.
+TWO_PAIRS = TWO_SENDERS.replace(
+    "role receiver user=B variant=nsl\n", "role receiver user=B variant=nsl\n" * 2
+)
+
+INLINE = {
+    "cross-talk": CROSS_TALK,
+    "two-senders": TWO_SENDERS,
+    "two-pairs": TWO_PAIRS,
+    "honest": HONEST_SEARCH,
+}
 
 
 def _bounded(name, max_steps, invents=0):
@@ -724,13 +807,14 @@ def test_every_move_raises_the_progress_measure_by_one():
                 if key not in reached:
                     reached.add(key)
                     next_level.append(child)
-            for start in searcher.starts(node):
-                macro = searcher.macro(node, facts_of(node.state), start, sc.bounds.max_steps)
-                steps, end, _, bad, cut = macro
-                assert bad is None and not cut and steps[: len(start)] == list(start)
+            starts, facts = macro_starts(searcher, node)
+            for start in starts:
+                entries = start[0]
+                steps, end, _, bad, cut = searcher.macro(node, facts, start, sc.bounds.max_steps)
+                assert bad is None and not cut and steps[: len(entries)] == list(entries)
                 assert progress(end, intruder) == progress(node, intruder) + len(steps), steps
                 macros.add(len(steps))
-                if start[0][0] == "intruder" and len(start) == 2:
+                if entries[0][0] == "intruder" and len(entries) == 2:
                     # the intruder's message and the receive that takes it
                     sent = len(node.state.history)
                     assert sent in end.inbox.consumed_for(end.state.history[sent].rec)
@@ -829,6 +913,101 @@ def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
     assert verdict.inconclusive and verdict.states == 65
     assert max(count() for count in rescans) <= 1
     assert 0 < justified() <= steps()
+
+
+# ── the intruder's knowledge and the mail, carried along the links ─────────
+
+# (scenario, its step bound, intruder inventions, content length), each
+# explored in full
+CARRIED_MAIL = [
+    ("ns-search", 18, 1, 2),
+    ("nsl-search", 14, 0, 2),
+    ("two-senders", 16, 0, 2),
+    ("cross-talk", 22, 0, 2),
+    ("two-pairs", 12, 1, 2),
+    ("nsl-search", 15, 0, 3),
+]
+
+
+def receive_index(node, entry):
+    """The history index `find_match` gives a machine entry at a receive,
+    with nothing kept from earlier calls, or None for any other entry."""
+    machine = node.machines[entry[1]]
+    if not isinstance(machine.current(), RecvStmt):
+        return None
+    found = find_match(machine, node.state, node.inbox, AbstractMedium())
+    assert found is not None
+    return found
+
+
+@pytest.mark.parametrize(
+    "name,max_steps,invents,content",
+    CARRIED_MAIL,
+    ids=[f"{n}-steps{m}-invents{i}-content{c}" for n, m, i, c in CARRIED_MAIL],
+)
+def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
+    monkeypatch, name, max_steps, invents, content
+):
+    # at every micro state of a full exploration the intruder's known items
+    # and opaque positions that the search carries are those its closure
+    # rebuilds, and every receive it steps takes the message `find_match`
+    # finds; at every node it reaches, its machine starts are the enabled
+    # entries with those indices, and the intruder's invention count, the
+    # pending copies and the moves offered are those of the whole history
+    sc = _bounded(name, max_steps, invents)
+    sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
+    me = sc.intruder.user
+    check, starts = _Searcher.safety_violation, _Searcher._machine_starts
+    moves, real_apply = _Searcher._intruder_moves, search.apply_entry
+    counts = Counter()
+
+    def checking(searcher, node, parent, facts):
+        found = check(searcher, node, parent, facts)
+        if me is not None:
+            know = closure(node.state, me)
+            assert found[1][2] == know.observed_opaque
+            assert searcher.known(found[1]) == know.known_items
+            counts["facts"] += 1
+        return found
+
+    def starting(searcher, node, codes):
+        got = starts(searcher, node, codes)
+        entries = machine_entries(searcher, node)
+        assert got == [((entry,), receive_index(node, entry)) for entry in entries]
+        counts["starts"] += 1
+        return got
+
+    def moving(searcher, node, facts, codes):
+        know, used, copies = searcher.carried(node, facts, codes)
+        assert know == closure(node.state, me)
+        assert used == sum(1 for a in node.state.history if isinstance(a, Invent) and a.user == me)
+        owners = {machine.owner for machine in node.machines}
+        assert copies == {k: n for k, n in pending_copies(node).items() if k[0] in owners}
+        offered = list(moves(searcher, node, facts, codes))
+        assert offered == list(intruder_moves(searcher, node))
+        counts["moves"] += 1
+        yield from offered
+
+    def applying(config, entry, medium, intruder, found, known):
+        if entry[0] == "machine":
+            index = receive_index(config, entry)
+            assert found == index or index is None
+            counts["receives"] += index is not None
+        else:
+            assert known == closure(config.state, me).known_items
+        return real_apply(config, entry, medium, intruder, found, known)
+
+    monkeypatch.setattr(_Searcher, "safety_violation", checking)
+    monkeypatch.setattr(_Searcher, "_machine_starts", starting)
+    monkeypatch.setattr(search, "apply_entry", applying)
+    if me is not None:
+        monkeypatch.setattr(_Searcher, "_intruder_moves", moving)
+    verdict = explore(sc, spec=SPEC_INV)
+    assert verdict.counterexample is None
+    # the machine starts are built once per node reached
+    assert counts["starts"] == verdict.states and counts["receives"] > 0
+    if me is not None:
+        assert counts["facts"] > verdict.states and counts["moves"] > 0
 
 
 # ── each successor built once, keyed exactly ─────────────────────────────────
@@ -1186,8 +1365,8 @@ def test_nodes_with_equal_keys_behave_alike(mirror, choices):
         return _node_key(node, searcher.groups, searcher.binds)
 
     def successors(node):
-        facts = facts_of(node.state)
-        return [searcher.macro(node, facts, start, 99)[1] for start in searcher.starts(node)]
+        starts, facts = macro_starts(searcher, node)
+        return [searcher.macro(node, facts, start, 99)[1] for start in starts]
 
     def behaviour(node):
         after = Counter(key_of(child) for child in successors(node))
