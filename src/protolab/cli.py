@@ -19,7 +19,7 @@ import argparse
 import sys
 from functools import cache
 
-from .runner import apply_entry, build_execution, check_refinement, execute_scripted, replay_doc
+from .runner import build_execution, check_refinement, execute_scripted, replay_doc
 from .scenario import ScenarioError, load_scenario
 from .search import explore
 from .specs import SPEC_CHOICES, SPEC_INV, evaluate_run_specs, resolve_spec_names
@@ -104,10 +104,9 @@ def cmd_replay(args, out) -> int:
         # the wire run must project onto its recipient-field twin exactly;
         # the twin is only its final state, so it records no events
         twin = build_execution(run.scenario.with_level("abstract"))
-        config = twin.config
         for entry in schedule:
-            config = apply_entry(config, entry, twin.medium, twin.intruder)
-        refinement = check_refinement(run, config.state)
+            twin.advance(entry)
+        refinement = check_refinement(run, twin.config.state)
         if not refinement.holds:
             out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")
             return EXIT_VIOLATION

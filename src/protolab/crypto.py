@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .model import GlobalState, Invent, Item, Msg, PKey, SKey, Uid
-from .roles import Medium
 
 
 class EmptyContent(Exception):
@@ -143,14 +142,13 @@ def abstract_of(wire_history: Sequence, registry: KeyRegistry) -> tuple:
     return tuple(out)
 
 
-class ConcreteMedium(Medium):
+class ConcreteMedium:
     """Wire-level medium: sends encrypt for the target's public key, receives
     succeed only where decryption does."""
 
     level = "concrete"
 
     def __init__(self, registry: KeyRegistry) -> None:
-        super().__init__()
         self.registry = registry
         # who can open a message under each key: every user whose secret key
         # `match`es it, which in a degenerate registry is each user sharing it
@@ -172,7 +170,8 @@ class ConcreteMedium(Medium):
                 return out
         return None
 
-    def _readers(self, action) -> tuple:
+    def readers(self, action) -> tuple:
+        """Who can read `action`, and its content."""
         if isinstance(action, WireMsg):
             return self._keyholders.get(action.body.pk, ()), action.body._payload
         return (), None

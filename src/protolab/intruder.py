@@ -109,9 +109,12 @@ def legal_moves(
     pool = sorted(knowledge.known_items, key=item_key)
     pools = {"u": [i for i in pool if is_uid(i)], "n": [i for i in pool if is_nonce(i)]}
     for rec in pools["u"]:
-        patterns = waiting.get(rec, ())
+        patterns = waiting.get(rec)
+        if not patterns:
+            continue
+        patterns = list(dict.fromkeys(patterns))
         for length in range(1, bounds.max_content + 1):
-            same_length = list(dict.fromkeys(p for p in patterns if len(p) == length))
+            same_length = [p for p in patterns if len(p) == length]
             if same_length:
                 moves.extend(Compose(rec=rec, content=c) for c in _contents(same_length, pools))
     for index in knowledge.observed_opaque:
@@ -143,16 +146,14 @@ def apply_move(
     me: Uid,
     session: Sid,
     move: IntruderMove,
-    medium=ABSTRACT,
-    known: frozenset[Item] | None = None,
+    medium,
+    known: frozenset[Item],
 ) -> GlobalState:
     """Perform one intruder move and absorb everything now readable into the
     intruder's knowledge record, `known` being what it knew before the move
-    (None: its `closure`).  The record is replaced only when it lacks a
-    nonce the intruder knows.  Raises IllegalMove for a composition with an
-    item the intruder cannot derive."""
-    if known is None:
-        known = closure(state, me, medium).known_items
+    (its `closure`, or what the caller carries of it).  The record is
+    replaced only when it lacks a nonce the intruder knows.  Raises
+    IllegalMove for a composition with an item the intruder cannot derive."""
     if isinstance(move, InventNonce):
         state, nonce = append_invention(state, me)
         known = known | {nonce}

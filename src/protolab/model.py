@@ -5,7 +5,7 @@ messages are flat sequences of items, and the global state is an immutable
 record that every step replaces rather than mutates.  The `sender` field of
 a message is ghost data: it records the true originator for checking
 purposes, and role code never sees it, since roles read a message's content
-only through their medium (`readable`, `newest_match`).
+only through their medium (`readable`, `readers`).
 """
 
 from __future__ import annotations

@@ -4,19 +4,23 @@ Each machine runs one role instance (initiator or responder) of either the
 original protocol (NS) or the identity-checked variant (NSL), one statement
 per step.  Sends and receives go through a medium object so the same
 statement code drives both the abstract level (messages readable only by
-their recipient) and the encrypted wire level.
+their recipient) and the encrypted wire level.  A medium keeps nothing: it
+builds and re-emits actions and says who can read one (`readable`,
+`readers`).
 
-A step is taken only when it is enabled: the machine is running, a sender
-at its set-partner has a partner, and a receive has a message to consume.
-Any other step raises `IllegalMove`; nothing blocks and no step is a no-op.
+A step is taken only when it is enabled (`can_fire`): the machine is
+running, a sender at its set-partner has a partner, and a receive has a
+message to consume.  Any other step raises `IllegalMove`; nothing blocks
+and no step is a no-op.
 
 Receive semantics: a receive consumes the most recent unread message that
 is readable by the owner and whose content matches the statement's pattern
-by arity and item kind.  Messages that do not match are left unread for
-other machines of the same owner.  The NSL initiator additionally checks
-that the identity claimed in the reply equals the intended partner and
-aborts on mismatch; both variants abort when a returned nonce is not the
-one expected.
+by arity and item kind (`kinds_match`); the caller hands `step` its history
+index (`found`, None: there is none).  Messages that do not match are
+left unread for other machines of the same owner.  The NSL initiator
+additionally checks that the identity claimed in the reply equals the
+intended partner and aborts on mismatch; both variants abort when a
+returned nonce is not the one expected.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .model import (
     add_knows,
     append_action,
     append_invention,
-    extends,
     is_nonce,
     is_uid,
     set_complete,
@@ -137,54 +140,19 @@ def receiver_statements(variant: Variant) -> tuple:
 
 
 # The four programs, built once; a machine picks its own by identity, since
-# hashing an enum member runs Python code.
+# hashing an enum member runs Python code, and so does reading one from its
+# class, so the members read at every step are read once, here.
 _NS_SENDER, _NSL_SENDER = sender_statements(Variant.NS), sender_statements(Variant.NSL)
 _NS_RECEIVER, _NSL_RECEIVER = receiver_statements(Variant.NS), receiver_statements(Variant.NSL)
+_NS, _SENDER, _RUNNING = Variant.NS, RoleKind.SENDER, Status.RUNNING
 
 
 # ── media ────────────────────────────────────────────────────────────────────
 
 
-class Medium:
-    """What a medium keeps of the history it was last asked about: each
-    user's mail in it, (history index, content) oldest first, and the last
-    receive match (`find_match`).  A history that extends it (a run only
-    appends) is indexed only past it; any other is scanned, newest first,
-    and changes nothing kept, so an answer never depends on earlier calls.
-    A subclass gives `readable`, for one action and one user, and
-    `_readers`: who can read one action, and its content."""
-
-    def __init__(self) -> None:
-        self._indexed: tuple = ((), {})
-        self.matched: tuple = (None, None, None, None)
-
-    def newest_match(self, history: tuple, me: Uid, taken, pattern) -> int | None:
-        """The index of the newest entry of `history` that `me` can read,
-        that `taken` does not hold and whose content `kinds_match`es
-        `pattern`, or None."""
-        seen, mail = self._indexed
-        if history is not seen:
-            done = len(seen)
-            if not extends(history, seen):
-                for index in range(len(history) - 1, -1, -1):
-                    if index not in taken:
-                        items = self.readable(history[index], me)
-                        if items is not None and kinds_match(items, pattern):
-                            return index
-                return None
-            for index in range(done, len(history)):
-                uids, content = self._readers(history[index])
-                for uid in uids:
-                    mail.setdefault(uid, []).append((index, content))
-            self._indexed = (history, mail)
-        for index, items in reversed(mail.get(me, ())):
-            if index not in taken and kinds_match(items, pattern):
-                return index
-        return None
-
-
-class AbstractMedium(Medium):
-    """Recipient-only readability modelled directly on the message record."""
+class AbstractMedium:
+    """Recipient-only readability modelled directly on the message record.
+    Stateless, so every abstract run shares `ABSTRACT`."""
 
     level = "abstract"
     registry = None
@@ -197,7 +165,8 @@ class AbstractMedium(Medium):
             return action.content
         return None
 
-    def _readers(self, action) -> tuple:
+    def readers(self, action) -> tuple:
+        """Who can read `action`, and its content."""
         if isinstance(action, Msg):
             return (action.rec,), action.content
         return (), None
@@ -232,8 +201,8 @@ class RoleMachine:
         return f"{self.kind._value_}@{self.session}"  # `value` runs Python code
 
     def statements(self) -> tuple:
-        ns = self.variant is Variant.NS
-        if self.kind is RoleKind.SENDER:
+        ns = self.variant is _NS
+        if self.kind is _SENDER:
             return _NS_SENDER if ns else _NSL_SENDER
         return _NS_RECEIVER if ns else _NSL_RECEIVER
 
@@ -291,38 +260,21 @@ def kinds_match(items: Sequence[Item], pattern: Sequence[str]) -> bool:
     )
 
 
-def find_match(
-    machine: RoleMachine,
-    state: GlobalState,
-    inbox: Inbox,
-    medium=ABSTRACT,
-) -> int | None:
-    """Index of the most recent unread, readable, pattern-matching entry
-    (`Medium.newest_match`).  The medium keeps the answer for the same
-    machine, history and inbox, so a receive that `can_fire` found is not
-    looked for again by `step`."""
-    history = state.history
-    last = medium.matched
-    if last[0] is machine and last[1] is history and last[2] is inbox:
-        return last[3]
-    stmt = machine.current()
-    assert isinstance(stmt, RecvStmt)
-    taken = inbox.consumed_for(machine.owner)
-    found = medium.newest_match(history, machine.owner, taken, stmt.pattern)
-    medium.matched = (machine, history, inbox, found)
-    return found
+def kinds_of(items: Sequence[Item]) -> tuple[str, ...]:
+    """The one pattern that `kinds_match`es `items`."""
+    return tuple(["n" if is_nonce(item) else "u" for item in items])
 
 
-def can_fire(machine: RoleMachine, state: GlobalState, inbox: Inbox, medium=ABSTRACT) -> bool:
-    """Whether a step is enabled right now."""
-    if machine.status is not Status.RUNNING:
+def can_fire(machine: RoleMachine, found: int | None) -> bool:
+    """Whether the machine's next step is enabled, `found` being the history
+    index its receive would take (None: there is none): it is running, a
+    set-partner has a partner, and a receive has a message."""
+    if machine.status is not _RUNNING:
         return False
     stmt = machine.current()
-    if isinstance(stmt, SetPartner) and machine.peer is None:
-        return False
-    if isinstance(stmt, RecvStmt):
-        return find_match(machine, state, inbox, medium) is not None
-    return True
+    if isinstance(stmt, SetPartner):
+        return machine.peer is not None
+    return found is not None or not isinstance(stmt, RecvStmt)
 
 
 def _with_locals(machine: RoleMachine, binds: dict[str, Item]) -> tuple[tuple[str, Item], ...]:
@@ -377,11 +329,11 @@ def step(
     """Execute one enabled statement; raise IllegalMove for a step that is
     not enabled (see `can_fire`; a set-partner with no fixed peer takes
     `chosen_peer`).  A receive takes the message at history index `found`,
-    which the caller found as `find_match` would (None: `find_match`
-    finds it).  A failed content check consumes the message and aborts the
-    machine.  The successor machine and each changed state record are built
-    once, directly."""
-    if machine.status is not Status.RUNNING:
+    which the caller found by the receive rule (see the module docstring);
+    None means there is nothing to receive.  A failed content check
+    consumes the message and aborts the machine.  The successor machine and
+    each changed state record are built once, directly."""
+    if machine.status is not _RUNNING:
         raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
     stmt = machine.current()
     pc = machine.pc + 1
@@ -409,13 +361,12 @@ def step(
         return _successor(machine, pc, machine.locals), state, inbox
 
     if isinstance(stmt, RecvStmt):
-        index = find_match(machine, state, inbox, medium) if found is None else found
-        if index is None:
+        if found is None:
             raise IllegalMove(f"{machine.actor_id} has nothing to receive")
-        items = medium.readable(state.history[index], machine.owner)
+        items = medium.readable(state.history[found], machine.owner)
         assert items is not None
         bound = dict(zip(stmt.binds, items))
-        inbox = inbox.consume(machine.owner, index)
+        inbox = inbox.consume(machine.owner, found)
         merged = _with_locals(machine, bound)
         if not _guard_passes(machine, stmt, bound):
             return _successor(machine, machine.pc, merged, Status.ABORTED), state, inbox

@@ -12,7 +12,8 @@ One function interprets a schedule entry: `apply_entry` maps a
 configuration (machines, global state, inbox) and an entry to the next
 configuration, or raises `IllegalMove` when the entry is not enabled.
 Scripted runs, the re-execution of a schedule (counterexamples and replay)
-and the search all step through it.
+and the search all step through it, each handing it what a step reads:
+a run from its mail (`TraceRun.advance`), the search from its nodes.
 
 Scripted runs use a fixed round-robin schedule: each round polls every role
 machine in declaration order and then gives a scripted intruder one move.
@@ -33,16 +34,19 @@ from .intruder import (
     LoweScript,
     ReplayOpaque,
     apply_move,
+    closure,
 )
 from .model import GlobalState, Sid, Uid, initial_state, is_uid, open_session
 from .roles import (
-    AbstractMedium,
+    ABSTRACT,
     IllegalMove,
     Inbox,
+    RecvStmt,
     RoleMachine,
     SetPartner,
     Status,
     can_fire,
+    kinds_of,
     make_machine,
     step,
 )
@@ -77,15 +81,16 @@ def apply_entry(
     entry: ScheduleEntry,
     medium,
     intruder: tuple[Uid, Sid] | None,
-    found: int | None = None,
-    known: frozenset | None = None,
+    found: int | None,
+    known: frozenset | None,
 ) -> Config:
     """The configuration after one schedule entry.  `intruder` is the
     intruder's user and session, None when the scenario has none (and so no
-    schedule of it holds an intruder entry).  A caller that already has them
-    passes the history index a machine's receive takes (`found`) and the
-    items the intruder knows before its move (`known`); None derives them
-    from `config`.  Raises IllegalMove if the entry is not enabled in
+    schedule of it holds an intruder entry).  The caller hands it what the
+    step reads, from what it carries: for a machine entry the history index
+    its receive takes (`found`; None: there is none, or the step is no
+    receive), and for an intruder entry the items the intruder knows before
+    its move (`known`).  Raises IllegalMove if the entry is not enabled in
     `config`."""
     if entry[0] == "machine":
         _, index, chosen_peer = entry
@@ -106,7 +111,9 @@ _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque:
 class TraceRun:
     """A run record, filled in as the run executes: the configuration
     reached, every state after the initial one, and each step's trace event.
-    The scenario's level chose the medium."""
+    The scenario's level chose the medium.  `mail` maps (user, kind
+    pattern) to the unconsumed messages the user can read whose content has
+    that pattern, as history indices, oldest first."""
 
     scenario: Scenario
     config: Config
@@ -117,6 +124,7 @@ class TraceRun:
     states: list[GlobalState] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
     rendered: Renderings = field(default_factory=Renderings, repr=False, compare=False)
+    mail: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _checkable: list[GlobalState] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -145,11 +153,49 @@ class TraceRun:
         config = self.config
         return node_digest(config.state, config.machines, config.inbox, self.rendered)
 
+    def found(self, index: int) -> int | None:
+        """The history index the receive of machine `index` takes: the
+        newest of its owner's mail that its pattern matches.  None when
+        there is none or the machine is not running at a receive."""
+        machine = self.config.machines[index]
+        if machine.status is Status.RUNNING:
+            stmt = machine.current()
+            if stmt.__class__ is RecvStmt:
+                mail = self.mail.get((machine.owner, stmt.pattern))
+                if mail:
+                    return mail[-1]
+        return None
+
+    def advance(self, entry: ScheduleEntry) -> Config:
+        """Apply one entry, handing the interpreter what its step reads (a
+        receive's message, `found`; the intruder's `closure`), and keep the
+        mail: drop the message consumed, and file each action appended with
+        the users that can read it (`readers`)."""
+        before, medium = self.config, self.medium
+        found = known = None
+        if entry[0] == "machine":
+            found = self.found(entry[1])
+        else:
+            known = closure(before.state, self.intruder[0], medium).known_items
+        after = self.config = apply_entry(before, entry, medium, self.intruder, found, known)
+        mail = self.mail
+        if found is not None:
+            machine = before.machines[entry[1]]
+            mail[machine.owner, machine.current().pattern].pop()
+        history = after.state.history
+        for index in range(len(before.state.history), len(history)):
+            users, content = medium.readers(history[index])
+            if users:
+                kinds = kinds_of(content)
+                for uid in users:
+                    mail.setdefault((uid, kinds), []).append(index)
+        return after
+
     def step(self, entry: ScheduleEntry) -> None:
-        """Apply one entry and record its event, worked out from the
-        configurations before and after it."""
+        """Apply one entry (`advance`) and record its event, worked out from
+        the configurations before and after it."""
         before = self.config
-        after = self.config = apply_entry(before, entry, self.medium, self.intruder)
+        after = self.advance(entry)
         if entry[0] == "machine":
             stmt = before.machines[entry[1]].current()
             machine = after.machines[entry[1]]
@@ -221,8 +267,7 @@ def build_execution(scenario: Scenario) -> TraceRun:
     if scenario.intruder.user is not None:
         intruder = (scenario.intruder.user, scenario.intruder_session())
         state = open_session(state, *intruder)
-    # a medium of the run's own, so that what it keeps lasts as long as the run
-    medium = AbstractMedium()
+    medium = ABSTRACT
     if scenario.level == "concrete":
         medium = ConcreteMedium(registry_from_state(state))
     run = TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)
@@ -246,8 +291,7 @@ def execute_scripted(scenario: Scenario) -> TraceRun:
             raise RuntimeError("run did not quiesce (event valve hit)")
         progressed = False
         for index in range(len(run.machines)):
-            config = run.config
-            if can_fire(config.machines[index], config.state, config.inbox, run.medium):
+            if can_fire(run.config.machines[index], run.found(index)):
                 run.step(("machine", index, None))
                 progressed = True
         if script is not None:

@@ -23,9 +23,9 @@ The honest fusion is sound, and it loses no behaviour that a check can see:
 - set-partner and finish change only the owner's own user record and
   machine, which no other actor's step reads during a run;
 - an invent also appends an `Invent` and takes the next nonce index, and no
-  receive (`find_match`), intruder `closure` or delivery demand reads an
-  `Invent`, so moving an invent next to its send only renames nonces and
-  shifts history positions;
+  receive (the receive rule in `roles`), intruder `closure` or delivery
+  demand reads an `Invent`, so moving an invent next to its send only
+  renames nonces and shifts history positions;
 - every reduced run is a run of the full model, so every counterexample is
   real (and `execute_schedule` re-executes it anyway).
 
@@ -105,10 +105,10 @@ is exact: two nodes with equal keys have the same successors, up to the
 history positions of their actions, and every reader of the history reads
 only what the key keeps.
 
-- A receive (`roles.find_match`) takes the newest unread message to its
-  owner that its pattern matches: the last match in the owner's queue.  The
-  search reads it from the node's pending codes, where an item's kind shows
-  in its code's sign, and hands its index to the step.
+- A receive (the receive rule in `roles`) takes the newest unread message
+  to its owner that its pattern matches: the last match in the owner's
+  queue.  The search reads it from the node's pending codes, where an
+  item's kind shows in its code's sign, and hands its index to the step.
 - The intruder's `closure` is the user names, the items of the messages to
   the intruder and its own inventions, all sets: the users and the
   intruder's justified nonces in the carried safety facts.  Its opaque
@@ -303,8 +303,8 @@ def _node_key(node: Config, groups, binds, codes=None) -> tuple:
 
 def _newest(pending: tuple, owner: int, pattern: tuple) -> int | None:
     """The history index of the newest of the pending messages (codes) to
-    `owner` whose content kinds match `pattern`, as `find_match` finds it:
-    a nonce's code is negative and a user's is not."""
+    `owner` whose content kinds match `pattern`, by the receive rule in
+    `roles`: a nonce's code is negative and a user's is not."""
     for rec, index, code in reversed(pending):
         if rec == owner and len(code) == len(pattern) + 2:
             if all((c < 0) is (kind == "n") for c, kind in zip(code[2:], pattern)):

@@ -1,5 +1,6 @@
-"""Shared test paths.  Tests reference scenario and golden files relative to
-the repository root, so anchor them to this file's location."""
+"""Shared test paths and references.  Tests reference scenario and golden
+files relative to the repository root, so anchor them to this file's
+location."""
 
 import importlib.util
 import pathlib
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from protolab.roles import RecvStmt, Status, kinds_match
 from protolab.search import _Searcher, explore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,6 +49,24 @@ def count_calls(monkeypatch, fn, weigh=lambda *args, **kwargs: 1):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting)
     return lambda: calls
+
+
+def reference_find_match(machine, state, inbox, medium):
+    """The history index a machine's receive takes, by the receive rule as
+    a scan of the whole history, newest first, asking `medium.readable`
+    about each entry it passes; None when nothing matches or the machine is
+    not running at a receive."""
+    if machine.status is not Status.RUNNING or not isinstance(machine.current(), RecvStmt):
+        return None
+    pattern = machine.current().pattern
+    taken = inbox.consumed_for(machine.owner)
+    for index in range(len(state.history) - 1, -1, -1):
+        if index in taken:
+            continue
+        items = medium.readable(state.history[index], machine.owner)
+        if items is not None and kinds_match(items, pattern):
+            return index
+    return None
 
 
 def explore_with_quiescents(sc, spec):

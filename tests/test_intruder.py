@@ -178,25 +178,31 @@ def test_legal_moves_equal_brute_force_filtered_by_kinds(
     assert legal_moves(know, bounds, waiting, history) == expected
 
 
+def play(state, move):
+    """`move` made by the intruder I in session I#1, handed what it knows
+    (its `closure`)."""
+    return apply_move(state, "I", "I#1", move, ABSTRACT, closure(state, "I").known_items)
+
+
 @pytest.mark.parametrize("index,reason", [(0, "does not name a message"), (5, "outside")])
 def test_replay_of_a_non_message_is_an_illegal_move(index, reason):
     state = append_action(fresh("A", "B", "I"), Invent("A", N1))
     with pytest.raises(IllegalMove, match=reason):
-        apply_move(state, "I", "I#1", ReplayOpaque(index), ABSTRACT)
+        play(state, ReplayOpaque(index))
 
 
 def test_a_compose_needs_items_the_intruder_can_derive():
     state = append_action(fresh("A", "B", "I"), Msg(rec="B", sender="A", content=("A", N1)))
     with pytest.raises(IllegalMove, match="intruder@I#1 cannot derive n1"):
-        apply_move(state, "I", "I#1", Compose(rec="B", content=("A", N1)), ABSTRACT)
+        play(state, Compose(rec="B", content=("A", N1)))
     state = append_action(state, Msg(rec="I", sender="A", content=("A", N1)))
-    after = apply_move(state, "I", "I#1", Compose(rec="B", content=("A", N1)), ABSTRACT)
+    after = play(state, Compose(rec="B", content=("A", N1)))
     assert after.users["I"].knows["I#1"] == {N1}
 
 
 def test_replay_keeps_message_but_reowns_ghost_sender():
     state = append_action(fresh("A", "B", "I"), Msg(rec="B", sender="A", content=("A", N1)))
-    state2 = apply_move(state, "I", "I#1", ReplayOpaque(0), ABSTRACT)
+    state2 = play(state, ReplayOpaque(0))
     replayed = state2.history[-1]
     assert replayed == Msg(rec="B", sender="I", content=("A", N1))
 
@@ -206,7 +212,7 @@ def test_intruder_moves_preserve_safety_invariants():
     for move in (Compose(rec="B", content=("A", N1)), ReplayOpaque, InventNonce()):
         if move is ReplayOpaque:
             continue  # nothing opaque yet on this history
-        after = apply_move(state, "I", "I#1", move, ABSTRACT)
+        after = play(state, move)
         assert unique_nonces(after.history).holds
         assert no_read_others(after).holds
         assert dyn_inv(state, after).holds
@@ -214,7 +220,7 @@ def test_intruder_moves_preserve_safety_invariants():
 
 def test_invent_move_binds_fresh_nonce_to_knowledge():
     state = append_action(fresh("A", "I"), Invent("A", N1))
-    after = apply_move(state, "I", "I#1", InventNonce(), ABSTRACT)
+    after = play(state, InventNonce())
     assert after.history[-1] == Invent("I", N2)
     assert N2 in after.users["I"].knows["I#1"]
 
@@ -229,7 +235,7 @@ def test_script_forwards_opener_then_confirmation_once_each():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
     move = script.pending_move(state, ABSTRACT)
     assert move == Compose(rec="B", content=("A", N1))
-    state = apply_move(state, "I", "I#1", move, ABSTRACT)
+    state = play(state, move)
     assert script.pending_move(state, ABSTRACT) is None  # opener handled
     state = append_action(state, Msg(rec="I", sender="A", content=(N2,)))
     move2 = script.pending_move(state, ABSTRACT)

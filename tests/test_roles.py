@@ -1,5 +1,7 @@
 """Role machines: statement semantics, receive discipline, honest pairs."""
 
+import io
+from collections import Counter
 from dataclasses import replace as dc_replace
 
 import pytest
@@ -19,19 +21,18 @@ from protolab.model import (
 )
 from protolab.roles import (
     ABSTRACT,
-    AbstractMedium,
     IllegalMove,
     Inbox,
     RoleKind,
     Status,
     Variant,
     can_fire,
-    find_match,
-    kinds_match,
     make_machine,
     run_honest_pair,
     step,
 )
+
+from conftest import reference_find_match
 
 N1, N2 = Nonce(1), Nonce(2)
 
@@ -44,8 +45,11 @@ def fresh(*uids):
 
 
 def drive(machine, state, inbox=Inbox(), steps=1):
+    """`steps` steps of `machine`, each receive taking the message the
+    receive rule finds."""
     for _ in range(steps):
-        machine, state, inbox = step(machine, state, inbox, ABSTRACT)
+        found = reference_find_match(machine, state, inbox, ABSTRACT)
+        machine, state, inbox = step(machine, state, inbox, ABSTRACT, found=found)
     return machine, state, inbox
 
 
@@ -66,9 +70,10 @@ def test_sender_blocks_when_nothing_addressed_to_it():
     state = fresh("A", "B")
     machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
     machine, state, inbox = drive(machine, state, steps=3)
-    assert not can_fire(machine, state, inbox, ABSTRACT)
+    assert reference_find_match(machine, state, inbox, ABSTRACT) is None
+    assert not can_fire(machine, None)
     with pytest.raises(IllegalMove, match="sender@A#1 has nothing to receive"):
-        step(machine, state, inbox, ABSTRACT)
+        step(machine, state, inbox, ABSTRACT, found=None)
 
 
 def test_nsl_sender_aborts_on_identity_mismatch():
@@ -77,7 +82,7 @@ def test_nsl_sender_aborts_on_identity_mismatch():
     machine = make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", peer="I")
     machine, state, inbox = drive(machine, state, Inbox(), steps=3)
     state = append_action(state, Msg(rec="A", sender="B", content=("B", N1, N2)))
-    machine, state, inbox = step(machine, state, inbox, ABSTRACT)
+    machine, state, inbox = drive(machine, state, inbox)
     assert machine.status is Status.ABORTED
     assert state.users["A"].complete["A#1"] is False
     # a later wrong-nonce reply of the same shape also aborts the NS variant
@@ -85,7 +90,7 @@ def test_nsl_sender_aborts_on_identity_mismatch():
     m2 = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
     m2, state2, i2 = drive(m2, state2, Inbox(), steps=3)
     state2 = append_action(state2, Msg(rec="A", sender="B", content=(N2, N2)))
-    m2, state2, i2 = step(m2, state2, i2, ABSTRACT)
+    m2, state2, i2 = drive(m2, state2, i2)
     assert m2.status is Status.ABORTED
 
 
@@ -93,11 +98,11 @@ def test_step_is_illegal_after_completion_or_abort():
     state, run = run_honest_pair("A", "B", Variant.NS)
     done = run.machines[0]
     assert done.status is Status.COMPLETED
-    assert not can_fire(done, state, run.inbox, ABSTRACT)
+    assert not can_fire(done, reference_find_match(done, state, run.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is completed"):
         step(done, state, run.inbox, ABSTRACT)
     aborted = dc_replace(done, status=Status.ABORTED)
-    assert not can_fire(aborted, state, run.inbox, ABSTRACT)
+    assert not can_fire(aborted, reference_find_match(aborted, state, run.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is aborted"):
         step(aborted, state, run.inbox, ABSTRACT)
 
@@ -105,7 +110,7 @@ def test_step_is_illegal_after_completion_or_abort():
 def test_set_partner_without_a_partner_is_illegal():
     state = fresh("A", "B")
     machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1")
-    assert not can_fire(machine, state, Inbox(), ABSTRACT)
+    assert not can_fire(machine, None)
     with pytest.raises(IllegalMove, match="sender@A#1 has no partner to set"):
         step(machine, state, Inbox(), ABSTRACT)
 
@@ -139,7 +144,7 @@ def test_receive_takes_most_recent_matching_unread():
     second = Msg(rec="B", sender="A", content=("A", N2))
     state = append_action(append_action(state, first), second)
     machine = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
-    machine, state, inbox = step(machine, state, Inbox(), ABSTRACT)
+    machine, state, inbox = drive(machine, state)
     assert machine.local("Nf") == N2  # newest first
     assert inbox.consumed_for("B") == {1}
 
@@ -150,10 +155,10 @@ def test_non_matching_message_left_for_other_machines():
     state = fresh("A", "B")
     state = append_action(state, Msg(rec="B", sender="A", content=(N1,)))
     receiver = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
-    assert find_match(receiver, state, Inbox(), ABSTRACT) is None
-    assert not can_fire(receiver, state, Inbox(), ABSTRACT)
+    assert reference_find_match(receiver, state, Inbox(), ABSTRACT) is None
+    assert not can_fire(receiver, None)
     with pytest.raises(IllegalMove, match="receiver@B#1 has nothing to receive"):
-        step(receiver, state, Inbox(), ABSTRACT)
+        step(receiver, state, Inbox(), ABSTRACT, found=None)
 
 
 def test_consumed_message_is_gone_for_everyone():
@@ -161,8 +166,8 @@ def test_consumed_message_is_gone_for_everyone():
     state = append_action(state, Msg(rec="B", sender="A", content=("A", N1)))
     first = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
     second = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#2")
-    first, state, inbox = step(first, state, Inbox(), ABSTRACT)
-    assert find_match(second, state, inbox, ABSTRACT) is None
+    first, state, inbox = drive(first, state)
+    assert reference_find_match(second, state, inbox, ABSTRACT) is None
 
 
 def test_mismatched_variants_stall_without_completing():
@@ -204,20 +209,6 @@ def test_run_honest_pair_raises_on_non_completion(monkeypatch):
 # ── receive matching against a scan of the whole history ────────────────────
 
 
-def reference_find_match(machine, state, inbox, medium):
-    """The receive rule as a scan of the whole history, newest first,
-    asking `medium.readable` about each entry it passes."""
-    stmt = machine.current()
-    taken = inbox.consumed_for(machine.owner)
-    for index in range(len(state.history) - 1, -1, -1):
-        if index in taken:
-            continue
-        items = medium.readable(state.history[index], machine.owner)
-        if items is not None and kinds_match(items, stmt.pattern):
-            return index
-    return None
-
-
 MATCH_USERS = ("A", "B", "C")
 # A and B share a public key, so a wire message under it is mail for both;
 # nobody holds pk:B, and Z is no user at all
@@ -225,16 +216,7 @@ SHARED_KEY = KeyRegistry(
     pkeys={"A": PKey("pk:A"), "B": PKey("pk:A"), "C": PKey("pk:C")},
     skeys={uid: SKey(f"sk:{uid}") for uid in MATCH_USERS},
 )
-# a medium of each level, kept across examples, so that what a medium keeps
-# between calls is also asked about histories it did not build
-MATCH_MEDIA = {"abstract": AbstractMedium(), "concrete": ConcreteMedium(SHARED_KEY)}
-# (kind, variant, pc) of each receive statement
-RECEIVES = [
-    (RoleKind.RECEIVER, Variant.NS, 0),  # (u, n)
-    (RoleKind.RECEIVER, Variant.NSL, 3),  # (n)
-    (RoleKind.SENDER, Variant.NS, 3),  # (n, n)
-    (RoleKind.SENDER, Variant.NSL, 3),  # (u, n, n)
-]
+MEDIA = {"abstract": ABSTRACT, "concrete": ConcreteMedium(SHARED_KEY)}
 MATCH_ITEMS = st.sampled_from(["A", "B", "C", N1, N2, Nonce(3)])
 MATCH_ACTIONS = st.one_of(
     st.tuples(
@@ -257,43 +239,71 @@ def planted(action, level):
     return WireMsg(body=enc(content, PKey(f"pk:{who}")), ghost_sender=sender)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    level=st.sampled_from(["abstract", "concrete"]),
-    actions=st.lists(MATCH_ACTIONS, max_size=12),
-    owner=st.sampled_from(MATCH_USERS),
-    receive=st.sampled_from(RECEIVES),
-    consumed=st.lists(st.tuples(st.sampled_from(MATCH_USERS), st.integers(0, 11)), max_size=8),
-    lengths=st.lists(st.integers(0, 12), max_size=4),
-)
-@example(  # B reads the wire message to A under their shared key
-    level="concrete",
-    actions=[("msg", "A", "C", ("C", N1)), ("msg", "C", "C", ("C", N2))],
-    owner="B",
-    receive=RECEIVES[0],
-    consumed=[("C", 1)],
-    lengths=[],
-)
-def test_receive_matching_equals_a_scan_of_the_history(
-    level, actions, owner, receive, consumed, lengths
-):
-    # consumed entries, wrong item kinds and mail to others are passed over;
-    # a fresh medium is asked about growing prefixes, each extending the
-    # last, and the kept medium about prefixes in any order, shorter ones too
-    fresh = AbstractMedium() if level == "abstract" else ConcreteMedium(SHARED_KEY)
-    history = tuple(planted(action, level) for action in actions)
-    inbox, taken = Inbox(), {}
-    for uid, index in consumed:
-        inbox = inbox.consume(uid, index)
-        taken[uid] = taken.get(uid, frozenset()) | {index}
-    assert inbox.consumed == tuple(sorted(taken.items()))
-    kind, variant, pc = receive
-    machine = dc_replace(make_machine(owner, kind, variant, f"{owner}#1", peer="C"), pc=pc)
-    state = initial_state({uid: True for uid in MATCH_USERS})
-    asked = [*lengths, len(history)]
-    for medium, order in ((fresh, sorted(asked)), (MATCH_MEDIA[level], asked)):
-        for length in order:
-            prefix = dc_replace(state, history=history[:length])
-            found = find_match(machine, prefix, inbox, medium)
-            assert found == reference_find_match(machine, prefix, inbox, medium)
-            assert find_match(machine, prefix, inbox, medium) == found
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level=st.sampled_from(["abstract", "concrete"]), action=MATCH_ACTIONS)
+@example(level="concrete", action=("msg", "A", "C", ("C", N1)))  # B reads it too
+def test_readers_are_exactly_the_users_that_can_read(level, action):
+    # a run files each appended action with its `readers`: they must be the
+    # users for which `readable` gives the content, each named once, at both
+    # levels and under a key several users share or nobody holds (at the
+    # abstract level a message to Z is read by Z, who is no user)
+    medium, act = MEDIA[level], planted(action, level)
+    users, content = medium.readers(act)
+    assert len(set(users)) == len(users)
+    readable = {uid: medium.readable(act, uid) for uid in MATCH_USERS}
+    if level == "abstract":
+        readable["Z"] = medium.readable(act, "Z")
+    assert sorted(users) == [uid for uid, items in readable.items() if items is not None]
+    assert all(readable[uid] == content for uid in users)
+
+
+# Two NS initiators at A and two responders at B: each receive chooses
+# among several messages of its kind, and consumed ones stay in the history.
+TWO_BY_TWO = """protolab-scenario v1
+user A conforms=true
+user B conforms=true
+role sender user=A peer=B variant=ns
+role sender user=A peer=B variant=ns
+role receiver user=B variant=ns
+role receiver user=B variant=ns
+intruder none
+"""
+
+
+def test_receive_matching_equals_a_scan_of_the_history(monkeypatch, tmp_path):
+    # before every step of scripted runs and their re-executions at both
+    # levels, a search counterexample's re-execution, and the replays of the
+    # goldens and of a wire trace (with its recipient-field twin), the run's
+    # mail gives each machine the index a scan of the whole history finds
+    from protolab.cli import main
+    from protolab.runner import TraceRun, execute_schedule, execute_scripted, schedule_from_doc
+    from protolab.scenario import load_scenario, parse_scenario
+    from protolab.search import explore
+
+    from conftest import GOLDEN, scenario
+
+    advance, checked = TraceRun.advance, Counter()
+
+    def checking(run, entry):
+        config = run.config
+        for index, machine in enumerate(config.machines):
+            found = run.found(index)
+            assert found == reference_find_match(machine, config.state, config.inbox, run.medium)
+            checked[found is not None] += 1
+        return advance(run, entry)
+
+    monkeypatch.setattr(TraceRun, "advance", checking)
+    inputs = [load_scenario(scenario(name)) for name in ("honest-ns", "lowe-on-ns", "lowe-on-nsl")]
+    for sc in [*inputs, parse_scenario(TWO_BY_TWO)]:
+        for level in ("abstract", "concrete"):
+            sc = sc.with_level(level)
+            run = execute_scripted(sc)
+            execute_schedule(sc, schedule_from_doc(run.to_doc(), sc))
+    verdict = explore(load_scenario(scenario("ns-search")), spec="post-ns")
+    assert verdict.counterexample is not None
+    wire = tmp_path / "wire.trc"
+    out = io.StringIO()
+    assert main(["run", scenario("lowe-on-ns"), "--level", "concrete", "--trace-out", str(wire)], out) == 1
+    for trace in [*sorted(GOLDEN.glob("*.trc")), wire]:
+        assert main(["replay", str(trace)], out) == 0, out.getvalue()
+    assert checked[True] > 100 and checked[False] > 100

@@ -21,19 +21,24 @@ from protolab.intruder import InventNonce, MoveBounds, ReplayOpaque, closure, le
 from protolab.model import Invent, Msg, Nonce, add_knows, set_complete, state_key
 from protolab.roles import (
     ABSTRACT,
-    AbstractMedium,
     RecvStmt,
     RoleMachine,
     SetPartner,
     Status,
     can_fire,
-    find_match,
     kinds_match,
 )
 from protolab.runner import apply_entry, check_refinement, execute_schedule, schedule_from_doc
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
-from conftest import GOLDEN, ROOT, count_calls, explore_with_quiescents, scenario
+from conftest import (
+    GOLDEN,
+    ROOT,
+    count_calls,
+    explore_with_quiescents,
+    reference_find_match,
+    scenario,
+)
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
 from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all, contract_verdict
 from protolab.trace import parse_trace, render_trace
@@ -417,15 +422,18 @@ def ordered_key(node, *symmetry):
 
 def machine_entries(searcher, node):
     """The machine entries enabled at a node, derived from its whole state
-    (`can_fire`), independently of what the search carries."""
+    (`can_fire`, with the receive rule's scan of the history),
+    independently of what the search carries."""
     for index, machine in enumerate(node.machines):
         if machine.status is not Status.RUNNING:
             continue
         if isinstance(machine.current(), SetPartner) and machine.peer is None:
             for peer in searcher.universe:
                 yield ("machine", index, peer)
-        elif can_fire(machine, node.state, node.inbox, searcher.medium):
-            yield ("machine", index, None)
+        else:
+            found = reference_find_match(machine, node.state, node.inbox, searcher.medium)
+            if can_fire(machine, found):
+                yield ("machine", index, None)
 
 
 def pending_copies(node):
@@ -475,7 +483,15 @@ def children(searcher, node):
 
 
 def apply(searcher, node, entry):
-    return apply_entry(node, entry, ABSTRACT, searcher.intruder)
+    """A single step from a node, handed what it reads from the whole
+    state: a receive's index from the receive rule's scan, the intruder's
+    knowledge from its `closure`."""
+    found = known = None
+    if entry[0] == "machine":
+        found = reference_find_match(node.machines[entry[1]], node.state, node.inbox, ABSTRACT)
+    else:
+        known = closure(node.state, searcher.intruder[0]).known_items
+    return apply_entry(node, entry, ABSTRACT, searcher.intruder, found, known)
 
 
 def rescan(sc, node, parent):
@@ -930,12 +946,12 @@ CARRIED_MAIL = [
 
 
 def receive_index(node, entry):
-    """The history index `find_match` gives a machine entry at a receive,
-    with nothing kept from earlier calls, or None for any other entry."""
+    """The history index the receive rule's scan gives a machine entry at a
+    receive, or None for any other entry."""
     machine = node.machines[entry[1]]
     if not isinstance(machine.current(), RecvStmt):
         return None
-    found = find_match(machine, node.state, node.inbox, AbstractMedium())
+    found = reference_find_match(machine, node.state, node.inbox, ABSTRACT)
     assert found is not None
     return found
 
@@ -950,10 +966,11 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
 ):
     # at every micro state of a full exploration the intruder's known items
     # and opaque positions that the search carries are those its closure
-    # rebuilds, and every receive it steps takes the message `find_match`
-    # finds; at every node it reaches, its machine starts are the enabled
-    # entries with those indices, and the intruder's invention count, the
-    # pending copies and the moves offered are those of the whole history
+    # rebuilds, and every receive it steps takes the message the receive
+    # rule's scan finds; at every node it reaches, its machine starts are
+    # the enabled entries with those indices, and the intruder's invention
+    # count, the pending copies and the moves offered are those of the
+    # whole history
     sc = _bounded(name, max_steps, invents)
     sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
     me = sc.intruder.user

@@ -583,7 +583,7 @@ def per_event_work(monkeypatch, pairs: int, level: str) -> dict[str, float]:
     examined = count_calls(monkeypatch, roles.kinds_match)
     scanned = {"actions": 0}
     for medium in (roles.AbstractMedium, ConcreteMedium):
-        for name in ("_readers", "readable"):
+        for name in ("readers", "readable"):
 
             def scanning(*args, method=getattr(medium, name)):
                 scanned["actions"] += 1

@@ -22,7 +22,7 @@ from protolab.runner import TraceRun, apply_entry, build_execution, execute_scri
 from protolab.scenario import load_scenario, parse_scenario
 from protolab.trace import Renderings, node_digest
 
-from conftest import count_calls, perfbench_module, scenario
+from conftest import count_calls, perfbench_module, reference_find_match, scenario
 
 # The benchmark's audit-long input: 24 intruder-free NSL pairs, 264 events.
 AUDIT = perfbench_module("workloads").audit_scenario(1)
@@ -69,12 +69,15 @@ def test_renderings_fed_out_of_order_give_fresh_digests(monkeypatch):
 
     def siblings(config, taken):
         """The configurations one other enabled machine step away."""
-        enabled = [
-            index
-            for index, machine in enumerate(config.machines)
-            if index != taken and can_fire(machine, config.state, config.inbox, run.medium)
+        enabled = []
+        for index, machine in enumerate(config.machines):
+            found = reference_find_match(machine, config.state, config.inbox, run.medium)
+            if index != taken and can_fire(machine, found):
+                enabled.append((index, found))
+        return [
+            apply_entry(config, ("machine", i, None), run.medium, None, found, None)
+            for i, found in enabled[:2]
         ]
-        return [apply_entry(config, ("machine", i, None), run.medium, None) for i in enabled[:2]]
 
     def last_replaced(config):
         """The same history length, with a different last action."""
