@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Collection, Mapping, Sequence, Union
 
 from .model import (
     Action,
@@ -29,19 +29,13 @@ from .model import (
     item_key,
     render_item,
 )
-from .roles import ABSTRACT, IllegalMove, kinds_match
+from .roles import ABSTRACT, IllegalMove, kinds_of
 
 
 @dataclass(frozen=True)
 class IntruderKnowledge:
     known_items: frozenset[Item]
     observed_opaque: tuple[int, ...]  # history indices of unreadable messages
-
-
-@dataclass(frozen=True)
-class MoveBounds:
-    max_content: int
-    max_invents: int  # remaining invention allowance, not a run total
 
 
 @dataclass(frozen=True)
@@ -86,25 +80,28 @@ def closure(state: GlobalState, me: Uid, medium=ABSTRACT) -> IntruderKnowledge:
 
 def legal_moves(
     knowledge: IntruderKnowledge,
-    bounds: MoveBounds,
-    waiting: Mapping[Uid, Sequence[Pattern]],
+    max_content: int,
+    max_invents: int,
+    waiting: Mapping[Uid, Collection[Pattern]],
     history: Sequence[Action],
 ) -> list[IntruderMove]:
     """The intruder's moves in a fixed enumeration order: one invention (if
-    allowed), then the compositions a waiting receive could consume, by
-    recipient, length and content, then the replays a waiting receive could
-    consume, by history index.
+    `max_invents`, the inventions it has left, allows), then the
+    compositions of at most `max_content` items a waiting receive could
+    consume, by recipient, length and content, then the replays a waiting
+    receive could consume, by history index.
 
     `waiting` maps a recipient to the kind patterns of its receives that are
-    waiting.  Compositions are built from those patterns, position by
-    position from the pool items of each position's kind, never generated
-    and then filtered: the result equals every recipient x pool^1..max_content
-    composition that `kinds_match`es one of its recipient's patterns, in the
-    same item_key-lexicographic order.  A replay of the opaque message at
-    `history[index]` is offered when its content matches one of its
-    recipient's patterns."""
+    waiting (a dict keyed by pattern will do).  Compositions are built from
+    those patterns, position by position from the pool items of each
+    position's kind, never generated and then filtered: the result equals
+    every recipient x pool^1..max_content composition whose `kinds_of` is
+    one of its recipient's patterns, in the same item_key-lexicographic
+    order.  A replay of the opaque message at `history[index]` is offered
+    when its content's `kinds_of` is one of its recipient's patterns, one
+    lookup."""
     moves: list[IntruderMove] = []
-    if bounds.max_invents > 0:
+    if max_invents > 0:
         moves.append(InventNonce())
     pool = sorted(knowledge.known_items, key=item_key)
     pools = {"u": [i for i in pool if is_uid(i)], "n": [i for i in pool if is_nonce(i)]}
@@ -113,13 +110,13 @@ def legal_moves(
         if not patterns:
             continue
         patterns = list(dict.fromkeys(patterns))
-        for length in range(1, bounds.max_content + 1):
+        for length in range(1, max_content + 1):
             same_length = [p for p in patterns if len(p) == length]
             if same_length:
                 moves.extend(Compose(rec=rec, content=c) for c in _contents(same_length, pools))
     for index in knowledge.observed_opaque:
         msg = history[index]
-        if any(kinds_match(msg.content, p) for p in waiting.get(msg.rec, ())):
+        if kinds_of(msg.content) in waiting.get(msg.rec, ()):
             moves.append(ReplayOpaque(index))
     return moves
 

@@ -2,7 +2,9 @@
 
 Everything here is a value: principals and nonces are symbolic atoms,
 messages are flat sequences of items, and the global state is an immutable
-record that every step replaces rather than mutates.  The `sender` field of
+record that every step replaces rather than mutates.  The state carries the
+highest nonce index in its history, so the next invention reads the state
+alone, and the module keeps nothing between calls.  The `sender` field of
 a message is ghost data: it records the true originator for checking
 purposes, and role code never sees it, since roles read a message's content
 only through their medium (`readable`, `readers`).
@@ -117,9 +119,16 @@ class UserState:
 
 @dataclass(frozen=True)
 class GlobalState:
+    """The users' records, the history and the public keys.  `top` is the
+    highest nonce index in the history (0 in one with none), counting an
+    `Invent`'s nonce and those in a `Msg`'s content, as `_nonces_in_history`
+    does; `append_invention` invents the nonce one past it.  The helpers
+    below keep it, and a state built by hand states it."""
+
     users: dict[Uid, UserState]
     history: tuple[Action, ...]
     pkeys: dict[Uid, PKey]
+    top: int
 
 
 def initial_state(conforms: dict[Uid, bool]) -> GlobalState:
@@ -135,7 +144,7 @@ def initial_state(conforms: dict[Uid, bool]) -> GlobalState:
         for uid, flag in conforms.items()
     }
     pkeys = {uid: PKey(f"pk:{uid}") for uid in conforms}
-    return GlobalState(users=users, history=(), pkeys=pkeys)
+    return GlobalState(users=users, history=(), pkeys=pkeys, top=0)
 
 
 # ── state update helpers (always copy, never mutate) ────────────────────────
@@ -148,7 +157,7 @@ def initial_state(conforms: dict[Uid, bool]) -> GlobalState:
 def _with_user(state: GlobalState, uid: Uid, user: UserState) -> GlobalState:
     users = dict(state.users)
     users[uid] = user
-    return GlobalState(users, state.history, state.pkeys)
+    return GlobalState(users, state.history, state.pkeys, state.top)
 
 
 def open_session(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
@@ -182,43 +191,15 @@ def set_complete(state: GlobalState, uid: Uid, sid: Sid) -> GlobalState:
     return _with_user(state, uid, UserState(u.int_partner, u.knows, u.skey, u.conforms, complete))
 
 
-def extends(history: tuple, last: tuple) -> bool:
-    """Whether `history` begins with `last`, holding its last action as the
-    same object, as a run's next history does: the test of a memo kept for
-    the last history.  Identity rejects a search's other branches without
-    comparing actions field by field; an equal history it rejects costs a
-    rescan."""
-    n = len(last)
-    return n <= len(history) and (n == 0 or history[n - 1] is last[-1]) and history[:n] == last
-
-
-# The history `append_invention` last returned and its highest nonce index,
-# that of the nonce it invented (None before the first call): a one-entry
-# memo, so that a run's next invention scans only the actions appended since.
-_invented: tuple = ((), None)
-
-
 def append_invention(state: GlobalState, user: Uid) -> tuple[GlobalState, Nonce]:
     """Extend the history by `user`'s invention of the next fresh nonce, and
-    return the new state and the nonce.  The nonce is one past the highest
-    index in the history, so it is fresh by construction even on
-    hand-written histories.  Deriving the counter from the history keeps
-    branching explorations deterministic without a shared mutable context;
-    a history that does not extend the memo's is scanned whole, so the
-    nonce never depends on earlier calls.
-    """
-    global _invented
-    seen, highest = _invented
-    history, done = state.history, len(seen)
-    if not extends(history, seen):
-        done, highest = 0, None
-    indices = [n.ix for n in _nonces_in_history(history[done:])]
-    if highest is not None:
-        indices.append(highest)
-    nonce = Nonce(max(indices, default=0) + 1)
-    history = history + (Invent(user, nonce),)
-    _invented = (history, nonce.ix)
-    return GlobalState(state.users, history, state.pkeys), nonce
+    return the new state and the nonce.  The nonce is one past the state's
+    `top`, the highest index in its history, so it is fresh by
+    construction, and it depends on the state alone: branching
+    explorations stay deterministic without a shared mutable context."""
+    nonce = Nonce(state.top + 1)
+    history = state.history + (Invent(user, nonce),)
+    return GlobalState(state.users, history, state.pkeys, nonce.ix), nonce
 
 
 def _nonces_in_history(history: Sequence) -> set[Nonce]:
@@ -232,15 +213,21 @@ def _nonces_in_history(history: Sequence) -> set[Nonce]:
 
 
 def append_action(state: GlobalState, act) -> GlobalState:
-    """Extend the history by one action; all other state is untouched.
+    """Extend the history by one action, raising `top` to the highest nonce
+    index it adds; all other state is untouched.
 
     Raises FreshnessViolation when an Invent reuses a nonce symbol that
     already occurs anywhere in the history (as an invention or inside
     readable message content).
     """
-    if isinstance(act, Invent) and act.what in _nonces_in_history(state.history):
-        raise FreshnessViolation(f"nonce {act.what!r} already appears in the history")
-    return GlobalState(state.users, state.history + (act,), state.pkeys)
+    top = state.top
+    if isinstance(act, Invent):
+        if act.what in _nonces_in_history(state.history):
+            raise FreshnessViolation(f"nonce {act.what!r} already appears in the history")
+        top = max(top, act.what.ix)
+    elif isinstance(act, Msg):
+        top = max([top, *[i.ix for i in act.content if isinstance(i, Nonce)]])
+    return GlobalState(state.users, state.history + (act,), state.pkeys, top)
 
 
 # ── history functions ────────────────────────────────────────────────────────

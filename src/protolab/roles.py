@@ -15,12 +15,13 @@ and no step is a no-op.
 
 Receive semantics: a receive consumes the most recent unread message that
 is readable by the owner and whose content matches the statement's pattern
-by arity and item kind (`kinds_match`); the caller hands `step` its history
-index (`found`, None: there is none).  Messages that do not match are
-left unread for other machines of the same owner.  The NSL initiator
-additionally checks that the identity claimed in the reply equals the
-intended partner and aborts on mismatch; both variants abort when a
-returned nonce is not the one expected.
+by arity and item kind: the content's `kinds_of` is the pattern.  The
+caller hands `step` its history index (`found`, None: there is none), and
+runs and the search find it by that kind pattern.  Messages that do not
+match are left unread for other machines of the same owner.  The NSL
+initiator additionally checks that the identity claimed in the reply
+equals the intended partner and aborts on mismatch; both variants abort
+when a returned nonce is not the one expected.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .model import (
     add_knows,
     append_action,
     append_invention,
-    is_nonce,
     is_uid,
     set_complete,
     set_partner,
@@ -252,17 +252,16 @@ _first = itemgetter(0)
 
 
 def kinds_match(items: Sequence[Item], pattern: Sequence[str]) -> bool:
-    if len(items) != len(pattern):
-        return False
-    return all(
-        (kind == "n" and is_nonce(item)) or (kind == "u" and is_uid(item))
-        for kind, item in zip(pattern, items)
-    )
+    """Whether `items` match `pattern`.  The program looks a content up
+    under its `kinds_of` instead and never calls this; it stays because
+    perfbench's tracer names it."""
+    return kinds_of(items) == tuple(pattern)
 
 
 def kinds_of(items: Sequence[Item]) -> tuple[str, ...]:
-    """The one pattern that `kinds_match`es `items`."""
-    return tuple(["n" if is_nonce(item) else "u" for item in items])
+    """The one receive pattern that `items` match: its kind per position,
+    "n" for a nonce and "u" for a user."""
+    return tuple(["n" if item.__class__ is Nonce else "u" for item in items])
 
 
 def can_fire(machine: RoleMachine, found: int | None) -> bool:

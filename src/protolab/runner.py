@@ -105,6 +105,7 @@ def apply_entry(
 
 
 _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}
+_RUNNING, _ABORTED = Status.RUNNING, Status.ABORTED
 
 
 @dataclass
@@ -158,7 +159,7 @@ class TraceRun:
         newest of its owner's mail that its pattern matches.  None when
         there is none or the machine is not running at a receive."""
         machine = self.config.machines[index]
-        if machine.status is Status.RUNNING:
+        if machine.status is _RUNNING:
             stmt = machine.current()
             if stmt.__class__ is RecvStmt:
                 mail = self.mail.get((machine.owner, stmt.pattern))
@@ -201,7 +202,7 @@ class TraceRun:
             machine = after.machines[entry[1]]
             actor = machine.actor_id
             # only a receive aborts
-            name = "recv-abort" if machine.status is Status.ABORTED else stmt.name
+            name = "recv-abort" if machine.status is _ABORTED else stmt.name
             arg = machine.peer if isinstance(stmt, SetPartner) else None
         else:
             move = entry[1]

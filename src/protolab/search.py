@@ -115,9 +115,9 @@ only what the key keeps.
   list, carried along the links too, names the positions of the other
   messages, and a replay re-sends the message at one, so both nodes offer
   the same replayed messages, by other indices.
-- The next nonce is one past the highest in the history, and the
-  intruder's invention count counts its `Invent`s, read as the intruder's
-  codes in the nonce table: both read the multiset.
+- The next nonce is one past the state's `top`, the highest in the
+  history, and the intruder's invention count counts its `Invent`s, read
+  as the intruder's codes in the nonce table: the multiset fixes both.
 - The pending-copies filter counts the unconsumed copies per recipient and
   content, read from the pending codes: the owner's queue.  The intruder
   offers nothing to a recipient with no machine, whose messages no receive
@@ -192,15 +192,15 @@ successors, mapped alike, and the same verdicts, because each reader of a
 nonce index or a session id is equivariant or decides only which of
 equivalent nodes or violations is met first:
 
-- `model.append_invention` takes one past the highest nonce.  The nonces of
-  a search node are 1..k, in every image too, so the next is k+1 on both
-  sides, and fresh either way.
+- `model.append_invention` takes one past the state's `top`.  The nonces
+  of a search node are 1..k, in every image too, so the top is k and the
+  next is k+1 on both sides, and fresh either way.
 - `intruder.legal_moves` orders its pool by `item_key`, so by nonce index,
   and the search tries machines in position order: a renaming or a
   permutation reorders a node's successors, not their set.  It can change
   which of two equivalent successors is reached first, and kept.
-- The intruder's invention count counts its `Invent`s by user, which a
-  renaming keeps.
+- The intruder's invention count, its codes in the nonce table, counts
+  its `Invent`s by user, which a renaming keeps.
 - The contracts in `specs` and the safety invariants walk sessions and
   nonces in `sorted` order and name the first failure, so a renaming can
   change which names a detail gives, never a verdict.  The detail reported
@@ -242,18 +242,20 @@ micro-steps longer than the shortest one.  Identical bounds always
 reproduce the identical verdict, counterexample and state count.
 
 The intruder's messages are built from demand instead of being generated
-and then filtered.  At each node the search collects the receive patterns
-waiting per recipient.  `legal_moves` composes messages only for a
-recipient with a waiting pattern, position by position from the known
-items of each position's kind (the demand-driven idea of OFMC's lazy
-intruder, Basin, Moedersheim and Vigano, 2005, applied to concrete items),
-and replays only a message whose content matches a pattern waiting at its
-recipient.  Every message the search sends is thus taken at once.  One
-filter remains: a message is not offered while identical unconsumed
-messages already await the same recipient, as many as it has waiting
-machines the content matches, since consuming either copy leads to the
-same successor states.  Without it the search reaches more nodes, with the
-same verdicts (ns-search: 70 instead of 54, nsl-search: 38 instead of 21).
+and then filtered.  At each node the search groups the waiting receives by
+recipient, then pattern, in one pass (`_Searcher._intruder_starts`).
+`legal_moves` composes messages only for a recipient with a waiting
+pattern, position by position from the known items of each position's kind
+(the demand-driven idea of OFMC's lazy intruder, Basin, Moedersheim and
+Vigano, 2005, applied to concrete items), and replays only a message whose
+content's `kinds_of` is a pattern waiting at its recipient.  A message's
+consumers are one lookup under that pattern, so every message the search
+sends is taken at once.  One filter remains: a message is not offered
+while identical unconsumed messages already await the same recipient, as
+many as it has waiting machines the content matches, since consuming
+either copy leads to the same successor states.  Without it the search
+reaches more nodes, with the same verdicts (ns-search: 70 instead of 54,
+nsl-search: 38 instead of 21).
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ from dataclasses import replace
 from itertools import chain, permutations, product
 from operator import attrgetter
 
-from .intruder import IntruderKnowledge, InventNonce, MoveBounds, ReplayOpaque, legal_moves
+from .intruder import IntruderKnowledge, InventNonce, ReplayOpaque, legal_moves
 from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
 from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history
 from .roles import (
@@ -274,7 +276,7 @@ from .roles import (
     RoleMachine,
     SetPartner,
     Status,
-    kinds_match,
+    kinds_of,
 )
 from .runner import Config, apply_entry, build_execution, execute_schedule
 from .scenario import Scenario, ScenarioError
@@ -289,6 +291,7 @@ from .specs import (
 
 
 _STATUS = {status._value_: code for code, status in enumerate(Status)}
+_RUNNING = Status.RUNNING
 _IX = attrgetter("ix")
 
 
@@ -387,7 +390,7 @@ class _Encoder:
         own = {v.ix: -1 - i for i, m in enumerate(machines) for k, v in m.locals if k == binds[i]}
         others = sorted({n.ix for n in _nonces_in_history(node.state.history)} - own.keys())
         nonces = {**own, **{ix: -1 - len(machines) - j for j, ix in enumerate(others)}}
-        blank = Config((None,) * len(machines), GlobalState(users, (), {}), Inbox())
+        blank = Config((None,) * len(machines), GlobalState(users, (), {}, 0), Inbox())
         sessions = (None,) * len(self.sids)
         return self.extend((self, blank.machines, sessions, (), (), nonces), blank, node)
 
@@ -557,7 +560,7 @@ class _Searcher:
         *_, pending, _ = codes
         starts = []
         for index, machine in enumerate(node.machines):
-            if machine.status is not Status.RUNNING:
+            if machine.status is not _RUNNING:
                 continue
             stmt = machine.current()
             if stmt.__class__ is RecvStmt:
@@ -575,58 +578,47 @@ class _Searcher:
         and its justified nonces, which its inventions and its mail justify."""
         return self.users | facts[1].get(self.intruder[0], frozenset())
 
-    def carried(self, node: Config, facts, codes: tuple):
-        """What the intruder's moves read at a node, from what the node
+    def _intruder_starts(self, node: Config, facts, codes: tuple):
+        """The macro starts the intruder makes at a node: an invention
+        alone, and each message together with the receive of each of its
+        consumers, which takes the message just sent.  The waiting receives
+        are grouped by recipient, then pattern, so a message's consumers,
+        the running machines of its recipient whose receive pattern its
+        content matches, are one lookup under its `kinds_of`.  A message is
+        offered while fewer identical pending (unconsumed) copies await its
+        recipient than it has consumers.  The moves read what the node
         carries: the intruder's `closure` (`known`, and the opaque positions
         in `facts`), its invention count (its codes in the nonce table) and
         the pending copies per (recipient, content) (the pending codes,
         which hold the messages to machine owners)."""
+        if self.scenario.intruder.kind != "search":
+            return
         *_, pending, nonces = codes
         history, floor = node.state.history, -len(node.machines)
-        used = sum(1 for code in nonces.values() if code < floor)
+        waiting: dict = {}
+        for index, machine in enumerate(node.machines):
+            if machine.status is _RUNNING:
+                stmt = machine.current()
+                if stmt.__class__ is RecvStmt:
+                    consumers = waiting.setdefault(machine.owner, {})
+                    consumers.setdefault(stmt.pattern, []).append(index)
         copies: dict = {}
         for _, index, _ in pending:
             msg = history[index]
             copies[msg.rec, msg.content] = copies.get((msg.rec, msg.content), 0) + 1
-        return IntruderKnowledge(self.known(facts), facts[2]), used, copies
-
-    def _intruder_moves(self, node: Config, facts, codes: tuple):
-        """The intruder's moves at a node, each with the indices of the
-        machines that would consume its message: the running machines of the
-        recipient whose receive pattern the content matches (none for an
-        invention).  A message is offered while fewer identical pending
-        (unconsumed) copies await its recipient than it has consumers."""
-        if self.scenario.intruder.kind != "search":
-            return
-        know, used, copies = self.carried(node, facts, codes)
-        bounds = self.scenario.bounds
-        move_bounds = MoveBounds(bounds.max_content_len, max(0, bounds.max_intruder_invents - used))
-        waiting: dict = {}
-        for index, machine in enumerate(node.machines):
-            stmt = machine.current() if machine.status is Status.RUNNING else None
-            if stmt.__class__ is RecvStmt:
-                waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
-        patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
-        history = node.state.history
-        for move in legal_moves(know, move_bounds, patterns, history):
-            if isinstance(move, InventNonce):
-                yield move, ()
-                continue
-            msg = history[move.index] if isinstance(move, ReplayOpaque) else move
-            consumers = [i for i, p in waiting.get(msg.rec, ()) if kinds_match(msg.content, p)]
-            if copies.get((msg.rec, msg.content), 0) < len(consumers):
-                yield move, consumers
-
-    def _intruder_starts(self, node: Config, facts, codes: tuple):
-        """The macro starts the intruder makes: an invention alone, and each
-        message together with the receive of each of its consumers, which
-        takes the message just sent."""
-        sent = len(node.state.history)
-        for move, consumers in self._intruder_moves(node, facts, codes):
-            if isinstance(move, InventNonce):
+        used = sum(1 for code in nonces.values() if code < floor)
+        bounds, sent = self.scenario.bounds, len(history)
+        know = IntruderKnowledge(self.known(facts), facts[2])
+        invents = max(0, bounds.max_intruder_invents - used)
+        for move in legal_moves(know, bounds.max_content_len, invents, waiting, history):
+            if move.__class__ is InventNonce:
                 yield (("intruder", move),), None
-            for index in consumers:
-                yield (("intruder", move), ("machine", index, None)), sent
+                continue
+            msg = history[move.index] if move.__class__ is ReplayOpaque else move
+            consumers = waiting[msg.rec][kinds_of(msg.content)]
+            if copies.get((msg.rec, msg.content), 0) < len(consumers):
+                for index in consumers:
+                    yield (("intruder", move), ("machine", index, None)), sent
 
     def macro(self, node: Config, facts, start, room: int):
         """The macro-step from `start`, (its first entries, the history index
@@ -791,7 +783,7 @@ def _runs_on(before: RoleMachine, after: RoleMachine) -> bool:
     `after`: a set-partner or an invent runs on into the next statement, and
     a finish runs right after the step before it.  An abort or a finish ends
     the macro."""
-    if after.status is not Status.RUNNING:
+    if after.status is not _RUNNING:
         return False
     return isinstance(before.current(), (SetPartner, InventStmt)) or isinstance(
         after.current(), FinishStmt

@@ -30,7 +30,6 @@ from .model import (
     Invent,
     Msg,
     Nonce,
-    extends,
     render_content,
     render_item,
 )
@@ -148,7 +147,7 @@ class Renderings:
     def history(self, history: tuple) -> bytearray:
         """The joined renderings of `history`'s actions, encoded."""
         last, data, tail = self._last.get("history", ((), bytearray(), ""))
-        if not extends(history, last):
+        if not _extends(history, last):
             last, data, tail = (), bytearray(), ""
         texts = list(map(render_action, history[len(last) :]))
         if texts:
@@ -162,6 +161,15 @@ class Renderings:
     def last_action(self) -> str:
         """The rendering of the last action of the history last joined."""
         return self._last["history"][2]
+
+
+def _extends(history: tuple, last: tuple) -> bool:
+    """Whether `history` begins with `last`, holding its last action as the
+    same object, as a run's next history does.  Identity rejects a search's
+    other branches without comparing actions field by field; an equal
+    history it rejects costs a rebuild."""
+    n = len(last)
+    return n <= len(history) and (n == 0 or history[n - 1] is last[-1]) and history[:n] == last
 
 
 _first, _second = itemgetter(0), itemgetter(1)

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from protolab.roles import RecvStmt, Status, kinds_match
+from protolab.model import is_nonce, is_uid
+from protolab.roles import RecvStmt, Status
 from protolab.search import _Searcher, explore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,6 +50,18 @@ def count_calls(monkeypatch, fn, weigh=lambda *args, **kwargs: 1):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting)
     return lambda: calls
+
+
+def kinds_match(items, pattern) -> bool:
+    """Whether `items` match a receive pattern, position by position: as
+    many items as kinds, a nonce at each "n" and a user at each "u".  A
+    reference for the program's one lookup under `roles.kinds_of`."""
+    if len(items) != len(pattern):
+        return False
+    return all(
+        (kind == "n" and is_nonce(item)) or (kind == "u" and is_uid(item))
+        for kind, item in zip(pattern, items)
+    )
 
 
 def reference_find_match(machine, state, inbox, medium):

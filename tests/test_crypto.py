@@ -130,7 +130,10 @@ def test_degenerate_registry_breaks_recipient_only_readability():
     assert medium.readable(state.history[-1], "B") == (N1,)
     state = add_knows(state, "B", "B#1", [N1])
     projected = state.__class__(
-        users=state.users, history=abstract_of(state.history, reg), pkeys=state.pkeys
+        users=state.users,
+        history=abstract_of(state.history, reg),
+        pkeys=state.pkeys,
+        top=state.top,  # the projection holds the same nonces
     )
     report = no_read_others(projected)
     assert not report.holds

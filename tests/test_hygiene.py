@@ -103,3 +103,49 @@ def test_an_orphaned_private_helper_is_reported():
         "b": "import a\na._by_attribute()\n",
     }
     assert orphaned_private_names(sources) == ["a._recursive", "a._orphan"]
+
+
+# ── module state ─────────────────────────────────────────────────────────────
+
+
+def global_statements(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each name a `global` statement declares, at any
+    depth of any module."""
+    return [
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    ]
+
+
+def test_no_module_keeps_state_between_calls():
+    # a call that rebinds a module's name leaves state for the next call to
+    # read, so its result could depend on what ran before it; the program's
+    # values carry all a call reads
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert global_statements(sources) == []
+
+
+def test_a_global_statement_is_reported():
+    sources = {
+        "a": (
+            "_memo = None\n"
+            "_TABLE = {}\n"
+            "def remember(x):\n"
+            "    global _memo\n"
+            "    _memo = x\n"
+            "def fill(x): _TABLE[x] = x\n"
+        ),
+        "b": (
+            "class C:\n"
+            "    def m(self):\n"
+            "        def inner():\n"
+            "            global _a, _b\n"
+            "        n = 0\n"
+            "        def counter():\n"
+            "            nonlocal n\n"
+        ),
+    }
+    assert global_statements(sources) == ["a._memo", "b._a", "b._b"]

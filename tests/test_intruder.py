@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import kinds_match
+
 from protolab.intruder import (
     Compose,
     IllegalMove,
     IntruderKnowledge,
     InventNonce,
     LoweScript,
-    MoveBounds,
     ReplayOpaque,
     apply_move,
     closure,
@@ -29,7 +30,7 @@ from protolab.model import (
     item_key,
     open_session,
 )
-from protolab.roles import ABSTRACT, kinds_match
+from protolab.roles import ABSTRACT
 
 N1, N2 = Nonce(1), Nonce(2)
 
@@ -74,7 +75,7 @@ def test_closure_is_monotone():
 
 def test_legal_moves_counting():
     know = closure(fresh("A", "B", "I"), "I")
-    moves = legal_moves(know, MoveBounds(max_content=1, max_invents=1), ANY_SINGLE, ())
+    moves = legal_moves(know, 1, 1, ANY_SINGLE, ())
     composes = [m for m in moves if isinstance(m, Compose)]
     invents = [m for m in moves if isinstance(m, InventNonce)]
     assert len(composes) == 9  # 3 recipients x 3 single-item contents
@@ -85,20 +86,18 @@ def test_legal_moves_counting():
 def test_legal_moves_zero_content_length():
     know = closure(fresh("A", "B", "I"), "I")
     waiting = {u: [("u",), ("n",), ("u", "n"), ("n", "n")] for u in ("A", "B", "I")}
-    moves = legal_moves(know, MoveBounds(max_content=0, max_invents=1), waiting, ())
+    moves = legal_moves(know, 0, 1, waiting, ())
     assert all(not isinstance(m, Compose) for m in moves)
 
 
 def test_legal_moves_include_the_classic_forward():
     state = append_action(fresh("A", "B", "I"), Msg(rec="I", sender="A", content=("A", N1)))
     know = closure(state, "I")
-    moves = legal_moves(
-        know, MoveBounds(max_content=2, max_invents=0), {"B": [("u", "n")]}, state.history
-    )
+    moves = legal_moves(know, 2, 0, {"B": [("u", "n")]}, state.history)
     assert Compose(rec="B", content=("A", N1)) in moves
 
 
-def brute_force_moves(knowledge, bounds, waiting, history):
+def brute_force_moves(knowledge, max_content, max_invents, waiting, history):
     """Reference enumeration: every recipient x pool^1..max_content
     composition and every replay of an opaque message, each kept when its
     content matches one of its recipient's patterns."""
@@ -106,11 +105,11 @@ def brute_force_moves(knowledge, bounds, waiting, history):
     def wanted(rec, content):
         return any(kinds_match(content, p) for p in waiting.get(rec, ()))
 
-    moves = [InventNonce()] if bounds.max_invents > 0 else []
+    moves = [InventNonce()] if max_invents > 0 else []
     recipients = sorted(i for i in knowledge.known_items if is_uid(i))
     pool = sorted(knowledge.known_items, key=item_key)
     for rec in recipients:
-        for length in range(1, bounds.max_content + 1):
+        for length in range(1, max_content + 1):
             for content in itertools.product(pool, repeat=length):
                 if wanted(rec, content):
                     moves.append(Compose(rec=rec, content=content))
@@ -173,9 +172,8 @@ def test_legal_moves_equal_brute_force_filtered_by_kinds(
 ):
     opaque = tuple(i for i, masked in zip(range(len(history)), opaque_mask) if masked)
     know = IntruderKnowledge(frozenset(uids | nonces), opaque)
-    bounds = MoveBounds(max_content=max_content, max_invents=max_invents)
-    expected = brute_force_moves(know, bounds, waiting, history)
-    assert legal_moves(know, bounds, waiting, history) == expected
+    expected = brute_force_moves(know, max_content, max_invents, waiting, history)
+    assert legal_moves(know, max_content, max_invents, waiting, history) == expected
 
 
 def play(state, move):

@@ -4,15 +4,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from protolab.crypto import WireMsg, enc
 from protolab.model import (
     FreshnessViolation,
     Invent,
     LengthMismatch,
     Msg,
     Nonce,
+    _nonces_in_history,
     add_knows,
     append_action,
+    append_invention,
     initial_state,
     open_session,
     select,
@@ -152,6 +157,58 @@ def test_append_msg_satisfies_transition_invariant():
     assert report.holds
     assert state2.users == state.users
     assert state2.pkeys == state.pkeys
+
+
+# ── the top nonce a state carries ────────────────────────────────────────────
+
+ITEMS = st.lists(
+    st.one_of(st.sampled_from("ABC"), st.integers(1, 12).map(Nonce)), min_size=1, max_size=3
+).map(tuple)
+
+# (what, user, argument): an action appended, an invention of the next
+# nonce, or a record helper
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("msg"), st.sampled_from("ABC"), ITEMS),
+        st.tuples(st.just("wire"), st.sampled_from("ABC"), ITEMS),
+        st.tuples(st.just("invent"), st.sampled_from("ABC"), st.integers(1, 12).map(Nonce)),
+        st.tuples(st.just("next"), st.sampled_from("ABC"), st.none()),
+        st.tuples(st.just("record"), st.sampled_from("ABC"), st.integers(0, 3)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPERATIONS)
+def test_the_state_keeps_the_top_nonce_of_its_history(operations):
+    # whatever the helpers append, `top` is the highest nonce the history
+    # holds, and the next invention's nonce is one the history lacks
+    state = initial_state({"A": True, "B": True, "C": False})
+    for what, uid, arg in operations:
+        before = _nonces_in_history(state.history)
+        if what == "msg":
+            state = append_action(state, Msg(rec=uid, sender="A", content=arg))
+        elif what == "wire":
+            state = append_action(state, WireMsg(enc(arg, state.pkeys[uid]), "A"))
+        elif what == "invent":
+            if arg in before:
+                with pytest.raises(FreshnessViolation):
+                    append_action(state, Invent(uid, arg))
+                continue
+            state = append_action(state, Invent(uid, arg))
+        elif what == "next":
+            state, nonce = append_invention(state, uid)
+            assert nonce not in before and state.history[-1] == Invent(uid, nonce)
+        else:
+            sid = f"{uid}#1"
+            state = [
+                lambda: open_session(state, uid, sid),
+                lambda: set_partner(state, uid, sid, "C"),
+                lambda: add_knows(state, uid, sid, [Nonce(7)]),
+                lambda: set_complete(state, uid, sid),
+            ][arg]()
+        assert state.top == max((n.ix for n in _nonces_in_history(state.history)), default=0)
 
 
 def test_message_content_must_be_non_empty():

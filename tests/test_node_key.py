@@ -187,7 +187,8 @@ def _image(node: Config, order, table) -> Config:
             ]))
             for act in history
         ])
-    return Config(tuple(image), GlobalState(users, history, state.pkeys), node.inbox)
+    # a renaming is a bijection of the nonces 1..top, which keeps the top
+    return Config(tuple(image), GlobalState(users, history, state.pkeys, state.top), node.inbox)
 
 
 def _renamed_user(user: UserState, sids: dict, table) -> UserState:

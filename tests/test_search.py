@@ -17,8 +17,17 @@ import protolab.invariants as invariants
 import protolab.runner as runner
 import protolab.search as search
 from protolab.invariants import PredicateReport, dyn_inv, inv_sigma, no_read_others, unique_nonces
-from protolab.intruder import InventNonce, MoveBounds, ReplayOpaque, closure, legal_moves
-from protolab.model import Invent, Msg, Nonce, add_knows, set_complete, state_key
+from protolab.intruder import Compose, InventNonce, ReplayOpaque, closure
+from protolab.model import (
+    Invent,
+    Msg,
+    Nonce,
+    add_knows,
+    is_uid,
+    item_key,
+    set_complete,
+    state_key,
+)
 from protolab.roles import (
     ABSTRACT,
     RecvStmt,
@@ -26,7 +35,6 @@ from protolab.roles import (
     SetPartner,
     Status,
     can_fire,
-    kinds_match,
 )
 from protolab.runner import apply_entry, check_refinement, execute_schedule, schedule_from_doc
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
@@ -36,6 +44,7 @@ from conftest import (
     ROOT,
     count_calls,
     explore_with_quiescents,
+    kinds_match,
     reference_find_match,
     scenario,
 )
@@ -450,25 +459,34 @@ def pending_copies(node):
 def intruder_moves(searcher, node):
     """The intruder's moves at a node, each with its consumers, derived from
     its whole state: the intruder's `closure`, its inventions and the
-    pending copies counted over the history."""
+    pending copies counted over the history.  The messages are found by
+    brute force: every recipient x pool^1..max_content composition and
+    every replay of an opaque message, each kept with the running machines
+    of its recipient whose receive pattern its content matches, while fewer
+    pending copies of it await the recipient than it has such consumers."""
     sc = searcher.scenario
     if sc.intruder.kind != "search":
         return
     me, history = searcher.intruder[0], node.state.history
     know = closure(node.state, me, searcher.medium)
-    used = sum(1 for act in history if isinstance(act, Invent) and act.user == me)
-    bounds = MoveBounds(sc.bounds.max_content_len, max(0, sc.bounds.max_intruder_invents - used))
+    used = sum(isinstance(act, Invent) and act.user == me for act in history)
+    if used < sc.bounds.max_intruder_invents:
+        yield InventNonce(), ()
     waiting = {}
     for index, machine in enumerate(node.machines):
         stmt = machine.current() if machine.status is Status.RUNNING else None
         if isinstance(stmt, RecvStmt):
             waiting.setdefault(machine.owner, []).append((index, stmt.pattern))
     pending = pending_copies(node)
-    patterns = {rec: [p for _, p in machines] for rec, machines in waiting.items()}
-    for move in legal_moves(know, bounds, patterns, history):
-        if isinstance(move, InventNonce):
-            yield move, ()
-            continue
+    pool = sorted(know.known_items, key=item_key)
+    messages = [
+        Compose(rec, content)
+        for rec in pool
+        if is_uid(rec) and rec in waiting  # no consumer at any other
+        for length in range(1, sc.bounds.max_content_len + 1)
+        for content in product(pool, repeat=length)
+    ]
+    for move in messages + [ReplayOpaque(index) for index in know.observed_opaque]:
         msg = history[move.index] if isinstance(move, ReplayOpaque) else move
         consumers = [i for i, p in waiting.get(msg.rec, ()) if kinds_match(msg.content, p)]
         if pending[msg.rec, msg.content] < len(consumers):
@@ -968,14 +986,14 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     # and opaque positions that the search carries are those its closure
     # rebuilds, and every receive it steps takes the message the receive
     # rule's scan finds; at every node it reaches, its machine starts are
-    # the enabled entries with those indices, and the intruder's invention
-    # count, the pending copies and the moves offered are those of the
-    # whole history
+    # the enabled entries with those indices, and the intruder's starts are
+    # those of the moves its closure, its inventions and the pending copies
+    # counted over the whole history give, each with its consumers
     sc = _bounded(name, max_steps, invents)
     sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
     me = sc.intruder.user
     check, starts = _Searcher.safety_violation, _Searcher._machine_starts
-    moves, real_apply = _Searcher._intruder_moves, search.apply_entry
+    moves, real_apply = _Searcher._intruder_starts, search.apply_entry
     counts = Counter()
 
     def checking(searcher, node, parent, facts):
@@ -995,13 +1013,13 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
         return got
 
     def moving(searcher, node, facts, codes):
-        know, used, copies = searcher.carried(node, facts, codes)
-        assert know == closure(node.state, me)
-        assert used == sum(1 for a in node.state.history if isinstance(a, Invent) and a.user == me)
-        owners = {machine.owner for machine in node.machines}
-        assert copies == {k: n for k, n in pending_copies(node).items() if k[0] in owners}
         offered = list(moves(searcher, node, facts, codes))
-        assert offered == list(intruder_moves(searcher, node))
+        sent, expected = len(node.state.history), []
+        for move, consumers in intruder_moves(searcher, node):
+            if isinstance(move, InventNonce):
+                expected.append(((("intruder", move),), None))
+            expected += [((("intruder", move), ("machine", i, None)), sent) for i in consumers]
+        assert offered == expected
         counts["moves"] += 1
         yield from offered
 
@@ -1018,7 +1036,7 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     monkeypatch.setattr(_Searcher, "_machine_starts", starting)
     monkeypatch.setattr(search, "apply_entry", applying)
     if me is not None:
-        monkeypatch.setattr(_Searcher, "_intruder_moves", moving)
+        monkeypatch.setattr(_Searcher, "_intruder_starts", moving)
     verdict = explore(sc, spec=SPEC_INV)
     assert verdict.counterexample is None
     # the machine starts are built once per node reached
