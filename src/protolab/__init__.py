@@ -27,7 +27,8 @@ from .model import (
     subseq,
     u_hist,
 )
-from .roles import RoleKind, RoleMachine, Status, Variant, run_honest_pair, step
+from .roles import RoleKind, RoleMachine, Status, Variant, step
+from .runner import run_honest_pair
 from .scenario import Scenario, SearchBounds, load_scenario, parse_scenario
 from .search import explore
 from .specs import (

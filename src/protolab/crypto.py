@@ -38,29 +38,17 @@ class DecryptFailure:
 DECRYPT_FAILED = DecryptFailure()
 
 
+@dataclass(frozen=True, slots=True)
 class EncMsg:
     """Sealed term.  The payload has no public accessor; use `dec`."""
 
-    __slots__ = ("_payload", "pk")
+    _payload: tuple[Item, ...]
+    pk: PKey
 
-    def __init__(self, payload: Sequence[Item], pk: PKey) -> None:
-        if not payload:
+    def __post_init__(self) -> None:
+        if not self._payload:
             raise EmptyContent("cannot encrypt an empty content sequence")
-        object.__setattr__(self, "_payload", tuple(payload))
-        object.__setattr__(self, "pk", pk)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("EncMsg is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EncMsg)
-            and self._payload == other._payload
-            and self.pk == other.pk
-        )
-
-    def __hash__(self) -> int:
-        return hash(("enc", self._payload, self.pk))
+        object.__setattr__(self, "_payload", tuple(self._payload))
 
     def __repr__(self) -> str:
         return f"enc(<sealed>,{self.pk})"

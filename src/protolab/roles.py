@@ -64,10 +64,6 @@ class Status(enum.Enum):
     ABORTED = "aborted"
 
 
-class DeadlockError(Exception):
-    """An honest pair quiesced before both machines completed."""
-
-
 class IllegalMove(Exception):
     """A machine step or an intruder move that is not enabled in the given
     configuration."""
@@ -382,33 +378,3 @@ def step(
     assert isinstance(stmt, FinishStmt)
     state = set_complete(state, machine.owner, machine.session)
     return _successor(machine, pc, machine.locals, Status.COMPLETED), state, inbox
-
-
-def run_honest_pair(frm: Uid, to: Uid, variant: Variant):
-    """Round-robin a fresh initiator/responder pair to completion.
-
-    Returns the final global state and the run record.  Raises
-    DeadlockError if the pair quiesces before both machines complete,
-    which cannot happen without interference.
-    """
-    from .runner import execute_scripted  # deferred: runner builds on roles
-    from .scenario import IntruderDecl, RoleDecl, Scenario, default_bounds
-
-    users = ((frm, True),) if frm == to else ((frm, True), (to, True))
-    scenario = Scenario(
-        users=users,
-        roles=(
-            RoleDecl(user=frm, kind=RoleKind.SENDER, peer=to, variant=variant),
-            RoleDecl(user=to, kind=RoleKind.RECEIVER, peer=None, variant=variant),
-        ),
-        intruder=IntruderDecl(kind="none"),
-        bounds=default_bounds(),
-        level="abstract",
-    )
-    run = execute_scripted(scenario)
-    if not all(m.status is Status.COMPLETED for m in run.machines):
-        raise DeadlockError(
-            "honest pair quiesced before completion: "
-            + ", ".join(f"{m.actor_id}={m.status.value}" for m in run.machines)
-        )
-    return run.final_state, run

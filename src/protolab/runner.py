@@ -25,6 +25,7 @@ verified digest by digest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .crypto import ConcreteMedium, KeyRegistry, abstract_of, registry_from_state
@@ -42,15 +43,25 @@ from .roles import (
     IllegalMove,
     Inbox,
     RecvStmt,
+    RoleKind,
     RoleMachine,
     SetPartner,
     Status,
+    Variant,
     can_fire,
     kinds_of,
     make_machine,
     step,
 )
-from .scenario import Scenario, ScenarioError, parse_scenario, render_scenario
+from .scenario import (
+    IntruderDecl,
+    RoleDecl,
+    Scenario,
+    ScenarioError,
+    default_bounds,
+    parse_scenario,
+    render_scenario,
+)
 from .specs import SpecVerdict
 from .trace import (
     Renderings,
@@ -62,6 +73,11 @@ from .trace import (
 )
 
 MAX_EVENTS_VALVE = 10_000
+
+
+class DeadlockError(Exception):
+    """An honest pair quiesced before both machines completed."""
+
 
 # Schedule entries: ("machine", index, chosen_peer | None) or ("intruder", move)
 ScheduleEntry = tuple
@@ -305,6 +321,33 @@ def execute_scripted(scenario: Scenario) -> TraceRun:
     return run
 
 
+def run_honest_pair(frm: Uid, to: Uid, variant: Variant):
+    """Round-robin a fresh initiator/responder pair to completion.
+
+    Returns the final global state and the run record.  Raises
+    DeadlockError if the pair quiesces before both machines complete,
+    which cannot happen without interference.
+    """
+    users = ((frm, True),) if frm == to else ((frm, True), (to, True))
+    scenario = Scenario(
+        users=users,
+        roles=(
+            RoleDecl(user=frm, kind=RoleKind.SENDER, peer=to, variant=variant),
+            RoleDecl(user=to, kind=RoleKind.RECEIVER, peer=None, variant=variant),
+        ),
+        intruder=IntruderDecl(kind="none"),
+        bounds=default_bounds(),
+        level="abstract",
+    )
+    run = execute_scripted(scenario)
+    if not all(m.status is Status.COMPLETED for m in run.machines):
+        raise DeadlockError(
+            "honest pair quiesced before completion: "
+            + ", ".join(f"{m.actor_id}={m.status.value}" for m in run.machines)
+        )
+    return run.final_state, run
+
+
 def execute_schedule(scenario: Scenario, schedule) -> TraceRun:
     """Re-execute an explicit schedule (from the explorer or a parsed trace).
     Raises IllegalMove, naming the 1-based event, for an entry that is not
@@ -346,7 +389,7 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
             if ev.stmt == "invent-nonce":
                 schedule.append(("intruder", InventNonce()))
             elif ev.stmt == "replay":
-                if ev.arg is None or not ev.arg.isdigit():
+                if ev.arg is None or not re.fullmatch("[0-9]+", ev.arg):
                     raise TraceError(f"event {ev.index}: replay needs a history index")
                 schedule.append(("intruder", ReplayOpaque(int(ev.arg))))
             elif ev.stmt == "compose":

@@ -112,7 +112,7 @@ only what the key keeps.
 - The intruder's `closure` is the user names, the items of the messages to
   the intruder and its own inventions, all sets: the users and the
   intruder's justified nonces in the carried safety facts.  Its opaque
-  list, carried along the links too, names the positions of the other
+  list, read off the node's history, names the positions of the other
   messages, and a replay re-sends the message at one, so both nodes offer
   the same replayed messages, by other indices.
 - The next nonce is one past the state's `top`, the highest in the
@@ -213,20 +213,22 @@ Every micro state is checked against the safety invariants: the
 transition invariant against its own parent, then, with an intruder in
 play, nonce freshness and recipient-only readability for what its step
 added, against facts carried along the links (the nonces invented so far,
-with their positions, each user's justified nonces, and the positions the
-intruder cannot read), and with none the whole state invariant
-(`_Searcher.safety_violation`).  The check of what a step added equals a
-rescan of the whole state: the parent held, so a reused nonce is first met
-among the new actions, and a user record the parent held is still
-justified, since justified sets only grow along a path.  Only the nodes at
-a macro boundary are keyed, counted in `states`, and checked once, when
-first reached:
+with their positions, and each user's justified nonces), and with none the
+whole state invariant (`_Searcher.safety_violation`).  The check of what a
+step added equals a rescan of the whole state: the parent held, so a
+reused nonce is first met among the new actions, and a user record the
+parent held is still justified, since justified sets only grow along a
+path.  Only the nodes at a macro boundary are keyed (the root excepted,
+whose safety is checked first), and each is admitted once, when first
+reached, by one step (`_Searcher.admit`), the root's as every child's:
 
-1. whether any move is enabled: machine moves first, then, with none,
-   intruder moves (the macro starts built to decide this are kept for the
-   node's expansion);
-2. for a node with no enabled move (quiescent), the requested contracts,
-   through `specs.contract_verdict`.
+1. it is counted in `states`, and its macro starts are built: machine
+   starts first, then, with none, intruder starts (kept for the node's
+   expansion);
+2. a node with no start (quiescent) is checked against the requested
+   contracts, through `specs.contract_verdict`;
+3. any other node is filed in its bucket, or, at the step bound, cut
+   there with a step left, and the search is truncated.
 
 No intermediate state of a macro is quiescent: it has a step of the macro
 left.  `states explored` counts the distinct macro-boundary nodes, the root
@@ -347,7 +349,6 @@ class _Encoder:
     def __init__(self, node: Config, binds):
         machines, users = node.machines, node.state.users
         self.binds, self.table, self.moved = binds, {}, {}
-        self.names = list(users)
         self.uids = {uid: code for code, uid in enumerate(users)}
         self.sids = {machine.session: index for index, machine in enumerate(machines)}
         opened = [u.int_partner.keys() | u.knows.keys() | u.complete.keys() for u in users.values()]
@@ -385,20 +386,25 @@ class _Encoder:
 
     def codes(self, node: Config) -> tuple:
         """The node's codes, extended from those of a node with nothing once
-        its nonces are coded: one that no machine binds is the intruder's."""
+        its nonces are coded (one that no machine binds is the intruder's),
+        less the messages its inbox has consumed."""
         machines, users, binds = node.machines, dict.fromkeys(node.state.users), self.binds
         own = {v.ix: -1 - i for i, m in enumerate(machines) for k, v in m.locals if k == binds[i]}
         others = sorted({n.ix for n in _nonces_in_history(node.state.history)} - own.keys())
         nonces = {**own, **{ix: -1 - len(machines) - j for j, ix in enumerate(others)}}
         blank = Config((None,) * len(machines), GlobalState(users, (), {}, 0), Inbox())
         sessions = (None,) * len(self.sids)
-        return self.extend((self, blank.machines, sessions, (), (), nonces), blank, node)
+        codes = self.extend((self, blank.machines, sessions, (), (), nonces), blank, node, None)
+        taken = set().union(*(indices for _, indices in node.inbox.consumed))
+        return (*codes[:4], tuple([p for p in codes[4] if p[1] not in taken]), codes[5])
 
-    def extend(self, codes: tuple, parent: Config, child: Config) -> tuple:
+    def extend(self, codes: tuple, parent: Config, child: Config, found: int | None) -> tuple:
         """The codes of `child`, a macro-step from `parent`, from `codes`,
         the parent's: its actions are added, its inventions coded first, the
-        machines and sessions' records it replaced encoded, and the messages
-        it consumed dropped."""
+        machines and sessions' records it replaced encoded, and the message
+        its receive took dropped, at history index `found` as the macro's
+        start names it (the receive's, or the intruder's message's; None:
+        the macro took none)."""
         _, machines, sessions, multiset, pending, nonces = codes
         before, after = parent.state, child.state
         if len(after.history) > len(before.history):
@@ -426,9 +432,8 @@ class _Encoder:
                     ):
                         sessions[code] = self.session(new, sid, nonces)
             sessions = tuple(sessions)
-        if child.inbox is not parent.inbox:
-            taken = dict(child.inbox.consumed)
-            pending = tuple([p for p in pending if p[1] not in taken.get(self.names[p[0]], ())])
+        if found is not None:
+            pending = tuple([p for p in pending if p[1] != found])
         return self, machines, sessions, multiset, pending, nonces
 
     def invented(self, nonces: dict, nonce, machines) -> dict:
@@ -548,6 +553,7 @@ class _Searcher:
             tuple(((("machine", i, peer),), None) for peer in self.universe) for i in positions
         )
         self.states = self.depth = 0  # how far `run` got: nodes reached, depth expanded
+        self.truncated = False  # whether a node was cut at the step bound with a step left
 
     # ── move generation ──────────────────────────────────────────────────
 
@@ -586,11 +592,12 @@ class _Searcher:
         the running machines of its recipient whose receive pattern its
         content matches, are one lookup under its `kinds_of`.  A message is
         offered while fewer identical pending (unconsumed) copies await its
-        recipient than it has consumers.  The moves read what the node
-        carries: the intruder's `closure` (`known`, and the opaque positions
-        in `facts`), its invention count (its codes in the nonce table) and
-        the pending copies per (recipient, content) (the pending codes,
-        which hold the messages to machine owners)."""
+        recipient than it has consumers.  The moves read the intruder's
+        `closure` (`known`, from the carried facts, and the positions it
+        cannot read, off the node's history), its invention count (its
+        codes in the nonce table) and the pending copies per (recipient,
+        content) (the pending codes, which hold the messages to machine
+        owners)."""
         if self.scenario.intruder.kind != "search":
             return
         *_, pending, nonces = codes
@@ -607,8 +614,9 @@ class _Searcher:
             msg = history[index]
             copies[msg.rec, msg.content] = copies.get((msg.rec, msg.content), 0) + 1
         used = sum(1 for code in nonces.values() if code < floor)
-        bounds, sent = self.scenario.bounds, len(history)
-        know = IntruderKnowledge(self.known(facts), facts[2])
+        bounds, sent, me = self.scenario.bounds, len(history), self.intruder[0]
+        opaque = [i for i, a in enumerate(history) if a.__class__ is Msg and a.rec != me]
+        know = IntruderKnowledge(self.known(facts), tuple(opaque))
         invents = max(0, bounds.max_intruder_invents - used)
         for move in legal_moves(know, bounds.max_content_len, invents, waiting, history):
             if move.__class__ is InventNonce:
@@ -665,8 +673,7 @@ class _Searcher:
         readability are checked only for what the step added, against
         `facts`, the parent's (empty at the root): the nonces invented so
         far, with their history positions, and each user's justified
-        nonces, and with them the history positions of the messages the
-        intruder cannot read.  That gives a rescan's verdict and witness:
+        nonces.  That gives a rescan's verdict and witness:
         the parent held, so a reuse is first met among the new actions, and
         a user record the parent held is still justified, since justified
         sets only grow along a path.  The replaced records are found once,
@@ -688,9 +695,7 @@ class _Searcher:
                 invented, justified = facts[0].copy(), facts[1].copy()
                 rep = _reused(invented, new, done)
                 _justify(justified, new)
-                me = self.intruder[0]
-                opaque = [i for i, a in enumerate(new, done) if a.__class__ is Msg and a.rec != me]
-                facts = invented, justified, facts[2] + tuple(opaque)
+                facts = invented, justified
             # no record vanished (`dyn_inv`), so with as many users as the
             # parent these are the records the step replaced; at the root, all
             if len(users) != len(passed):
@@ -707,17 +712,23 @@ class _Searcher:
                 return spec
         return None
 
-    def first_reach(self, node: Config, facts, codes: tuple):
-        """The checks made once, when a macro-boundary node is first
-        reached: whether any move is enabled, machine starts first, then
-        intruder starts, and for a node with none (quiescent) the quiescent
-        specs.  Returns (violated spec or None, the node's machine starts,
-        its intruder starts, or None when a machine start decided)."""
+    def admit(self, node: Config, facts, codes: tuple, at: int, link, buckets: dict):
+        """The checks made once, when a macro-boundary node at depth `at` is
+        first reached, which count it: whether any move is enabled, machine
+        starts first, then intruder starts.  A node with none (quiescent) is
+        checked against the quiescent specs, one at the step bound is cut
+        there with a step left, and any other is filed in its bucket.
+        Returns the violated spec or None."""
+        self.states += 1
         machine = self._machine_starts(node, codes)
-        if machine:
-            return None, machine, None
-        intruder = list(self._intruder_starts(node, facts, codes))
-        return (None if intruder else self.quiescent_violation(node)), machine, intruder
+        intruder = None if machine else list(self._intruder_starts(node, facts, codes))
+        if not (machine or intruder):
+            return self.quiescent_violation(node)
+        if at == self.scenario.bounds.max_steps:
+            self.truncated = True
+        else:
+            buckets.setdefault(at, []).append((node, facts, codes, link, machine, intruder))
+        return None
 
     # ── breadth-first pass over micro-depth buckets ──────────────────────
 
@@ -725,24 +736,18 @@ class _Searcher:
         """Returns (violation or None, its schedule, whether live nodes
         remain at the step bound); `states` counts the distinct nodes
         reached."""
-        bad, facts = self.safety_violation(self.root, None, ({}, {}, ()))
-        self.states = 1
+        bad, facts = self.safety_violation(self.root, None, ({}, {}))
         if bad is not None:
+            self.states = 1
             return (SPEC_INV, bad), [], False
-        codes = self.encoder.codes(self.root)
-        spec, machine, intruder = self.first_reach(self.root, facts, codes)
-        if spec is not None:
-            return (spec, None), [], False
-        bound, truncated = self.scenario.bounds.max_steps, False
-        if (machine or intruder) and bound == 0:
-            # the root is cut at the bound with a step left
-            return None, [], True
         # bucket entries: (node, its safety facts, its codes, link, its
         # machine starts, its intruder starts or None to build them); a link
         # is (parent's link, micro entries of the macro), None at the root
-        root = (self.root, facts, codes, None, machine, intruder)
-        buckets = {0: [root]} if machine or intruder else {}
-        seen: dict[int, set] = {}
+        buckets: dict[int, list] = {}
+        spec = self.admit(self.root, facts, self.encoder.codes(self.root), 0, None, buckets)
+        if spec is not None:
+            return (spec, None), [], False
+        bound, seen = self.scenario.bounds.max_steps, {}
         while buckets:
             self.depth = depth = min(buckets)
             seen.pop(depth, None)
@@ -756,26 +761,20 @@ class _Searcher:
                     if bad is not None:
                         return (SPEC_INV, bad), _schedule(here), False
                     if cut:
-                        truncated = True
+                        self.truncated = True
                         continue
                     at = depth + len(steps)
                     keys = seen.setdefault(at, set())
                     known = len(keys)
-                    child_codes = self.encoder.extend(codes, node, child)
+                    child_codes = self.encoder.extend(codes, node, child, start[1])
                     # hashed once: a tuple keeps no hash
                     keys.add(_node_key(child, self.groups, self.binds, child_codes))
                     if len(keys) == known:
                         continue
-                    self.states += 1
-                    spec, kept, more = self.first_reach(child, child_facts, child_codes)
+                    spec = self.admit(child, child_facts, child_codes, at, here, buckets)
                     if spec is not None:
                         return (spec, None), _schedule(here), False
-                    if (kept or more) and at == bound:
-                        truncated = True
-                    elif kept or more:
-                        entry = (child, child_facts, child_codes, here, kept, more)
-                        buckets.setdefault(at, []).append(entry)
-        return None, [], truncated
+        return None, [], self.truncated
 
 
 def _runs_on(before: RoleMachine, after: RoleMachine) -> bool:

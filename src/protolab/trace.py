@@ -284,7 +284,7 @@ def render_trace(doc: TraceDoc, no_ghost: bool = False) -> str:
 
 
 _EVENT_RE = re.compile(
-    r"^event i=(\d+) actor=(\S+) stmt=(\S+?)(?: arg=(\S+))? act=(\S+) digest=([0-9a-f]{12})$"
+    r"^event i=([0-9]+) actor=(\S+) stmt=(\S+?)(?: arg=(\S+))? act=(\S+) digest=([0-9a-f]{12})$"
 )
 _VERDICT_RE = re.compile(r'^verdict spec=(\S+) holds=(true|false)(?: detail="(.*)")?$')
 
@@ -327,7 +327,7 @@ def parse_trace(text: str) -> TraceDoc:
             spec, holds, detail = m.groups()
             verdicts.append((spec, holds == "true", detail or ""))
         elif line.startswith("end "):
-            m = re.match(r"^end events=(\d+)$", line)
+            m = re.match(r"^end events=([0-9]+)$", line)
             if not m:
                 raise TraceError(f"end: malformed record {line!r}")
             declared_events = int(m.group(1))

@@ -220,6 +220,14 @@ def _trace(old, new):
     return LOWE_TRACE.replace(old, new, 1)
 
 
+def _malformed(record, old, new):
+    """(command, trace, message) for the attack trace with `old` replaced by
+    `new`, which leaves the line holding it malformed."""
+    text = _trace(old, new)
+    line = next(line for line in text.splitlines() if new in line)
+    return "replay", text, f"{record}: malformed record {line!r}"
+
+
 # (command, input text, the whole error line's message): every message names
 # its record and, where the record has one, the field
 MALFORMED_INPUTS = {
@@ -299,6 +307,20 @@ MALFORMED_INPUTS = {
         _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=replay"),
         "event 4: replay needs a history index",
     ),
+    # a numeric field takes ASCII digits only, though `int` and a regex's
+    # `\d` read other Unicode decimal digits too
+    "replay-index-superscript": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=replay arg=²"),
+        "event 4: replay needs a history index",
+    ),
+    "replay-index-arabic-indic": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=replay arg=٣"),
+        "event 4: replay needs a history index",
+    ),
+    "event-index-arabic-indic": _malformed("event", "event i=3 ", "event i=٣ "),
+    "end-count-arabic-indic": _malformed("end", "end events=13", "end events=١٣"),
     "unrecognised-key-atom": (
         "replay",
         _trace(

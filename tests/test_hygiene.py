@@ -149,3 +149,47 @@ def test_a_global_statement_is_reported():
         ),
     }
     assert global_statements(sources) == ["a._memo", "b._a", "b._b"]
+
+
+# ── import cycles ────────────────────────────────────────────────────────────
+
+
+def modules_on_import_cycles(sources: dict[str, str]) -> list[str]:
+    """The modules from which a chain of the package's relative imports
+    (`from .x import`, at any depth, so deferred imports too) leads back to
+    the module itself."""
+    imports: dict[str, set] = {module: set() for module in sources}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                imports[module].update(t.partition(".")[0] for t in targets)
+
+    def reached(module):
+        seen, todo = set(), list(imports[module])
+        while todo:
+            target = todo.pop()
+            if target not in seen:
+                seen.add(target)
+                todo.extend(imports.get(target, ()))
+        return seen
+
+    return sorted(module for module in sources if module in reached(module))
+
+
+def test_the_package_imports_form_no_cycle():
+    # each module builds only on the modules below it, so a module can be
+    # read, and imported, without the ones that build on it
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert modules_on_import_cycles(sources) == []
+
+
+def test_an_import_cycle_is_reported():
+    sources = {
+        "a": "from .b import f\n",
+        "b": "def f():\n    from .c import g\n    return g()\n",
+        "c": "from .a.inner import h\nfrom .d import k\n",
+        "d": "from . import e\nimport a\nfrom a import x\nfrom ..a import y\n",
+        "e": "",
+    }
+    assert modules_on_import_cycles(sources) == ["a", "b", "c"]

@@ -24,8 +24,8 @@ from protolab.model import (
     open_session,
     u_hist,
 )
-from protolab.roles import Variant, run_honest_pair
-from protolab.runner import execute_scripted
+from protolab.roles import Variant
+from protolab.runner import execute_scripted, run_honest_pair
 from protolab.scenario import load_scenario
 
 from conftest import scenario

@@ -28,9 +28,9 @@ from protolab.roles import (
     Variant,
     can_fire,
     make_machine,
-    run_honest_pair,
     step,
 )
+from protolab.runner import DeadlockError, run_honest_pair
 
 from conftest import reference_find_match
 
@@ -191,7 +191,6 @@ def test_mismatched_variants_stall_without_completing():
 
 def test_run_honest_pair_raises_on_non_completion(monkeypatch):
     import protolab.runner as runner_mod
-    from protolab.roles import DeadlockError
 
     real = runner_mod.execute_scripted
 

@@ -527,22 +527,20 @@ def rescan(sc, node, parent):
     return None if rep.holds else f"{rep.name}: {rep.witness}"
 
 
-def facts_of(state, me):
+def facts_of(state):
     """The facts a search node carries, gathered from its whole state: the
-    nonces invented, with their positions, each user's justified nonces,
-    and the positions of the messages that the intruder `me` (None: there is
-    none) cannot read."""
+    nonces invented, with their positions, and each user's justified
+    nonces."""
     invented, justified = {}, {}
     invariants._reused(invented, state.history, 0)
     invariants._justify(justified, state.history)
-    opaque = () if me is None else closure(state, me).observed_opaque
-    return invented, justified, opaque
+    return invented, justified
 
 
 def macro_starts(searcher, node):
     """Every macro start from a node, and the facts it was built from,
     with its facts and codes rebuilt from its whole state."""
-    facts = facts_of(node.state, searcher.intruder and searcher.intruder[0])
+    facts = facts_of(node.state)
     codes = searcher.encoder.codes(node)
     starts = searcher._machine_starts(node, codes)
     return starts + list(searcher._intruder_starts(node, facts, codes)), facts
@@ -983,27 +981,33 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     monkeypatch, name, max_steps, invents, content
 ):
     # at every micro state of a full exploration the intruder's known items
-    # and opaque positions that the search carries are those its closure
-    # rebuilds, and every receive it steps takes the message the receive
-    # rule's scan finds; at every node it reaches, its machine starts are
-    # the enabled entries with those indices, and the intruder's starts are
-    # those of the moves its closure, its inventions and the pending copies
-    # counted over the whole history give, each with its consumers
+    # that the search carries are those its closure rebuilds, the knowledge
+    # it hands `legal_moves` is the closure, opaque positions included, and
+    # every receive it steps takes the message the receive rule's scan
+    # finds; at every node it reaches, its machine starts are the enabled
+    # entries with those indices, and the intruder's starts are those of the
+    # moves its closure, its inventions and the pending copies counted over
+    # the whole history give, each with its consumers
     sc = _bounded(name, max_steps, invents)
     sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
-    me = sc.intruder.user
+    me, root = sc.intruder.user, runner.build_execution(sc).config.state
     check, starts = _Searcher.safety_violation, _Searcher._machine_starts
     moves, real_apply = _Searcher._intruder_starts, search.apply_entry
+    generate = search.legal_moves
     counts = Counter()
 
     def checking(searcher, node, parent, facts):
         found = check(searcher, node, parent, facts)
         if me is not None:
-            know = closure(node.state, me)
-            assert found[1][2] == know.observed_opaque
-            assert searcher.known(found[1]) == know.known_items
+            assert searcher.known(found[1]) == closure(node.state, me).known_items
             counts["facts"] += 1
         return found
+
+    def generating(knowledge, max_content, max_invents, waiting, history):
+        # a node's users are the root's, so its state is the root's with its history
+        assert knowledge == closure(replace(root, history=history), me)
+        counts["knowledge"] += 1
+        return generate(knowledge, max_content, max_invents, waiting, history)
 
     def starting(searcher, node, codes):
         got = starts(searcher, node, codes)
@@ -1035,6 +1039,7 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     monkeypatch.setattr(_Searcher, "safety_violation", checking)
     monkeypatch.setattr(_Searcher, "_machine_starts", starting)
     monkeypatch.setattr(search, "apply_entry", applying)
+    monkeypatch.setattr(search, "legal_moves", generating)
     if me is not None:
         monkeypatch.setattr(_Searcher, "_intruder_starts", moving)
     verdict = explore(sc, spec=SPEC_INV)
@@ -1043,6 +1048,53 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     assert counts["starts"] == verdict.states and counts["receives"] > 0
     if me is not None:
         assert counts["facts"] > verdict.states and counts["moves"] > 0
+        assert counts["knowledge"] > 0
+
+
+# ── the search's counters ───────────────────────────────────────────────────
+
+# (scenario, spec, step bound) and what its search does: (states, keys,
+# `legal_moves` calls, moves generated, intruder moves applied, micro-steps
+# applied).  The benchmark's tracer reports these counts of attack-ns,
+# certify-nsl and scale-nsl; a change that moves one on purpose names it.
+SEARCH_COUNTS = [
+    ("ns-search", "post-ns", 14, (54, 77, 47, 61, 48, 160)),
+    ("nsl-search", "all", 64, (21, 21, 21, 13, 8, 42)),
+    ("two-senders", "all", 10, (65, 97, 55, 55, 29, 250)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,spec,max_steps,expected",
+    SEARCH_COUNTS,
+    ids=[f"{n}-{s}-steps{m}" for n, s, m, _ in SEARCH_COUNTS],
+)
+def test_the_search_counters_are_pinned(monkeypatch, name, spec, max_steps, expected):
+    sc = _bounded(name, max_steps)
+    counts = Counter()
+    key, generate, apply = search._node_key, search.legal_moves, search.apply_entry
+
+    def keying(*args):
+        counts["keys"] += 1
+        return key(*args)
+
+    def generating(*args):
+        moves = generate(*args)
+        counts["calls"] += 1
+        counts["moves"] += len(moves)
+        return moves
+
+    def applying(config, entry, *rest):
+        counts["steps"] += 1
+        counts["intruder"] += entry[0] == "intruder"
+        return apply(config, entry, *rest)
+
+    monkeypatch.setattr(search, "_node_key", keying)
+    monkeypatch.setattr(search, "legal_moves", generating)
+    monkeypatch.setattr(search, "apply_entry", applying)
+    verdict = explore(sc, spec=spec)
+    got = (verdict.states, *(counts[k] for k in ("keys", "calls", "moves", "intruder", "steps")))
+    assert got == expected
 
 
 # ── each successor built once, keyed exactly ─────────────────────────────────
