@@ -19,6 +19,7 @@ import argparse
 import sys
 from functools import cache
 
+from .model import count
 from .runner import build_execution, check_refinement, execute_scripted, replay_doc
 from .scenario import ScenarioError, load_scenario
 from .search import explore
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p = sub.add_parser("explore", help="bounded exhaustive search")
     explore_p.add_argument("scenario")
     explore_p.add_argument("--spec", choices=SPEC_CHOICES, default="all")
-    explore_p.add_argument("--max-steps", type=int, default=None)
+    explore_p.add_argument("--max-steps", type=count, default=None)
     explore_p.add_argument("--trace-out", default=None)
     explore_p.add_argument("--no-ghost", action="store_true")
 

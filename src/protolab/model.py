@@ -36,6 +36,32 @@ class Nonce:
     def __repr__(self) -> str:
         return f"n{self.ix}"
 
+    @classmethod
+    def named(cls, name: str) -> Nonce:
+        """The nonce whose `repr` is `name`: `n` and a count of 1 or more.
+        Raises ValueError on any other text."""
+        if name[:1] != "n" or name == "n0":
+            raise ValueError(f"invalid nonce name: {name!r}")
+        return cls(count(name[1:]))
+
+
+def count(text: str) -> int:
+    """The count whose `str` is `text`: `0`, or ASCII digits with no leading
+    zero.  This is the package's one reader of an int from text.  Like
+    `int`, it raises ValueError on any other text, and on a numeral longer
+    than Python converts (4,300 digits by default), so argparse takes it as
+    a `type`."""
+    if not (text.isdigit() and text.isascii()) or (text[0] == "0" and text != "0"):
+        raise ValueError(f"invalid count: {text!r}")
+    return int(text)
+
+
+def nonce_like(text: str) -> bool:
+    """Whether `text` is `n` and decimal digits of any script: a nonce name,
+    or a misspelling of one.  No principal id may look like one, and a
+    trace item that does must be a nonce name."""
+    return text[:1] == "n" and text[1:].isdecimal()
+
 
 Item = Union[Nonce, Uid]
 

@@ -25,7 +25,6 @@ verified digest by digest.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 
 from .crypto import ConcreteMedium, KeyRegistry, abstract_of, registry_from_state
@@ -37,7 +36,7 @@ from .intruder import (
     apply_move,
     closure,
 )
-from .model import GlobalState, Sid, Uid, initial_state, is_uid, open_session
+from .model import GlobalState, Sid, Uid, count, initial_state, is_uid, open_session
 from .roles import (
     ABSTRACT,
     IllegalMove,
@@ -389,11 +388,16 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
             if ev.stmt == "invent-nonce":
                 schedule.append(("intruder", InventNonce()))
             elif ev.stmt == "replay":
-                if ev.arg is None or not re.fullmatch("[0-9]+", ev.arg):
+                try:
+                    index = count(ev.arg or "")
+                except ValueError:
                     raise TraceError(f"event {ev.index}: replay needs a history index")
-                schedule.append(("intruder", ReplayOpaque(int(ev.arg))))
+                schedule.append(("intruder", ReplayOpaque(index)))
             elif ev.stmt == "compose":
-                parsed = parse_message_text(ev.action_text)
+                try:
+                    parsed = parse_message_text(ev.action_text)
+                except TraceError as exc:
+                    raise TraceError(f"event {ev.index}: field 'act': {exc}")
                 if parsed["kind"] == "msg":
                     rec = parsed["rec"]
                 else:

@@ -10,10 +10,13 @@ allowed.  Grammar:
     bounds max_steps=<n> max_content_len=<n> max_intruder_invents=<n> max_sessions_per_user=<n>
     level <abstract|concrete>
 
-Exactly one `intruder` record is required.  A sender may omit `peer=` only
-in search scenarios, where the explorer enumerates the choice.  Principal
-ids must not look like nonce names (`n<digits>`).  Runs are seed-free:
-everything downstream is deterministic in this file plus the flags.
+Each bound `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
+digits with no leading zero (`model.count`); a sign, an underscore, a
+leading zero or a non-ASCII digit is malformed.  Exactly one `intruder`
+record is required.  A sender may omit `peer=` only in search scenarios,
+where the explorer enumerates the choice.  Principal ids must not look like
+nonce names (`n` followed by digits).  Runs are seed-free: everything
+downstream is deterministic in this file plus the flags.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import Sid, Uid
+from .model import Sid, Uid, count, nonce_like
 from .roles import RoleKind, Variant
 
 HEADER = "protolab-scenario v1"
 
 _UID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-_NONCE_LIKE_RE = re.compile(r"^n\d+$")
 
 
 class ScenarioError(Exception):
@@ -128,15 +130,15 @@ def _parse_bool(value: str, record: str, field: str) -> bool:
     raise ScenarioError(f"{record}: field {field!r} must be true or false, got {value!r}")
 
 
-def _parse_int(value: str, record: str, field: str) -> int:
+def _parse_count(value: str, record: str, field: str) -> int:
     try:
-        return int(value)
+        return count(value)
     except ValueError:
-        raise ScenarioError(f"{record}: field {field!r} must be an integer, got {value!r}")
+        raise ScenarioError(f"{record}: field {field!r} must be a count, got {value!r}")
 
 
 def _check_uid(value: str, record: str, field: str) -> Uid:
-    if not _UID_RE.match(value) or _NONCE_LIKE_RE.match(value):
+    if not _UID_RE.match(value) or nonce_like(value):
         raise ScenarioError(f"{record}: field {field!r} is not a valid principal id: {value!r}")
     return value
 
@@ -223,7 +225,7 @@ def parse_scenario(text: str) -> Scenario:
             if set(kv) != set(_BOUND_FIELDS):
                 raise ScenarioError(f"bounds: expected fields {sorted(_BOUND_FIELDS)}")
             bounds = SearchBounds(
-                **{name: _parse_int(kv[name], "bounds", name) for name in _BOUND_FIELDS}
+                **{name: _parse_count(kv[name], "bounds", name) for name in _BOUND_FIELDS}
             )
         elif record == "level":
             if level is not None:
@@ -279,10 +281,10 @@ def _validate(scenario: Scenario) -> None:
     per_user: dict[Uid, int] = {}
     for role in scenario.roles:
         per_user[role.user] = per_user.get(role.user, 0) + 1
-    for uid, count in per_user.items():
-        if count > scenario.bounds.max_sessions_per_user:
+    for uid, held in per_user.items():
+        if held > scenario.bounds.max_sessions_per_user:
             raise ScenarioError(
-                f"role: user {uid!r} has {count} sessions, above max_sessions_per_user"
+                f"role: user {uid!r} has {held} sessions, above max_sessions_per_user"
             )
 
 

@@ -13,6 +13,12 @@ is for demonstration only and cannot be replayed.
     verdict spec=<id> holds=<true|false> [detail="..."]
     end events=<n>
 
+Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII digits
+with no leading zero (`model.count`).  A nonce in an action is written as
+its name, `n` and a count of 1 or more (`Nonce.named`); an item that is `n`
+followed by digits of any other spelling, such as `n01` or `n0`, is
+malformed.
+
 Digests cover the global state, all machine states and the inbox, so a
 replay diverging anywhere is caught at the first differing event.
 """
@@ -30,6 +36,8 @@ from .model import (
     Invent,
     Msg,
     Nonce,
+    count,
+    nonce_like,
     render_content,
     render_item,
 )
@@ -284,9 +292,16 @@ def render_trace(doc: TraceDoc, no_ghost: bool = False) -> str:
 
 
 _EVENT_RE = re.compile(
-    r"^event i=([0-9]+) actor=(\S+) stmt=(\S+?)(?: arg=(\S+))? act=(\S+) digest=([0-9a-f]{12})$"
+    r"^event i=(\S+) actor=(\S+) stmt=(\S+?)(?: arg=(\S+))? act=(\S+) digest=([0-9a-f]{12})$"
 )
 _VERDICT_RE = re.compile(r'^verdict spec=(\S+) holds=(true|false)(?: detail="(.*)")?$')
+
+
+def _count(value: str, record: str, field: str) -> int:
+    try:
+        return count(value)
+    except ValueError:
+        raise TraceError(f"{record}: field {field!r} must be a count, got {value!r}")
 
 
 def parse_trace(text: str) -> TraceDoc:
@@ -319,7 +334,7 @@ def parse_trace(text: str) -> TraceDoc:
             if act.startswith(("msg(", "wire(")) and "ghost:" not in act:
                 # observable-only projections drop information replay needs
                 raise TraceError("event: trace was rendered without ghost data; not replayable")
-            events.append(TraceEvent(int(index), actor, stmt, arg, act, digest))
+            events.append(TraceEvent(_count(index, "event", "i"), actor, stmt, arg, act, digest))
         elif line.startswith("verdict "):
             m = _VERDICT_RE.match(line)
             if not m:
@@ -327,10 +342,10 @@ def parse_trace(text: str) -> TraceDoc:
             spec, holds, detail = m.groups()
             verdicts.append((spec, holds == "true", detail or ""))
         elif line.startswith("end "):
-            m = re.match(r"^end events=([0-9]+)$", line)
+            m = re.match(r"^end events=(\S+)$", line)
             if not m:
                 raise TraceError(f"end: malformed record {line!r}")
-            declared_events = int(m.group(1))
+            declared_events = _count(m.group(1), "end", "events")
         else:
             raise TraceError(f"unknown record {line.split(' ', 1)[0]!r}")
     if level not in ("abstract", "concrete"):
@@ -359,16 +374,20 @@ _MSG_RE = re.compile(r"^msg\(rec=([^,]+),ghost:sender=([^,]+),\[([^\]]*)\]\)$")
 _WIRE_RE = re.compile(
     r"^wire\(enc\(([^)]+)\),ghost:sender=([^,]+),ghost:payload=\[([^\]]*)\]\)$"
 )
-_NONCE_RE = re.compile(r"^n(\d+)$")
 
 
 def parse_items(text: str) -> tuple:
+    """The items of a rendered content: a nonce for each nonce name, a
+    principal id for any other token.  A token that looks like a nonce name
+    but is not one is malformed."""
     if not text:
         return ()
     items = []
     for token in text.split(","):
-        m = _NONCE_RE.match(token)
-        items.append(Nonce(int(m.group(1))) if m else token)
+        try:
+            items.append(Nonce.named(token) if nonce_like(token) else token)
+        except ValueError:
+            raise TraceError(f"malformed nonce item {token!r}")
     return tuple(items)
 
 
@@ -391,4 +410,4 @@ def parse_message_text(act: str) -> dict:
             "sender": m.group(2),
             "content": parse_items(m.group(3)),
         }
-    raise TraceError(f"act: cannot parse message text {act!r}")
+    raise TraceError(f"cannot parse message text {act!r}")

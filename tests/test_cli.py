@@ -145,6 +145,22 @@ def test_explore_has_no_workers_flag():
         assert exc.value.code == 2, flag
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["+14", "١٤", "-1", "1_4", "014", "1" * 4400],
+    ids=["signed", "arabic-indic", "negative", "underscored", "leading-zero", "oversized"],
+)
+def test_max_steps_takes_a_count_only(capsys, value):
+    # the flag reads a count as a scenario's bounds do, and argparse names
+    # the flag, not a bounds record the user never wrote
+    with pytest.raises(SystemExit) as exc:
+        run_cli("explore", str(SCENARIOS / "nsl-search.scn"), "--max-steps", value)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --max-steps: invalid count value: {value!r}\n")
+
+
 LOWE_SCRIPT = """protolab-scenario v1
 user A conforms=true
 user B conforms=true
@@ -204,9 +220,9 @@ def _scenario(*records):
     return "\n".join(["protolab-scenario v1", "user A conforms=true", *records]) + "\n"
 
 
-def _bounds(invents=0, sessions=4):
+def _bounds(invents=0, sessions=4, steps=9):
     return (
-        f"bounds max_steps=9 max_content_len=2 max_intruder_invents={invents} "
+        f"bounds max_steps={steps} max_content_len=2 max_intruder_invents={invents} "
         f"max_sessions_per_user={sessions}"
     )
 
@@ -220,12 +236,25 @@ def _trace(old, new):
     return LOWE_TRACE.replace(old, new, 1)
 
 
-def _malformed(record, old, new):
+def _miscounted(old, new, record, field, value):
     """(command, trace, message) for the attack trace with `old` replaced by
-    `new`, which leaves the line holding it malformed."""
-    text = _trace(old, new)
-    line = next(line for line in text.splitlines() if new in line)
-    return "replay", text, f"{record}: malformed record {line!r}"
+    `new`, which misspells the count `value` of `record`'s `field`."""
+    return "replay", _trace(old, new), f"{record}: field {field!r} must be a count, got {value!r}"
+
+
+def _misnamed(name):
+    """(command, trace, message) for the attack trace with event 4 composing
+    `name` where the golden composes the nonce `n1`."""
+    return (
+        "replay",
+        _trace(f"{INTRUDER_COMPOSE} act=msg(rec=B,ghost:sender=I,[A,n1])",
+               f"{INTRUDER_COMPOSE} act=msg(rec=B,ghost:sender=I,[A,{name}])"),
+        f"event 4: field 'act': malformed nonce item {name!r}",
+    )
+
+
+# a numeral longer than Python converts to an int (4,300 digits by default)
+OVERSIZED = "1" * 4400
 
 
 # (command, input text, the whole error line's message): every message names
@@ -234,8 +263,20 @@ MALFORMED_INPUTS = {
     "negative-bound": (
         "run",
         _scenario("intruder none", _bounds(invents=-1)),
-        "bounds: max_intruder_invents must be >= 0",
+        "bounds: field 'max_intruder_invents' must be a count, got '-1'",
     ),
+    # a count is spelled as `str` writes it, though `int` reads all of these
+    **{
+        f"bound-{case}": (
+            "run",
+            _scenario("intruder none", _bounds(steps=steps)),
+            f"bounds: field 'max_steps' must be a count, got {steps!r}",
+        )
+        for case, steps in [
+            ("signed", "+14"), ("underscored", "1_4"), ("leading-zero", "014"),
+            ("arabic-indic", "١٤"),
+        ]
+    },
     "conforms-not-a-bool": (
         "run",
         _scenario("user B conforms=yes", "intruder none"),
@@ -319,8 +360,20 @@ MALFORMED_INPUTS = {
         _trace(INTRUDER_COMPOSE, "i=4 actor=intruder@I#1 stmt=replay arg=٣"),
         "event 4: replay needs a history index",
     ),
-    "event-index-arabic-indic": _malformed("event", "event i=3 ", "event i=٣ "),
-    "end-count-arabic-indic": _malformed("end", "end events=13", "end events=١٣"),
+    "event-index-arabic-indic": _miscounted("event i=3 ", "event i=٣ ", "event", "i", "٣"),
+    "end-count-arabic-indic": _miscounted("end events=13", "end events=١٣", "end", "events", "١٣"),
+    "event-index-leading-zero": _miscounted("event i=1 ", "event i=01 ", "event", "i", "01"),
+    "end-count-leading-zero": _miscounted("end events=13", "end events=013", "end", "events", "013"),
+    "end-count-oversized": _miscounted(
+        "end events=13", f"end events={OVERSIZED}", "end", "events", OVERSIZED
+    ),
+    "replay-index-oversized": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, f"i=4 actor=intruder@I#1 stmt=replay arg={OVERSIZED}"),
+        "event 4: replay needs a history index",
+    ),
+    "compose-arabic-indic-nonce": _misnamed("n١"),
+    "compose-leading-zero-nonce": _misnamed("n01"),
     "unrecognised-key-atom": (
         "replay",
         _trace(

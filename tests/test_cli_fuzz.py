@@ -26,10 +26,17 @@ SOURCES = [("replay", path.read_text()) for path in TRACES] + [
 ]
 ARGV = {"replay": ["replay"], "run": ["run"], "explore": ["explore", "--max-steps", "4"]}
 
+# spellings that `int` or a regex's `\d` would read, but a count or a nonce
+# name does not take: signs, underscores, leading zeros, Arabic-Indic digits,
+# the nonce names `n0`, `n01` and `n١`, and a numeral longer than Python
+# converts to an int
+MISSPELT = ["+14", "1_4", "014", "١٤", "n0", "n01", "n١", "1" * 4400]
 TOKENS = sorted({token for _, text in SOURCES for token in text.split()}) + [
-    "", "=", "x=y", "-1", "999999999", "n1", "Q", '"', "\t"
+    "", "=", "x=y", "-1", "999999999", "n1", "Q", '"', "\t", *MISSPELT
 ]
-VALUES = sorted({token.split("=", 1)[1] for token in TOKENS if "=" in token}) + ["-1", "2.5"]
+VALUES = sorted({token.split("=", 1)[1] for token in TOKENS if "=" in token}) + [
+    "-1", "2.5", *MISSPELT
+]
 
 # a scripted intruder whose principals coincide
 COINCIDING = (SCENARIOS / "lowe-on-ns.scn").read_text().replace("a=A b=B", "a=A b=A")

@@ -193,3 +193,52 @@ def test_an_import_cycle_is_reported():
         "e": "",
     }
     assert modules_on_import_cycles(sources) == ["a", "b", "c"]
+
+
+# ── integer readers ──────────────────────────────────────────────────────────
+
+
+def int_readers(sources: dict[str, str]) -> list[str]:
+    """`module.function` for each place that turns text into an int: a call
+    of `int`, or `int` handed to a call as a converter (`type=int`,
+    `map(int, ...)`), `isinstance` and `issubclass` aside.  `function` is
+    the innermost def around it, `<module>` at the top level."""
+    found = []
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and not (
+                isinstance(child.func, ast.Name) and child.func.id in ("isinstance", "issubclass")
+            ):
+                handed = [child.func, *child.args, *(k.value for k in child.keywords)]
+                if any(isinstance(n, ast.Name) and n.id == "int" for n in handed):
+                    found.append(f"{module}.{where}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_one_function_reads_an_int_from_text():
+    # `int` reads `+14`, `1_4`, `014` and `١٤` alike; every count of a
+    # scenario, a trace and the command line goes through `model.count`,
+    # which takes only the spelling that `str` writes
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert int_readers(sources) == ["model.count"]
+
+
+def test_an_int_reader_is_reported():
+    sources = {
+        "a": "def count(text):\n    return int(text)\nTOP = int('1')\n",
+        "b": (
+            "class P:\n"
+            "    def build(self, p):\n"
+            "        p.add_argument('--n', type=int)\n"
+            "        return list(map(int, ['1'])) if isinstance(p, int) else None\n"
+            "    def typed(self, x: int) -> int:\n"
+            "        return x\n"
+        ),
+    }
+    assert int_readers(sources) == ["a.count", "a.<module>", "b.build", "b.build"]

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protolab.crypto import WireMsg, enc
@@ -18,7 +18,9 @@ from protolab.model import (
     add_knows,
     append_action,
     append_invention,
+    count,
     initial_state,
+    nonce_like,
     open_session,
     select,
     set_complete,
@@ -297,3 +299,50 @@ def test_state_key_ignores_dict_order_and_sees_every_nonce():
     knows = add_knows(one, "A", "A#1", [N1, N2])
     more = add_knows(knows, "A", "A#1", [N3])
     assert knows != more and state_key(knows) != state_key(more)
+
+
+# ── spellings: each count and nonce name has one ────────────────────────────
+
+# arbitrary text, and text drawn from the characters a count or a nonce name
+# is made of or misspelt with: signs, underscores, spaces, non-ASCII digits
+SPELLINGS = st.one_of(st.text(), st.text(alphabet="0123456789n+-_ \n١٤²", max_size=8))
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(SPELLINGS)
+@example("+14")
+@example("-1")
+@example("1_4")
+@example("014")
+@example("00")
+@example("14\n")
+@example("١٤")
+@example("²")
+@example("1" * 4400)
+@example("n0")
+@example("n01")
+@example("n١")
+@example("n+1")
+@example("n1 ")
+def test_what_the_readers_accept_renders_back_to_the_same_text(text):
+    value = _read(count, text)
+    if value is not None:
+        assert str(value) == text
+    nonce = _read(Nonce.named, text)
+    if nonce is not None:
+        assert repr(nonce) == text and nonce.ix >= 1 and nonce_like(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**40))
+def test_the_readers_accept_what_renders(ix):
+    assert count(str(ix)) == ix
+    if ix:
+        assert Nonce.named(repr(Nonce(ix))) == Nonce(ix)
