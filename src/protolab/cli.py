@@ -24,7 +24,7 @@ from .runner import build_execution, check_refinement, execute_scripted, replay_
 from .scenario import ScenarioError, load_scenario
 from .search import explore
 from .specs import SPEC_CHOICES, SPEC_INV, evaluate_run_specs, resolve_spec_names
-from .trace import TraceError, parse_trace, render_trace
+from .trace import TraceError, parse_trace, render_trace, verdict_line
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -36,11 +36,6 @@ EXIT_INCONCLUSIVE = 3
 # directory, unwritable), and text that is not UTF-8 (UnicodeDecodeError is a
 # ValueError).
 INPUT_ERRORS = (ScenarioError, TraceError, OSError, ValueError)
-
-
-def _verdict_line(verdict) -> str:
-    suffix = f' detail="{verdict.detail}"' if verdict.detail else ""
-    return f"verdict spec={verdict.spec} holds={str(verdict.holds).lower()}{suffix}"
 
 
 def _emit_trace(text: str, trace_out: str | None, out) -> None:
@@ -61,7 +56,7 @@ def cmd_run(args, out) -> int:
     _emit_trace(text, args.trace_out, out)
     if args.trace_out:
         for verdict in verdicts:
-            out.write(_verdict_line(verdict) + "\n")
+            out.write(verdict_line(verdict.spec, verdict.holds, verdict.detail) + "\n")
     return EXIT_OK if all(v.holds for v in verdicts) else EXIT_VIOLATION
 
 
@@ -71,7 +66,7 @@ def cmd_explore(args, out) -> int:
         scenario = scenario.with_max_steps(args.max_steps)
     verdict = explore(scenario, spec=args.spec)
     out.write(f"states explored: {verdict.states}\n")
-    out.write(_verdict_line(verdict) + "\n")
+    out.write(verdict_line(verdict.spec, verdict.holds, verdict.detail) + "\n")
     if verdict.inconclusive:
         return EXIT_INCONCLUSIVE
     if verdict.holds:

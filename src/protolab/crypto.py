@@ -31,8 +31,7 @@ class UnknownKey(Exception):
 
 @dataclass(frozen=True)
 class DecryptFailure:
-    """Returned (not raised) when a secret key does not match; roles treat
-    the carrying message as unreadable."""
+    """Returned (not raised) when a secret key does not match."""
 
 
 DECRYPT_FAILED = DecryptFailure()
@@ -131,8 +130,8 @@ def abstract_of(wire_history: Sequence, registry: KeyRegistry) -> tuple:
 
 
 class ConcreteMedium:
-    """Wire-level medium: sends encrypt for the target's public key, receives
-    succeed only where decryption does."""
+    """Wire-level medium: sends encrypt for the target's public key, and a
+    message's `readers` are the users whose secret key decrypts it."""
 
     level = "concrete"
 
@@ -151,21 +150,11 @@ class ConcreteMedium:
     def send_action(self, owner: Uid, target: Uid, items: Sequence[Item]):
         return WireMsg(body=enc(tuple(items), self.registry.pkeys[target]), ghost_sender=owner)
 
-    def readable(self, action, me: Uid):
-        if isinstance(action, WireMsg):
-            out = dec(action.body, self.registry.skeys[me], self.registry)
-            if not isinstance(out, DecryptFailure):
-                return out
-        return None
-
     def readers(self, action) -> tuple:
-        """Who can read `action`, and its content."""
+        """Who can read `action`, and its content ((), None: no message)."""
         if isinstance(action, WireMsg):
             return self._keyholders.get(action.body.pk, ()), action.body._payload
         return (), None
-
-    def is_message(self, action) -> bool:
-        return isinstance(action, WireMsg)
 
     def replay_action(self, action, me: Uid):
         return WireMsg(body=action.body, ghost_sender=me)

@@ -70,10 +70,10 @@ def closure(state: GlobalState, me: Uid, medium=ABSTRACT) -> IntruderKnowledge:
             if act.user == me:
                 known.add(act.what)
             continue
-        items = medium.readable(act, me)
-        if items is not None:
-            known.update(items)
-        elif medium.is_message(act):
+        users, content = medium.readers(act)
+        if me in users:
+            known.update(content)
+        elif content is not None:
             opaque.append(index)
     return IntruderKnowledge(frozenset(known), tuple(opaque))
 
@@ -92,9 +92,9 @@ def legal_moves(
     receive could consume, by history index.
 
     `waiting` maps a recipient to the kind patterns of its receives that are
-    waiting (a dict keyed by pattern will do).  Compositions are built from
-    those patterns, position by position from the pool items of each
-    position's kind, never generated and then filtered: the result equals
+    waiting.  Compositions are built from those patterns, position by
+    position from the pool items of each position's kind, never generated
+    and then filtered: the result equals
     every recipient x pool^1..max_content composition whose `kinds_of` is
     one of its recipient's patterns, in the same item_key-lexicographic
     order.  A replay of the opaque message at `history[index]` is offered
@@ -163,13 +163,13 @@ def apply_move(
         if not 0 <= move.index < len(state.history):
             raise IllegalMove(f"replay index {move.index} is outside the history")
         original = state.history[move.index]
-        if not medium.is_message(original):
+        if medium.readers(original)[1] is None:
             raise IllegalMove(f"replay index {move.index} does not name a message")
         state = append_action(state, medium.replay_action(original, me))
     else:
         raise IllegalMove(f"unknown intruder move {move!r}")
-    read = medium.readable(state.history[-1], me)
-    nonces = {i for i in (known.union(read) if read else known) if isinstance(i, Nonce)}
+    users, read = medium.readers(state.history[-1])
+    nonces = {i for i in (known.union(read) if me in users else known) if isinstance(i, Nonce)}
     record = state.users[me].knows.get(session)
     if record is not None and nonces <= record:
         return state
@@ -190,18 +190,14 @@ class LoweScript:
 
     def pending_move(self, state: GlobalState, medium=ABSTRACT) -> Compose | None:
         for act in state.history:
-            items = medium.readable(act, self.me)
-            if items is None:
+            users, items = medium.readers(act)
+            if self.me not in users:
                 continue
-            forward: Sequence[Item] | None = None
-            if len(items) == 2 and items[0] == self.victim_a and is_nonce(items[1]):
-                forward = items
-            elif len(items) == 1 and is_nonce(items[0]):
-                forward = items
-            if forward is None:
-                continue
-            if not self._already_sent(state, tuple(forward), medium):
-                return Compose(rec=self.victim_b, content=tuple(forward))
+            # the first victim's opener, or the nonce it sends back
+            opener = len(items) == 2 and items[0] == self.victim_a and is_nonce(items[1])
+            if opener or (len(items) == 1 and is_nonce(items[0])):
+                if not self._already_sent(state, tuple(items), medium):
+                    return Compose(rec=self.victim_b, content=tuple(items))
         return None
 
     def _already_sent(self, state: GlobalState, items: tuple[Item, ...], medium) -> bool:

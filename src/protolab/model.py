@@ -7,7 +7,7 @@ highest nonce index in its history, so the next invention reads the state
 alone, and the module keeps nothing between calls.  The `sender` field of
 a message is ghost data: it records the true originator for checking
 purposes, and role code never sees it, since roles read a message's content
-only through their medium (`readable`, `readers`).
+only through their medium (`readers`).
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ def count(text: str) -> int:
     if not (text.isdigit() and text.isascii()) or (text[0] == "0" and text != "0"):
         raise ValueError(f"invalid count: {text!r}")
     return int(text)
+
+
+def shown(text: str) -> str:
+    """`text` as a diagnostic echoes it: past 40 characters, its first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def nonce_like(text: str) -> bool:

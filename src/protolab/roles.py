@@ -5,8 +5,7 @@ original protocol (NS) or the identity-checked variant (NSL), one statement
 per step.  Sends and receives go through a medium object so the same
 statement code drives both the abstract level (messages readable only by
 their recipient) and the encrypted wire level.  A medium keeps nothing: it
-builds and re-emits actions and says who can read one (`readable`,
-`readers`).
+builds and re-emits actions and says who reads one, and what (`readers`).
 
 A step is taken only when it is enabled (`can_fire`): the machine is
 running, a sender at its set-partner has a partner, and a receive has a
@@ -14,14 +13,14 @@ message to consume.  Any other step raises `IllegalMove`; nothing blocks
 and no step is a no-op.
 
 Receive semantics: a receive consumes the most recent unread message that
-is readable by the owner and whose content matches the statement's pattern
-by arity and item kind: the content's `kinds_of` is the pattern.  The
-caller hands `step` its history index (`found`, None: there is none), and
-runs and the search find it by that kind pattern.  Messages that do not
-match are left unread for other machines of the same owner.  The NSL
-initiator additionally checks that the identity claimed in the reply
-equals the intended partner and aborts on mismatch; both variants abort
-when a returned nonce is not the one expected.
+the owner reads and whose content matches the statement's pattern by arity
+and item kind: the content's `kinds_of` is the pattern.  `takes` alone
+applies that rule, for runs, the search and its intruder fusion, and the
+caller hands `step` the index it picked (`found`, None: there is none).
+Messages that do not match are left unread for other machines of the same
+owner.  The NSL initiator additionally checks that the identity claimed in
+the reply equals the intended partner and aborts on mismatch; both
+variants abort when a returned nonce is not the one expected.
 """
 
 from __future__ import annotations
@@ -156,19 +155,11 @@ class AbstractMedium:
     def send_action(self, owner: Uid, target: Uid, items: Sequence[Item]):
         return Msg(rec=target, sender=owner, content=tuple(items))
 
-    def readable(self, action, me: Uid):
-        if isinstance(action, Msg) and action.rec == me:
-            return action.content
-        return None
-
     def readers(self, action) -> tuple:
-        """Who can read `action`, and its content."""
+        """Who can read `action`, and its content ((), None: no message)."""
         if isinstance(action, Msg):
             return (action.rec,), action.content
         return (), None
-
-    def is_message(self, action) -> bool:
-        return isinstance(action, Msg)
 
     def replay_action(self, action, me: Uid):
         """Verbatim re-emission; only the ghost originator changes."""
@@ -229,13 +220,6 @@ class Inbox:
 
     consumed: tuple[tuple[Uid, frozenset[int]], ...] = ()
 
-    def consumed_for(self, uid: Uid) -> frozenset[int]:
-        entries = self.consumed
-        pos = bisect_left(entries, uid, key=_first)
-        if pos < len(entries) and entries[pos][0] == uid:
-            return entries[pos][1]
-        return frozenset()
-
     def consume(self, uid: Uid, index: int) -> Inbox:
         entries = self.consumed
         pos = bisect_left(entries, uid, key=_first)
@@ -248,9 +232,9 @@ _first = itemgetter(0)
 
 
 def kinds_match(items: Sequence[Item], pattern: Sequence[str]) -> bool:
-    """Whether `items` match `pattern`.  The program looks a content up
-    under its `kinds_of` instead and never calls this; it stays because
-    perfbench's tracer names it."""
+    """Whether `items` match `pattern`.  The program compares a content's
+    `kinds_of` with a pattern instead and never calls this; it stays
+    because perfbench's tracer names it."""
     return kinds_of(items) == tuple(pattern)
 
 
@@ -258,6 +242,19 @@ def kinds_of(items: Sequence[Item]) -> tuple[str, ...]:
     """The one receive pattern that `items` match: its kind per position,
     "n" for a nonce and "u" for a user."""
     return tuple(["n" if item.__class__ is Nonce else "u" for item in items])
+
+
+def takes(machine: RoleMachine, unread) -> tuple[int, tuple] | None:
+    """The (history index, content) the receive of `machine` takes from
+    `unread`, its owner's unread mail oldest first: the newest whose
+    `kinds_of` is its pattern.  None: there is none, or no receive waits."""
+    if machine.status is _RUNNING:
+        stmt = machine.current()
+        if stmt.__class__ is RecvStmt:
+            for taken in reversed(unread):
+                if kinds_of(taken[1]) == stmt.pattern:
+                    return taken
+    return None
 
 
 def can_fire(machine: RoleMachine, found: int | None) -> bool:
@@ -324,10 +321,10 @@ def step(
     """Execute one enabled statement; raise IllegalMove for a step that is
     not enabled (see `can_fire`; a set-partner with no fixed peer takes
     `chosen_peer`).  A receive takes the message at history index `found`,
-    which the caller found by the receive rule (see the module docstring);
-    None means there is nothing to receive.  A failed content check
-    consumes the message and aborts the machine.  The successor machine and
-    each changed state record are built once, directly."""
+    which the caller picked with `takes`; None means there is nothing to
+    receive.  A failed content check consumes the message and aborts the
+    machine.  The successor machine and each changed state record are
+    built once, directly."""
     if machine.status is not _RUNNING:
         raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
     stmt = machine.current()
@@ -358,8 +355,8 @@ def step(
     if isinstance(stmt, RecvStmt):
         if found is None:
             raise IllegalMove(f"{machine.actor_id} has nothing to receive")
-        items = medium.readable(state.history[found], machine.owner)
-        assert items is not None
+        readers, items = medium.readers(state.history[found])
+        assert machine.owner in readers
         bound = dict(zip(stmt.binds, items))
         inbox = inbox.consume(machine.owner, found)
         merged = _with_locals(machine, bound)

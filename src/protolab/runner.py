@@ -41,16 +41,15 @@ from .roles import (
     ABSTRACT,
     IllegalMove,
     Inbox,
-    RecvStmt,
     RoleKind,
     RoleMachine,
     SetPartner,
     Status,
     Variant,
     can_fire,
-    kinds_of,
     make_machine,
     step,
+    takes,
 )
 from .scenario import (
     IntruderDecl,
@@ -120,16 +119,16 @@ def apply_entry(
 
 
 _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}
-_RUNNING, _ABORTED = Status.RUNNING, Status.ABORTED
+_ABORTED = Status.ABORTED
 
 
 @dataclass
 class TraceRun:
     """A run record, filled in as the run executes: the configuration
     reached, every state after the initial one, and each step's trace event.
-    The scenario's level chose the medium.  `mail` maps (user, kind
-    pattern) to the unconsumed messages the user can read whose content has
-    that pattern, as history indices, oldest first."""
+    The scenario's level chose the medium.  `mail` maps a user to the
+    unconsumed messages it can read, as {history index: content}, oldest
+    first."""
 
     scenario: Scenario
     config: Config
@@ -170,17 +169,12 @@ class TraceRun:
         return node_digest(config.state, config.machines, config.inbox, self.rendered)
 
     def found(self, index: int) -> int | None:
-        """The history index the receive of machine `index` takes: the
-        newest of its owner's mail that its pattern matches.  None when
-        there is none or the machine is not running at a receive."""
+        """The history index the receive of machine `index` takes from its
+        owner's mail (`takes`).  None when there is none or the machine is
+        not running at a receive."""
         machine = self.config.machines[index]
-        if machine.status is _RUNNING:
-            stmt = machine.current()
-            if stmt.__class__ is RecvStmt:
-                mail = self.mail.get((machine.owner, stmt.pattern))
-                if mail:
-                    return mail[-1]
-        return None
+        taken = takes(machine, self.mail.get(machine.owner, {}).items())
+        return None if taken is None else taken[0]
 
     def advance(self, entry: ScheduleEntry) -> Config:
         """Apply one entry, handing the interpreter what its step reads (a
@@ -196,15 +190,12 @@ class TraceRun:
         after = self.config = apply_entry(before, entry, medium, self.intruder, found, known)
         mail = self.mail
         if found is not None:
-            machine = before.machines[entry[1]]
-            mail[machine.owner, machine.current().pattern].pop()
+            del mail[before.machines[entry[1]].owner][found]
         history = after.state.history
         for index in range(len(before.state.history), len(history)):
             users, content = medium.readers(history[index])
-            if users:
-                kinds = kinds_of(content)
-                for uid in users:
-                    mail.setdefault((uid, kinds), []).append(index)
+            for uid in users:
+                mail.setdefault(uid, {})[index] = content
         return after
 
     def step(self, entry: ScheduleEntry) -> None:

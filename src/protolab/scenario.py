@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .model import Sid, Uid, count, nonce_like
+from .model import Sid, Uid, count, nonce_like, shown
 from .roles import RoleKind, Variant
 
 HEADER = "protolab-scenario v1"
@@ -134,7 +134,7 @@ def _parse_count(value: str, record: str, field: str) -> int:
     try:
         return count(value)
     except ValueError:
-        raise ScenarioError(f"{record}: field {field!r} must be a count, got {value!r}")
+        raise ScenarioError(f"{record}: field {field!r} must be a count, got {shown(value)}")
 
 
 def _check_uid(value: str, record: str, field: str) -> Uid:

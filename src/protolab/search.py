@@ -6,11 +6,11 @@ Stern, *Efficient finite-state analysis for large security protocols*,
 chosen machine on through its invisible statements: a set-partner or an
 invent runs on into the next statement, and a finish runs right after the
 step before it.  An intruder message (a composition or a replay) runs on
-into the receive that consumes it: there is one macro per running machine
-of the recipient whose receive pattern the content matches, and that
-receive takes the new message, since a receive takes the most recent
-unread match: the search hands it the index of the message just sent, and
-the intruder's move the knowledge the node carries.  A finish after that
+into the receive that consumes it: there is one macro per machine of the
+recipient that `roles.takes` the new message when offered it alone, and
+that receive takes it, since a receive takes the most recent unread match:
+the search hands it the index of the message just sent, and the intruder's
+move the knowledge the node carries.  A finish after that
 receive runs on too.  A sender thus takes three transitions, [set-partner,
 invent, send], [recv], [send, finish], a receiver [recv], [invent, send],
 [recv, finish], and the intruder [compose or replay, recv], [compose or
@@ -105,10 +105,11 @@ is exact: two nodes with equal keys have the same successors, up to the
 history positions of their actions, and every reader of the history reads
 only what the key keeps.
 
-- A receive (the receive rule in `roles`) takes the newest unread message
-  to its owner that its pattern matches: the last match in the owner's
-  queue.  The search reads it from the node's pending codes, where an
-  item's kind shows in its code's sign, and hands its index to the step.
+- A receive takes the newest unread message to its owner that its pattern
+  matches: the last match in the owner's queue.  The search asks
+  `roles.takes`, the receive rule, over the owner's pending codes, each
+  read as its message's content, and hands the index it picks to the
+  step.
 - The intruder's `closure` is the user names, the items of the messages to
   the intruder and its own inventions, all sets: the users and the
   intruder's justified nonces in the carried safety facts.  Its opaque
@@ -244,20 +245,20 @@ micro-steps longer than the shortest one.  Identical bounds always
 reproduce the identical verdict, counterexample and state count.
 
 The intruder's messages are built from demand instead of being generated
-and then filtered.  At each node the search groups the waiting receives by
-recipient, then pattern, in one pass (`_Searcher._intruder_starts`).
+and then filtered.  At each node the search groups the waiting receives'
+patterns by recipient, in one pass (`_Searcher._intruder_starts`).
 `legal_moves` composes messages only for a recipient with a waiting
 pattern, position by position from the known items of each position's kind
 (the demand-driven idea of OFMC's lazy intruder, Basin, Moedersheim and
 Vigano, 2005, applied to concrete items), and replays only a message whose
 content's `kinds_of` is a pattern waiting at its recipient.  A message's
-consumers are one lookup under that pattern, so every message the search
-sends is taken at once.  One filter remains: a message is not offered
-while identical unconsumed messages already await the same recipient, as
-many as it has waiting machines the content matches, since consuming
-either copy leads to the same successor states.  Without it the search
-reaches more nodes, with the same verdicts (ns-search: 70 instead of 54,
-nsl-search: 38 instead of 21).
+consumers are the machines of its recipient that `roles.takes` it, so
+every message the search sends is taken at once.  One filter remains: a
+message is not offered while identical unconsumed messages already await
+the same recipient, as many as it has waiting machines the content
+matches, since consuming either copy leads to the same successor states.
+Without it the search reaches more nodes, with the same verdicts
+(ns-search: 70 instead of 54, nsl-search: 38 instead of 21).
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ from .roles import (
     RoleMachine,
     SetPartner,
     Status,
-    kinds_of,
+    takes,
 )
 from .runner import Config, apply_entry, build_execution, execute_schedule
 from .scenario import Scenario, ScenarioError
@@ -304,17 +305,6 @@ def _node_key(node: Config, groups, binds, codes=None) -> tuple:
     the node's codes carried along its links (None: encode it afresh)."""
     codes = codes or _Encoder(node, binds).codes(node)
     return codes[0].key(groups, codes)
-
-
-def _newest(pending: tuple, owner: int, pattern: tuple) -> int | None:
-    """The history index of the newest of the pending messages (codes) to
-    `owner` whose content kinds match `pattern`, by the receive rule in
-    `roles`: a nonce's code is negative and a user's is not."""
-    for rec, index, code in reversed(pending):
-        if rec == owner and len(code) == len(pattern) + 2:
-            if all((c < 0) is (kind == "n") for c, kind in zip(code[2:], pattern)):
-                return index
-    return None
 
 
 def _split(cells: list, order: list, feature) -> list:
@@ -560,19 +550,21 @@ class _Searcher:
     def _machine_starts(self, node: Config, codes: tuple) -> list:
         """The macro starts of the running machines, by position, each as
         (entries, the history index its receive takes or None): a
-        set-partner with no peer yet once per peer, a receive when a pending
-        message to its owner matches its pattern (`_newest`), and any other
+        set-partner with no peer yet once per peer, a receive when it
+        `takes` one of the pending messages to its owner, and any other
         statement."""
         *_, pending, _ = codes
-        starts = []
+        history, starts = node.state.history, []
         for index, machine in enumerate(node.machines):
             if machine.status is not _RUNNING:
                 continue
             stmt = machine.current()
             if stmt.__class__ is RecvStmt:
-                found = _newest(pending, self.owners[index], stmt.pattern)
-                if found is not None:
-                    starts.append((self.alone[index][0], found))
+                owner = self.owners[index]
+                mail = [(i, history[i].content) for to, i, _ in pending if to == owner]
+                taken = takes(machine, mail)
+                if taken is not None:
+                    starts.append((self.alone[index][0], taken[0]))
             elif stmt.__class__ is SetPartner and machine.peer is None:
                 starts.extend(self.choices[index])
             else:
@@ -587,12 +579,11 @@ class _Searcher:
     def _intruder_starts(self, node: Config, facts, codes: tuple):
         """The macro starts the intruder makes at a node: an invention
         alone, and each message together with the receive of each of its
-        consumers, which takes the message just sent.  The waiting receives
-        are grouped by recipient, then pattern, so a message's consumers,
-        the running machines of its recipient whose receive pattern its
-        content matches, are one lookup under its `kinds_of`.  A message is
-        offered while fewer identical pending (unconsumed) copies await its
-        recipient than it has consumers.  The moves read the intruder's
+        consumers, which takes the message just sent: the machines of its
+        recipient that `takes` it.  The patterns of the waiting receives,
+        grouped by recipient, are the demand the moves are built from.  A
+        message is offered while fewer identical pending (unconsumed)
+        copies await its recipient than it has consumers.  The moves read the intruder's
         `closure` (`known`, from the carried facts, and the positions it
         cannot read, off the node's history), its invention count (its
         codes in the nonce table) and the pending copies per (recipient,
@@ -602,13 +593,12 @@ class _Searcher:
             return
         *_, pending, nonces = codes
         history, floor = node.state.history, -len(node.machines)
-        waiting: dict = {}
-        for index, machine in enumerate(node.machines):
+        machines, waiting = node.machines, {}
+        for machine in machines:
             if machine.status is _RUNNING:
                 stmt = machine.current()
                 if stmt.__class__ is RecvStmt:
-                    consumers = waiting.setdefault(machine.owner, {})
-                    consumers.setdefault(stmt.pattern, []).append(index)
+                    waiting.setdefault(machine.owner, []).append(stmt.pattern)
         copies: dict = {}
         for _, index, _ in pending:
             msg = history[index]
@@ -623,7 +613,8 @@ class _Searcher:
                 yield (("intruder", move),), None
                 continue
             msg = history[move.index] if move.__class__ is ReplayOpaque else move
-            consumers = waiting[msg.rec][kinds_of(msg.content)]
+            mail = ((sent, msg.content),)
+            consumers = [i for i, m in enumerate(machines) if m.owner == msg.rec and takes(m, mail)]
             if copies.get((msg.rec, msg.content), 0) < len(consumers):
                 for index in consumers:
                     yield (("intruder", move), ("machine", index, None)), sent

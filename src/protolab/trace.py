@@ -13,11 +13,12 @@ is for demonstration only and cannot be replayed.
     verdict spec=<id> holds=<true|false> [detail="..."]
     end events=<n>
 
-Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII digits
-with no leading zero (`model.count`).  A nonce in an action is written as
-its name, `n` and a count of 1 or more (`Nonce.named`); an item that is `n`
-followed by digits of any other spelling, such as `n01` or `n0`, is
-malformed.
+The `level`, `init` and `end` records appear once, and a verdict names one
+spec.  Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
+digits with no leading zero (`model.count`).  A nonce in any event's action
+is written as its name, `n` and a count of 1 or more (`Nonce.named`); an
+item that is `n` followed by digits of any other spelling, such as `n01` or
+`n0`, is malformed.
 
 Digests cover the global state, all machine states and the inbox, so a
 replay diverging anywhere is caught at the first differing event.
@@ -40,8 +41,10 @@ from .model import (
     nonce_like,
     render_content,
     render_item,
+    shown,
 )
 from .roles import Inbox, RoleMachine
+from .specs import resolve_spec_names
 
 HEADER = "protolab-trace v1"
 
@@ -273,6 +276,12 @@ def strip_ghost(action_text: str) -> str:
     return _GHOST_FIELD_RE.sub("", action_text)
 
 
+def verdict_line(spec: str, holds: bool, detail: str) -> str:
+    """A verdict record, as a trace and the command line write it."""
+    suffix = f' detail="{detail}"' if detail else ""
+    return f"verdict spec={spec} holds={str(holds).lower()}{suffix}"
+
+
 def render_trace(doc: TraceDoc, no_ghost: bool = False) -> str:
     lines = [HEADER, f"level {doc.level}"]
     for line in doc.scenario_text.strip().splitlines():
@@ -284,9 +293,7 @@ def render_trace(doc: TraceDoc, no_ghost: bool = False) -> str:
         lines.append(
             f"event i={ev.index} actor={ev.actor} stmt={ev.stmt}{arg} act={act} digest={ev.digest}"
         )
-    for spec, holds, detail in doc.verdicts:
-        suffix = f' detail="{detail}"' if detail else ""
-        lines.append(f"verdict spec={spec} holds={str(holds).lower()}{suffix}")
+    lines.extend(verdict_line(*verdict) for verdict in doc.verdicts)
     lines.append(f"end events={len(doc.events)}")
     return "\n".join(lines) + "\n"
 
@@ -295,13 +302,15 @@ _EVENT_RE = re.compile(
     r"^event i=(\S+) actor=(\S+) stmt=(\S+?)(?: arg=(\S+))? act=(\S+) digest=([0-9a-f]{12})$"
 )
 _VERDICT_RE = re.compile(r'^verdict spec=(\S+) holds=(true|false)(?: detail="(.*)")?$')
+_VERDICT_SPECS = resolve_spec_names("all")
+_SPEC_NAMES = ", ".join(_VERDICT_SPECS[:-1]) + " or " + _VERDICT_SPECS[-1]
 
 
 def _count(value: str, record: str, field: str) -> int:
     try:
         return count(value)
     except ValueError:
-        raise TraceError(f"{record}: field {field!r} must be a count, got {value!r}")
+        raise TraceError(f"{record}: field {field!r} must be a count, got {shown(value)}")
 
 
 def parse_trace(text: str) -> TraceDoc:
@@ -318,10 +327,14 @@ def parse_trace(text: str) -> TraceDoc:
         if not line.strip():
             continue
         if line.startswith("level "):
+            if level is not None:
+                raise TraceError("level: duplicate record")
             level = line.split(" ", 1)[1]
         elif line.startswith("scn "):
             scn_lines.append(line[4:])
         elif line.startswith("init "):
+            if init_digest is not None:
+                raise TraceError("init: duplicate record")
             m = re.match(r"^init digest=([0-9a-f]{12})$", line)
             if not m:
                 raise TraceError(f"init: malformed record {line!r}")
@@ -340,8 +353,12 @@ def parse_trace(text: str) -> TraceDoc:
             if not m:
                 raise TraceError(f"verdict: malformed record {line!r}")
             spec, holds, detail = m.groups()
+            if spec not in _VERDICT_SPECS:
+                raise TraceError(f"verdict: field 'spec' must be {_SPEC_NAMES}, got {shown(spec)}")
             verdicts.append((spec, holds == "true", detail or ""))
         elif line.startswith("end "):
+            if declared_events is not None:
+                raise TraceError("end: duplicate record")
             m = re.match(r"^end events=(\S+)$", line)
             if not m:
                 raise TraceError(f"end: malformed record {line!r}")
@@ -359,6 +376,11 @@ def parse_trace(text: str) -> TraceDoc:
     for pos, ev in enumerate(events, start=1):
         if ev.index != pos:
             raise TraceError(f"event: index {ev.index} out of order (expected {pos})")
+        if ev.action_text != "-":
+            try:
+                action_items(ev.action_text)
+            except TraceError as exc:
+                raise TraceError(f"event {pos}: field 'act': {exc}")
     return TraceDoc(
         level=level,
         scenario_text="\n".join(scn_lines) + "\n",
@@ -374,6 +396,7 @@ _MSG_RE = re.compile(r"^msg\(rec=([^,]+),ghost:sender=([^,]+),\[([^\]]*)\]\)$")
 _WIRE_RE = re.compile(
     r"^wire\(enc\(([^)]+)\),ghost:sender=([^,]+),ghost:payload=\[([^\]]*)\]\)$"
 )
+_INVENT_RE = re.compile(r"^invent\(([^)]*)\)$")
 
 
 def parse_items(text: str) -> tuple:
@@ -389,6 +412,15 @@ def parse_items(text: str) -> tuple:
         except ValueError:
             raise TraceError(f"malformed nonce item {token!r}")
     return tuple(items)
+
+
+def action_items(act: str) -> tuple:
+    """The items of a rendered action: an invention's user and nonce, or a
+    message's content."""
+    m = _INVENT_RE.match(act)
+    if m:
+        return parse_items(m.group(1))
+    return parse_message_text(act)["content"]
 
 
 def parse_message_text(act: str) -> dict:

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from protolab.model import is_nonce, is_uid
+from protolab.crypto import DECRYPT_FAILED, WireMsg, dec
+from protolab.model import Msg, is_nonce, is_uid
 from protolab.roles import RecvStmt, Status
 from protolab.search import _Searcher, explore
 
@@ -64,19 +65,33 @@ def kinds_match(items, pattern) -> bool:
     )
 
 
+def reads(medium, action, uid):
+    """The content `uid` reads of `action` through `medium`, or None: at the
+    abstract level the recipient a message names (`Msg.rec`), at the wire
+    level a user whose secret key decrypts it (`crypto.dec`).  A reference
+    for the media's `readers`, so it never asks them."""
+    if medium.registry is None:
+        return action.content if isinstance(action, Msg) and action.rec == uid else None
+    if isinstance(action, WireMsg):
+        out = dec(action.body, medium.registry.skeys[uid], medium.registry)
+        if out is not DECRYPT_FAILED:
+            return out
+    return None
+
+
 def reference_find_match(machine, state, inbox, medium):
     """The history index a machine's receive takes, by the receive rule as
-    a scan of the whole history, newest first, asking `medium.readable`
-    about each entry it passes; None when nothing matches or the machine is
-    not running at a receive."""
+    a scan of the whole history, newest first, asking `reads` about each
+    entry it passes; None when nothing matches or the machine is not
+    running at a receive."""
     if machine.status is not Status.RUNNING or not isinstance(machine.current(), RecvStmt):
         return None
     pattern = machine.current().pattern
-    taken = inbox.consumed_for(machine.owner)
+    taken = dict(inbox.consumed).get(machine.owner, ())
     for index in range(len(state.history) - 1, -1, -1):
         if index in taken:
             continue
-        items = medium.readable(state.history[index], machine.owner)
+        items = reads(medium, state.history[index], machine.owner)
         if items is not None and kinds_match(items, pattern):
             return index
     return None

@@ -364,8 +364,16 @@ MALFORMED_INPUTS = {
     "end-count-arabic-indic": _miscounted("end events=13", "end events=١٣", "end", "events", "١٣"),
     "event-index-leading-zero": _miscounted("event i=1 ", "event i=01 ", "event", "i", "01"),
     "end-count-leading-zero": _miscounted("end events=13", "end events=013", "end", "events", "013"),
-    "end-count-oversized": _miscounted(
-        "end events=13", f"end events={OVERSIZED}", "end", "events", OVERSIZED
+    # an oversized value is echoed as its first 20 characters and its length
+    "end-count-oversized": (
+        "replay",
+        _trace("end events=13", f"end events={OVERSIZED}"),
+        f"end: field 'events' must be a count, got {'1' * 20!r}... (4400 characters)",
+    ),
+    "bound-oversized": (
+        "run",
+        _scenario("intruder none", _bounds(steps=OVERSIZED)),
+        f"bounds: field 'max_steps' must be a count, got {'1' * 20!r}... (4400 characters)",
     ),
     "replay-index-oversized": (
         "replay",
@@ -374,6 +382,46 @@ MALFORMED_INPUTS = {
     ),
     "compose-arabic-indic-nonce": _misnamed("n١"),
     "compose-leading-zero-nonce": _misnamed("n01"),
+    # a machine event's action is read as a compose's is
+    "send-leading-zero-nonce": (
+        "replay",
+        _trace("act=msg(rec=I,ghost:sender=A,[A,n1])", "act=msg(rec=I,ghost:sender=A,[A,n01])"),
+        "event 3: field 'act': malformed nonce item 'n01'",
+    ),
+    "send-arabic-indic-nonce": (
+        "replay",
+        _trace("act=msg(rec=I,ghost:sender=A,[A,n1])", "act=msg(rec=I,ghost:sender=A,[A,n١])"),
+        "event 3: field 'act': malformed nonce item 'n١'",
+    ),
+    "invent-leading-zero-nonce": (
+        "replay",
+        _trace("act=invent(A,n1)", "act=invent(A,n01)"),
+        "event 2: field 'act': malformed nonce item 'n01'",
+    ),
+    # a trace holds one level, init and end record; the last one used to win
+    "level-repeated": (
+        "replay",
+        _trace("level abstract\n", "level abstract\nlevel abstract\n"),
+        "level: duplicate record",
+    ),
+    "init-repeated": (
+        "replay",
+        _trace("init digest=", "init digest=000000000000\ninit digest="),
+        "init: duplicate record",
+    ),
+    "end-repeated": (
+        "replay",
+        _trace("end events=13", "end events=99\nend events=13"),
+        "end: duplicate record",
+    ),
+    **{
+        f"verdict-spec-{spec}": (
+            "replay",
+            _trace("verdict spec=post-ns", f"verdict spec={spec}"),
+            f"verdict: field 'spec' must be post-ns, nsl-ft or inv, got {spec!r}",
+        )
+        for spec in ("bogus", "all")
+    },
     "unrecognised-key-atom": (
         "replay",
         _trace(
@@ -550,7 +598,8 @@ def test_replay_rejects_a_verdict_for_an_unknown_spec(tmp_path):
     edited = tmp_path / "edited.trc"
     edited.write_text(text.replace("verdict spec=nsl-ft ", "verdict spec=frob "))
     code, out, err = run_cli("replay", str(edited))
-    assert (code, out, err) == (2, "", "error: unknown spec 'frob'\n")
+    message = "verdict: field 'spec' must be post-ns, nsl-ft or inv, got 'frob'"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_replay_reports_the_first_failed_obligation(monkeypatch):

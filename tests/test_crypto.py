@@ -35,7 +35,7 @@ from protolab.model import (
 from protolab.runner import check_refinement, execute_scripted
 from protolab.scenario import load_scenario
 
-from conftest import scenario
+from conftest import reads, scenario
 
 N1, N2 = Nonce(1), Nonce(2)
 
@@ -127,7 +127,7 @@ def test_degenerate_registry_breaks_recipient_only_readability():
     state = append_action(state, Invent("A", N1))
     state = append_action(state, medium.send_action("A", "A", [N1]))
     # B can decrypt the shared-key traffic and learn the nonce
-    assert medium.readable(state.history[-1], "B") == (N1,)
+    assert reads(medium, state.history[-1], "B") == (N1,)
     state = add_knows(state, "B", "B#1", [N1])
     projected = state.__class__(
         users=state.users,

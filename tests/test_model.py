@@ -32,7 +32,7 @@ from protolab.model import (
 from protolab.invariants import dyn_inv
 from protolab.roles import ABSTRACT, Inbox, RoleKind, Variant, make_machine, step
 
-from conftest import reference_find_match
+from conftest import reads, reference_find_match
 
 N1, N2, N3 = Nonce(1), Nonce(2), Nonce(3)
 
@@ -223,8 +223,8 @@ def test_message_content_must_be_non_empty():
 
 def view(msg, users=("A", "B", "I")):
     """What role code can see of a message: its content for each user who
-    can read it, through the medium."""
-    return {uid: ABSTRACT.readable(msg, uid) for uid in users}
+    reads it, by the reference `reads`."""
+    return {uid: reads(ABSTRACT, msg, uid) for uid in users}
 
 
 def test_view_drops_sender_field():

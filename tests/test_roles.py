@@ -32,7 +32,7 @@ from protolab.roles import (
 )
 from protolab.runner import DeadlockError, run_honest_pair
 
-from conftest import reference_find_match
+from conftest import reads, reference_find_match
 
 N1, N2 = Nonce(1), Nonce(2)
 
@@ -146,7 +146,7 @@ def test_receive_takes_most_recent_matching_unread():
     machine = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
     machine, state, inbox = drive(machine, state)
     assert machine.local("Nf") == N2  # newest first
-    assert inbox.consumed_for("B") == {1}
+    assert inbox.consumed == (("B", {1}),)
 
 
 def test_non_matching_message_left_for_other_machines():
@@ -243,15 +243,16 @@ def planted(action, level):
 @example(level="concrete", action=("msg", "A", "C", ("C", N1)))  # B reads it too
 def test_readers_are_exactly_the_users_that_can_read(level, action):
     # a run files each appended action with its `readers`: they must be the
-    # users for which `readable` gives the content, each named once, at both
-    # levels and under a key several users share or nobody holds (at the
-    # abstract level a message to Z is read by Z, who is no user)
+    # users that read the content (the reference `reads`, built on the
+    # message record and on decryption), each named once, at both levels and
+    # under a key several users share or nobody holds (at the abstract level
+    # a message to Z is read by Z, who is no user)
     medium, act = MEDIA[level], planted(action, level)
     users, content = medium.readers(act)
     assert len(set(users)) == len(users)
-    readable = {uid: medium.readable(act, uid) for uid in MATCH_USERS}
+    readable = {uid: reads(medium, act, uid) for uid in MATCH_USERS}
     if level == "abstract":
-        readable["Z"] = medium.readable(act, "Z")
+        readable["Z"] = reads(medium, act, "Z")
     assert sorted(users) == [uid for uid, items in readable.items() if items is not None]
     assert all(readable[uid] == content for uid in users)
 

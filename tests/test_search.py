@@ -849,7 +849,7 @@ def test_every_move_raises_the_progress_measure_by_one():
                 if entries[0][0] == "intruder" and len(entries) == 2:
                     # the intruder's message and the receive that takes it
                     sent = len(node.state.history)
-                    assert sent in end.inbox.consumed_for(end.state.history[sent].rec)
+                    assert sent in dict(end.inbox.consumed)[end.state.history[sent].rec]
                     fused.add(len(steps))
         level = next_level
     assert len(reached) == 165 and moves > len(reached)

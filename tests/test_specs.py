@@ -583,13 +583,12 @@ def per_event_work(monkeypatch, pairs: int, level: str) -> dict[str, float]:
     # an action a medium indexes or scans
     scanned = {"actions": 0}
     for medium in (roles.AbstractMedium, ConcreteMedium):
-        for name in ("readers", "readable"):
 
-            def scanning(*args, method=getattr(medium, name)):
-                scanned["actions"] += 1
-                return method(*args)
+        def scanning(*args, method=medium.readers):
+            scanned["actions"] += 1
+            return method(*args)
 
-            monkeypatch.setattr(medium, name, scanning)
+        monkeypatch.setattr(medium, "readers", scanning)
     visited = count_calls(monkeypatch, model._nonces_in_history, len)
     rendered = [
         count_calls(monkeypatch, getattr(trace, name))
