@@ -19,7 +19,7 @@ import argparse
 import sys
 from functools import cache
 
-from .model import count
+from .model import count, shown
 from .runner import build_execution, check_refinement, execute_scripted, replay_doc
 from .scenario import ScenarioError, load_scenario
 from .search import explore
@@ -110,6 +110,14 @@ def cmd_replay(args, out) -> int:
     return EXIT_OK
 
 
+def _max_steps(text: str) -> int:
+    """The `--max-steps` count; a usage error echoes `text` as diagnostics do."""
+    try:
+        return count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a count, got {shown(text)}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p = sub.add_parser("explore", help="bounded exhaustive search")
     explore_p.add_argument("scenario")
     explore_p.add_argument("--spec", choices=SPEC_CHOICES, default="all")
-    explore_p.add_argument("--max-steps", type=count, default=None)
+    explore_p.add_argument("--max-steps", type=_max_steps, default=None)
     explore_p.add_argument("--trace-out", default=None)
     explore_p.add_argument("--no-ghost", action="store_true")
 

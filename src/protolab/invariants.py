@@ -176,6 +176,12 @@ class _Ledger:
             self.by_rec.setdefault(act.rec, []).append((pj, act))
         return leak, forge
 
+    def copy(self) -> _Ledger:
+        """A ledger that `extend` grows apart from this one."""
+        ledger = _Ledger(self.owner, self.leak_rule)
+        ledger.length, ledger.by_rec = self.length, {r: list(p) for r, p in self.by_rec.items()}
+        return ledger
+
 
 def no_leaks(actions: Sequence[Action]) -> PredicateReport:
     """Ghost-sender form of the leak rule.
@@ -221,55 +227,64 @@ def _owners(act: Action) -> tuple[Uid, ...]:
 
 
 class Audit:
-    """The state predicates over a sequence of states in one pass: nonce
-    freshness, recipient-only readability and every conforming user's
-    honest-code obligations, each state checked for what it adds.
+    """The safety invariants over a sequence of states, each state checked
+    for what it adds: the transition invariant against the state before,
+    nonce freshness, recipient-only readability and, with `obligations`,
+    every conforming user's honest-code obligations.  A run's suite steps
+    one audit in place; the search takes a successor's audit from its
+    parent's with `after`, which leaves the parent's as it was.
 
-    `step` feeds the next state, with the uids of the previous state's
-    records it replaced.  While a state's history extends the previous one
-    and the users and their `conforms` flags are unchanged (which only a
-    replaced record can break), only the new actions are checked, against
-    facts carried forward: the nonces invented so far, each user's
-    justified nonces, the conforming users, and each conforming user's
-    `_Ledger`.  Readability is re-checked only for the replaced records.
-    Any other state is rescanned from empty, every record checked.  The
-    search carries the same facts of nonce freshness and readability along
-    its links, through the same helpers (`search._Searcher.safety_violation`).
+    `step` finds the records the state replaced (`changed`) and checks the
+    transition (`dyn_inv`) on them.  While transitions hold and no user is
+    added, only the new actions are checked, against facts carried forward:
+    the nonces invented so far, each user's justified nonces (`justified`),
+    the conforming users and each one's `_Ledger`; readability only for the
+    replaced records.  The first state, and any after another transition,
+    is rescanned from empty.
 
-    Each predicate keeps the failure of the first state where it fails, or
-    None: `unique` (unique-nonces), `unread` (no-read-others), `honest`
-    (no-app-leaks, then no-forge, for the first conforming user by name)
-    and `inv`, the state invariant, which fails with the first of those
-    three in that order.  A fresh audit fed one state reports that state.
+    Each check keeps the failure of the first state where it fails, or
+    None: `dyn` (dyn-inv), `unique` (unique-nonces), `unread`
+    (no-read-others), `honest` (no-app-leaks, then no-forge, for the first
+    conforming user by name) and `inv`, the state invariant, which fails
+    with the first of the state predicates in that order.  A fresh audit
+    fed one state reports that state.
     """
 
-    def __init__(self) -> None:
-        self.unique = self.unread = self.honest = self.inv = None
-        self.history: tuple = ()
-        self.users: dict = {}
-        self._rescan({})
+    def __init__(self, obligations: bool = True) -> None:
+        self.obligations = obligations
+        self.dyn = self.unique = self.unread = self.honest = self.inv = None
+        self.state: GlobalState | None = None
+        self.changed: list[Uid] = []
 
-    def _rescan(self, users: dict) -> None:
-        self.conforming = {uid for uid, user in users.items() if user.conforms}
-        self.invented: dict = {}
-        self.justified: dict[Uid, frozenset] = {}
-        self.ledgers: dict[Uid, _Ledger] = {}
+    def after(self, state: GlobalState) -> Audit:
+        """A copy of this audit fed `state`, leaving this one as it was: the
+        facts a step extends are copied when it appends actions."""
+        child = object.__new__(Audit)
+        child.__dict__ = vars(self).copy()
+        if self.state is not None and len(state.history) > len(self.state.history):
+            child.invented, child.justified = self.invented.copy(), self.justified.copy()
+            if self.obligations:
+                child.ledgers = {uid: ledger.copy() for uid, ledger in self.ledgers.items()}
+        child.step(state)
+        return child
 
-    def step(self, state: GlobalState, changed: list[Uid]) -> None:
-        """Feed the next state.  `changed` lists, sorted, the uids of the
+    def step(self, state: GlobalState) -> None:
+        """Feed the next state.  `changed` becomes the uids, sorted, of the
         last state's records that `state` does not hold as the same object
-        (`_replaced(last.users, state.users)`; none before the first)."""
-        if self.unique and self.unread and self.honest:
-            return
-        users, last, done = state.users, self.users, len(self.history)
-        if (
-            len(users) != len(last)
-            or any(uid not in users or users[uid].conforms != last[uid].conforms
-                   for uid in changed)
-            or state.history[:done] != self.history
-        ):
-            self._rescan(users)
-            changed, done = sorted(users), 0
+        (none at the first state)."""
+        last, self.state, users = self.state, state, state.users
+        rescan = last is None
+        if not rescan:
+            self.changed = _replaced(last.users, users)
+            rep = dyn_inv(last, state, self.changed)
+            if not rep.holds and self.dyn is None:
+                self.dyn = rep
+            # a transition that holds removes no user: the users changed if there are more
+            rescan = not rep.holds or len(users) != len(last.users)
+        if rescan:
+            self.conforming = {uid for uid, user in users.items() if user.conforms}
+            self.invented, self.justified, self.ledgers = {}, {}, {}
+        changed, done = (sorted(users), 0) if rescan else (self.changed, len(last.history))
         new = state.history[done:]
         # a predicate with a failure is not evaluated again, and `inv` then has one too
         unique = unread = honest = None
@@ -278,10 +293,9 @@ class Audit:
         if self.unread is None:
             _justify(self.justified, new)
             unread = self.unread = _unread(users, self.justified, changed)
-        if self.honest is None:
+        if self.honest is None and self.obligations:
             honest = self._obligations(new)
             self.honest = honest and honest[1]
-        self.history, self.users = state.history, users
         if self.inv is None and (unique or unread):
             rep = unique or unread
             self.inv = _fail("inv-sigma", f"{rep.name}: {rep.witness}")
@@ -318,7 +332,7 @@ def inv_sigma(state: GlobalState) -> PredicateReport:
     available to them.  It remains available as a separate diagnostic.
     """
     audit = Audit()
-    audit.step(state, [])
+    audit.step(state)
     return audit.inv or _ok("inv-sigma")
 
 

@@ -112,7 +112,7 @@ only what the key keeps.
   step.
 - The intruder's `closure` is the user names, the items of the messages to
   the intruder and its own inventions, all sets: the users and the
-  intruder's justified nonces in the carried safety facts.  Its opaque
+  intruder's justified nonces in the node's audit.  Its opaque
   list, read off the node's history, names the positions of the other
   messages, and a replay re-sends the message at one, so both nodes offer
   the same replayed messages, by other indices.
@@ -125,8 +125,9 @@ only what the key keeps.
   ever takes.
 - Depth, the progress measure, reads the machines and the number of the
   intruder's actions.
-- A successor's safety is checked against its real parent (`dyn_inv`)
-  and the facts carried along its own links.  The parent held, so what the
+- A successor's safety is checked by its parent's audit fed it: the
+  transition invariant against its real parent, and what the step added
+  against facts carried along its links.  The parent held, so what the
   step added fails exactly when it fails on the other node: freshness and
   justified nonces read the multiset, and the honesty obligations of an
   intruder-free search pair each new message with every earlier one.
@@ -136,10 +137,10 @@ only what the key keeps.
   it.
 
 The public and private keys never change in a search, and a step that
-changed a `conforms` flag fails `dyn_inv` before its node is keyed, so
-none of them is in the key.  The consumed history indices are not either:
-the queues and the multiset fix everything they told apart, up to history
-positions.  Keying by the ordered history instead finds the same verdicts
+changed a `conforms` flag fails the transition invariant before its node
+is keyed, so none of them is in the key.  The consumed history indices
+are not either: the queues and the multiset fix everything they told
+apart, up to history positions.  Keying by the ordered history instead finds the same verdicts
 from more nodes (attack-ns: 100 instead of 54).
 
 Nodes that differ only in the names of their nonces, or in which of two
@@ -169,7 +170,7 @@ node's canonical image:
 One encoder (`_Encoder`) writes every key, plain, image or tied, as a tuple
 of tuples of small ints: the machines by position, each session's records,
 the history as a sorted tuple of actions, and the pending messages.  A
-node's codes are carried along its links, as the safety facts are: a
+node's codes are carried along its links, as its audit is: a
 macro-step re-encodes only the machines and records it replaced and the
 actions it appended, and an image's codes are interned.  At every node of
 attack-ns and certify-nsl the image is the node, and the key its codes.
@@ -210,18 +211,19 @@ equivalent nodes or violations is met first:
   permutation moves a machine together with its records.  No step reads
   another session's id, and the history holds none.
 
-Every micro state is checked against the safety invariants: the
-transition invariant against its own parent, then, with an intruder in
-play, nonce freshness and recipient-only readability for what its step
-added, against facts carried along the links (the nonces invented so far,
-with their positions, and each user's justified nonces), and with none the
-whole state invariant (`_Searcher.safety_violation`).  The check of what a
-step added equals a rescan of the whole state: the parent held, so a
-reused nonce is first met among the new actions, and a user record the
-parent held is still justified, since justified sets only grow along a
-path.  Only the nodes at a macro boundary are keyed (the root excepted,
-whose safety is checked first), and each is admitted once, when first
-reached, by one step (`_Searcher.admit`), the root's as every child's:
+Every micro state is checked against the safety invariants by one audit
+(`invariants.Audit`), with or without an intruder: its parent's, fed the
+state (`Audit.after`).  It checks the transition invariant against the
+parent, and what the step added against facts carried along the links:
+the nonces invented so far, each user's justified nonces and, in an
+intruder-free search, each conforming user's honest-code obligations
+(`_Searcher.safety_violation`).  That equals a rescan of the whole state:
+the parent held, so a reused nonce or a broken obligation is first met
+among the new actions, and a user record the parent held is still
+justified, since justified sets only grow along a path.  Only the nodes
+at a macro boundary are keyed (the root excepted, whose safety is checked
+first), and each is admitted once, when first reached, by one step
+(`_Searcher.admit`), the root's as every child's:
 
 1. it is counted in `states`, and its macro starts are built: machine
    starts first, then, with none, intruder starts (kept for the node's
@@ -269,7 +271,7 @@ from itertools import chain, permutations, product
 from operator import attrgetter
 
 from .intruder import IntruderKnowledge, InventNonce, ReplayOpaque, legal_moves
-from .invariants import _justify, _replaced, _reused, _unread, dyn_inv, inv_sigma
+from .invariants import Audit
 from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history
 from .roles import (
     FinishStmt,
@@ -532,6 +534,9 @@ class _Searcher:
             for machine in self.root.machines
         )
         self.encoder = _Encoder(self.root, self.binds)
+        # an intruder can wreck a conforming user's honest-code obligations,
+        # rely conditions: only an intruder-free search asserts them
+        self.audit = Audit(obligations=scenario.intruder.kind == "none")
         # what the intruder always knows, each machine's owner code, and its
         # own step and its peer choices as macro starts that take no
         # message, shared by the nodes that keep their starts
@@ -571,12 +576,12 @@ class _Searcher:
                 starts.append(self.alone[index])
         return starts
 
-    def known(self, facts) -> frozenset:
+    def known(self, audit: Audit) -> frozenset:
         """The items the intruder knows at a node, its `closure`: the users,
         and its justified nonces, which its inventions and its mail justify."""
-        return self.users | facts[1].get(self.intruder[0], frozenset())
+        return self.users | audit.justified.get(self.intruder[0], frozenset())
 
-    def _intruder_starts(self, node: Config, facts, codes: tuple):
+    def _intruder_starts(self, node: Config, audit: Audit, codes: tuple):
         """The macro starts the intruder makes at a node: an invention
         alone, and each message together with the receive of each of its
         consumers, which takes the message just sent: the machines of its
@@ -584,7 +589,7 @@ class _Searcher:
         grouped by recipient, are the demand the moves are built from.  A
         message is offered while fewer identical pending (unconsumed)
         copies await its recipient than it has consumers.  The moves read the intruder's
-        `closure` (`known`, from the carried facts, and the positions it
+        `closure` (`known`, from the node's audit, and the positions it
         cannot read, off the node's history), its invention count (its
         codes in the nonce table) and the pending copies per (recipient,
         content) (the pending codes, which hold the messages to machine
@@ -606,7 +611,7 @@ class _Searcher:
         used = sum(1 for code in nonces.values() if code < floor)
         bounds, sent, me = self.scenario.bounds, len(history), self.intruder[0]
         opaque = [i for i, a in enumerate(history) if a.__class__ is Msg and a.rec != me]
-        know = IntruderKnowledge(self.known(facts), tuple(opaque))
+        know = IntruderKnowledge(self.known(audit), tuple(opaque))
         invents = max(0, bounds.max_intruder_invents - used)
         for move in legal_moves(know, bounds.max_content_len, invents, waiting, history):
             if move.__class__ is InventNonce:
@@ -619,80 +624,47 @@ class _Searcher:
                 for index in consumers:
                     yield (("intruder", move), ("machine", index, None)), sent
 
-    def macro(self, node: Config, facts, start, room: int):
+    def macro(self, node: Config, audit: Audit, start, room: int):
         """The macro-step from `start`, (its first entries, the history index
         its receive takes or None): its last machine runs on through its
         invisible statements, for at most `room` micro-steps in all.  A
         macro takes at most one message, and an intruder move comes first.
-        Each micro state is checked against the safety invariants with its
-        own parent, from the facts `node` carries.  Returns (the micro
-        entries taken, the node reached, its facts, the safety detail or
-        None, whether the macro was cut at `room` with a step of it left)."""
+        Each micro state's audit is its parent's fed the state, from
+        `audit`, the audit of `node`.  Returns (the micro entries taken, the
+        node reached, its audit, the safety detail or None, whether the
+        macro was cut at `room` with a step of it left)."""
         steps = []
         entries, found = start
         entries = iter(entries)
         entry = next(entries)
         while True:
-            known = self.known(facts) if entry[0] == "intruder" else None
+            known = self.known(audit) if entry[0] == "intruder" else None
             child = apply_entry(node, entry, self.medium, self.intruder, found, known)
             steps.append(entry)
-            bad, facts = self.safety_violation(child, node, facts)
+            audit = audit.after(child.state)
+            bad = self.safety_violation(audit)
             if bad is not None:
-                return steps, child, facts, bad, False
+                return steps, child, audit, bad, False
             following = next(entries, None)
             if following is None:
                 if entry[0] != "machine" or not _runs_on(
                     node.machines[entry[1]], child.machines[entry[1]]
                 ):
-                    return steps, child, facts, None, False
+                    return steps, child, audit, None, False
                 following = ("machine", entry[1], None)
             if len(steps) == room:
-                return steps, child, facts, None, True
+                return steps, child, audit, None, True
             node, entry = child, following
 
     # ── evaluation ───────────────────────────────────────────────────────
 
-    def safety_violation(self, node: Config, parent: Config | None, facts):
-        """The first safety invariant a micro state breaks, as a detail, or
-        None, and the facts the state carries to its children.
-
-        The state must keep the transition invariant with its parent.  With
-        an intruder in play the per-user honesty obligations are rely
-        conditions the environment can wreck for a conforming user, so the
-        full state invariant is asserted per state only in honest-only
-        exploration.  Otherwise nonce freshness and recipient-only
-        readability are checked only for what the step added, against
-        `facts`, the parent's (empty at the root): the nonces invented so
-        far, with their history positions, and each user's justified
-        nonces.  That gives a rescan's verdict and witness:
-        the parent held, so a reuse is first met among the new actions, and
-        a user record the parent held is still justified, since justified
-        sets only grow along a path.  The replaced records are found once,
-        for both checks.  Siblings share their parent's facts, so the facts
-        are copied before they are extended."""
-        done, passed = (len(parent.state.history), parent.state.users) if parent else (0, {})
-        users = node.state.users
-        changed = _replaced(passed, users)
-        if parent is not None:
-            rep = dyn_inv(parent.state, node.state, changed)
-            if not rep.holds:
-                return f"{rep.name}: {rep.witness}", facts
-        if self.scenario.intruder.kind == "none":
-            rep = inv_sigma(node.state)
-            rep = None if rep.holds else rep
-        else:
-            new, rep = node.state.history[done:], None
-            if new:
-                invented, justified = facts[0].copy(), facts[1].copy()
-                rep = _reused(invented, new, done)
-                _justify(justified, new)
-                facts = invented, justified
-            # no record vanished (`dyn_inv`), so with as many users as the
-            # parent these are the records the step replaced; at the root, all
-            if len(users) != len(passed):
-                changed = sorted(users)
-            rep = rep or _unread(users, facts[1], changed)
-        return (None if rep is None else f"{rep.name}: {rep.witness}"), facts
+    def safety_violation(self, audit: Audit) -> str | None:
+        """The first safety invariant the state last fed to `audit` breaks,
+        as a detail, or None: the transition invariant, then the state
+        invariant if the audit asserts the honest-code obligations, else
+        nonce freshness, then recipient-only readability."""
+        rep = audit.dyn or (audit.inv if audit.obligations else audit.unique or audit.unread)
+        return None if rep is None else f"{rep.name}: {rep.witness}"
 
     def quiescent_violation(self, node: Config) -> str | None:
         """The first requested contract that fails on this quiescent node's
@@ -703,7 +675,7 @@ class _Searcher:
                 return spec
         return None
 
-    def admit(self, node: Config, facts, codes: tuple, at: int, link, buckets: dict):
+    def admit(self, node: Config, audit: Audit, codes: tuple, at: int, link, buckets: dict):
         """The checks made once, when a macro-boundary node at depth `at` is
         first reached, which count it: whether any move is enabled, machine
         starts first, then intruder starts.  A node with none (quiescent) is
@@ -712,13 +684,13 @@ class _Searcher:
         Returns the violated spec or None."""
         self.states += 1
         machine = self._machine_starts(node, codes)
-        intruder = None if machine else list(self._intruder_starts(node, facts, codes))
+        intruder = None if machine else list(self._intruder_starts(node, audit, codes))
         if not (machine or intruder):
             return self.quiescent_violation(node)
         if at == self.scenario.bounds.max_steps:
             self.truncated = True
         else:
-            buckets.setdefault(at, []).append((node, facts, codes, link, machine, intruder))
+            buckets.setdefault(at, []).append((node, audit, codes, link, machine, intruder))
         return None
 
     # ── breadth-first pass over micro-depth buckets ──────────────────────
@@ -727,27 +699,28 @@ class _Searcher:
         """Returns (violation or None, its schedule, whether live nodes
         remain at the step bound); `states` counts the distinct nodes
         reached."""
-        bad, facts = self.safety_violation(self.root, None, ({}, {}))
+        audit = self.audit.after(self.root.state)
+        bad = self.safety_violation(audit)
         if bad is not None:
             self.states = 1
             return (SPEC_INV, bad), [], False
-        # bucket entries: (node, its safety facts, its codes, link, its
-        # machine starts, its intruder starts or None to build them); a link
-        # is (parent's link, micro entries of the macro), None at the root
+        # bucket entries: (node, its audit, its codes, link, its machine
+        # starts, its intruder starts or None to build them); a link is
+        # (parent's link, micro entries of the macro), None at the root
         buckets: dict[int, list] = {}
-        spec = self.admit(self.root, facts, self.encoder.codes(self.root), 0, None, buckets)
+        spec = self.admit(self.root, audit, self.encoder.codes(self.root), 0, None, buckets)
         if spec is not None:
             return (spec, None), [], False
         bound, seen = self.scenario.bounds.max_steps, {}
         while buckets:
             self.depth = depth = min(buckets)
             seen.pop(depth, None)
-            for node, facts, codes, link, machine, intruder in buckets.pop(depth):
+            for node, audit, codes, link, machine, intruder in buckets.pop(depth):
                 if intruder is None:
-                    intruder = self._intruder_starts(node, facts, codes)
+                    intruder = self._intruder_starts(node, audit, codes)
                 for start in chain(machine, intruder):
-                    macro = self.macro(node, facts, start, bound - depth)
-                    steps, child, child_facts, bad, cut = macro
+                    macro = self.macro(node, audit, start, bound - depth)
+                    steps, child, child_audit, bad, cut = macro
                     here = (link, steps)
                     if bad is not None:
                         return (SPEC_INV, bad), _schedule(here), False
@@ -762,7 +735,7 @@ class _Searcher:
                     keys.add(_node_key(child, self.groups, self.binds, child_codes))
                     if len(keys) == known:
                         continue
-                    spec = self.admit(child, child_facts, child_codes, at, here, buckets)
+                    spec = self.admit(child, child_audit, child_codes, at, here, buckets)
                     if spec is not None:
                         return (spec, None), _schedule(here), False
         return None, [], self.truncated

@@ -39,7 +39,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .invariants import Audit, PredicateReport, _replaced, dyn_inv
+from .invariants import Audit, PredicateReport, _replaced
 from .model import GlobalState, Nonce, Sid, Uid
 
 SPEC_POST_NS = "post-ns"
@@ -313,16 +313,16 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     - an aborted machine's session never reaches completion.
 
     The run is walked once.  A loop over the recorded states feeds
-    `invariants.Audit`, which checks each state only for what it adds to
-    the one before, and checks `dyn_inv` and complete-monotone on each
-    adjacent pair.  A loop over `run.transitions()` checks each step's
-    frame (its k-th step is the k-th adjacent pair), and a loop over
-    `run.machines` checks each machine's end against the completion flags
-    the states showed.  A user record that is the same object as the one
-    before is skipped, a replaced one is checked in full, and a vanished
-    one shows nothing complete and fails `dyn-inv`.  The replaced records
-    of a pair are found once, for the audit, `dyn_inv`, complete-monotone
-    and the frame.  Each report is its obligation's first failure.
+    `invariants.Audit`, which checks the transition invariant on each
+    adjacent pair and each state only for what it adds to the one before,
+    and names the records each state replaced; the loop checks
+    complete-monotone on those.  A loop over `run.transitions()` checks
+    each step's frame (its k-th step is the k-th adjacent pair) on the same
+    records, and a loop over `run.machines` checks each machine's end
+    against the completion flags the states showed.  A user record that is
+    the same object as the one before is skipped, a replaced one is checked
+    in full, and a vanished one shows nothing complete and fails `dyn-inv`.
+    Each report is its obligation's first failure.
     """
     states = run.checkable_states()
     failed: dict[str, PredicateReport | None] = {}
@@ -331,20 +331,15 @@ def check_lemma_suite(run) -> list[PredicateReport]:
         failed.setdefault(name, PredicateReport(name, False, witness))
 
     audit = Audit()
-    audit.step(states[0], [])
+    audit.step(states[0])
     # the sessions the first state, or a record that changed later, shows complete
     shown = {(uid, sid) for uid, user in states[0].users.items() for sid in _done(user)}
     # per adjacent pair, the uids of the records the later state replaced
     changes = []
     for before, after in zip(states, states[1:]):
-        changed = _replaced(before.users, after.users)
-        changes.append(changed)
-        audit.step(after, changed)
-        if "dyn-inv" not in failed:
-            rep = dyn_inv(before, after, changed)
-            if not rep.holds:
-                failed["dyn-inv"] = rep
-        for uid in changed:
+        audit.step(after)
+        changes.append(audit.changed)
+        for uid in audit.changed:
             b, a = before.users[uid], after.users.get(uid)
             done = _done(a) if a is not None else set()
             shown.update((uid, sid) for sid in done)
@@ -370,6 +365,7 @@ def check_lemma_suite(run) -> list[PredicateReport]:
                 f"completed machine without completion flag ({owner},{sess})",
             )
     failed.update({
+        "dyn-inv": audit.dyn,
         "unique-nonces": audit.unique,
         "no-read-others": audit.unread,
         "inv-sigma": audit.inv,

@@ -14,7 +14,7 @@ is for demonstration only and cannot be replayed.
     end events=<n>
 
 The `level`, `init` and `end` records appear once, and a verdict names one
-spec.  Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
+spec, which no other verdict names.  Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
 digits with no leading zero (`model.count`).  A nonce in any event's action
 is written as its name, `n` and a count of 1 or more (`Nonce.named`); an
 item that is `n` followed by digits of any other spelling, such as `n01` or
@@ -355,6 +355,8 @@ def parse_trace(text: str) -> TraceDoc:
             spec, holds, detail = m.groups()
             if spec not in _VERDICT_SPECS:
                 raise TraceError(f"verdict: field 'spec' must be {_SPEC_NAMES}, got {shown(spec)}")
+            if any(spec == recorded for recorded, _, _ in verdicts):
+                raise TraceError(f"verdict: duplicate record for spec {spec!r}")
             verdicts.append((spec, holds == "true", detail or ""))
         elif line.startswith("end "):
             if declared_events is not None:

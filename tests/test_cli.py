@@ -146,19 +146,27 @@ def test_explore_has_no_workers_flag():
 
 
 @pytest.mark.parametrize(
-    "value",
-    ["+14", "١٤", "-1", "1_4", "014", "1" * 4400],
+    "value,echoed",
+    [
+        ("+14", "'+14'"),
+        ("١٤", "'١٤'"),
+        ("-1", "'-1'"),
+        ("1_4", "'1_4'"),
+        ("014", "'014'"),
+        ("1" * 4400, "'11111111111111111111'... (4400 characters)"),
+    ],
     ids=["signed", "arabic-indic", "negative", "underscored", "leading-zero", "oversized"],
 )
-def test_max_steps_takes_a_count_only(capsys, value):
+def test_max_steps_takes_a_count_only(capsys, value, echoed):
     # the flag reads a count as a scenario's bounds do, and argparse names
-    # the flag, not a bounds record the user never wrote
+    # the flag, not a bounds record the user never wrote; an oversized value
+    # is echoed as its first 20 characters and its length
     with pytest.raises(SystemExit) as exc:
         run_cli("explore", str(SCENARIOS / "nsl-search.scn"), "--max-steps", value)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(f"error: argument --max-steps: invalid count value: {value!r}\n")
+    assert captured.err.endswith(f"error: argument --max-steps: must be a count, got {echoed}\n")
 
 
 LOWE_SCRIPT = """protolab-scenario v1
@@ -229,6 +237,7 @@ def _bounds(invents=0, sessions=4, steps=9):
 
 LOWE_TRACE = (GOLDEN / "lowe-on-ns.trc").read_text(encoding="utf-8")
 INTRUDER_COMPOSE = "i=4 actor=intruder@I#1 stmt=compose"
+LOWE_VERDICT = next(line for line in LOWE_TRACE.splitlines() if line.startswith("verdict "))
 
 
 def _trace(old, new):
@@ -422,6 +431,18 @@ MALFORMED_INPUTS = {
         )
         for spec in ("bogus", "all")
     },
+    # a trace holds one verdict per spec; a repeat used to replay ok, and a
+    # repeat that disagrees gave a verdict mismatch
+    "verdict-repeated": (
+        "replay",
+        _trace("verdict spec=post-ns", f"{LOWE_VERDICT}\nverdict spec=post-ns"),
+        "verdict: duplicate record for spec 'post-ns'",
+    ),
+    "verdict-repeated-disagreeing": (
+        "replay",
+        _trace("verdict spec=post-ns", "verdict spec=post-ns holds=true\nverdict spec=post-ns"),
+        "verdict: duplicate record for spec 'post-ns'",
+    ),
     "unrecognised-key-atom": (
         "replay",
         _trace(
@@ -603,7 +624,7 @@ def test_replay_rejects_a_verdict_for_an_unknown_spec(tmp_path):
 
 
 def test_replay_reports_the_first_failed_obligation(monkeypatch):
-    import protolab.specs as specs
+    import protolab.invariants as invariants
     from protolab.invariants import PredicateReport
 
     def planted_dyn_inv(before, after, changed):
@@ -611,7 +632,7 @@ def test_replay_reports_the_first_failed_obligation(monkeypatch):
             return PredicateReport("dyn-inv", False, "planted at history length 3")
         return PredicateReport("dyn-inv", True)
 
-    monkeypatch.setattr(specs, "dyn_inv", planted_dyn_inv)
+    monkeypatch.setattr(invariants, "dyn_inv", planted_dyn_inv)
     code, out, _ = run_cli("replay", str(GOLDEN / "honest-ns.trc"))
     assert code == 1
     assert out == "replay obligation failed: dyn-inv: planted at history length 3\n"

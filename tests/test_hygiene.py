@@ -242,3 +242,55 @@ def test_an_int_reader_is_reported():
         ),
     }
     assert int_readers(sources) == ["a.count", "a.<module>", "b.build", "b.build"]
+
+
+# ── safety checks ────────────────────────────────────────────────────────────
+
+# the transition invariant and the incremental state checks: `Audit` calls them
+SAFETY_CHECKS = ("dyn_inv", "_reused", "_justify", "_unread")
+
+
+def safety_check_callers(sources: dict[str, str]) -> list[str]:
+    """`module.function` for each call of a safety check, by name or as an
+    attribute, outside `invariants`.  `function` is the innermost def around
+    it, `<module>` at the top level."""
+    found = []
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in SAFETY_CHECKS:
+                    found.append(f"{module}.{where}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        if module != "invariants":
+            visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_safety_is_checked_in_one_place():
+    # a run's suite and the search both step an `invariants.Audit`, which
+    # alone checks the transition invariant and what each state adds
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert safety_check_callers(sources) == []
+
+
+def test_a_safety_check_outside_the_audit_is_reported():
+    sources = {
+        "invariants": "def dyn_inv(a, b):\n    return a\ndef audit(a):\n    return dyn_inv(a, a)\n",
+        "a": (
+            "from .invariants import dyn_inv\n"
+            "from . import invariants\n"
+            "class S:\n"
+            "    def safety(self, a, b):\n"
+            "        return dyn_inv(a, b)\n"
+            "invariants._justify({}, ())\n"
+            "check = dyn_inv\n"
+        ),
+        "b": "def f(x):\n    return x._unread() or x._reused_nonces()\n",
+    }
+    assert safety_check_callers(sources) == ["a.safety", "a.<module>", "b.f"]

@@ -512,38 +512,29 @@ def apply(searcher, node, entry):
     return apply_entry(node, entry, ABSTRACT, searcher.intruder, found, known)
 
 
-def rescan(sc, node, parent):
+def rescan(sc, state, parent):
     """The safety check made afresh on the whole state: the transition
-    invariant against the parent, then with an intruder unique-nonces and
-    no-read-others, and with none the state invariant.  The detail of the
-    first failure, or None."""
-    rep = dyn_inv(parent.state, node.state) if parent is not None else None
+    invariant against the parent state, then with an intruder unique-nonces
+    and no-read-others, and with none the state invariant.  The detail of
+    the first failure, or None."""
+    rep = dyn_inv(parent, state) if parent is not None else None
     if rep is None or rep.holds:
         if sc.intruder.kind == "none":
-            rep = inv_sigma(node.state)
+            rep = inv_sigma(state)
         else:
-            rep = unique_nonces(node.state.history)
-            rep = no_read_others(node.state) if rep.holds else rep
+            rep = unique_nonces(state.history)
+            rep = no_read_others(state) if rep.holds else rep
     return None if rep.holds else f"{rep.name}: {rep.witness}"
 
 
-def facts_of(state):
-    """The facts a search node carries, gathered from its whole state: the
-    nonces invented, with their positions, and each user's justified
-    nonces."""
-    invented, justified = {}, {}
-    invariants._reused(invented, state.history, 0)
-    invariants._justify(justified, state.history)
-    return invented, justified
-
-
 def macro_starts(searcher, node):
-    """Every macro start from a node, and the facts it was built from,
-    with its facts and codes rebuilt from its whole state."""
-    facts = facts_of(node.state)
+    """Every macro start from a node, and the audit it was built from,
+    with its audit and codes rebuilt from its whole state: the search's
+    fresh audit fed the node's state alone."""
+    audit = searcher.audit.after(node.state)
     codes = searcher.encoder.codes(node)
     starts = searcher._machine_starts(node, codes)
-    return starts + list(searcher._intruder_starts(node, facts, codes)), facts
+    return starts + list(searcher._intruder_starts(node, audit, codes)), audit
 
 
 class ReferenceSearch:
@@ -586,7 +577,7 @@ class ReferenceSearch:
                 if seen_at is not None and seen_at <= depth + 1:
                     continue
                 visited[key] = depth + 1
-                bad = rescan(self.sc, child, node)
+                bad = rescan(self.sc, child.state, node.state)
                 if bad is not None:
                     for spec in self.searchers:
                         found.setdefault(spec, ((SPEC_INV, bad), path + [entry]))
@@ -604,7 +595,7 @@ class ReferenceSearch:
 
     def explore(self, max_steps, spec):
         """Returns (violation or None, its schedule, inconclusive)."""
-        bad = rescan(self.sc, self.searcher.root, None)
+        bad = rescan(self.sc, self.searcher.root.state, None)
         if bad is not None:
             return (SPEC_INV, bad), [], False
         for limit in range(max_steps + 1):
@@ -839,10 +830,10 @@ def test_every_move_raises_the_progress_measure_by_one():
                 if key not in reached:
                     reached.add(key)
                     next_level.append(child)
-            starts, facts = macro_starts(searcher, node)
+            starts, audit = macro_starts(searcher, node)
             for start in starts:
                 entries = start[0]
-                steps, end, _, bad, cut = searcher.macro(node, facts, start, sc.bounds.max_steps)
+                steps, end, _, bad, cut = searcher.macro(node, audit, start, sc.bounds.max_steps)
                 assert bad is None and not cut and steps[: len(entries)] == list(entries)
                 assert progress(end, intruder) == progress(node, intruder) + len(steps), steps
                 macros.add(len(steps))
@@ -890,61 +881,89 @@ def test_every_step_changes_only_its_own_session(walk, choices):
 # ── safety checked for what each step adds ──────────────────────────────────
 
 # (scenario, its step bound, intruder inventions), each explored in full
-CARRIED = [("ns-search", 14, 1), ("nsl-search", 14, 0), ("two-senders", 10, 0)]
+CARRIED = [
+    ("ns-search", 14, 1),
+    ("nsl-search", 14, 0),
+    ("two-senders", 10, 0),
+    ("cross-talk", 22, 0),
+    ("honest", 14, 0),
+]
 
 
-def planted(node):
-    """Configurations like `node` that break safety: one that invents a
-    nonce of the run again (or n99 twice), and one per user whose record,
-    now changed, knows every nonce of the run and n99."""
-    history, users = node.state.history, node.state.users
+def planted(state, parent, sc):
+    """States like `state` that break safety: below a parent state, one
+    whose first user's `conforms` flag flipped; one that invents a nonce of
+    the run again (or n99 twice); one per user whose record, now changed,
+    knows every nonce of the run and n99; and, with no intruder, one where
+    the first conforming user sends a message claiming another identity."""
+    history, users = state.history, state.users
     nonces = sorted({act.what for act in history if isinstance(act, Invent)})
     first = sorted(users)[0]
+    if parent is not None:
+        flipped = replace(users[first], conforms=not users[first].conforms)
+        yield replace(state, users={**users, first: flipped})
     again = (Invent(first, nonces[-1]),) if nonces else (Invent(first, Nonce(99)),) * 2
-    yield replace(node, state=replace(node.state, history=history + again))
+    yield replace(state, history=history + again)
     for uid in sorted(users):
         sid = min(users[uid].knows, default=f"{uid}#9")
-        yield replace(node, state=add_knows(node.state, uid, sid, [*nonces, Nonce(99)]))
+        yield add_knows(state, uid, sid, [*nonces, Nonce(99)])
+    if sc.intruder.kind == "none":
+        honest = min(uid for uid, user in users.items() if user.conforms)
+        other = max(uid for uid in users if uid != honest)
+        yield replace(state, history=history + (Msg(other, honest, (other,)),))
 
 
 @pytest.mark.parametrize("name,max_steps,invents", CARRIED, ids=[n for n, _, _ in CARRIED])
 def test_carried_safety_facts_give_the_rescan_verdict(monkeypatch, name, max_steps, invents):
     # every micro state the search checks, and each planted failure beside
-    # it, gets from the facts carried along its links the verdict and the
-    # witness of a rescan of its whole state
+    # it, gets from the audit carried along its links the verdict and the
+    # witness of a rescan of its whole state; feeding a state leaves its
+    # parent's audit as it was, so each planted state is fed the same audit
     sc = _bounded(name, max_steps, invents)
-    check = _Searcher.safety_violation
+    searcher, after = _Searcher(sc, SPEC_INV), invariants.Audit.after
     checked, witnesses = 0, set()
 
-    def checking(searcher, node, parent, facts):
+    def checking(audit, state):
         nonlocal checked
-        found = check(searcher, node, parent, facts)
-        assert found[0] == rescan(sc, node, parent)
-        for bad in planted(node):
-            expected = rescan(sc, bad, parent)
+        found = after(audit, state)
+        assert searcher.safety_violation(found) == rescan(sc, state, audit.state)
+        for bad in planted(state, audit.state, sc):
+            expected = rescan(sc, bad, audit.state)
             assert expected is not None
-            assert check(searcher, bad, parent, facts)[0] == expected
+            assert searcher.safety_violation(after(audit, bad)) == expected
             witnesses.add(expected)
         checked += 1
         return found
 
-    monkeypatch.setattr(_Searcher, "safety_violation", checking)
+    monkeypatch.setattr(invariants.Audit, "after", checking)
     verdict = explore(sc, spec=SPEC_INV)
     assert verdict.counterexample is None and checked > verdict.states
     # the least unjustified nonce is not always the planted n99
-    assert any(w.startswith("no-read-others") and not w.endswith("n99") for w in witnesses)
+    assert any("no-read-others" in w and not w.endswith("n99") for w in witnesses)
+    assert any(w.startswith("dyn-inv") for w in witnesses)
+    assert any("no-forge" in w for w in witnesses) == (sc.intruder.kind == "none")
+
+
+# (scenario, explore's verdict on every spec: inconclusive, states)
+INCREMENTAL = [(TWO_SENDERS, True, 65), (CROSS_TALK, False, 36)]
 
 
 def test_each_micro_step_is_checked_only_for_what_it_added(monkeypatch):
-    # the scale-nsl input: the whole state is rescanned at the root at most,
-    # and every other check reads only the actions its step appended
-    rescans = [count_calls(monkeypatch, fn) for fn in (unique_nonces, no_read_others)]
+    # the scale-nsl input, and cross-talk, an intruder-free search, which
+    # asserts the honest-code obligations too: the whole state is rescanned
+    # at the root at most, and every other check reads only the actions its
+    # step appended
+    rescans = [count_calls(monkeypatch, fn) for fn in (unique_nonces, no_read_others, inv_sigma)]
     justified = count_calls(monkeypatch, invariants._justify, weigh=lambda _, acts: len(acts))
     steps = count_calls(monkeypatch, runner.apply_entry)
-    verdict = explore(parse_scenario(TWO_SENDERS), spec="all")
-    assert verdict.inconclusive and verdict.states == 65
-    assert max(count() for count in rescans) <= 1
-    assert 0 < justified() <= steps()
+    counters = (*rescans, justified, steps)
+    for text, inconclusive, states in INCREMENTAL:
+        before = [count() for count in counters]
+        verdict = explore(parse_scenario(text), spec="all")
+        *rescanned, added, stepped = [count() - was for count, was in zip(counters, before)]
+        assert (verdict.inconclusive, verdict.states) == (inconclusive, states)
+        assert max(rescanned) <= 1
+        assert 0 < added <= stepped
 
 
 # ── the intruder's knowledge and the mail, carried along the links ─────────
@@ -996,10 +1015,10 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     generate = search.legal_moves
     counts = Counter()
 
-    def checking(searcher, node, parent, facts):
-        found = check(searcher, node, parent, facts)
+    def checking(searcher, audit):
+        found = check(searcher, audit)
         if me is not None:
-            assert searcher.known(found[1]) == closure(node.state, me).known_items
+            assert searcher.known(audit) == closure(audit.state, me).known_items
             counts["facts"] += 1
         return found
 
@@ -1016,8 +1035,8 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
         counts["starts"] += 1
         return got
 
-    def moving(searcher, node, facts, codes):
-        offered = list(moves(searcher, node, facts, codes))
+    def moving(searcher, node, audit, codes):
+        offered = list(moves(searcher, node, audit, codes))
         sent, expected = len(node.state.history), []
         for move, consumers in intruder_moves(searcher, node):
             if isinstance(move, InventNonce):
@@ -1166,7 +1185,7 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
     reports = constructions(monkeypatch, PredicateReport)
     built = {"machine": set(), "intruder": set()}
     holding = set()
-    real_apply, real_check = search.apply_entry, search.dyn_inv
+    real_apply, real_check = search.apply_entry, invariants.dyn_inv
 
     def applying(config, entry, *rest):
         before = machines()
@@ -1182,7 +1201,7 @@ def test_each_step_builds_its_successor_machine_once(monkeypatch):
         return rep
 
     monkeypatch.setattr(search, "apply_entry", applying)
-    monkeypatch.setattr(search, "dyn_inv", checking)
+    monkeypatch.setattr(invariants, "dyn_inv", checking)
     verdict = explore(sc, spec="all")
     assert verdict.inconclusive and verdict.states == 65
     assert built == {"machine": {1}, "intruder": {0}}
@@ -1452,8 +1471,8 @@ def test_nodes_with_equal_keys_behave_alike(mirror, choices):
         return _node_key(node, searcher.groups, searcher.binds)
 
     def successors(node):
-        starts, facts = macro_starts(searcher, node)
-        return [searcher.macro(node, facts, start, 99)[1] for start in starts]
+        starts, audit = macro_starts(searcher, node)
+        return [searcher.macro(node, audit, start, 99)[1] for start in starts]
 
     def behaviour(node):
         after = Counter(key_of(child) for child in successors(node))

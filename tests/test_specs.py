@@ -295,6 +295,23 @@ def test_a_vanished_user_record_is_reported(uid):
     assert evaluate_run_specs(run, ["inv"])[0].detail == f"dyn-inv: user {uid} disappeared"
 
 
+def test_an_added_user_record_is_checked():
+    # a later state with a user no earlier state had holds a record that no
+    # transition replaced: the audit rescans it, every record checked
+    run = execute_scripted(load_scenario(scenario("honest-nsl")))
+    states = run.checkable_states()
+    last = states[-1]
+    nonce = next(act.what for act in last.history if isinstance(act, Invent))
+    added = add_knows(initial_state({"C": True}), "C", "C#1", [nonce]).users["C"]
+    states[-1] = replace(last, users={**last.users, "C": added})
+    run.checkable_states = lambda: list(states)
+    failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
+    assert failing == [
+        ("no-read-others", f"user C knows unjustified {nonce!r}"),
+        ("inv-sigma", f"no-read-others: user C knows unjustified {nonce!r}"),
+    ]
+
+
 def test_two_records_changed_at_once_are_reported_by_name():
     # B's record comes first in the users dict and both records change in
     # one pair: each witness names A, the lower uid, as a walk over every
