@@ -87,55 +87,41 @@ def legal_moves(
 ) -> list[IntruderMove]:
     """The intruder's moves in a fixed enumeration order: one invention (if
     `max_invents`, the inventions it has left, allows), then the
-    compositions of at most `max_content` items a waiting receive could
-    consume, by recipient, length and content, then the replays a waiting
-    receive could consume, by history index.
+    compositions a waiting receive could consume, by recipient, length and
+    content, then the replays a waiting receive could consume, by history
+    index.
 
-    `waiting` maps a recipient to the kind patterns of its receives that are
-    waiting.  Compositions are built from those patterns, position by
-    position from the pool items of each position's kind, never generated
-    and then filtered: the result equals
-    every recipient x pool^1..max_content composition whose `kinds_of` is
-    one of its recipient's patterns, in the same item_key-lexicographic
-    order.  A replay of the opaque message at `history[index]` is offered
-    when its content's `kinds_of` is one of its recipient's patterns, one
-    lookup."""
+    `waiting` maps a recipient to the kind patterns of its waiting receives.
+    Its compositions are the products of the pool items of each position's
+    kind over its distinct patterns of at most `max_content` items, two of
+    one length merged in `item_key` order: every recipient x
+    pool^1..max_content composition whose `kinds_of` is one of its
+    recipient's patterns, in that order, at a cost that does not grow with
+    `max_content`.  A replay of `history[index]` is offered when its
+    content's `kinds_of` is one of its recipient's patterns, one lookup.
+
+    So the bound assumes that the intruder never forges a message kind whose
+    pattern is longer.  NSL's message 2, `[n,n,u]`, has length 3: NSL
+    certified at 2 assumes that it cannot forge message 2 (at 3, nsl-ft
+    fails, with 94 states)."""
     moves: list[IntruderMove] = []
     if max_invents > 0:
         moves.append(InventNonce())
     pool = sorted(knowledge.known_items, key=item_key)
     pools = {"u": [i for i in pool if is_uid(i)], "n": [i for i in pool if is_nonce(i)]}
-    for rec in pools["u"]:
-        patterns = waiting.get(rec)
-        if not patterns:
-            continue
-        patterns = list(dict.fromkeys(patterns))
-        for length in range(1, max_content + 1):
-            same_length = [p for p in patterns if len(p) == length]
-            if same_length:
-                moves.extend(Compose(rec=rec, content=c) for c in _contents(same_length, pools))
+    for rec in sorted(waiting.keys() & knowledge.known_items):
+        wanted = sorted({p for p in waiting[rec] if len(p) <= max_content}, key=len)
+        for _, same in itertools.groupby(wanted, len):
+            same = list(same)
+            contents = [c for p in same for c in itertools.product(*(pools[k] for k in p))]
+            if len(same) > 1:  # distinct patterns match disjoint contents
+                contents.sort(key=lambda content: [item_key(i) for i in content])
+            moves.extend([Compose(rec, c) for c in contents])
     for index in knowledge.observed_opaque:
         msg = history[index]
         if kinds_of(msg.content) in waiting.get(msg.rec, ()):
             moves.append(ReplayOpaque(index))
     return moves
-
-
-def _contents(patterns: list[Pattern], pools: dict[str, list[Item]]) -> list[tuple[Item, ...]]:
-    """Contents matching any of `patterns`, distinct kind patterns of one
-    length, in item_key-lexicographic order.  An item has exactly one kind,
-    so distinct patterns match disjoint contents; branching on the first
-    position's kind, uids before nonces as item_key orders them, merges the
-    patterns' products in order and without duplicates."""
-    if len(patterns) == 1:
-        return list(itertools.product(*(pools[kind] for kind in patterns[0])))
-    out = []
-    for kind in ("u", "n"):
-        rest = [p[1:] for p in patterns if p[0] == kind]
-        if rest:
-            tails = _contents(rest, pools)
-            out.extend((item,) + tail for item in pools[kind] for tail in tails)
-    return out
 
 
 def apply_move(

@@ -230,9 +230,9 @@ class Audit:
     """The safety invariants over a sequence of states, each state checked
     for what it adds: the transition invariant against the state before,
     nonce freshness, recipient-only readability and, with `obligations`,
-    every conforming user's honest-code obligations.  A run's suite steps
-    one audit in place; the search takes a successor's audit from its
-    parent's with `after`, which leaves the parent's as it was.
+    every conforming user's honest-code obligations, each state fed by
+    `step`.  A run's suite steps one audit; the search forks a node's audit
+    once per macro-step (`fork`) and steps the fork through its states.
 
     `step` finds the records the state replaced (`changed`) and checks the
     transition (`dyn_inv`) on them.  While transitions hold and no user is
@@ -255,17 +255,15 @@ class Audit:
         self.dyn = self.unique = self.unread = self.honest = self.inv = None
         self.state: GlobalState | None = None
         self.changed: list[Uid] = []
+        self.conforming, self.invented, self.justified, self.ledgers = set(), {}, {}, {}
 
-    def after(self, state: GlobalState) -> Audit:
-        """A copy of this audit fed `state`, leaving this one as it was: the
-        facts a step extends are copied when it appends actions."""
-        child = object.__new__(Audit)
+    def fork(self) -> Audit:
+        """A copy of this audit that `step` feeds apart from it: the facts a
+        step extends in place are copied."""
+        child = object.__new__(type(self))
         child.__dict__ = vars(self).copy()
-        if self.state is not None and len(state.history) > len(self.state.history):
-            child.invented, child.justified = self.invented.copy(), self.justified.copy()
-            if self.obligations:
-                child.ledgers = {uid: ledger.copy() for uid, ledger in self.ledgers.items()}
-        child.step(state)
+        child.invented, child.justified = self.invented.copy(), self.justified.copy()
+        child.ledgers = {uid: ledger.copy() for uid, ledger in self.ledgers.items()}
         return child
 
     def step(self, state: GlobalState) -> None:

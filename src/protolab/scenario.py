@@ -17,6 +17,12 @@ record is required.  A sender may omit `peer=` only in search scenarios,
 where the explorer enumerates the choice.  Principal ids must not look like
 nonce names (`n` followed by digits).  Runs are seed-free: everything
 downstream is deterministic in this file plus the flags.
+
+`max_content_len` is an assumption, not a message size: the search
+intruder never forges a message kind whose receive pattern is longer than
+the bound, and any bound from the longest pattern up searches alike.
+NSL's message 2, `[n,n,u]`, has length 3, so NSL certified at 2 assumes
+that the intruder cannot forge message 2 (at 3, nsl-ft fails, 94 states).
 """
 
 from __future__ import annotations

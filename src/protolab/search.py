@@ -125,7 +125,7 @@ only what the key keeps.
   ever takes.
 - Depth, the progress measure, reads the machines and the number of the
   intruder's actions.
-- A successor's safety is checked by its parent's audit fed it: the
+- A successor's safety is checked by its parent's audit, forked: the
   transition invariant against its real parent, and what the step added
   against facts carried along its links.  The parent held, so what the
   step added fails exactly when it fails on the other node: freshness and
@@ -212,9 +212,10 @@ equivalent nodes or violations is met first:
   another session's id, and the history holds none.
 
 Every micro state is checked against the safety invariants by one audit
-(`invariants.Audit`), with or without an intruder: its parent's, fed the
-state (`Audit.after`).  It checks the transition invariant against the
-parent, and what the step added against facts carried along the links:
+(`invariants.Audit`), with or without an intruder: each macro-step forks
+its node's audit once (`Audit.fork`) and steps the fork through its micro
+states (`Audit.step`).  It checks the transition invariant against the
+state before, and what the step added against facts carried along the links:
 the nonces invented so far, each user's justified nonces and, in an
 intruder-free search, each conforming user's honest-code obligations
 (`_Searcher.safety_violation`).  That equals a rescan of the whole state:
@@ -225,13 +226,13 @@ at a macro boundary are keyed (the root excepted, whose safety is checked
 first), and each is admitted once, when first reached, by one step
 (`_Searcher.admit`), the root's as every child's:
 
-1. it is counted in `states`, and its macro starts are built: machine
-   starts first, then, with none, intruder starts (kept for the node's
-   expansion);
+1. it is counted in `states`, and its starts are made one iterable:
+   machine starts, then intruder starts, built as it is read (past the
+   first only when the node is expanded);
 2. a node with no start (quiescent) is checked against the requested
    contracts, through `specs.contract_verdict`;
-3. any other node is filed in its bucket, or, at the step bound, cut
-   there with a step left, and the search is truncated.
+3. any other node is filed in its bucket with its starts, or, at the
+   step bound, cut there with a step left, and the search is truncated.
 
 No intermediate state of a macro is quiescent: it has a step of the macro
 left.  `states explored` counts the distinct macro-boundary nodes, the root
@@ -249,11 +250,12 @@ reproduce the identical verdict, counterexample and state count.
 The intruder's messages are built from demand instead of being generated
 and then filtered.  At each node the search groups the waiting receives'
 patterns by recipient, in one pass (`_Searcher._intruder_starts`).
-`legal_moves` composes messages only for a recipient with a waiting
-pattern, position by position from the known items of each position's kind
-(the demand-driven idea of OFMC's lazy intruder, Basin, Moedersheim and
-Vigano, 2005, applied to concrete items), and replays only a message whose
-content's `kinds_of` is a pattern waiting at its recipient.  A message's
+`legal_moves` composes messages only from a recipient's waiting patterns
+no longer than `max_content_len`, position by position from the known
+items of each position's kind (the demand-driven idea of OFMC's lazy
+intruder, Basin, Moedersheim and Vigano, 2005, applied to concrete items),
+and replays only a message whose content's `kinds_of` is a pattern waiting
+at its recipient.  A message's
 consumers are the machines of its recipient that `roles.takes` it, so
 every message the search sends is taken at once.  One filter remains: a
 message is not offered while identical unconsumed messages already await
@@ -600,19 +602,17 @@ class _Searcher:
         history, floor = node.state.history, -len(node.machines)
         machines, waiting = node.machines, {}
         for machine in machines:
-            if machine.status is _RUNNING:
-                stmt = machine.current()
-                if stmt.__class__ is RecvStmt:
-                    waiting.setdefault(machine.owner, []).append(stmt.pattern)
+            stmt = machine.current() if machine.status is _RUNNING else None
+            if stmt.__class__ is RecvStmt:
+                waiting.setdefault(machine.owner, []).append(stmt.pattern)
         copies: dict = {}
         for _, index, _ in pending:
             msg = history[index]
             copies[msg.rec, msg.content] = copies.get((msg.rec, msg.content), 0) + 1
-        used = sum(1 for code in nonces.values() if code < floor)
         bounds, sent, me = self.scenario.bounds, len(history), self.intruder[0]
         opaque = [i for i, a in enumerate(history) if a.__class__ is Msg and a.rec != me]
         know = IntruderKnowledge(self.known(audit), tuple(opaque))
-        invents = max(0, bounds.max_intruder_invents - used)
+        invents = bounds.max_intruder_invents - sum(1 for c in nonces.values() if c < floor)
         for move in legal_moves(know, bounds.max_content_len, invents, waiting, history):
             if move.__class__ is InventNonce:
                 yield (("intruder", move),), None
@@ -629,29 +629,28 @@ class _Searcher:
         its receive takes or None): its last machine runs on through its
         invisible statements, for at most `room` micro-steps in all.  A
         macro takes at most one message, and an intruder move comes first.
-        Each micro state's audit is its parent's fed the state, from
-        `audit`, the audit of `node`.  Returns (the micro entries taken, the
-        node reached, its audit, the safety detail or None, whether the
-        macro was cut at `room` with a step of it left)."""
-        steps = []
-        entries, found = start
-        entries = iter(entries)
-        entry = next(entries)
+        The micro states are stepped through one fork of `audit`, the audit
+        of `node`.  Returns (the micro entries taken, the node reached, its
+        audit, the safety detail or None, whether the macro was cut at
+        `room` with a step of it left)."""
+        steps, audit = [], audit.fork()
+        (entry, *rest), found = start
         while True:
             known = self.known(audit) if entry[0] == "intruder" else None
             child = apply_entry(node, entry, self.medium, self.intruder, found, known)
             steps.append(entry)
-            audit = audit.after(child.state)
+            audit.step(child.state)
             bad = self.safety_violation(audit)
             if bad is not None:
                 return steps, child, audit, bad, False
-            following = next(entries, None)
-            if following is None:
-                if entry[0] != "machine" or not _runs_on(
-                    node.machines[entry[1]], child.machines[entry[1]]
-                ):
-                    return steps, child, audit, None, False
+            if rest:
+                following = rest.pop(0)
+            elif entry[0] == "machine" and _runs_on(
+                node.machines[entry[1]], child.machines[entry[1]]
+            ):
                 following = ("machine", entry[1], None)
+            else:
+                return steps, child, audit, None, False
             if len(steps) == room:
                 return steps, child, audit, None, True
             node, entry = child, following
@@ -677,20 +676,20 @@ class _Searcher:
 
     def admit(self, node: Config, audit: Audit, codes: tuple, at: int, link, buckets: dict):
         """The checks made once, when a macro-boundary node at depth `at` is
-        first reached, which count it: whether any move is enabled, machine
-        starts first, then intruder starts.  A node with none (quiescent) is
-        checked against the quiescent specs, one at the step bound is cut
-        there with a step left, and any other is filed in its bucket.
-        Returns the violated spec or None."""
+        first reached, which count it: whether any move is enabled, its
+        starts (machine starts, then intruder starts) read up to the first.
+        A node with none (quiescent) is checked against the quiescent specs,
+        one at the step bound is cut there with a step left, and any other
+        is filed in its bucket with its starts.  Returns the violated spec or None."""
         self.states += 1
-        machine = self._machine_starts(node, codes)
-        intruder = None if machine else list(self._intruder_starts(node, audit, codes))
-        if not (machine or intruder):
+        starts = chain(self._machine_starts(node, codes), self._intruder_starts(node, audit, codes))
+        first = next(starts, None)
+        if first is None:
             return self.quiescent_violation(node)
         if at == self.scenario.bounds.max_steps:
             self.truncated = True
         else:
-            buckets.setdefault(at, []).append((node, audit, codes, link, machine, intruder))
+            buckets.setdefault(at, []).append((node, audit, codes, link, chain((first,), starts)))
         return None
 
     # ── breadth-first pass over micro-depth buckets ──────────────────────
@@ -699,14 +698,14 @@ class _Searcher:
         """Returns (violation or None, its schedule, whether live nodes
         remain at the step bound); `states` counts the distinct nodes
         reached."""
-        audit = self.audit.after(self.root.state)
+        audit = self.audit.fork()
+        audit.step(self.root.state)
         bad = self.safety_violation(audit)
         if bad is not None:
             self.states = 1
             return (SPEC_INV, bad), [], False
-        # bucket entries: (node, its audit, its codes, link, its machine
-        # starts, its intruder starts or None to build them); a link is
-        # (parent's link, micro entries of the macro), None at the root
+        # bucket entries: (node, its audit, its codes, link, its starts); a link
+        # is (parent's link, micro entries of the macro), None at the root
         buckets: dict[int, list] = {}
         spec = self.admit(self.root, audit, self.encoder.codes(self.root), 0, None, buckets)
         if spec is not None:
@@ -715,10 +714,8 @@ class _Searcher:
         while buckets:
             self.depth = depth = min(buckets)
             seen.pop(depth, None)
-            for node, audit, codes, link, machine, intruder in buckets.pop(depth):
-                if intruder is None:
-                    intruder = self._intruder_starts(node, audit, codes)
-                for start in chain(machine, intruder):
+            for node, audit, codes, link, starts in buckets.pop(depth):
+                for start in starts:
                     macro = self.macro(node, audit, start, bound - depth)
                     steps, child, child_audit, bad, cut = macro
                     here = (link, steps)

@@ -13,8 +13,11 @@ is for demonstration only and cannot be replayed.
     verdict spec=<id> holds=<true|false> [detail="..."]
     end events=<n>
 
-The `level`, `init` and `end` records appear once, and a verdict names one
-spec, which no other verdict names.  Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
+The records come in the order shown, blank lines aside.  The `level`,
+`init` and `end` records appear once, a verdict names one spec, which no
+other verdict names, and a non-empty detail, if any, and a `scn` record
+holds one line of the embedded scenario as written, a blank one too.
+Each `<n>` is a count, spelled as `str` writes one: `0`, or ASCII
 digits with no leading zero (`model.count`).  A nonce in any event's action
 is written as its name, `n` and a count of 1 or more (`Nonce.named`); an
 item that is `n` followed by digits of any other spelling, such as `n01` or
@@ -284,7 +287,7 @@ def verdict_line(spec: str, holds: bool, detail: str) -> str:
 
 def render_trace(doc: TraceDoc, no_ghost: bool = False) -> str:
     lines = [HEADER, f"level {doc.level}"]
-    for line in doc.scenario_text.strip().splitlines():
+    for line in doc.scenario_text.splitlines():
         lines.append(f"scn {line}")
     lines.append(f"init digest={doc.init_digest}")
     for ev in doc.events:
@@ -303,6 +306,7 @@ _EVENT_RE = re.compile(
 )
 _VERDICT_RE = re.compile(r'^verdict spec=(\S+) holds=(true|false)(?: detail="(.*)")?$')
 _VERDICT_SPECS = resolve_spec_names("all")
+_RECORD_ORDER = ("level", "scn", "init", "event", "verdict", "end")
 _SPEC_NAMES = ", ".join(_VERDICT_SPECS[:-1]) + " or " + _VERDICT_SPECS[-1]
 
 
@@ -323,9 +327,15 @@ def parse_trace(text: str) -> TraceDoc:
     events: list[TraceEvent] = []
     verdicts: list[tuple[str, bool, str]] = []
     declared_events: int | None = None
+    last = 0  # the place in `_RECORD_ORDER` of the last record read
     for line in lines[1:]:
         if not line.strip():
             continue
+        record = line.split(" ", 1)[0]
+        place = _RECORD_ORDER.index(record) if record in _RECORD_ORDER else last
+        if place < last:
+            raise TraceError(f"{record}: record out of order, after {_RECORD_ORDER[last]!r}")
+        last = place
         if line.startswith("level "):
             if level is not None:
                 raise TraceError("level: duplicate record")
@@ -357,6 +367,8 @@ def parse_trace(text: str) -> TraceDoc:
                 raise TraceError(f"verdict: field 'spec' must be {_SPEC_NAMES}, got {shown(spec)}")
             if any(spec == recorded for recorded, _, _ in verdicts):
                 raise TraceError(f"verdict: duplicate record for spec {spec!r}")
+            if detail == "":
+                raise TraceError("verdict: field 'detail' must not be empty; omit it instead")
             verdicts.append((spec, holds == "true", detail or ""))
         elif line.startswith("end "):
             if declared_events is not None:

@@ -136,6 +136,36 @@ def test_explore_zero_steps_with_no_move_left_exits_zero(tmp_path):
     assert out == "states explored: 1\nverdict spec=all holds=true\n"
 
 
+# (scenario, bounds it must agree with): NS's longest receive pattern,
+# message 2 `[n,n]`, has length 2, and NSL's, message 2 `[n,n,u]`, length 3
+FAR_BOUNDS = [("ns-search", (2, 3)), ("nsl-search", (3,))]
+
+
+@pytest.mark.parametrize("name,agrees", FAR_BOUNDS, ids=[n for n, _ in FAR_BOUNDS])
+def test_a_content_bound_past_every_pattern_explores_as_the_longest(tmp_path, name, agrees):
+    # the content bound only filters the waiting patterns, so a bound past
+    # the longest writes the bytes the longest does (but for the bound's
+    # own field) and costs no more; the timeout turns a bound that is
+    # counted up to into a failure, not a hang
+    def explore_at(bound):
+        path, trace = tmp_path / f"{bound}.scn", tmp_path / f"{bound}.trc"
+        text = (SCENARIOS / f"{name}.scn").read_text()
+        path.write_text(text.replace("max_content_len=2", f"max_content_len={bound}"))
+        result = subprocess.run(
+            [sys.executable, "-m", "protolab", "explore", str(path), "--trace-out", str(trace)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        written = trace.read_text().replace(f" max_content_len={bound} ", " max_content_len=N ")
+        return result.returncode, result.stdout, result.stderr, written
+
+    far = explore_at(99999999999)
+    assert far[0] == 1 and "max_content_len=N" in far[3]
+    for bound in agrees:
+        assert explore_at(bound) == far
+
+
 def test_explore_has_no_workers_flag():
     # neither --workers nor --level exists for explore, which searches the
     # abstract level only
@@ -442,6 +472,24 @@ MALFORMED_INPUTS = {
         "replay",
         _trace("verdict spec=post-ns", "verdict spec=post-ns holds=true\nverdict spec=post-ns"),
         "verdict: duplicate record for spec 'post-ns'",
+    ),
+    # an empty detail was accepted, and rendered back without it
+    "verdict-empty-detail": (
+        "replay",
+        _trace(LOWE_VERDICT, 'verdict spec=post-ns holds=false detail=""'),
+        "verdict: field 'detail' must not be empty; omit it instead",
+    ),
+    # the records come in one order; any other was accepted, and rendered
+    # back in that order
+    "verdict-after-end": (
+        "replay",
+        _trace(f"{LOWE_VERDICT}\nend events=13", f"end events=13\n{LOWE_VERDICT}"),
+        "verdict: record out of order, after 'end'",
+    ),
+    "scn-after-init": (
+        "replay",
+        _trace("init digest=", "init digest=000000000000\nscn level abstract\ninit digest="),
+        "scn: record out of order, after 'init'",
     ),
     "unrecognised-key-atom": (
         "replay",

@@ -1,5 +1,7 @@
-"""Property: every input maps to an exit code in 0..3, and exit 2 says
-"error: ..." on stderr; no exception escapes `cli.main`.
+"""Properties: every input maps to an exit code in 0..3, and exit 2 says
+"error: ..." on stderr; no exception escapes `cli.main`.  An accepted text
+renders back to itself: a trace to its lines less the blank ones, and a
+scenario to a rendering that parses to the same scenario.
 
 Inputs are the golden traces and shipped scenarios with tokens and lines
 replaced, inserted and deleted below their header line: traces go to
@@ -15,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protolab.cli import main
+from protolab.scenario import ScenarioError, parse_scenario, render_scenario
+from protolab.trace import TraceError, parse_trace, render_trace
 
 from conftest import GOLDEN, ROOT, SCENARIOS
 
@@ -40,12 +44,17 @@ VALUES = sorted({token.split("=", 1)[1] for token in TOKENS if "=" in token}) + 
 
 # a scripted intruder whose principals coincide
 COINCIDING = (SCENARIOS / "lowe-on-ns.scn").read_text().replace("a=A b=B", "a=A b=A")
+# a content bound far past every receive pattern, which must cost no more
+# than the longest pattern does
+FAR_BOUND = (SCENARIOS / "nsl-search.scn").read_text().replace(
+    "max_content_len=2", "max_content_len=999999999"
+)
 
 
 @st.composite
-def mutated_input(draw):
-    """(command, bytes of the input file)."""
-    command, text = draw(st.sampled_from(SOURCES))
+def mutated_input(draw, sources=SOURCES):
+    """(command, bytes of the input file), from one of `sources`."""
+    command, text = draw(st.sampled_from(sources))
     header, *lines = text.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["token", "value", "insert", "delete", "line", "drop-line"]))
@@ -80,6 +89,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(case=mutated_input())
 @example(case=("run", COINCIDING.encode()))
+@example(case=("explore", FAR_BOUND.encode()))
 @example(case=("replay", (GOLDEN / "honest-ns.trc").read_bytes().replace(b"user A", b"user \xc4")))
 @example(case=("replay", None))
 @example(case=("explore", None))
@@ -116,3 +126,49 @@ def test_every_input_maps_to_an_exit_code_under_optimisation(tmp_path):
         cwd=tmp_path,
     )
     assert (result.returncode, result.stderr) == (0, ""), result.stderr[-2000:]
+
+
+# ── accepted texts render back to themselves ────────────────────────────────
+
+HONEST = (GOLDEN / "honest-ns.trc").read_text()
+
+
+def _blank_scn(at):
+    """The honest golden with a blank `scn` record inserted before its
+    `at`-th scenario line (-1: after the last)."""
+    lines = HONEST.splitlines(True)
+    scn = [i for i, line in enumerate(lines) if line.startswith("scn ")]
+    where = scn[at] if at >= 0 else scn[-1] + 1
+    return "".join(lines[:where] + ["scn \n"] + lines[where:]).encode()
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=mutated_input([source for source in SOURCES if source[0] == "replay"]))
+# a blank scenario line is kept wherever it comes; it was dropped when it came first or last
+@example(case=("replay", _blank_scn(0)))
+@example(case=("replay", _blank_scn(3)))
+@example(case=("replay", _blank_scn(-1)))
+@example(case=("replay", HONEST.replace("scn level", "scn  level").encode()))
+# an empty detail was accepted and rendered back without it; it is rejected
+@example(case=("replay", HONEST.replace("spec=inv holds=true", 'spec=inv holds=true detail=""').encode()))
+def test_an_accepted_trace_renders_back_to_its_lines(case):
+    _, data = case
+    text = data.decode()
+    try:
+        doc = parse_trace(text)
+    except TraceError:
+        return
+    assert render_trace(doc).splitlines() == [line for line in text.splitlines() if line.strip()]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=mutated_input([source for source in SOURCES if source[0] != "replay"]))
+def test_an_accepted_scenario_renders_to_a_fixed_point(case):
+    _, data = case
+    try:
+        scenario = parse_scenario(data.decode())
+    except ScenarioError:
+        return
+    rendered = render_scenario(scenario)
+    assert parse_scenario(rendered) == scenario
+    assert render_scenario(parse_scenario(rendered)) == rendered

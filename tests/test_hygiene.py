@@ -1,8 +1,10 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-module-level name of the package goes unread.  A removal leaves such names
+"""Source hygiene: no module imports a name it never uses, no private
+module-level name of the package goes unread, and every dotted name the
+README gives is in the package.  A removal or a rename leaves such names
 behind, and no linter runs over this tree."""
 
 import ast
+import re
 
 import pytest
 
@@ -294,3 +296,79 @@ def test_a_safety_check_outside_the_audit_is_reported():
         "b": "def f(x):\n    return x._unread() or x._reused_nonces()\n",
     }
     assert safety_check_callers(sources) == ["a.safety", "a.<module>", "b.f"]
+
+
+# ── names the README gives ───────────────────────────────────────────────────
+
+
+def _members(body) -> dict:
+    """The names a module or class body binds, each mapped to the names its
+    class binds (its methods, fields and the `self.` attributes its methods
+    set), or to nothing."""
+    found = {}
+    for stmt in body:
+        if isinstance(stmt, ast.ClassDef):
+            members = _members(stmt.body)
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    members.setdefault(node.attr, {})
+            found[stmt.name] = members
+        else:
+            found.update((name, {}) for name in _defines(stmt))
+    return found
+
+
+def unresolved_readme_names(readme: str, sources: dict[str, str]) -> list[str]:
+    """Each backticked dotted name of `readme` (`invariants.Audit`,
+    `TraceRun.advance`) that names no module of `sources`, or no name one
+    defines at its top level, followed by the members it names; `protolab.`
+    may lead."""
+    modules = {module: _members(ast.parse(source).body) for module, source in sources.items()}
+    scope = {name: members for found in modules.values() for name, members in found.items()}
+    scope.update(modules)
+    missing = []
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme):
+        parts = dotted.split(".")
+        names = scope
+        for part in parts[1:] if parts[0] == "protolab" else parts:
+            if part not in names:
+                missing.append(dotted)
+                break
+            names = names[part]
+    return list(dict.fromkeys(missing))
+
+
+def test_every_name_the_readme_gives_is_in_the_package():
+    # a rename or a removal leaves the README naming what is gone
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unresolved_readme_names(readme, sources) == []
+
+
+def test_a_name_the_package_lacks_is_reported():
+    sources = {
+        "a": (
+            "class Audit:\n"
+            "    size = 0\n"
+            "    def __init__(self):\n"
+            "        self.facts = {}\n"
+            "    def step(self, state):\n"
+            "        pass\n"
+            "def helper():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import Audit\nTABLE = {}\n",
+    }
+    readme = (
+        "`a.Audit.step`, `Audit.facts`, `Audit.size`, `protolab.b`, `b.TABLE`, `a.helper`,"
+        " `scenarios/x.scn`, `a.Audit.after`, `Audit.after`, `b.Audit`, `c.helper`,"
+        " `Audit.step.x`, `a.Audit.after`, `lowe-on-ns.trc`\n"
+    )
+    assert unresolved_readme_names(readme, sources) == [
+        "a.Audit.after", "Audit.after", "b.Audit", "c.helper", "Audit.step.x",
+    ]

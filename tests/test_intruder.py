@@ -176,6 +176,31 @@ def test_legal_moves_equal_brute_force_filtered_by_kinds(
     assert legal_moves(know, max_content, max_invents, waiting, history) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    uids=st.sets(st.sampled_from("ABCI")),
+    nonces=st.sets(st.integers(1, 4).map(Nonce)),
+    history=MESSAGES,
+    waiting=st.dictionaries(st.sampled_from("ABCIZ"), PATTERNS),
+    past=st.integers(0, 2**62),
+    max_invents=st.integers(0, 1),
+)
+@example(  # the largest bound drawn, past NSL's longest pattern [n,n,u]
+    uids={"A", "B", "I"}, nonces={N1}, history=(),
+    waiting={"A": [("n", "n", "u")], "B": [("u", "n"), ("n",)]}, past=2**62, max_invents=0,
+)
+def test_a_content_bound_past_the_longest_waiting_pattern_changes_no_move(
+    uids, nonces, history, waiting, past, max_invents
+):
+    # the bound only filters the waiting patterns, so any bound from the
+    # longest pattern's length up gives the same moves, as fast
+    longest = max((len(p) for patterns in waiting.values() for p in patterns), default=0)
+    know = IntruderKnowledge(frozenset(uids | nonces), tuple(range(len(history))))
+    bound = min(longest + past, 2**62)
+    moves = legal_moves(know, longest, max_invents, waiting, history)
+    assert legal_moves(know, bound, max_invents, waiting, history) == moves
+
+
 def play(state, move):
     """`move` made by the intruder I in session I#1, handed what it knows
     (its `closure`)."""

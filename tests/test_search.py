@@ -2,6 +2,7 @@
 for the identity-checked variant, determinism, and layering."""
 
 import gc
+import hashlib
 import io
 import weakref
 from collections import Counter
@@ -330,17 +331,20 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
 # same receive discipline as above: with no intruder, B#2 takes a reply meant
 # for B#1 (cross-talk); with one, B#1 takes a nonce the intruder learned from
 # A#2 in place of A#1's and aborts (two senders).  Fixing the receive
-# discipline will flip these verdicts, on purpose.
+# discipline will flip these verdicts, on purpose.  The SHA-256 of each
+# counterexample's trace pins the order in which moves are tried, too.
 RECEIVE_DISCIPLINE = [
-    (CROSS_TALK, 22, ("post-ns", 36, 20)),
-    (TWO_SENDERS, 16, ("post-ns", 172, 16)),
+    (CROSS_TALK, 22, ("post-ns", 36, 20),
+     "182ceda3bb6fd05e3d7c0f525c9bea88e1d6f81d3daad2a7a68d05520393a923"),
+    (TWO_SENDERS, 16, ("post-ns", 172, 16),
+     "28a7da3956b2a2f8a994acc3455a59dd73f10d33aaf6eb8e7c5b56d12bd8381b"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,max_steps,expected", RECEIVE_DISCIPLINE, ids=["cross-talk-22", "two-senders-16"]
+    "text,max_steps,expected,sha256", RECEIVE_DISCIPLINE, ids=["cross-talk-22", "two-senders-16"]
 )
-def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expected):
+def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expected, sha256):
     from protolab.cli import main
 
     verdict = explore(parse_scenario(text).with_max_steps(max_steps), spec="all")
@@ -351,6 +355,7 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
     assert verdict.detail.startswith("mutual-partner: A session A#1 completed with partner B")
     trace = tmp_path / "cex.trc"
     trace.write_text(render_trace(verdict.counterexample.to_doc([verdict])))
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
     out, err = io.StringIO(), io.StringIO()
     assert main(["replay", str(trace)], out=out, err=err) == 0
     assert out.getvalue() == f"replay ok: {events} events verified\n"
@@ -377,6 +382,8 @@ def test_the_content_length_three_over_reach_is_pinned(tmp_path):
     assert verdict.startswith(
         'verdict spec=nsl-ft holds=false detail="abnormal-termination: A completed session A#1'
     )
+    digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert digest == "ba31afaff5bf1ccd4849b72f6ee6358d9627b9df9e4af4a70d6705fed92fd534"
     out = io.StringIO()
     assert main(["replay", str(trace)], out=out, err=err) == 0
     assert out.getvalue() == "replay ok: 13 events verified\n"
@@ -531,7 +538,8 @@ def macro_starts(searcher, node):
     """Every macro start from a node, and the audit it was built from,
     with its audit and codes rebuilt from its whole state: the search's
     fresh audit fed the node's state alone."""
-    audit = searcher.audit.after(node.state)
+    audit = searcher.audit.fork()
+    audit.step(node.state)
     codes = searcher.encoder.codes(node)
     starts = searcher._machine_starts(node, codes)
     return starts + list(searcher._intruder_starts(node, audit, codes)), audit
@@ -917,25 +925,29 @@ def planted(state, parent, sc):
 def test_carried_safety_facts_give_the_rescan_verdict(monkeypatch, name, max_steps, invents):
     # every micro state the search checks, and each planted failure beside
     # it, gets from the audit carried along its links the verdict and the
-    # witness of a rescan of its whole state; feeding a state leaves its
-    # parent's audit as it was, so each planted state is fed the same audit
+    # witness of a rescan of its whole state; each planted state is fed a
+    # fork of the audit the search then steps, which a fork leaves as it was
     sc = _bounded(name, max_steps, invents)
-    searcher, after = _Searcher(sc, SPEC_INV), invariants.Audit.after
+    searcher, step = _Searcher(sc, SPEC_INV), invariants.Audit.step
     checked, witnesses = 0, set()
 
-    def checking(audit, state):
-        nonlocal checked
-        found = after(audit, state)
-        assert searcher.safety_violation(found) == rescan(sc, state, audit.state)
-        for bad in planted(state, audit.state, sc):
-            expected = rescan(sc, bad, audit.state)
-            assert expected is not None
-            assert searcher.safety_violation(after(audit, bad)) == expected
-            witnesses.add(expected)
-        checked += 1
-        return found
+    class Checking(invariants.Audit):
+        # the search's audits only: a rescan steps a plain `Audit`
+        def step(self, state):
+            nonlocal checked
+            parent = self.state
+            for bad in planted(state, parent, sc):
+                expected = rescan(sc, bad, parent)
+                assert expected is not None
+                probe = self.fork()
+                step(probe, bad)
+                assert searcher.safety_violation(probe) == expected
+                witnesses.add(expected)
+            step(self, state)
+            assert searcher.safety_violation(self) == rescan(sc, state, parent)
+            checked += 1
 
-    monkeypatch.setattr(invariants.Audit, "after", checking)
+    monkeypatch.setattr(search, "Audit", Checking)
     verdict = explore(sc, spec=SPEC_INV)
     assert verdict.counterexample is None and checked > verdict.states
     # the least unjustified nonce is not always the planted n99
