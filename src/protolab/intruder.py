@@ -101,7 +101,7 @@ def legal_moves(
     content's `kinds_of` is one of its recipient's patterns, one lookup.
 
     So the bound assumes that the intruder never forges a message kind whose
-    pattern is longer.  NSL's message 2, `[n,n,u]`, has length 3: NSL
+    pattern is longer.  NSL's message 2, `[u,n,n]`, has length 3: NSL
     certified at 2 assumes that it cannot forge message 2 (at 3, nsl-ft
     fails, with 94 states)."""
     moves: list[IntruderMove] = []

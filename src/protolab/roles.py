@@ -18,9 +18,12 @@ and item kind: the content's `kinds_of` is the pattern.  `takes` alone
 applies that rule, for runs, the search and its intruder fusion, and the
 caller hands `step` the index it picked (`found`, None: there is none).
 Messages that do not match are left unread for other machines of the same
-owner.  The NSL initiator additionally checks that the identity claimed in
-the reply equals the intended partner and aborts on mismatch; both
-variants abort when a returned nonce is not the one expected.
+owner.  A receive's checks are data (`RecvStmt.checks`): pairs of a name
+it binds and a name of the program whose value must equal it, and `step`
+aborts the machine when one pair differs.  Both variants check that a
+returned nonce is the one sent; the NSL initiator also checks that the
+identity claimed in message 2 is its intended partner.  The programs hold
+the whole difference between the variants, and `step` never reads one.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ class InventStmt:
 
 @dataclass(frozen=True)
 class SendStmt:
-    template: tuple[str, ...]  # "this" or a local name per position
-    target: str  # "peer" or a local name holding a principal
+    template: tuple[str, ...]  # a name per position (`_value`)
+    target: str  # a name holding a principal
     name: str = "send"
 
 
@@ -95,7 +98,7 @@ class SendStmt:
 class RecvStmt:
     pattern: tuple[str, ...]
     binds: tuple[str, ...]
-    guard: str | None = None  # "sender-check" | "ret-eq-nb"
+    checks: tuple[tuple[str, str], ...] = ()  # (bound name, name it must equal)
     learn: tuple[str, ...] = ()
     bind_partner: str | None = None  # local name to record as intended partner
     name: str = "recv"
@@ -106,39 +109,39 @@ class FinishStmt:
     name: str = "finish"
 
 
-def sender_statements(variant: Variant) -> tuple:
-    if variant is Variant.NS:
-        recv = RecvStmt(("n", "n"), ("ret", "Nt"), guard="sender-check", learn=("Nt",))
-    else:
-        recv = RecvStmt(
-            ("u", "n", "n"), ("claim", "ret", "Nt"), guard="sender-check", learn=("Nt",)
-        )
-    return (
-        SetPartner(),
-        InventStmt("NA"),
-        SendStmt(("this", "NA"), "peer"),
-        recv,
-        SendStmt(("Nt",), "peer"),
-        FinishStmt(),
-    )
-
-
-def receiver_statements(variant: Variant) -> tuple:
-    reply = ("Nf", "NB") if variant is Variant.NS else ("this", "Nf", "NB")
-    return (
-        RecvStmt(("u", "n"), ("from", "Nf"), learn=("Nf",), bind_partner="from"),
-        InventStmt("NB"),
-        SendStmt(reply, "from"),
-        RecvStmt(("n",), ("ret",), guard="ret-eq-nb"),
-        FinishStmt(),
-    )
-
-
-# The four programs, built once; a machine picks its own by identity, since
-# hashing an enum member runs Python code, and so does reading one from its
-# class, so the members read at every step are read once, here.
-_NS_SENDER, _NSL_SENDER = sender_statements(Variant.NS), sender_statements(Variant.NSL)
-_NS_RECEIVER, _NSL_RECEIVER = receiver_statements(Variant.NS), receiver_statements(Variant.NSL)
+# The four programs.  A name in a program is "this" (the owner), "peer" (the
+# intended partner) or a local (`_value`).  NSL is NS with message 2 changed
+# (Lowe 1996): the responder names itself in its reply, and the initiator
+# binds that name and checks it against its intended partner.
+_NS_SENDER = (
+    SetPartner(),
+    InventStmt("NA"),
+    SendStmt(("this", "NA"), "peer"),
+    RecvStmt(("n", "n"), ("ret", "Nt"), checks=(("ret", "NA"),), learn=("Nt",)),
+    SendStmt(("Nt",), "peer"),
+    FinishStmt(),
+)
+_NS_RECEIVER = (
+    RecvStmt(("u", "n"), ("from", "Nf"), learn=("Nf",), bind_partner="from"),
+    InventStmt("NB"),
+    SendStmt(("Nf", "NB"), "from"),
+    RecvStmt(("n",), ("ret",), checks=(("ret", "NB"),)),
+    FinishStmt(),
+)
+_NSL_SENDER = (
+    *_NS_SENDER[:3],
+    RecvStmt(
+        ("u", "n", "n"),
+        ("claim", "ret", "Nt"),
+        checks=(("claim", "peer"), ("ret", "NA")),
+        learn=("Nt",),
+    ),
+    *_NS_SENDER[4:],
+)
+_NSL_RECEIVER = (*_NS_RECEIVER[:2], SendStmt(("this", "Nf", "NB"), "from"), *_NS_RECEIVER[3:])
+# A machine picks its program by identity, since hashing an enum member runs
+# Python code, and so does reading one from its class, so the members read
+# at every step are read once, here.
 _NS, _SENDER, _RUNNING = Variant.NS, RoleKind.SENDER, Status.RUNNING
 
 
@@ -297,17 +300,15 @@ def _successor(
     )
 
 
-def _guard_passes(machine: RoleMachine, stmt: RecvStmt, bound: dict[str, Item]) -> bool:
-    if stmt.guard == "sender-check":
-        if bound["ret"] != machine.local("NA"):
-            return False
-        if machine.variant is Variant.NSL and bound["claim"] != machine.peer:
-            return False
-        return True
-    if stmt.guard == "ret-eq-nb":
-        return bound["ret"] == machine.local("NB")
-    assert stmt.guard is None
-    return True
+def _value(machine: RoleMachine, name: str) -> Item | None:
+    """The value of `name` in the program of `machine`: "this" is its
+    owner, "peer" its intended partner (None: not chosen) and any other
+    name a local."""
+    if name == "this":
+        return machine.owner
+    if name == "peer":
+        return machine.peer
+    return machine.local(name)
 
 
 def step(
@@ -343,11 +344,8 @@ def step(
         return _successor(machine, pc, _with_locals(machine, {stmt.bind: nonce})), state, inbox
 
     if isinstance(stmt, SendStmt):
-        items = tuple(
-            machine.owner if token == "this" else machine.local(token)
-            for token in stmt.template
-        )
-        target = machine.peer if stmt.target == "peer" else machine.local(stmt.target)
+        items = tuple(_value(machine, name) for name in stmt.template)
+        target = _value(machine, stmt.target)
         assert is_uid(target)
         state = append_action(state, medium.send_action(machine.owner, target, items))
         return _successor(machine, pc, machine.locals), state, inbox
@@ -360,8 +358,9 @@ def step(
         bound = dict(zip(stmt.binds, items))
         inbox = inbox.consume(machine.owner, found)
         merged = _with_locals(machine, bound)
-        if not _guard_passes(machine, stmt, bound):
-            return _successor(machine, machine.pc, merged, Status.ABORTED), state, inbox
+        for name, other in stmt.checks:
+            if bound[name] != _value(machine, other):
+                return _successor(machine, machine.pc, merged, Status.ABORTED), state, inbox
         if stmt.bind_partner is not None:
             partner = bound[stmt.bind_partner]
             assert is_uid(partner)

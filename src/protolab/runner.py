@@ -260,14 +260,19 @@ class TraceRun:
         )
 
 
+def _machines(scenario: Scenario) -> tuple[RoleMachine, ...]:
+    """A fresh machine per declared role, in declaration order, each in
+    its own session."""
+    return tuple(
+        make_machine(role.user, role.kind, role.variant, session, role.peer)
+        for role, session in zip(scenario.roles, scenario.sessions())
+    )
+
+
 def build_execution(scenario: Scenario) -> TraceRun:
     """An empty run of `scenario` at the scenario's level."""
     state = initial_state(scenario.conforms_map())
-    sessions = scenario.sessions()
-    machines = tuple(
-        make_machine(role.user, role.kind, role.variant, session, role.peer)
-        for role, session in zip(scenario.roles, sessions)
-    )
+    machines = _machines(scenario)
     for machine in machines:
         state = open_session(state, machine.owner, machine.session)
     intruder = None
@@ -351,16 +356,9 @@ def execute_schedule(scenario: Scenario, schedule) -> TraceRun:
     return run
 
 
-def _actor_index_map(scenario: Scenario) -> dict[str, int]:
-    out = {}
-    for index, (role, session) in enumerate(zip(scenario.roles, scenario.sessions())):
-        out[f"{role.kind.value}@{session}"] = index
-    return out
-
-
 def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
     """Rebuild the executable schedule recorded in a trace document."""
-    actor_to_index = _actor_index_map(scenario)
+    actor_to_index = {machine.actor_id: i for i, machine in enumerate(_machines(scenario))}
     intr_actor = (
         f"intruder@{scenario.intruder_session()}" if scenario.intruder.user is not None else None
     )

@@ -21,7 +21,7 @@ downstream is deterministic in this file plus the flags.
 `max_content_len` is an assumption, not a message size: the search
 intruder never forges a message kind whose receive pattern is longer than
 the bound, and any bound from the longest pattern up searches alike.
-NSL's message 2, `[n,n,u]`, has length 3, so NSL certified at 2 assumes
+NSL's message 2, `[u,n,n]`, has length 3, so NSL certified at 2 assumes
 that the intruder cannot forge message 2 (at 3, nsl-ft fails, 94 states).
 """
 

@@ -137,7 +137,7 @@ def test_explore_zero_steps_with_no_move_left_exits_zero(tmp_path):
 
 
 # (scenario, bounds it must agree with): NS's longest receive pattern,
-# message 2 `[n,n]`, has length 2, and NSL's, message 2 `[n,n,u]`, length 3
+# message 2 `[n,n]`, has length 2, and NSL's, message 2 `[u,n,n]`, length 3
 FAR_BOUNDS = [("ns-search", (2, 3)), ("nsl-search", (3,))]
 
 

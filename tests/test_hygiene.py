@@ -1,7 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no private
 module-level name of the package goes unread, and every dotted name the
 README gives is in the package.  A removal or a rename leaves such names
-behind, and no linter runs over this tree."""
+behind, and no linter runs over this tree.  Some concerns have one place
+in the source, which these checks hold them to: reading an int from text,
+the safety checks, and the protocol variants."""
 
 import ast
 import re
@@ -13,7 +15,7 @@ from conftest import ROOT
 # `__init__.py` imports are the package's public API, not uses.
 MODULES = sorted(
     path
-    for folder in (ROOT / "src" / "protolab", ROOT / "tests", ROOT / "perfbench")
+    for folder in (ROOT / "src" / "protolab", ROOT / "tests", ROOT / "perfbench", ROOT / "tools")
     for path in folder.glob("*.py")
     if path.name != "__init__.py"
 )
@@ -298,6 +300,65 @@ def test_a_safety_check_outside_the_audit_is_reported():
     assert safety_check_callers(sources) == ["a.safety", "a.<module>", "b.f"]
 
 
+# ── protocol variants ────────────────────────────────────────────────────────
+
+
+def variant_comparisons(sources: dict[str, str]) -> list[str]:
+    """`module.scope` for each comparison with a variant among its operands:
+    a `.variant` attribute, a name `variant` or a member `Variant.X`.
+    `scope` is the dotted path of the classes and defs around it,
+    `<module>` at the top level."""
+    found = []
+
+    def is_variant(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "variant" or (
+                isinstance(node.value, ast.Name) and node.value.id == "Variant"
+            )
+        return isinstance(node, ast.Name) and node.id == "variant"
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                is_variant(operand) for operand in (child.left, *child.comparators)
+            ):
+                found.append(f"{module}.{'.'.join(where) or '<module>'}")
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(module, child, where + [child.name] if scoped else where)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), [])
+    return found
+
+
+def test_only_the_program_lookup_compares_variants():
+    # NSL is NS with message 2 changed, and the programs hold that change:
+    # a machine picks its program by its variant, and nothing else asks
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert variant_comparisons(sources) == ["roles.RoleMachine.statements"]
+
+
+def test_a_variant_comparison_is_reported():
+    sources = {
+        "a": (
+            "class RoleMachine:\n"
+            "    def statements(self):\n"
+            "        return 1 if self.variant is _NS else 2\n"
+            "def guard(machine, bound):\n"
+            "    return machine.variant is Variant.NSL and bound['claim'] != machine.peer\n"
+            "def build(variant):\n"
+            "    if variant == 'ns':\n"
+            "        return [Variant.NS != m.kind for m in ()]\n"
+            "def render(machine):\n"
+            "    return f'{machine.variant._value_}', Variant(machine.variant)\n"
+        ),
+        "b": "class C:\n    def pick(self):\n        return self.variant in (1, 2)\nX = Variant.NS == 1\n",
+    }
+    assert variant_comparisons(sources) == [
+        "a.RoleMachine.statements", "a.guard", "a.build", "a.build", "b.C.pick", "b.<module>",
+    ]
+
+
 # ── names the README gives ───────────────────────────────────────────────────
 
 
@@ -372,3 +433,28 @@ def test_a_name_the_package_lacks_is_reported():
     assert unresolved_readme_names(readme, sources) == [
         "a.Audit.after", "Audit.after", "b.Audit", "c.helper", "Audit.step.x",
     ]
+
+
+# ── NSL's message 2 in the docs ──────────────────────────────────────────────
+
+
+def test_the_docs_give_nsl_message_two_as_the_program_receives_it():
+    # the responder names itself first in message 2; Lowe writes the name
+    # last, and the docs once did too, which misstated the pattern the
+    # content bound is measured against
+    from protolab import intruder, scenario
+    from protolab.roles import _NSL_SENDER, RecvStmt
+
+    (receive,) = [stmt for stmt in _NSL_SENDER if isinstance(stmt, RecvStmt)]
+    pattern = receive.pattern
+    name_last = pattern[1:] + pattern[:1]
+    assert name_last != pattern
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for doc in (readme, scenario.__doc__, intruder.legal_moves.__doc__):
+        assert f"`[{','.join(pattern)}]`" in doc
+    texts = [ROOT / "README.md", ROOT / "ROADMAP.md", *SOURCES, *MODULES]
+    assert [
+        str(path.relative_to(ROOT))
+        for path in texts
+        if f"[{','.join(name_last)}]" in path.read_text(encoding="utf-8")
+    ] == []

@@ -185,7 +185,7 @@ def test_legal_moves_equal_brute_force_filtered_by_kinds(
     past=st.integers(0, 2**62),
     max_invents=st.integers(0, 1),
 )
-@example(  # the largest bound drawn, past NSL's longest pattern [n,n,u]
+@example(  # the largest bound drawn, past a pattern as long as NSL's longest
     uids={"A", "B", "I"}, nonces={N1}, history=(),
     waiting={"A": [("n", "n", "u")], "B": [("u", "n"), ("n",)]}, past=2**62, max_invents=0,
 )

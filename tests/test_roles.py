@@ -3,6 +3,7 @@
 import io
 from collections import Counter
 from dataclasses import replace as dc_replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,10 @@ from protolab.roles import (
     ABSTRACT,
     IllegalMove,
     Inbox,
+    InventStmt,
+    RecvStmt,
     RoleKind,
+    SendStmt,
     Status,
     Variant,
     can_fire,
@@ -307,3 +311,116 @@ def test_receive_matching_equals_a_scan_of_the_history(monkeypatch, tmp_path):
     for trace in [*sorted(GOLDEN.glob("*.trc")), wire]:
         assert main(["replay", str(trace)], out) == 0, out.getvalue()
     assert checked[True] > 100 and checked[False] > 100
+
+
+# ── a receive's checks against the guard code they replaced ──────────────────
+
+
+def reference_guard_passes(machine, stmt, bound) -> bool:
+    """Whether a receive's guard passes, as code that names each guard and
+    reads the variant: the receive guard before a receive's checks were
+    data, kept as the reference for them.  `stmt.guard` names the guard."""
+    if stmt.guard == "sender-check":
+        if bound["ret"] != machine.local("NA"):
+            return False
+        if machine.variant is Variant.NSL and bound["claim"] != machine.peer:
+            return False
+        return True
+    if stmt.guard == "ret-eq-nb":
+        return bound["ret"] == machine.local("NB")
+    assert stmt.guard is None
+    return True
+
+
+def program(kind, variant):
+    return make_machine("A", kind, variant, "A#1").statements()
+
+
+# the guard each receive had, by role and program counter, in both variants
+REFERENCE_GUARDS = {
+    (RoleKind.SENDER, 3): "sender-check",
+    (RoleKind.RECEIVER, 0): None,
+    (RoleKind.RECEIVER, 3): "ret-eq-nb",
+}
+RECEIVES = [
+    (kind, variant, pc)
+    for kind in RoleKind
+    for variant in Variant
+    for pc, stmt in enumerate(program(kind, variant))
+    if isinstance(stmt, RecvStmt)
+]
+PRINCIPALS = ("A", "B", "I")
+NONCES = (N1, N2, Nonce(3))
+KIND_ITEMS = {"u": st.sampled_from(PRINCIPALS), "n": st.sampled_from(NONCES)}
+
+
+@st.composite
+def waiting_receives(draw):
+    """(machine, content): a machine of either role and variant at one of
+    its receives, with drawn locals and peer, and a content of the pattern
+    it waits for.  Items come from A, B, I and n1-n3."""
+    kind, variant, pc = draw(st.sampled_from(RECEIVES))
+    owner = draw(st.sampled_from(PRINCIPALS))
+    statements = program(kind, variant)
+    bound_before = dict.fromkeys(
+        name
+        for stmt in statements[:pc]
+        for name in (
+            stmt.binds if isinstance(stmt, RecvStmt)
+            else (stmt.bind,) if isinstance(stmt, InventStmt)
+            else ()
+        )
+    )
+    locals = tuple(
+        sorted((name, draw(st.sampled_from(PRINCIPALS + NONCES))) for name in bound_before)
+    )
+    peer = draw(st.sampled_from((None,) + PRINCIPALS))
+    machine = dc_replace(
+        make_machine(owner, kind, variant, f"{owner}#1"), pc=pc, locals=locals, peer=peer
+    )
+    return machine, tuple(draw(KIND_ITEMS[k]) for k in statements[pc].pattern)
+
+
+NSL_INITIATOR_AT_MESSAGE_2 = dc_replace(
+    make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", "B"), pc=3, locals=(("NA", N1),)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=waiting_receives())
+@example(case=(NSL_INITIATOR_AT_MESSAGE_2, ("B", N1, N2)))  # its partner's reply
+@example(case=(dc_replace(NSL_INITIATOR_AT_MESSAGE_2, peer="I"), ("B", N1, N2)))  # another's
+def test_a_receive_aborts_exactly_when_the_reference_guard_fails(case):
+    # every receive of the four programs, with any bound items, locals and
+    # partner: `step` aborts the machine exactly when the guard code the
+    # checks replaced fails, and takes the message either way
+    machine, content = case
+    state = append_action(fresh(*PRINCIPALS), Msg(rec=machine.owner, sender="I", content=content))
+    found = len(state.history) - 1
+    after, _, inbox = step(machine, state, Inbox(), ABSTRACT, found=found)
+    stmt = machine.current()
+    guard = SimpleNamespace(guard=REFERENCE_GUARDS[machine.kind, machine.pc])
+    passes = reference_guard_passes(machine, guard, dict(zip(stmt.binds, content)))
+    assert after.status is (Status.RUNNING if passes else Status.ABORTED)
+    assert after.pc == machine.pc + passes
+    assert inbox.consumed == ((machine.owner, {found}),)
+
+
+def test_nsl_is_ns_with_message_two_changed():
+    # Lowe's fix changes message 2 alone: the responder names itself in its
+    # reply, and the initiator's receive of the reply binds that name first
+    # and checks it against its intended partner; every other statement is
+    # the same
+    for kind, changed in ((RoleKind.SENDER, 3), (RoleKind.RECEIVER, 2)):
+        ns, nsl = program(kind, Variant.NS), program(kind, Variant.NSL)
+        assert len(ns) == len(nsl)
+        assert [pc for pc, pair in enumerate(zip(ns, nsl)) if pair[0] != pair[1]] == [changed]
+    ns_recv, nsl_recv = (program(RoleKind.SENDER, variant)[3] for variant in Variant)
+    assert isinstance(ns_recv, RecvStmt) and isinstance(nsl_recv, RecvStmt)
+    assert nsl_recv.pattern == ("u", *ns_recv.pattern)
+    assert nsl_recv.binds == ("claim", *ns_recv.binds)
+    assert nsl_recv.checks == (("claim", "peer"), *ns_recv.checks)
+    assert nsl_recv.learn == ns_recv.learn
+    ns_reply, nsl_reply = (program(RoleKind.RECEIVER, variant)[2] for variant in Variant)
+    assert isinstance(ns_reply, SendStmt) and isinstance(nsl_reply, SendStmt)
+    assert nsl_reply == dc_replace(ns_reply, template=("this", *ns_reply.template))

@@ -84,6 +84,11 @@ bounds max_steps=10 max_content_len=2 max_intruder_invents=0 max_sessions_per_us
 level abstract
 """
 
+# Two NSL senders at A and two receivers at B, none with a declared peer.
+TWO_PAIRS = TWO_SENDERS.replace(
+    "role receiver user=B variant=nsl\n", "role receiver user=B variant=nsl\n" * 2
+)
+
 # Two NSL sessions from A to B, declared sender, receiver, receiver, sender,
 # with no intruder: concurrent honest sessions that can take each other's
 # replies.
@@ -330,19 +335,25 @@ def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected)
 # Post-ns violations with no invented nonce and content length 2, from the
 # same receive discipline as above: with no intruder, B#2 takes a reply meant
 # for B#1 (cross-talk); with one, B#1 takes a nonce the intruder learned from
-# A#2 in place of A#1's and aborts (two senders).  Fixing the receive
-# discipline will flip these verdicts, on purpose.  The SHA-256 of each
-# counterexample's trace pins the order in which moves are tried, too.
+# A#2 in place of A#1's and aborts (two senders); with two receivers at B,
+# B#2 takes A#1's opener, replayed, and then A#1's last message, and B#1 a
+# nonce learned from A#2, and both returned-nonce checks fail (two pairs).
+# Fixing the receive discipline will flip these verdicts, on purpose.  The
+# SHA-256 of each counterexample's trace pins the order moves are tried in.
 RECEIVE_DISCIPLINE = [
     (CROSS_TALK, 22, ("post-ns", 36, 20),
      "182ceda3bb6fd05e3d7c0f525c9bea88e1d6f81d3daad2a7a68d05520393a923"),
     (TWO_SENDERS, 16, ("post-ns", 172, 16),
      "28a7da3956b2a2f8a994acc3455a59dd73f10d33aaf6eb8e7c5b56d12bd8381b"),
+    (TWO_PAIRS, 20, ("post-ns", 3482, 20),
+     "7a8bfb87ee24e5734d4d661e2ae6c158c74064eb5e26532caea41f864854ee5f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,max_steps,expected,sha256", RECEIVE_DISCIPLINE, ids=["cross-talk-22", "two-senders-16"]
+    "text,max_steps,expected,sha256",
+    RECEIVE_DISCIPLINE,
+    ids=["cross-talk-22", "two-senders-16", "two-pairs-20"],
 )
 def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expected, sha256):
     from protolab.cli import main
@@ -625,11 +636,6 @@ def reference_explore(name, max_steps, invents, spec):
         REFERENCES[key] = ReferenceSearch(_bounded(name, 0, invents), specs)
     return REFERENCES[key].explore(max_steps, spec)
 
-
-# Two NSL senders at A and two receivers at B, none with a declared peer.
-TWO_PAIRS = TWO_SENDERS.replace(
-    "role receiver user=B variant=nsl\n", "role receiver user=B variant=nsl\n" * 2
-)
 
 INLINE = {
     "cross-talk": CROSS_TALK,
