@@ -74,9 +74,7 @@ The step bound counts the micro-steps of the reduced runs.  Since R' is
 never longer than R, every run of the full model within `max_steps`
 that ends quiescent is matched by a checked run within it.  The verdict is
 inconclusive when a reduced run is cut at the bound with a step left, and
-holds when every reduced run quiesces within it.  Steps spent on messages
-nobody takes no longer count, so some bounds at which the single-step
-search was inconclusive now hold (nsl-search at `max_steps` 11 and 12).
+holds when every reduced run quiesces within it.
 
 A node is a `runner.Config`, and every micro-step is applied through
 `runner.apply_entry`, the interpreter that runs and replays use too.
@@ -155,17 +153,12 @@ node's canonical image:
   signature that no renaming changes (pc, highest first, status, chosen
   peer, and the session's recorded partner and completion), each under the
   session id of the position it takes;
-- members whose signatures tie are split, as colour refinement does (McKay,
-  *Practical graph isomorphism*, 1981), by what each is to the nonces
-  labelled so far (the placed machines' by position, the intruder's by
-  index) in its locals, its known nonces and the actions that hold its own
-  nonce, with their places among the pending messages.  A member split off
-  alone is placed and labels its nonce, until nothing splits;
 - each nonce is named by who invented it: a machine's by the position the
   machine takes, the intruder's by its index among the intruder's;
-- the members still tied are tried in every order, and the key is the
-  least image; members with equal codes have invented nothing, and are not
-  ordered, as their order changes no code.
+- the members of a run of equal signatures are tried in every order, and
+  the key is the least image; the members of a run whose codes are equal
+  too have invented nothing, and are not ordered, as their order changes
+  no code.
 
 One encoder (`_Encoder`) writes every key, plain, image or tied, as a tuple
 of tuples of small ints: the machines by position, each session's records,
@@ -183,10 +176,11 @@ The key is canonical.  It describes its image completely: each code has a
 fixed layout, an action's kind shows in its length, a machine's local names
 follow from its declaration, pc and status, and each session is one user's.
 A permutation of interchangeable sessions, with a bijection of the nonces
-that keeps the intruder's in index order, keeps every signature and
-feature, as a label or a nonce's code names a position or an index, never a
-nonce.  So equivalent nodes leave the same cells tied and try the same
-images, and nodes that are not equivalent have no image in common.
+that keeps the intruder's in index order, keeps every signature, and
+whether two members' codes are equal, as a nonce's code names a position
+or an index, never a nonce.  So equivalent nodes leave the same runs tied
+and try the same images, and nodes that are not equivalent have no image
+in common.
 
 The merge is exact.  A permutation of interchangeable sessions, with a
 bijection of the nonces 1..k of a node, maps the node to one with the same
@@ -269,7 +263,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import replace
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 from operator import attrgetter
 
 from .intruder import IntruderKnowledge, InventNonce, ReplayOpaque, legal_moves
@@ -311,22 +305,6 @@ def _node_key(node: Config, groups, binds, codes=None) -> tuple:
     return codes[0].key(groups, codes)
 
 
-def _split(cells: list, order: list, feature) -> list:
-    """Each cell's members sorted by `feature` and placed in its positions
-    in that order; the runs of two or more equal features, as cells of
-    (positions, members)."""
-    left = []
-    for positions, members in cells:
-        signed, start = sorted([(feature(i), i) for i in members]), 0
-        for k, (value, i) in enumerate(signed):
-            order[positions[k]] = i
-            if k + 1 == len(signed) or signed[k + 1][0] != value:
-                if k > start:
-                    left.append((positions[start : k + 1], [j for _, j in signed[start : k + 1]]))
-                start = k + 1
-    return left
-
-
 class _Encoder:
     """The codes of one search's nodes, tuples of small ints: a uid is its
     index in the users dict and a session the position of its machine (any
@@ -336,9 +314,11 @@ class _Encoder:
     machines.  A node's codes are (this encoder, its machines, its sessions'
     records, its history as a sorted tuple, its pending messages as
     (recipient, history index, action), each nonce's code by index); a
-    node shares those it did not change with its parent.  `table` interns
-    the codes of images, so that kept keys share them, and `moved` keeps by
-    value what a permutation made of a code."""
+    node shares those it did not change with its parent.  `key` sorts each
+    group by signature and keeps the least `image` over the orders of its
+    runs of ties.  `table` interns the codes of images, so that kept keys
+    share them, and `moved` keeps by value what a permutation made of a
+    code."""
 
     def __init__(self, node: Config, binds):
         machines, users = node.machines, node.state.users
@@ -437,54 +417,33 @@ class _Encoder:
         return {**nonces, nonce.ix: -1 - bound[0] if bound else -1 - len(machines) - others}
 
     def key(self, groups, codes: tuple) -> tuple:
-        """The least image over the orders of the members left tied."""
-        order, cells = self.rank(groups, codes) if groups else (None, ())
-        if not cells:
-            return self.image(codes, order)
+        """The least image over the orders that place each group's members
+        by signature (pc, highest first, status, peer, and the session's
+        partner and completion), each run of equal signatures in every order
+        of its members."""
+        if not groups:
+            return self.image(codes, None)
+        _, machines, sessions, *_ = codes
+        signature = [(-m[0], *m[1:3], *e[:2]) for m, e in zip(machines, sessions)].__getitem__
+        order, runs = list(range(len(machines))), []
+        for group in groups:
+            ranked = sorted(group, key=signature)
+            for position, index in zip(group, ranked):
+                order[position] = index
+            for _, run in groupby(zip(group, ranked), lambda placed: signature(placed[1])):
+                positions, members = zip(*run)
+                # members with equal codes have invented nothing: all their orders give one image
+                if len({(machines[i], sessions[i]) for i in members}) > 1:
+                    runs.append((positions, members))
+        if not runs:
+            return self.image(codes, None if order == sorted(order) else order)
         images = []
-        for choice in product(*(permutations(members) for _, members in cells)):
-            for (positions, _), members in zip(cells, choice):
+        for choice in product(*(permutations(members) for _, members in runs)):
+            for (positions, _), members in zip(runs, choice):
                 for position, index in zip(positions, members):
                     order[position] = index
             images.append(self.image(codes, order))
         return min(images)
-
-    def rank(self, groups, codes: tuple):
-        """The machine each position of the image takes (None: each its own),
-        and the cells (positions, members) that splitting by signature, then
-        by feature, leaves tied; a feature marks a nonce -1 if it is the
-        member's own and -2 if it has no label."""
-        _, machines, sessions, multiset, pending, nonces = codes
-        signatures = [(-m[0], *m[1:3], *e[:2]) for m, e in zip(machines, sessions)]
-        order = list(range(len(machines)))
-        cells = _split([(group, group) for group in groups], order, signatures.__getitem__)
-        # members with equal codes have invented nothing: all their orders give one image
-        cells = [c for c in cells if len({(machines[i], sessions[i]) for i in c[1]}) > 1]
-        if not cells:
-            return (None if order == sorted(order) else order), cells
-        tied = {i for _, members in cells for i in members}
-        label = {-1 - i: -3 - p for p, i in enumerate(order) if i not in tied}
-        label.update((c, c - 2) for c in nonces.values() if c < -len(machines))
-
-        def feature(i):
-            own = -1 - i
-            get = {**label, own: -1}.get
-            acts = [tuple([c if c >= 0 else get(c, -2) for c in a]) for a in multiset if own in a]
-            return (
-                tuple([c if c >= 0 else get(c, -2) for c in machines[i][3:]]),
-                sorted([get(c, -2) for c in sessions[i][2:]]),
-                sorted(acts),
-                [place for place, (_, _, act) in enumerate(pending) if own in act],
-            )
-
-        while cells:
-            left = _split(cells, order, feature)
-            placed = tied.difference(*(members for _, members in left))
-            if not placed and len(left) == len(cells):
-                break
-            label.update((-1 - i, -3 - p) for p, i in enumerate(order) if i in placed)
-            cells, tied = left, tied - placed
-        return order, cells
 
     def image(self, codes: tuple, order) -> tuple:
         """The key of the node with position p running machine `order[p]`

@@ -44,7 +44,9 @@ SEARCH_BOUNDS = (
 
 # Multi-session scenarios, at the step bounds the search tests pin: two NSL
 # senders at A and one receiver at B, with the intruder; two of each; two
-# NSL sessions from A to B with no intruder; and one honest NS pair.
+# NSL sessions from A to B with no intruder; and one honest NS pair.  Three
+# and four of each, at 14 and 12 steps, have runs of three and four tied
+# interchangeable sessions for the node key to order.
 INLINE = {
     "two-senders": SEARCH_HEADER
     + "user I conforms=false\n"
@@ -58,6 +60,18 @@ INLINE = {
     + "role receiver user=B variant=nsl\n" * 2
     + "intruder search user=I\n"
     + SEARCH_BOUNDS.format(20),
+    "three-pairs": SEARCH_HEADER
+    + "user I conforms=false\n"
+    + "role sender user=A variant=nsl\n" * 3
+    + "role receiver user=B variant=nsl\n" * 3
+    + "intruder search user=I\n"
+    + SEARCH_BOUNDS.format(14),
+    "four-pairs": SEARCH_HEADER
+    + "user I conforms=false\n"
+    + "role sender user=A variant=nsl\n" * 4
+    + "role receiver user=B variant=nsl\n" * 4
+    + "intruder search user=I\n"
+    + SEARCH_BOUNDS.format(12),
     "cross-talk": SEARCH_HEADER
     + "role sender user=A peer=B variant=nsl\n"
     + "role receiver user=B variant=nsl\n" * 2
