@@ -35,9 +35,7 @@ from .specs import (
     SpecVerdict,
     check_lemma_suite,
     check_nsl_ft_all,
-    check_post_ns,
     check_post_ns_all,
-    check_post_nsl_ft,
 )
 
 __version__ = "0.1.0"

@@ -181,7 +181,11 @@ class RoleMachine:
     variant: Variant
     kind: RoleKind
     session: Sid
-    peer: Uid | None  # intended partner; None until chosen for a sender
+    # intended partner; None until chosen for a sender.  A responder's stays
+    # as declared: the partner its first receive binds is recorded only in
+    # the state's `int_partner`, so no check in a responder's program may
+    # name "peer"
+    peer: Uid | None
     pc: int = 0
     locals: tuple[tuple[str, Item], ...] = ()
     status: Status = Status.RUNNING

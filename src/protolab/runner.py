@@ -36,7 +36,7 @@ from .intruder import (
     apply_move,
     closure,
 )
-from .model import GlobalState, Sid, Uid, count, initial_state, is_uid, open_session
+from .model import GlobalState, Sid, Uid, count, initial_state, is_uid, open_session, shown
 from .roles import (
     ABSTRACT,
     IllegalMove,
@@ -147,10 +147,6 @@ class TraceRun:
     @property
     def machines(self) -> tuple[RoleMachine, ...]:
         return self.config.machines
-
-    @property
-    def inbox(self) -> Inbox:
-        return self.config.inbox
 
     @property
     def level(self) -> str:
@@ -370,7 +366,7 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
             if ev.stmt == "set-partner" and peer not in declared:
                 raise TraceError(
                     f"event {ev.index}: field 'arg': set-partner peer must be a declared user, "
-                    f"got {peer!r}"
+                    f"got {'None' if peer is None else shown(peer)}"
                 )
             schedule.append(("machine", actor_to_index[ev.actor], peer))
         elif ev.actor == intr_actor:
@@ -392,11 +388,11 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
                 else:
                     atom = parsed["pk_atom"]
                     if not atom.startswith("pk:"):
-                        raise TraceError(f"event {ev.index}: unrecognised key atom {atom!r}")
+                        raise TraceError(f"event {ev.index}: unrecognised key atom {shown(atom)}")
                     rec = atom.split(":", 1)[1]
                 if rec not in declared:
                     raise TraceError(
-                        f"event {ev.index}: field 'act': compose recipient {rec!r} "
+                        f"event {ev.index}: field 'act': compose recipient {shown(rec)} "
                         "is not a declared user"
                     )
                 if not parsed["content"]:
@@ -404,14 +400,14 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
                 for item in parsed["content"]:
                     if is_uid(item) and item not in declared:
                         raise TraceError(
-                            f"event {ev.index}: field 'act': compose item {item!r} "
+                            f"event {ev.index}: field 'act': compose item {shown(item)} "
                             "is not a declared user"
                         )
                 schedule.append(("intruder", Compose(rec=rec, content=parsed["content"])))
             else:
-                raise TraceError(f"event {ev.index}: unknown intruder statement {ev.stmt!r}")
+                raise TraceError(f"event {ev.index}: unknown intruder statement {shown(ev.stmt)}")
         else:
-            raise TraceError(f"event {ev.index}: unknown actor {ev.actor!r}")
+            raise TraceError(f"event {ev.index}: unknown actor {shown(ev.actor)}")
     return schedule
 
 

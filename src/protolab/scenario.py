@@ -120,10 +120,10 @@ def _parse_kv(parts: list[str], record: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for part in parts:
         if "=" not in part:
-            raise ScenarioError(f"{record}: expected key=value, got {part!r}")
+            raise ScenarioError(f"{record}: expected key=value, got {shown(part)}")
         key, value = part.split("=", 1)
         if key in out:
-            raise ScenarioError(f"{record}: duplicate field {key!r}")
+            raise ScenarioError(f"{record}: duplicate field {shown(key)}")
         out[key] = value
     return out
 
@@ -133,19 +133,23 @@ def _parse_bool(value: str, record: str, field: str) -> bool:
         return True
     if value == "false":
         return False
-    raise ScenarioError(f"{record}: field {field!r} must be true or false, got {value!r}")
+    raise ScenarioError(
+        f"{record}: field {shown(field)} must be true or false, got {shown(value)}"
+    )
 
 
 def _parse_count(value: str, record: str, field: str) -> int:
     try:
         return count(value)
     except ValueError:
-        raise ScenarioError(f"{record}: field {field!r} must be a count, got {shown(value)}")
+        raise ScenarioError(f"{record}: field {shown(field)} must be a count, got {shown(value)}")
 
 
 def _check_uid(value: str, record: str, field: str) -> Uid:
     if not _UID_RE.match(value) or nonce_like(value):
-        raise ScenarioError(f"{record}: field {field!r} is not a valid principal id: {value!r}")
+        raise ScenarioError(
+            f"{record}: field {shown(field)} is not a valid principal id: {shown(value)}"
+        )
     return value
 
 
@@ -156,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
         if line.strip() and not line.strip().startswith("#")
     ]
     if not lines or lines[0] != HEADER:
-        raise ScenarioError(f"header: first record must be {HEADER!r}")
+        raise ScenarioError(f"header: first record must be {shown(HEADER)}")
 
     users: list[tuple[Uid, bool]] = []
     roles: list[RoleDecl] = []
@@ -172,10 +176,11 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("user: expected 'user <id> conforms=<bool>'")
             uid = _check_uid(parts[1], "user", "id")
             if any(u == uid for u, _ in users):
-                raise ScenarioError(f"user: duplicate principal {uid!r}")
+                raise ScenarioError(f"user: duplicate principal {shown(uid)}")
             kv = _parse_kv(parts[2:], "user")
             if set(kv) != {"conforms"}:
-                raise ScenarioError(f"user: unexpected fields {sorted(set(kv) - {'conforms'})}")
+                extra = ", ".join(map(shown, sorted(set(kv) - {"conforms"})))
+                raise ScenarioError(f"user: unexpected fields [{extra}]")
             users.append((uid, _parse_bool(kv["conforms"], "user", "conforms")))
         elif record == "role":
             if len(parts) < 2 or parts[1] not in ("sender", "receiver"):
@@ -190,7 +195,9 @@ def parse_scenario(text: str) -> Scenario:
             try:
                 variant = Variant(kv["variant"])
             except ValueError:
-                raise ScenarioError(f"role: field 'variant' must be ns or nsl, got {kv['variant']!r}")
+                raise ScenarioError(
+                    f"role: field 'variant' must be ns or nsl, got {shown(kv['variant'])}"
+                )
             roles.append(
                 RoleDecl(
                     user=_check_uid(kv["user"], "role", "user"),
@@ -240,7 +247,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError("level: expected abstract or concrete")
             level = parts[1]
         else:
-            raise ScenarioError(f"unknown record kind {record!r}")
+            raise ScenarioError(f"unknown record kind {shown(record)}")
 
     if len(intruders) != 1:
         raise ScenarioError("intruder: exactly one intruder record is required")
@@ -262,9 +269,9 @@ def _validate(scenario: Scenario) -> None:
         raise ScenarioError("user: at least one principal is required")
     for role in scenario.roles:
         if role.user not in declared:
-            raise ScenarioError(f"role: user {role.user!r} is not declared")
+            raise ScenarioError(f"role: user {shown(role.user)} is not declared")
         if role.peer is not None and role.peer not in declared:
-            raise ScenarioError(f"role: peer {role.peer!r} is not declared")
+            raise ScenarioError(f"role: peer {shown(role.peer)} is not declared")
         if role.kind is RoleKind.SENDER and role.peer is None and scenario.intruder.kind != "search":
             raise ScenarioError("role: a sender may omit peer= only in search scenarios")
     intr = scenario.intruder
@@ -272,25 +279,30 @@ def _validate(scenario: Scenario) -> None:
         for field in ("user", "a", "b"):
             value = getattr(intr, field)
             if value is not None and value not in declared:
-                raise ScenarioError(f"intruder: field {field!r} references undeclared {value!r}")
+                raise ScenarioError(
+                    f"intruder: field {shown(field)} references undeclared {shown(value)}"
+                )
         for first, second in (("user", "a"), ("user", "b"), ("a", "b")):
             value = getattr(intr, second)
             if value is not None and value == getattr(intr, first):
                 raise ScenarioError(
-                    f"intruder: field {second!r} must differ from {first!r}, both are {value!r}"
+                    f"intruder: field {shown(second)} must differ from {shown(first)}, "
+                    f"both are {shown(value)}"
                 )
         assert intr.user is not None
         if conforms[intr.user]:
-            raise ScenarioError(f"intruder: user {intr.user!r} must be declared conforms=false")
+            raise ScenarioError(
+                f"intruder: user {shown(intr.user)} must be declared conforms=false"
+            )
         if any(role.user == intr.user for role in scenario.roles):
-            raise ScenarioError(f"intruder: user {intr.user!r} cannot also hold a role")
+            raise ScenarioError(f"intruder: user {shown(intr.user)} cannot also hold a role")
     per_user: dict[Uid, int] = {}
     for role in scenario.roles:
         per_user[role.user] = per_user.get(role.user, 0) + 1
     for uid, held in per_user.items():
         if held > scenario.bounds.max_sessions_per_user:
             raise ScenarioError(
-                f"role: user {uid!r} has {held} sessions, above max_sessions_per_user"
+                f"role: user {shown(uid)} has {held} sessions, above max_sessions_per_user"
             )
 
 

@@ -268,7 +268,7 @@ from operator import attrgetter
 
 from .intruder import IntruderKnowledge, InventNonce, ReplayOpaque, legal_moves
 from .invariants import Audit
-from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history
+from .model import GlobalState, Invent, Msg, Nonce, UserState, _nonces_in_history, shown
 from .roles import (
     FinishStmt,
     Inbox,
@@ -742,7 +742,7 @@ def explore(scenario: Scenario, spec: str = "all") -> SpecVerdict:
     if scenario.level != "abstract":
         raise ScenarioError("level: exploration runs at the abstract level")
     if spec not in SPEC_CHOICES:
-        raise ScenarioError(f"spec: unknown spec {spec!r}")
+        raise ScenarioError(f"spec: unknown spec {shown(spec)}")
     searcher = _Searcher(scenario, spec)
     try:
         found = searcher.run()

@@ -1,23 +1,24 @@
 """Protocol contracts as checkable verdicts.
 
-`check_post_ns` is the full-functionality contract for one initiator /
-responder pairing: mutual partner records, both sessions complete, and a
-pair of distinct shared nonces nobody else holds.  `check_post_nsl_ft` is
-the fault-tolerance layer: when a conforming third party holds one of the
-initiator's session nonces and claims the initiator as partner, the
-initiator must not have completed.
+The contracts are two state-wide sweeps, each a predicate on the one state
+it judges, which need not be told who attacked whom: `check_post_ns_all`,
+the full-functionality contract (mutual partner records, both sessions
+complete, and a pair of distinct shared nonces nobody else holds), and
+`check_nsl_ft_all`, the fault-tolerance layer (a conforming user must not
+have completed while a conforming third party holds one of the session's
+nonces and records the user as partner).
 
-The `*_all` sweeps evaluate those contracts over every eligible session of
-a state: they do not need to be told who attacked whom.  Each sweep reads
-one index of the state (`_Holders`), built the first time it meets a
-completed session: for post-ns secrecy, each nonce's holders (uid, sid)
-over every user; for nsl-ft, each (claimed partner, nonce)'s holders among
-the conforming users.  Each list is filled walking the uids, then each
-user's sids, in sorted order.  So its first entry outside the excluded
-endpoints is the session that a scan of every user's sessions in name
-order meets first, and each detail names the witness such a scan named.
-A sweep takes time linear in the state's sessions and their nonces, not
-in their product with the completed sessions it judges.
+Both sweeps walk the completed sessions once (`_completed`) and read one
+index of the state (`_Holders`), built the first time it is needed: for
+post-ns secrecy, each nonce's holders (uid, sid) over every user; for
+nsl-ft, each (claimed partner, nonce)'s holders among the conforming users.
+Each list is filled walking the uids, then each user's sids, in sorted
+order.  So its first entry outside the excluded endpoints is the session
+that a scan of every user's sessions in name order meets first, and each
+detail names the witness such a scan named.  A post-ns back session is read
+from the partner's own records.  A sweep takes time linear in the state's
+sessions and their nonces, not in their product with the completed
+sessions it judges.
 
 This module alone decides what a spec name means.  `SPEC_CHOICES` lists
 the names a user may request, `resolve_spec_names` expands one into the
@@ -46,10 +47,6 @@ SPEC_POST_NS = "post-ns"
 SPEC_NSL_FT = "nsl-ft"
 SPEC_INV = "inv"
 SPEC_CHOICES = (SPEC_POST_NS, SPEC_NSL_FT, SPEC_INV, "all")
-
-
-class PreconditionUnmet(Exception):
-    """The before-state does not satisfy the contract's precondition."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def _frame_holds(
     return True
 
 
-# ── full-functionality contract ──────────────────────────────────────────────
+# ── the contracts ────────────────────────────────────────────────────────────
 
 
 class _Holders:
@@ -135,6 +132,23 @@ class _Holders:
         return index
 
 
+def _completed(state: GlobalState):
+    """(uid, sid, the partner the session records) for each completed
+    session of a conforming user, uids and then sids in name order."""
+    for uid in sorted(state.users):
+        user = state.users[uid]
+        if user.conforms:
+            for sid in sorted(user.complete):
+                if user.complete[sid]:
+                    yield uid, sid, user.int_partner.get(sid)
+
+
+def _verdict(spec: str, violations: list[str]) -> SpecVerdict:
+    """The verdict of `spec` with each violation named once, in the order found."""
+    violations = list(dict.fromkeys(violations))
+    return SpecVerdict(spec, holds=not violations, detail="; ".join(violations))
+
+
 def _third_party_holder(holders: _Holders, pair, exclude: set[Uid]):
     """The first session, in name order, of a user outside `exclude` that
     knows both nonces of `pair`, or None."""
@@ -145,144 +159,91 @@ def _third_party_holder(holders: _Holders, pair, exclude: set[Uid]):
     return None
 
 
-def _post_ns_violations(
-    holders: _Holders, frm: Uid, to: Uid, sf: Sid, st: Sid
-) -> list[str]:
-    v: list[str] = []
+def _pairing_violation(holders: _Holders, frm: Uid, to: Uid, sf: Sid, st: Sid) -> str | None:
+    """How pairing session `sf` of `frm` with session `st` of `to` breaks
+    the full contract, or None.  The sweep pairs only completed sessions
+    that record each other, so what is left to break is the pair of
+    distinct shared nonces nobody else holds."""
     fu, tu = holders.users[frm], holders.users[to]
-    if fu.int_partner.get(sf) != to:
-        v.append(f"partner: {frm} session {sf} is bound to {fu.int_partner.get(sf)}, not {to}")
-    if tu.int_partner.get(st) != frm:
-        v.append(f"partner: {to} session {st} is bound to {tu.int_partner.get(st)}, not {frm}")
-    if not fu.complete.get(sf) or not tu.complete.get(st):
-        v.append(f"completion: sessions ({frm},{sf})/({to},{st}) are not both complete")
     shared = sorted(fu.knows.get(sf, frozenset()) & tu.knows.get(st, frozenset()))
-    pairs = list(itertools.combinations(shared, 2))
-    if not pairs:
-        v.append(f"shared-nonces: sessions ({frm},{sf})/({to},{st}) share fewer than two nonces")
-        return v
-    leaks = []
-    for pair in pairs:
+    leak = None
+    for pair in itertools.combinations(shared, 2):
         holder = _third_party_holder(holders, pair, {frm, to})
         if holder is None:
-            return v  # some distinct pair is exclusive to the two endpoints
-        leaks.append((pair, holder))
-    pair, (uid, sid) = leaks[0]
-    v.append(
+            return None  # some distinct pair is exclusive to the two endpoints
+        leak = leak or (pair, holder)
+    if leak is None:
+        return f"shared-nonces: sessions ({frm},{sf})/({to},{st}) share fewer than two nonces"
+    pair, (uid, sid) = leak
+    return (
         "secrecy: nonces {"
         + ",".join(repr(n) for n in pair)
         + f"}} of sessions ({frm},{sf})/({to},{st}) also known to {uid} session {sid}"
     )
-    return v
-
-
-def check_post_ns(
-    before: GlobalState, after: GlobalState, frm: Uid, to: Uid, sf: Sid, st: Sid
-) -> SpecVerdict:
-    bu, bt = before.users[frm], before.users[to]
-    if bu.complete.get(sf) or bt.complete.get(st):
-        raise PreconditionUnmet("a session is already complete in the before-state")
-    if not bu.conforms or not bt.conforms:
-        raise PreconditionUnmet("both endpoints must be conforming")
-    violations = _post_ns_violations(_Holders(after), frm, to, sf, st)
-    return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
 
 
 def check_post_ns_all(state: GlobalState) -> SpecVerdict:
-    """Contract sweep: every completed session of a conforming user whose
-    recorded partner is also conforming must be half of a pairing that
-    satisfies the full contract."""
+    """Every completed session of a conforming user whose recorded partner
+    conforms pairs with one of the partner's completed sessions that
+    records the user back, and that pairing satisfies the full contract."""
     holders = _Holders(state)
     violations: list[str] = []
-    for uid in sorted(state.users):
-        user = state.users[uid]
-        if not user.conforms:
+    for uid, sid, partner in _completed(state):
+        if partner is None or not state.users[partner].conforms:
             continue
-        for sid in sorted(user.complete):
-            if not user.complete[sid]:
-                continue
-            partner = user.int_partner.get(sid)
-            if partner is None or not state.users[partner].conforms:
-                continue
-            back_sessions = [
-                sx
-                for sx in sorted(state.users[partner].complete)
-                if state.users[partner].complete[sx]
-                and state.users[partner].int_partner.get(sx) == uid
-            ]
-            if not back_sessions:
-                violations.append(
-                    f"mutual-partner: {uid} session {sid} completed with partner {partner} "
-                    f"but {partner} has no completed session with partner {uid}"
-                )
-                nonces = sorted(user.knows.get(sid, frozenset()))
-                for pair in itertools.combinations(nonces, 2):
-                    holder = _third_party_holder(holders, pair, {uid, partner})
-                    if holder is not None:
-                        huid, hsid = holder
-                        violations.append(
-                            "secrecy: nonces {"
-                            + ",".join(repr(n) for n in pair)
-                            + f"}} of session ({uid},{sid}) also known to {huid} session {hsid}"
-                        )
-                        break
-                continue
-            if not any(
-                not _post_ns_violations(holders, partner, uid, sx, sid) for sx in back_sessions
-            ):
-                violations.extend(_post_ns_violations(holders, partner, uid, back_sessions[0], sid))
-    violations = list(dict.fromkeys(violations))
-    return SpecVerdict(SPEC_POST_NS, holds=not violations, detail="; ".join(violations))
-
-
-# ── fault-tolerance layer ────────────────────────────────────────────────────
-
-
-def _nsl_ft_violations(holders: _Holders, frm: Uid, to: Uid | None, sf: Sid) -> list[str]:
-    fu = holders.users[frm]
-    if not fu.complete.get(sf):
-        return []
-    for nonce in sorted(fu.knows.get(sf, frozenset())):
-        for uid, sid in holders.by_claim.get((frm, nonce), ()):
-            if uid not in (frm, to):
-                return [
-                    f"abnormal-termination: {frm} completed session {sf} while conforming "
-                    f"{uid} session {sid} holds {nonce!r} and records {frm} as partner"
-                ]
-    return []
-
-
-def check_post_nsl_ft(
-    before: GlobalState, after: GlobalState, frm: Uid, to: Uid, sf: Sid
-) -> SpecVerdict:
-    """The quantifier reading used here: the contract fails exactly when the
-    initiator completed although some conforming third party holds one of
-    the initiator's session nonces and records the initiator as partner.
-    (An alternative parse scopes the completion flag outside the witness
-    search; on the states this tool produces the two readings agree, and the
-    implication reading is the one the contract's purpose dictates.)"""
-    if not before.users[frm].conforms:
-        raise PreconditionUnmet(f"initiator {frm} must be conforming")
-    if before.users[frm].complete.get(sf):
-        raise PreconditionUnmet(f"session ({frm},{sf}) already complete in the before-state")
-    if any(before.users[to].complete.values()):
-        raise PreconditionUnmet(f"partner {to} has a completed session in the before-state")
-    violations = _nsl_ft_violations(_Holders(after), frm, to, sf)
-    return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
+        back = state.users[partner]
+        back_sessions = [
+            sx
+            for sx in sorted(back.complete)
+            if back.complete[sx] and back.int_partner.get(sx) == uid
+        ]
+        if not back_sessions:
+            violations.append(
+                f"mutual-partner: {uid} session {sid} completed with partner {partner} "
+                f"but {partner} has no completed session with partner {uid}"
+            )
+            nonces = sorted(state.users[uid].knows.get(sid, frozenset()))
+            for pair in itertools.combinations(nonces, 2):
+                holder = _third_party_holder(holders, pair, {uid, partner})
+                if holder is not None:
+                    huid, hsid = holder
+                    violations.append(
+                        "secrecy: nonces {"
+                        + ",".join(repr(n) for n in pair)
+                        + f"}} of session ({uid},{sid}) also known to {huid} session {hsid}"
+                    )
+                    break
+            continue
+        judged = (_pairing_violation(holders, partner, uid, sx, sid) for sx in back_sessions)
+        first = next(judged)
+        if first and all(judged):  # each back session judged once, until one satisfies
+            violations.append(first)
+    return _verdict(SPEC_POST_NS, violations)
 
 
 def check_nsl_ft_all(state: GlobalState) -> SpecVerdict:
+    """No conforming user completed a session while a conforming third
+    party holds one of its nonces and records the user as partner."""
     holders = _Holders(state)
     violations: list[str] = []
-    for uid in sorted(state.users):
-        user = state.users[uid]
-        if not user.conforms:
-            continue
-        for sid in sorted(user.complete):
-            partner = user.int_partner.get(sid)
-            violations.extend(_nsl_ft_violations(holders, uid, partner, sid))
-    violations = list(dict.fromkeys(violations))
-    return SpecVerdict(SPEC_NSL_FT, holds=not violations, detail="; ".join(violations))
+    for uid, sid, partner in _completed(state):
+        nonces = sorted(state.users[uid].knows.get(sid, frozenset()))
+        witness = next(
+            (
+                (nonce, huid, hsid)
+                for nonce in nonces
+                for huid, hsid in holders.by_claim.get((uid, nonce), ())
+                if huid not in (uid, partner)
+            ),
+            None,
+        )
+        if witness is not None:
+            nonce, huid, hsid = witness
+            violations.append(
+                f"abnormal-termination: {uid} completed session {sid} while conforming "
+                f"{huid} session {hsid} holds {nonce!r} and records {uid} as partner"
+            )
+    return _verdict(SPEC_NSL_FT, violations)
 
 
 # ── trace-wide obligation suite ──────────────────────────────────────────────

@@ -314,13 +314,13 @@ def _count(value: str, record: str, field: str) -> int:
     try:
         return count(value)
     except ValueError:
-        raise TraceError(f"{record}: field {field!r} must be a count, got {shown(value)}")
+        raise TraceError(f"{record}: field {shown(field)} must be a count, got {shown(value)}")
 
 
 def parse_trace(text: str) -> TraceDoc:
     lines = text.splitlines()
     if not lines or lines[0] != HEADER:
-        raise TraceError(f"header: first record must be {HEADER!r}")
+        raise TraceError(f"header: first record must be {shown(HEADER)}")
     level: str | None = None
     scn_lines: list[str] = []
     init_digest: str | None = None
@@ -331,54 +331,57 @@ def parse_trace(text: str) -> TraceDoc:
     for line in lines[1:]:
         if not line.strip():
             continue
-        record = line.split(" ", 1)[0]
+        record, spaced, rest = line.partition(" ")
         place = _RECORD_ORDER.index(record) if record in _RECORD_ORDER else last
         if place < last:
-            raise TraceError(f"{record}: record out of order, after {_RECORD_ORDER[last]!r}")
+            raise TraceError(f"{record}: record out of order, after {shown(_RECORD_ORDER[last])}")
         last = place
-        if line.startswith("level "):
+        if record in ("level", "scn") and not spaced:
+            # a bare `scn` is no blank scenario line: that renders as `scn `
+            raise TraceError(f"{record}: malformed record {shown(line)}")
+        if record == "level":
             if level is not None:
                 raise TraceError("level: duplicate record")
-            level = line.split(" ", 1)[1]
-        elif line.startswith("scn "):
-            scn_lines.append(line[4:])
-        elif line.startswith("init "):
+            level = rest
+        elif record == "scn":
+            scn_lines.append(rest)
+        elif record == "init":
             if init_digest is not None:
                 raise TraceError("init: duplicate record")
             m = re.match(r"^init digest=([0-9a-f]{12})$", line)
             if not m:
-                raise TraceError(f"init: malformed record {line!r}")
+                raise TraceError(f"init: malformed record {shown(line)}")
             init_digest = m.group(1)
-        elif line.startswith("event "):
+        elif record == "event":
             m = _EVENT_RE.match(line)
             if not m:
-                raise TraceError(f"event: malformed record {line!r}")
+                raise TraceError(f"event: malformed record {shown(line)}")
             index, actor, stmt, arg, act, digest = m.groups()
             if act.startswith(("msg(", "wire(")) and "ghost:" not in act:
                 # observable-only projections drop information replay needs
                 raise TraceError("event: trace was rendered without ghost data; not replayable")
             events.append(TraceEvent(_count(index, "event", "i"), actor, stmt, arg, act, digest))
-        elif line.startswith("verdict "):
+        elif record == "verdict":
             m = _VERDICT_RE.match(line)
             if not m:
-                raise TraceError(f"verdict: malformed record {line!r}")
+                raise TraceError(f"verdict: malformed record {shown(line)}")
             spec, holds, detail = m.groups()
             if spec not in _VERDICT_SPECS:
                 raise TraceError(f"verdict: field 'spec' must be {_SPEC_NAMES}, got {shown(spec)}")
             if any(spec == recorded for recorded, _, _ in verdicts):
-                raise TraceError(f"verdict: duplicate record for spec {spec!r}")
+                raise TraceError(f"verdict: duplicate record for spec {shown(spec)}")
             if detail == "":
                 raise TraceError("verdict: field 'detail' must not be empty; omit it instead")
             verdicts.append((spec, holds == "true", detail or ""))
-        elif line.startswith("end "):
+        elif record == "end":
             if declared_events is not None:
                 raise TraceError("end: duplicate record")
             m = re.match(r"^end events=(\S+)$", line)
             if not m:
-                raise TraceError(f"end: malformed record {line!r}")
+                raise TraceError(f"end: malformed record {shown(line)}")
             declared_events = _count(m.group(1), "end", "events")
         else:
-            raise TraceError(f"unknown record {line.split(' ', 1)[0]!r}")
+            raise TraceError(f"unknown record {shown(record)}")
     if level not in ("abstract", "concrete"):
         raise TraceError("level: missing or invalid")
     if init_digest is None:
@@ -424,7 +427,7 @@ def parse_items(text: str) -> tuple:
         try:
             items.append(Nonce.named(token) if nonce_like(token) else token)
         except ValueError:
-            raise TraceError(f"malformed nonce item {token!r}")
+            raise TraceError(f"malformed nonce item {shown(token)}")
     return tuple(items)
 
 
@@ -456,4 +459,4 @@ def parse_message_text(act: str) -> dict:
             "sender": m.group(2),
             "content": parse_items(m.group(3)),
         }
-    raise TraceError(f"cannot parse message text {act!r}")
+    raise TraceError(f"cannot parse message text {shown(act)}")

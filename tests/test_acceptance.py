@@ -15,12 +15,7 @@ from protolab.model import Invent, Msg, Nonce, initial_state, state_key, u_hist
 from protolab.runner import execute_scripted
 from protolab.scenario import load_scenario
 from protolab.search import explore
-from protolab.specs import (
-    check_lemma_suite,
-    check_post_ns,
-    check_post_ns_all,
-    check_post_nsl_ft,
-)
+from protolab.specs import check_lemma_suite, check_nsl_ft_all, check_post_ns_all
 
 from conftest import GOLDEN, SCENARIOS, explore_with_quiescents
 
@@ -86,12 +81,12 @@ def test_criterion_1_honest_ns(runs, tmp_path):
     final = run.final_state
     invents = [a for a in final.history if isinstance(a, Invent)]
     shapes = message_shapes(final.history)
-    pair = check_post_ns(run.initial, final, "A", "B", "A#1", "B#1")
     ok = (
         code == 0
         and len(invents) == 2
         and shapes == [("B", ("A", "x1")), ("A", ("x1", "x2")), ("B", ("x2",))]
-        and pair.holds
+        and final.users["A"].complete["A#1"]
+        and final.users["B"].complete["B#1"]
         and check_post_ns_all(final).holds
         and elapsed < 1.0
     )
@@ -141,7 +136,7 @@ def test_criterion_3_identity_check_aborts(runs, tmp_path):
         and run.events[-1].stmt == "recv-abort"
         and sender.status.value == "aborted"
         and final.users["A"].complete["A#1"] is False
-        and check_post_nsl_ft(run.initial, final, "A", "I", "A#1").holds
+        and check_nsl_ft_all(final).holds
         and got.read_bytes() == (GOLDEN / "lowe-on-nsl.trc").read_bytes()
     )
     report("3 identity check aborts the interception, golden byte match", ok)

@@ -294,6 +294,8 @@ def _misnamed(name):
 
 # a numeral longer than Python converts to an int (4,300 digits by default)
 OVERSIZED = "1" * 4400
+# a value far past the 40 characters a diagnostic echoes whole
+LONG = "x" * 5000
 
 
 # (command, input text, the whole error line's message): every message names
@@ -508,6 +510,63 @@ MALFORMED_INPUTS = {
         "replay",
         "".join(line for line in LOWE_TRACE.splitlines(True) if not line.startswith("scn ")),
         "scn: embedded scenario missing",
+    ),
+    # a bare record keyword was an unknown record; a bare `scn` is what an
+    # editor that strips trailing spaces makes of a blank scenario line
+    **{
+        f"bare-{record}": (
+            "replay",
+            _trace(before, f"{record}\n{before}"),
+            f"{record}: malformed record {record!r}",
+        )
+        for record, before in [
+            ("level", "level abstract"), ("scn", "scn protolab-scenario"),
+            ("init", "init digest="), ("event", "event i=1 "),
+            ("verdict", "verdict spec=post-ns"), ("end", "end events=13"),
+        ]
+    },
+    # a value past 40 characters is echoed as its first 20 and its length,
+    # by each reader
+    "trace-unknown-record-oversized": (
+        "replay",
+        _trace("init digest=", f"{LONG}\ninit digest="),
+        f"unknown record {LONG[:20]!r}... (5000 characters)",
+    ),
+    "init-oversized": (
+        "replay",
+        _trace("init digest=", f"init digest={LONG}\ninit digest="),
+        "init: malformed record 'init digest=xxxxxxxx'... (5012 characters)",
+    ),
+    "event-oversized": (
+        "replay",
+        _trace("event i=1 ", f"event i=1 {LONG} "),
+        "event: malformed record 'event i=1 xxxxxxxxxx'... (5076 characters)",
+    ),
+    "end-oversized": (
+        "replay",
+        _trace("end events=13", f"end events=13 {LONG}"),
+        "end: malformed record 'end events=13 xxxxxx'... (5014 characters)",
+    ),
+    "scenario-bool-oversized": (
+        "run",
+        _scenario(f"user B conforms={LONG}", "intruder none"),
+        f"user: field 'conforms' must be true or false, got {LONG[:20]!r}... (5000 characters)",
+    ),
+    "scenario-unknown-record-oversized": (
+        "run",
+        _scenario(LONG, "intruder none"),
+        f"unknown record kind {LONG[:20]!r}... (5000 characters)",
+    ),
+    "intruder-statement-oversized": (
+        "replay",
+        _trace(INTRUDER_COMPOSE, f"i=4 actor=intruder@I#1 stmt={LONG}"),
+        f"event 4: unknown intruder statement {LONG[:20]!r}... (5000 characters)",
+    ),
+    "compose-recipient-oversized": (
+        "replay",
+        _trace("act=msg(rec=B,ghost:sender=I,[A,n1])", f"act=msg(rec={LONG},ghost:sender=I,[A,n1])"),
+        f"event 4: field 'act': compose recipient {LONG[:20]!r}... (5000 characters) "
+        "is not a declared user",
     ),
 }
 

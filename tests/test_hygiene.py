@@ -3,7 +3,8 @@ module-level name of the package goes unread, and every dotted name the
 README gives is in the package.  A removal or a rename leaves such names
 behind, and no linter runs over this tree.  Some concerns have one place
 in the source, which these checks hold them to: reading an int from text,
-the safety checks, and the protocol variants."""
+echoing input in a diagnostic, the safety checks, and the protocol
+variants."""
 
 import ast
 import re
@@ -246,6 +247,61 @@ def test_an_int_reader_is_reported():
         ),
     }
     assert int_readers(sources) == ["a.count", "a.<module>", "b.build", "b.build"]
+
+
+# ── echoed input ─────────────────────────────────────────────────────────────
+
+# the errors whose messages echo scenario and trace text to the user
+INPUT_ERRORS = ("ScenarioError", "TraceError")
+
+
+def repr_echoes(sources: dict[str, str]) -> list[str]:
+    """`module.function` for each raise of an input error whose message
+    formats a value with `!r` or `repr`.  `function` is the innermost def
+    around it, `<module>` at the top level."""
+    found = []
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and getattr(child.exc.func, "id", None) in INPUT_ERRORS
+                and any(
+                    (isinstance(n, ast.FormattedValue) and n.conversion == ord("r"))
+                    or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "repr")
+                    for n in ast.walk(child.exc)
+                )
+            ):
+                found.append(f"{module}.{where}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_one_rule_echoes_input():
+    # `repr` echoes a 5,000-character value whole; every diagnostic goes
+    # through `model.shown`, which cuts a value past 40 characters to its
+    # first 20 and its length
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert repr_echoes(sources) == []
+
+
+def test_a_repr_echo_is_reported():
+    sources = {
+        "a": (
+            "def check(value):\n"
+            "    if value:\n"
+            "        raise TraceError(f'bad {value!r}')\n"
+            "    raise TraceError(f'bad {shown(value)}')\n"
+            "raise ScenarioError('bad ' + repr(1))\n"
+        ),
+        "b": "def f(x):\n    raise ValueError(f'{x!r}')\n",
+    }
+    assert repr_echoes(sources) == ["a.check", "a.<module>"]
 
 
 # ── safety checks ────────────────────────────────────────────────────────────

@@ -102,13 +102,13 @@ def test_step_is_illegal_after_completion_or_abort():
     state, run = run_honest_pair("A", "B", Variant.NS)
     done = run.machines[0]
     assert done.status is Status.COMPLETED
-    assert not can_fire(done, reference_find_match(done, state, run.inbox, ABSTRACT))
+    assert not can_fire(done, reference_find_match(done, state, run.config.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is completed"):
-        step(done, state, run.inbox, ABSTRACT)
+        step(done, state, run.config.inbox, ABSTRACT)
     aborted = dc_replace(done, status=Status.ABORTED)
-    assert not can_fire(aborted, reference_find_match(aborted, state, run.inbox, ABSTRACT))
+    assert not can_fire(aborted, reference_find_match(aborted, state, run.config.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is aborted"):
-        step(aborted, state, run.inbox, ABSTRACT)
+        step(aborted, state, run.config.inbox, ABSTRACT)
 
 
 def test_set_partner_without_a_partner_is_illegal():

@@ -29,15 +29,13 @@ from protolab.runner import execute_scripted, run_honest_pair
 from protolab.scenario import load_scenario, parse_scenario
 
 from conftest import count_calls, scenario
+from protolab import specs
 from protolab.specs import (
-    PreconditionUnmet,
     SpecVerdict,
     check_lemma_suite,
     check_no_mods_to_others,
     check_nsl_ft_all,
-    check_post_ns,
     check_post_ns_all,
-    check_post_nsl_ft,
     evaluate_run_specs,
 )
 
@@ -91,19 +89,10 @@ def test_mutating_a_bystander_breaks_the_frame():
 
 
 def test_post_ns_holds_for_honest_run(honest_ns):
-    state, run = honest_ns
-    verdict = check_post_ns(run.initial, state, "A", "B", "A#1", "B#1")
-    assert verdict.holds
-
-
-def test_post_ns_precondition_requires_incomplete_conforming_sessions(honest_ns):
-    state, run = honest_ns
-    with pytest.raises(PreconditionUnmet):
-        check_post_ns(state, state, "A", "B", "A#1", "B#1")  # already complete
-    flags = {"A": True, "B": False}
-    nonconf = bare("A", "B", conforms=flags)
-    with pytest.raises(PreconditionUnmet):
-        check_post_ns(nonconf, nonconf, "A", "B", "A#1", "B#1")
+    # both sessions complete, so the sweep judges the pairing, not nothing
+    state, _ = honest_ns
+    assert state.users["A"].complete["A#1"] and state.users["B"].complete["B#1"]
+    assert check_post_ns_all(state) == SpecVerdict("post-ns", holds=True)
 
 
 def test_post_ns_sweep_reports_both_failures_on_attack_state(lowe_ns):
@@ -114,16 +103,41 @@ def test_post_ns_sweep_reports_both_failures_on_attack_state(lowe_ns):
     assert "I" in verdict.detail
 
 
-def test_post_ns_secrecy_fails_when_third_user_knows_both(honest_ns):
-    state, run = honest_ns
-    # graft a third user that somehow holds both session nonces
+@pytest.fixture(scope="module")
+def grafted(honest_ns):
+    """The honest run's final state with a third user grafted in that
+    somehow holds both session nonces."""
+    state, _ = honest_ns
     grafted = initial_state({"A": True, "B": True, "C": True})
     grafted = replace(grafted, users={**state.users, "C": grafted.users["C"]}, history=state.history)
     grafted = open_session(grafted, "C", "C#1")
-    grafted = add_knows(grafted, "C", "C#1", [N1, N2])
-    verdict = check_post_ns(run.initial, grafted, "A", "B", "A#1", "B#1")
+    return add_knows(grafted, "C", "C#1", [N1, N2])
+
+
+def test_post_ns_secrecy_fails_when_third_user_knows_both(grafted):
+    verdict = check_post_ns_all(grafted)
     assert not verdict.holds
     assert "secrecy" in verdict.detail and "C" in verdict.detail
+
+
+def test_post_ns_fails_when_the_pairing_shares_one_nonce():
+    state = bare("A", "B")
+    state = set_partner(set_partner(state, "A", "A#1", "B"), "B", "B#1", "A")
+    state = add_knows(add_knows(state, "A", "A#1", [N1]), "B", "B#1", [N1, N2])
+    state = set_complete(set_complete(state, "A", "A#1"), "B", "B#1")
+    assert check_post_ns_all(state) == SpecVerdict(
+        "post-ns",
+        holds=False,
+        detail="shared-nonces: sessions (B,B#1)/(A,A#1) share fewer than two nonces; "
+        "shared-nonces: sessions (A,A#1)/(B,B#1) share fewer than two nonces",
+    )
+
+
+def test_post_ns_judges_each_back_session_once(monkeypatch, grafted):
+    # a failing pairing is not judged a second time to name its violations
+    calls = count_calls(monkeypatch, specs._pairing_violation)
+    assert not check_post_ns_all(grafted).holds
+    assert calls() == 2  # (A,A#1) against B#1, and (B,B#1) against A#1
 
 
 def test_post_ns_sweep_holds_for_honest_run(honest_ns):
@@ -135,13 +149,13 @@ def test_post_ns_sweep_holds_for_honest_run(honest_ns):
 
 
 def test_nsl_ft_holds_on_aborted_nsl_attack(lowe_nsl):
-    verdict = check_post_nsl_ft(lowe_nsl.initial, lowe_nsl.final_state, "A", "I", "A#1")
+    verdict = check_nsl_ft_all(lowe_nsl.final_state)
     assert verdict.holds
     assert not lowe_nsl.final_state.users["A"].complete["A#1"]
 
 
 def test_nsl_ft_fails_on_completed_ns_attack(lowe_ns):
-    verdict = check_post_nsl_ft(lowe_ns.initial, lowe_ns.final_state, "A", "I", "A#1")
+    verdict = check_nsl_ft_all(lowe_ns.final_state)
     assert not verdict.holds
     assert "abnormal-termination" in verdict.detail
 
@@ -149,15 +163,6 @@ def test_nsl_ft_fails_on_completed_ns_attack(lowe_ns):
 def test_nsl_ft_vacuous_for_honest_run(honest_ns):
     state, _ = honest_ns
     assert check_nsl_ft_all(state).holds
-
-
-def test_nsl_ft_precondition(lowe_ns):
-    with pytest.raises(PreconditionUnmet):
-        check_post_nsl_ft(lowe_ns.final_state, lowe_ns.final_state, "A", "I", "A#1")
-    flags = {"A": False, "I": False}
-    state = bare("A", "I", conforms=flags)
-    with pytest.raises(PreconditionUnmet):
-        check_post_nsl_ft(state, state, "A", "I", "A#1")
 
 
 # ── trace-wide obligations ───────────────────────────────────────────────────

@@ -1,6 +1,8 @@
 """The behaviour sweep (`tools/sweep.py`): a few of its commands run and
-print their lines, and its list reaches every input and flag it names."""
+print their lines, its list reaches every input and flag it names, and the
+whole sweep prints the lines checked in as `tests/sweep.txt`."""
 
+import difflib
 import hashlib
 import importlib.util
 import os
@@ -9,6 +11,10 @@ import re
 from protolab.specs import SPEC_CHOICES
 
 from conftest import GOLDEN, ROOT, SCENARIOS
+
+# `python tools/sweep.py > tests/sweep.txt`: a change of behaviour made on
+# purpose regenerates it, and its diff shows what changed
+SWEEP_GOLDEN = ROOT / "tests" / "sweep.txt"
 
 _SPEC = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
 SWEEP = importlib.util.module_from_spec(_SPEC)
@@ -57,3 +63,11 @@ def test_the_commands_reach_every_input_and_flag(tmp_path):
     assert {"run", "explore", "replay"} == {argv[0] for argv in argvs}
     assert all((tmp_path / path).is_file() for path in scenarios["derived"])
     assert any("max_content_len=3 " in (tmp_path / path).read_text() for path in scenarios["derived"])
+
+
+def test_the_sweep_prints_the_checked_in_lines():
+    # every verdict, state count, counterexample and trace byte of the sweep
+    want = SWEEP_GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = list(SWEEP.sweep())
+    print("\n".join(difflib.unified_diff(want, got, "sweep.txt", "sweep", n=0, lineterm="")))
+    assert got == want
