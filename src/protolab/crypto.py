@@ -15,10 +15,9 @@ replayed ciphertext without being able to open it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .model import GlobalState, Invent, Item, Msg, PKey, SKey, Uid
+from .model import Fieldless, GlobalState, Invent, Item, Msg, PKey, SKey, Uid
 
 
 class EmptyContent(Exception):
@@ -29,52 +28,61 @@ class UnknownKey(Exception):
     """A wire message was built under a key no registry entry owns."""
 
 
-@dataclass(frozen=True)
-class DecryptFailure:
+class DecryptFailure(Fieldless):
     """Returned (not raised) when a secret key does not match."""
+
+    __slots__ = ()
 
 
 DECRYPT_FAILED = DecryptFailure()
 
 
-@dataclass(frozen=True, slots=True)
 class EncMsg:
-    """Sealed term.  The payload has no public accessor; use `dec`."""
+    """Sealed term.  The payload has no public accessor; use `dec`.  It is
+    immutable, and equal terms hash alike: as the tuple (payload, key)."""
 
-    _payload: tuple[Item, ...]
-    pk: PKey
+    __slots__ = ("_payload", "pk")
 
-    def __post_init__(self) -> None:
-        if not self._payload:
+    def __init__(self, payload: Sequence[Item], pk: PKey) -> None:
+        if not payload:
             raise EmptyContent("cannot encrypt an empty content sequence")
-        object.__setattr__(self, "_payload", tuple(self._payload))
+        object.__setattr__(self, "_payload", tuple(payload))
+        object.__setattr__(self, "pk", pk)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a sealed term is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a sealed term is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._payload == other._payload and self.pk == other.pk
+
+    def __hash__(self) -> int:
+        return hash((self._payload, self.pk))
 
     def __repr__(self) -> str:
         return f"enc(<sealed>,{self.pk})"
 
 
-@dataclass(frozen=True)
-class WireMsg:
+class WireMsg(NamedTuple):
     body: EncMsg
     ghost_sender: Uid  # checking only, never readable by roles
 
 
-@dataclass(frozen=True)
 class KeyRegistry:
-    pkeys: dict[Uid, PKey]
-    skeys: dict[Uid, SKey]
-    _owners: dict[PKey, Uid] = field(init=False, repr=False, compare=False)
-    _secrets: dict[PKey, frozenset[SKey]] = field(init=False, repr=False, compare=False)
+    """The users' key pairs, and who owns and who can open each public key."""
 
-    def __post_init__(self) -> None:
-        owners: dict[PKey, Uid] = {}
-        secrets: dict[PKey, frozenset[SKey]] = {}
-        for uid in sorted(self.pkeys, reverse=True):
-            pk = self.pkeys[uid]
-            owners[pk] = uid  # the lowest-named owner is written last
-            secrets[pk] = secrets.get(pk, frozenset()) | {self.skeys[uid]}
-        object.__setattr__(self, "_owners", owners)
-        object.__setattr__(self, "_secrets", secrets)
+    def __init__(self, pkeys: dict[Uid, PKey], skeys: dict[Uid, SKey]) -> None:
+        self.pkeys, self.skeys = pkeys, skeys
+        self._owners: dict[PKey, Uid] = {}
+        self._secrets: dict[PKey, frozenset[SKey]] = {}
+        for uid in sorted(pkeys, reverse=True):
+            pk = pkeys[uid]
+            self._owners[pk] = uid  # the lowest-named owner is written last
+            self._secrets[pk] = self._secrets.get(pk, frozenset()) | {skeys[uid]}
 
     def owner_of_pkey(self, pk: PKey) -> Uid | None:
         """The lowest-named owner of a public key, or None."""
@@ -94,7 +102,7 @@ def match(pk: PKey, sk: SKey, registry: KeyRegistry) -> bool:
 
 
 def enc(content: Sequence[Item], pk: PKey) -> EncMsg:
-    return EncMsg(tuple(content), pk)
+    return EncMsg(content, pk)
 
 
 def dec(m: EncMsg, sk: SKey, registry: KeyRegistry):

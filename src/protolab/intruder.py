@@ -10,11 +10,11 @@ replayed verbatim.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence, Union
+from typing import Collection, Mapping, NamedTuple, Sequence, Union
 
 from .model import (
     Action,
+    Fieldless,
     GlobalState,
     Invent,
     Item,
@@ -32,25 +32,21 @@ from .model import (
 from .roles import ABSTRACT, IllegalMove, kinds_of
 
 
-@dataclass(frozen=True)
-class IntruderKnowledge:
+class IntruderKnowledge(NamedTuple):
     known_items: frozenset[Item]
     observed_opaque: tuple[int, ...]  # history indices of unreadable messages
 
 
-@dataclass(frozen=True)
-class InventNonce:
-    pass
+class InventNonce(Fieldless):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(NamedTuple):
     rec: Uid
     content: tuple[Item, ...]
 
 
-@dataclass(frozen=True)
-class ReplayOpaque:
+class ReplayOpaque(NamedTuple):
     index: int
 
 
@@ -162,8 +158,7 @@ def apply_move(
     return add_knows(state, me, session, nonces)
 
 
-@dataclass(frozen=True)
-class LoweScript:
+class LoweScript(NamedTuple):
     """The classic interception strategy against an initiator who chose the
     intruder as partner: forward the opener to the second victim under the
     victim's key, then forward the confirmation nonce the initiator sends

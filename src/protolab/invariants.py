@@ -9,8 +9,7 @@ would count them).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     Action,
@@ -23,20 +22,32 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PredicateReport:
+class _PredicateReport(NamedTuple):
     name: str
     holds: bool
     witness: str | None = None
 
-    def __post_init__(self) -> None:
-        assert (self.witness is not None) == (not self.holds)
+
+class PredicateReport(_PredicateReport):
+    """A predicate's result: a failing report has a witness, a holding one
+    none, however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, holds: bool, witness: str | None = None) -> PredicateReport:
+        assert (witness is not None) == (not holds)
+        return tuple.__new__(cls, (name, holds, witness))
+
+    @classmethod
+    def _make(cls, iterable) -> PredicateReport:
+        # the NamedTuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
 
 @functools.cache
 def _ok(name: str) -> PredicateReport:
-    """The holding report of a predicate, one per name: a report is frozen,
-    so every holding result can share it."""
+    """The holding report of a predicate, one per name: a report is
+    immutable, so every holding result can share it."""
     return PredicateReport(name, True)
 
 

@@ -12,8 +12,7 @@ only through their medium (`readers`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Uid = str  # principal identifier, a symbolic atom from the scenario universe
 Sid = str  # session identifier, rendered "<uid>#<n>"
@@ -27,8 +26,24 @@ class LengthMismatch(Exception):
     """select() was given a mask whose length differs from the sequence."""
 
 
-@dataclass(frozen=True, order=True)
-class Nonce:
+class Fieldless:
+    """Base of a record without fields.  An instance equals exactly the
+    instances of its class and hashes as `hash(())`; an empty tuple would be
+    falsy and equal `()`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}()"
+
+
+class Nonce(NamedTuple):
     """Fresh symbolic value.  Identity is the creation index, never structure."""
 
     ix: int
@@ -94,19 +109,29 @@ def render_content(content: Sequence[Item]) -> str:
     return "[" + ",".join(render_item(i) for i in content) + "]"
 
 
-@dataclass(frozen=True)
-class Msg:
+class _Msg(NamedTuple):
     rec: Uid
     sender: Uid  # ghost: true originator, invisible to role code
     content: tuple[Item, ...]
 
-    def __post_init__(self) -> None:
-        if not self.content:
+
+class Msg(_Msg):
+    """A message; its content is never empty, however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, rec: Uid, sender: Uid, content: tuple[Item, ...]) -> Msg:
+        if not content:
             raise ValueError("message content must be non-empty")
+        return tuple.__new__(cls, (rec, sender, content))
+
+    @classmethod
+    def _make(cls, iterable) -> Msg:
+        # the NamedTuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Invent:
+class Invent(NamedTuple):
     user: Uid
     what: Nonce
 
@@ -114,24 +139,21 @@ class Invent:
 Action = Union[Msg, Invent]
 
 
-@dataclass(frozen=True)
-class PKey:
+class PKey(NamedTuple):
     atom: str
 
     def __repr__(self) -> str:
         return self.atom
 
 
-@dataclass(frozen=True)
-class SKey:
+class SKey(NamedTuple):
     atom: str
 
     def __repr__(self) -> str:
         return self.atom
 
 
-@dataclass(frozen=True)
-class UserState:
+class UserState(NamedTuple):
     """Per-principal record, keyed by session where a field is session local.
 
     `int_partner` is bound the moment the partner becomes known (a sender
@@ -148,8 +170,7 @@ class UserState:
     complete: dict[Sid, bool]
 
 
-@dataclass(frozen=True)
-class GlobalState:
+class GlobalState(NamedTuple):
     """The users' records, the history and the public keys.  `top` is the
     highest nonce index in the history (0 in one with none), counting an
     `Invent`'s nonce and those in a `Msg`'s content, as `_nonces_in_history`

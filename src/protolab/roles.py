@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     GlobalState,
@@ -76,26 +75,22 @@ class IllegalMove(Exception):
 # pattern kinds: "u" = principal identifier, "n" = nonce
 
 
-@dataclass(frozen=True)
-class SetPartner:
+class SetPartner(NamedTuple):
     name: str = "set-partner"
 
 
-@dataclass(frozen=True)
-class InventStmt:
+class InventStmt(NamedTuple):
     bind: str
     name: str = "invent"
 
 
-@dataclass(frozen=True)
-class SendStmt:
+class SendStmt(NamedTuple):
     template: tuple[str, ...]  # a name per position (`_value`)
     target: str  # a name holding a principal
     name: str = "send"
 
 
-@dataclass(frozen=True)
-class RecvStmt:
+class RecvStmt(NamedTuple):
     pattern: tuple[str, ...]
     binds: tuple[str, ...]
     checks: tuple[tuple[str, str], ...] = ()  # (bound name, name it must equal)
@@ -104,8 +99,7 @@ class RecvStmt:
     name: str = "recv"
 
 
-@dataclass(frozen=True)
-class FinishStmt:
+class FinishStmt(NamedTuple):
     name: str = "finish"
 
 
@@ -175,8 +169,7 @@ ABSTRACT = AbstractMedium()
 # ── machines ─────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class RoleMachine:
+class RoleMachine(NamedTuple):
     owner: Uid
     variant: Variant
     kind: RoleKind
@@ -216,8 +209,7 @@ def make_machine(
     return RoleMachine(owner=owner, variant=variant, kind=kind, session=session, peer=peer)
 
 
-@dataclass(frozen=True)
-class Inbox:
+class Inbox(NamedTuple):
     """Per-user record of which history entries have been consumed, in uid
     order.
 

@@ -25,7 +25,7 @@ verified digest by digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .crypto import ConcreteMedium, KeyRegistry, abstract_of, registry_from_state
 from .intruder import (
@@ -81,8 +81,7 @@ class DeadlockError(Exception):
 ScheduleEntry = tuple
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """A configuration: every role machine, the global state and the inbox."""
 
     machines: tuple[RoleMachine, ...]
@@ -122,7 +121,6 @@ _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque:
 _ABORTED = Status.ABORTED
 
 
-@dataclass
 class TraceRun:
     """A run record, filled in as the run executes: the configuration
     reached, every state after the initial one, and each step's trace event.
@@ -130,19 +128,22 @@ class TraceRun:
     unconsumed messages it can read, as {history index: content}, oldest
     first."""
 
-    scenario: Scenario
-    config: Config
-    medium: object
-    intruder: tuple[Uid, Sid] | None
-    initial: GlobalState
-    init_digest: str = field(init=False)
-    states: list[GlobalState] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
-    rendered: Renderings = field(default_factory=Renderings, repr=False, compare=False)
-    mail: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _checkable: list[GlobalState] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        scenario: Scenario,
+        config: Config,
+        medium,
+        intruder: tuple[Uid, Sid] | None,
+        initial: GlobalState,
+    ) -> None:
+        self.scenario, self.config, self.medium = scenario, config, medium
+        self.intruder, self.initial = intruder, initial
+        self.states: list[GlobalState] = []
+        self.events: list[TraceEvent] = []
+        self.rendered = Renderings()
+        self.mail: dict = {}
+        self._checkable: list[GlobalState] | None = None
+        self.init_digest = self.digest()
 
     @property
     def machines(self) -> tuple[RoleMachine, ...]:
@@ -229,8 +230,7 @@ class TraceRun:
                 final = self.final_state.history
                 projected = abstract_of(final, self.registry)
                 states = [
-                    replace(
-                        s,
+                    s._replace(
                         history=projected[: len(s.history)]
                         if s.history == final[: len(s.history)]
                         else abstract_of(s.history, self.registry),
@@ -278,9 +278,7 @@ def build_execution(scenario: Scenario) -> TraceRun:
     medium = ABSTRACT
     if scenario.level == "concrete":
         medium = ConcreteMedium(registry_from_state(state))
-    run = TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)
-    run.init_digest = run.digest()
-    return run
+    return TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)
 
 
 def execute_scripted(scenario: Scenario) -> TraceRun:
@@ -363,10 +361,12 @@ def schedule_from_doc(doc: TraceDoc, scenario: Scenario) -> list[ScheduleEntry]:
     for ev in doc.events:
         if ev.actor in actor_to_index:
             peer = ev.arg if ev.stmt == "set-partner" else None
+            if ev.stmt == "set-partner" and peer is None:
+                raise TraceError(f"event {ev.index}: field 'arg': set-partner needs a peer")
             if ev.stmt == "set-partner" and peer not in declared:
                 raise TraceError(
                     f"event {ev.index}: field 'arg': set-partner peer must be a declared user, "
-                    f"got {'None' if peer is None else shown(peer)}"
+                    f"got {shown(peer)}"
                 )
             schedule.append(("machine", actor_to_index[ev.actor], peer))
         elif ev.actor == intr_actor:

@@ -28,7 +28,7 @@ that the intruder cannot forge message 2 (at 3, nsl-ft fails, 94 states).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .model import Sid, Uid, count, nonce_like, shown
 from .roles import RoleKind, Variant
@@ -46,17 +46,37 @@ class ScenarioError(Exception):
 _BOUND_FIELDS = ("max_steps", "max_content_len", "max_intruder_invents", "max_sessions_per_user")
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class _SearchBounds(NamedTuple):
     max_steps: int
     max_intruder_invents: int
     max_content_len: int
     max_sessions_per_user: int
 
-    def __post_init__(self) -> None:
+
+class SearchBounds(_SearchBounds):
+    """The search's bounds; none is negative, however they are built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        max_steps: int,
+        max_intruder_invents: int,
+        max_content_len: int,
+        max_sessions_per_user: int,
+    ) -> SearchBounds:
+        bounds = tuple.__new__(
+            cls, (max_steps, max_intruder_invents, max_content_len, max_sessions_per_user)
+        )
         for name in _BOUND_FIELDS:
-            if getattr(self, name) < 0:
+            if getattr(bounds, name) < 0:
                 raise ScenarioError(f"bounds: {name} must be >= 0")
+        return bounds
+
+    @classmethod
+    def _make(cls, iterable) -> SearchBounds:
+        # the NamedTuple's own `_make`, which `_replace` calls, skips `__new__`
+        return cls(*iterable)
 
 
 def default_bounds() -> SearchBounds:
@@ -65,24 +85,21 @@ def default_bounds() -> SearchBounds:
     )
 
 
-@dataclass(frozen=True)
-class RoleDecl:
+class RoleDecl(NamedTuple):
     user: Uid
     kind: RoleKind
     peer: Uid | None
     variant: Variant
 
 
-@dataclass(frozen=True)
-class IntruderDecl:
+class IntruderDecl(NamedTuple):
     kind: str  # "none" | "lowe_script" | "search"
     user: Uid | None = None
     a: Uid | None = None
     b: Uid | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     users: tuple[tuple[Uid, bool], ...]
     roles: tuple[RoleDecl, ...]
     intruder: IntruderDecl
@@ -110,10 +127,10 @@ class Scenario:
         return f"{self.intruder.user}#1"
 
     def with_level(self, level: str) -> Scenario:
-        return replace(self, level=level)
+        return self._replace(level=level)
 
     def with_max_steps(self, max_steps: int) -> Scenario:
-        return replace(self, bounds=replace(self.bounds, max_steps=max_steps))
+        return self._replace(bounds=self.bounds._replace(max_steps=max_steps))
 
 
 def _parse_kv(parts: list[str], record: str) -> dict[str, str]:

@@ -262,7 +262,6 @@ Without it the search reaches more nodes, with the same verdicts
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import replace
 from itertools import chain, groupby, permutations, product
 from operator import attrgetter
 
@@ -729,7 +728,7 @@ def _counterexample_verdict(scenario: Scenario, violation, schedule, states: int
         verdict = SpecVerdict(SPEC_INV, holds=False, detail=safety_detail)
     else:
         verdict = evaluate_run_specs(run, [spec_name])[0]
-    return replace(verdict, counterexample=run, states=states)
+    return verdict._replace(counterexample=run, states=states)
 
 
 def explore(scenario: Scenario, spec: str = "all") -> SpecVerdict:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .invariants import Audit, PredicateReport, _replaced
 from .model import GlobalState, Nonce, Sid, Uid
@@ -49,8 +49,7 @@ SPEC_INV = "inv"
 SPEC_CHOICES = (SPEC_POST_NS, SPEC_NSL_FT, SPEC_INV, "all")
 
 
-@dataclass(frozen=True)
-class SpecVerdict:
+class SpecVerdict(NamedTuple):
     spec: str
     holds: bool
     detail: str = ""

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .crypto import WireMsg, payload_for_trace
 from .model import (
@@ -253,8 +253,7 @@ def node_digest(state: GlobalState, machines, inbox: Inbox, rendered: Renderings
 # ── documents ────────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     index: int
     actor: str
     stmt: str
@@ -263,13 +262,20 @@ class TraceEvent:
     digest: str
 
 
-@dataclass
 class TraceDoc:
-    level: str
-    scenario_text: str
-    init_digest: str
-    events: list[TraceEvent] = field(default_factory=list)
-    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
+    """A trace file's records: the level, the embedded scenario, the
+    initial digest, the events and the verdicts, each (spec, holds, detail)."""
+
+    def __init__(
+        self,
+        level: str,
+        scenario_text: str,
+        init_digest: str,
+        events: list[TraceEvent],
+        verdicts: list[tuple[str, bool, str]],
+    ) -> None:
+        self.level, self.scenario_text, self.init_digest = level, scenario_text, init_digest
+        self.events, self.verdicts = events, verdicts
 
 
 _GHOST_FIELD_RE = re.compile(r",ghost:[a-z]+=(\[[^\]]*\]|[^,)]+)")

@@ -4,10 +4,13 @@ README gives is in the package.  A removal or a rename leaves such names
 behind, and no linter runs over this tree.  Some concerns have one place
 in the source, which these checks hold them to: reading an int from text,
 echoing input in a diagnostic, the safety checks, and the protocol
-variants."""
+variants.  And no module imports `dataclasses`, whose generated methods
+every launch would pay for."""
 
 import ast
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -413,6 +416,60 @@ def test_a_variant_comparison_is_reported():
     assert variant_comparisons(sources) == [
         "a.RoleMachine.statements", "a.guard", "a.build", "a.build", "b.C.pick", "b.<module>",
     ]
+
+
+# ── launch cost ──────────────────────────────────────────────────────────────
+
+
+def importers(sources: dict[str, str], package: str) -> list[str]:
+    """The modules that import `package` or one of its submodules, at any
+    depth."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == package for name in names):
+                found.append(module)
+                break
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass writes and executes the source of its methods when its
+    # module is imported, which every command line pays; the package's
+    # records are NamedTuples or written-out classes
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert importers(sources, "dataclasses") == []
+
+
+def test_a_dataclasses_import_is_reported():
+    sources = {
+        "a": "from dataclasses import dataclass\n",
+        "b": "def f():\n    import dataclasses.x as d\n    return d\n",
+        "c": "from .dataclasses import x\nimport dataclassy\nfrom typing import NamedTuple\n",
+    }
+    assert importers(sources, "dataclasses") == ["a", "b"]
+
+
+def test_a_launch_loads_neither_dataclasses_nor_inspect():
+    # `inspect` comes in with `dataclasses`, and with it `ast`, `dis` and
+    # `tokenize`; without site-packages, so only the package's own imports count
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import protolab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 # ── names the README gives ───────────────────────────────────────────────────

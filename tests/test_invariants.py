@@ -1,8 +1,6 @@
 """Predicate suite: each predicate against hand-evaluated cases plus the
 states produced by real runs."""
 
-from dataclasses import replace
-
 import pytest
 
 from protolab.invariants import (
@@ -182,8 +180,8 @@ def test_inv_sigma_attack_state_with_nonconforming_intruder(lowe_run):
 def test_inv_sigma_fails_if_intruder_were_conforming(lowe_run):
     final = lowe_run.final_state
     users = dict(final.users)
-    users["I"] = replace(users["I"], conforms=True)
-    flipped = replace(final, users=users)
+    users["I"] = users["I"]._replace(conforms=True)
+    flipped = final._replace(users=users)
     report = inv_sigma(flipped)
     assert not report.holds
     assert "I" in report.witness
@@ -207,8 +205,8 @@ def test_dyn_inv_append_only():
 def test_dyn_inv_detects_shrinking_knowledge():
     state = add_knows(_bare("A"), "A", "A#1", [N1, N2])
     users = dict(state.users)
-    users["A"] = replace(users["A"], knows={"A#1": frozenset({N1})})
-    shrunk = replace(state, users=users)
+    users["A"] = users["A"]._replace(knows={"A#1": frozenset({N1})})
+    shrunk = state._replace(users=users)
     report = dyn_inv(state, shrunk)
     assert not report.holds
     assert "A#1" in report.witness
@@ -217,8 +215,8 @@ def test_dyn_inv_detects_shrinking_knowledge():
 def test_dyn_inv_detects_conformity_flip():
     state = _bare("A")
     users = dict(state.users)
-    users["A"] = replace(users["A"], conforms=False)
-    report = dyn_inv(state, replace(state, users=users))
+    users["A"] = users["A"]._replace(conforms=False)
+    report = dyn_inv(state, state._replace(users=users))
     assert not report.holds
 
 

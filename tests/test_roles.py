@@ -2,7 +2,6 @@
 
 import io
 from collections import Counter
-from dataclasses import replace as dc_replace
 from types import SimpleNamespace
 
 import pytest
@@ -105,7 +104,7 @@ def test_step_is_illegal_after_completion_or_abort():
     assert not can_fire(done, reference_find_match(done, state, run.config.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is completed"):
         step(done, state, run.config.inbox, ABSTRACT)
-    aborted = dc_replace(done, status=Status.ABORTED)
+    aborted = done._replace(status=Status.ABORTED)
     assert not can_fire(aborted, reference_find_match(aborted, state, run.config.inbox, ABSTRACT))
     with pytest.raises(IllegalMove, match="sender@A#1 is aborted"):
         step(aborted, state, run.config.inbox, ABSTRACT)
@@ -200,8 +199,8 @@ def test_run_honest_pair_raises_on_non_completion(monkeypatch):
 
     def sabotaged(scenario):
         run = real(scenario)
-        machines = (dc_replace(run.machines[0], status=Status.RUNNING),) + run.machines[1:]
-        run.config = dc_replace(run.config, machines=machines)
+        machines = (run.machines[0]._replace(status=Status.RUNNING),) + run.machines[1:]
+        run.config = run.config._replace(machines=machines)
         return run
 
     monkeypatch.setattr(runner_mod, "execute_scripted", sabotaged)
@@ -375,21 +374,21 @@ def waiting_receives(draw):
         sorted((name, draw(st.sampled_from(PRINCIPALS + NONCES))) for name in bound_before)
     )
     peer = draw(st.sampled_from((None,) + PRINCIPALS))
-    machine = dc_replace(
-        make_machine(owner, kind, variant, f"{owner}#1"), pc=pc, locals=locals, peer=peer
+    machine = make_machine(owner, kind, variant, f"{owner}#1")._replace(
+        pc=pc, locals=locals, peer=peer
     )
     return machine, tuple(draw(KIND_ITEMS[k]) for k in statements[pc].pattern)
 
 
-NSL_INITIATOR_AT_MESSAGE_2 = dc_replace(
-    make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", "B"), pc=3, locals=(("NA", N1),)
+NSL_INITIATOR_AT_MESSAGE_2 = make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", "B")._replace(
+    pc=3, locals=(("NA", N1),)
 )
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=waiting_receives())
 @example(case=(NSL_INITIATOR_AT_MESSAGE_2, ("B", N1, N2)))  # its partner's reply
-@example(case=(dc_replace(NSL_INITIATOR_AT_MESSAGE_2, peer="I"), ("B", N1, N2)))  # another's
+@example(case=(NSL_INITIATOR_AT_MESSAGE_2._replace(peer="I"), ("B", N1, N2)))  # another's
 def test_a_receive_aborts_exactly_when_the_reference_guard_fails(case):
     # every receive of the four programs, with any bound items, locals and
     # partner: `step` aborts the machine exactly when the guard code the
@@ -423,4 +422,4 @@ def test_nsl_is_ns_with_message_two_changed():
     assert nsl_recv.learn == ns_recv.learn
     ns_reply, nsl_reply = (program(RoleKind.RECEIVER, variant)[2] for variant in Variant)
     assert isinstance(ns_reply, SendStmt) and isinstance(nsl_reply, SendStmt)
-    assert nsl_reply == dc_replace(ns_reply, template=("this", *ns_reply.template))
+    assert nsl_reply == ns_reply._replace(template=("this", *ns_reply.template))

@@ -6,7 +6,6 @@ import hashlib
 import io
 import weakref
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations, product
 from pathlib import Path
 
@@ -37,7 +36,13 @@ from protolab.roles import (
     Status,
     can_fire,
 )
-from protolab.runner import apply_entry, check_refinement, execute_schedule, schedule_from_doc
+from protolab.runner import (
+    Config,
+    apply_entry,
+    check_refinement,
+    execute_schedule,
+    schedule_from_doc,
+)
 from protolab.scenario import ScenarioError, load_scenario, parse_scenario
 
 from conftest import (
@@ -244,7 +249,7 @@ def plant_unjustified(monkeypatch, when):
         if entry[0] == "machine" and when(after):
             machine = after.machines[entry[1]]
             state = add_knows(after.state, machine.owner, machine.session, [Nonce(99)])
-            after = replace(after, state=state)
+            after = after._replace(state=state)
         return after
 
     monkeypatch.setattr(search, "apply_entry", planted)
@@ -290,7 +295,7 @@ def test_nsl_search_counter_is_pinned(nsl_quiescents):
 
 def test_invention_moves_are_searched_and_bounded():
     sc = load_scenario(scenario('ns-search'))
-    sc = replace(sc, bounds=replace(sc.bounds, max_intruder_invents=1, max_steps=6))
+    sc = sc._replace(bounds=sc.bounds._replace(max_intruder_invents=1, max_steps=6))
     verdict = explore(sc, spec="post-ns")
     # six steps cannot complete a session, so the bound cuts live branches;
     # the point is that invention moves enumerate finitely and deterministically
@@ -324,7 +329,7 @@ NEWLY_TRACTABLE = [
 )
 def test_newly_tractable_configurations_are_pinned(name, bounds, spec, expected):
     sc = load_scenario(scenario(name))
-    verdict = explore(replace(sc, bounds=replace(sc.bounds, **bounds)), spec=spec)
+    verdict = explore(sc._replace(bounds=sc.bounds._replace(**bounds)), spec=spec)
     violated, states, events, detail = expected
     assert (verdict.spec, verdict.holds, verdict.inconclusive) == (violated, False, False)
     assert verdict.states == states
@@ -400,29 +405,43 @@ def test_the_content_length_three_over_reach_is_pinned(tmp_path):
     assert out.getvalue() == "replay ok: 13 events verified\n"
 
 
+def live_configs() -> int:
+    """The configurations alive now; a tuple subclass stays tracked by gc."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if obj.__class__ is Config)
+
+
 def test_running_out_of_memory_ends_in_an_inconclusive_verdict(tmp_path, monkeypatch):
     # a MemoryError planted in the 40th key of the scale-nsl search: the
     # verdict names memory and the depth reached, exit 3, and it is built
-    # once no node the search keyed and not its encoder is left
+    # once no node the search keyed and not its encoder is left.  A node is
+    # a tuple, which cannot be weakly referenced: the nodes are counted, and
+    # the audit the frontier holds with each node is watched
     from protolab.cli import main
 
-    reached, keyed = [], 0
-    real_key, real_verdict = search._node_key, search.SpecVerdict
+    reached, keyed, before = [], 0, live_configs()
+    real_key, real_macro, real_verdict = search._node_key, _Searcher.macro, search.SpecVerdict
 
     def keying(node, *rest):
         nonlocal keyed
         keyed += 1
         if keyed == 40:
             raise MemoryError
-        reached.extend([weakref.ref(node), weakref.ref(rest[-1][0])])
+        reached.append(weakref.ref(rest[-1][0]))
         return real_key(node, *rest)
 
+    def stepping(self, *args):
+        macro = real_macro(self, *args)
+        reached.append(weakref.ref(macro[2]))
+        return macro
+
     def verdict(**fields):
-        gc.collect()
-        assert reached and all(ref() is None for ref in reached)
+        assert live_configs() == before
+        assert len(reached) > keyed and all(ref() is None for ref in reached)
         return real_verdict(**fields)
 
     monkeypatch.setattr(search, "_node_key", keying)
+    monkeypatch.setattr(_Searcher, "macro", stepping)
     monkeypatch.setattr(search, "SpecVerdict", verdict)
     path = tmp_path / "scale-nsl.scn"
     path.write_text(TWO_SENDERS)
@@ -647,7 +666,7 @@ INLINE = {
 
 def _bounded(name, max_steps, invents=0):
     sc = parse_scenario(INLINE[name]) if name in INLINE else load_scenario(scenario(name))
-    return replace(sc, bounds=replace(sc.bounds, max_steps=max_steps, max_intruder_invents=invents))
+    return sc._replace(bounds=sc.bounds._replace(max_steps=max_steps, max_intruder_invents=invents))
 
 
 DIFFERENTIAL_CASES = (
@@ -914,17 +933,17 @@ def planted(state, parent, sc):
     nonces = sorted({act.what for act in history if isinstance(act, Invent)})
     first = sorted(users)[0]
     if parent is not None:
-        flipped = replace(users[first], conforms=not users[first].conforms)
-        yield replace(state, users={**users, first: flipped})
+        flipped = users[first]._replace(conforms=not users[first].conforms)
+        yield state._replace(users={**users, first: flipped})
     again = (Invent(first, nonces[-1]),) if nonces else (Invent(first, Nonce(99)),) * 2
-    yield replace(state, history=history + again)
+    yield state._replace(history=history + again)
     for uid in sorted(users):
         sid = min(users[uid].knows, default=f"{uid}#9")
         yield add_knows(state, uid, sid, [*nonces, Nonce(99)])
     if sc.intruder.kind == "none":
         honest = min(uid for uid, user in users.items() if user.conforms)
         other = max(uid for uid in users if uid != honest)
-        yield replace(state, history=history + (Msg(other, honest, (other,)),))
+        yield state._replace(history=history + (Msg(other, honest, (other,)),))
 
 
 @pytest.mark.parametrize("name,max_steps,invents", CARRIED, ids=[n for n, _, _ in CARRIED])
@@ -1026,7 +1045,7 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
     # moves its closure, its inventions and the pending copies counted over
     # the whole history give, each with its consumers
     sc = _bounded(name, max_steps, invents)
-    sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
+    sc = sc._replace(bounds=sc.bounds._replace(max_content_len=content))
     me, root = sc.intruder.user, runner.build_execution(sc).config.state
     check, starts = _Searcher.safety_violation, _Searcher._machine_starts
     moves, real_apply = _Searcher._intruder_starts, search.apply_entry
@@ -1042,7 +1061,7 @@ def test_carried_intruder_facts_and_mail_give_the_rebuilt_values(
 
     def generating(knowledge, max_content, max_invents, waiting, history):
         # a node's users are the root's, so its state is the root's with its history
-        assert knowledge == closure(replace(root, history=history), me)
+        assert knowledge == closure(root._replace(history=history), me)
         counts["knowledge"] += 1
         return generate(knowledge, max_content, max_invents, waiting, history)
 
@@ -1179,16 +1198,17 @@ def test_the_state_key_groups_micro_states_as_the_sorted_key_does(monkeypatch, n
 
 
 def constructions(monkeypatch, cls):
-    """Count the instances of `cls` made from now on; returns a reader."""
+    """Count the instances of `cls` made from now on, each through its
+    `__new__`; returns a reader."""
     made = 0
-    init = cls.__init__
+    new = cls.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         nonlocal made
         made += 1
-        init(self, *args, **kwargs)
+        return new(*args, **kwargs)
 
-    monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(cls, "__new__", counting)
     return lambda: made
 
 
@@ -1289,7 +1309,7 @@ def test_the_multiset_key_gives_the_ordered_key_verdict(
 ):
     sc = _bounded(name, max_steps, invents)
     if content is not None:
-        sc = replace(sc, bounds=replace(sc.bounds, max_content_len=content))
+        sc = sc._replace(bounds=sc.bounds._replace(max_content_len=content))
     merged = explore(sc, spec=spec)
     monkeypatch.setattr(search, "_node_key", ordered_key)
     ordered = explore(sc, spec=spec)
@@ -1380,7 +1400,7 @@ def test_the_order_of_a_machine_owners_pending_messages_is_kept():
 def with_history(*history):
     """The two-senders root with `history` planted, no message consumed."""
     root = reach([])
-    return replace(root, state=replace(root.state, history=history))
+    return root._replace(state=root.state._replace(history=history))
 
 
 def test_the_history_is_keyed_with_multiplicity():
@@ -1446,7 +1466,7 @@ SECOND_ROLE = {
 def completed(text, index):
     """The root of `text` with the session of machine `index` complete."""
     root = searcher_of(text).root
-    return replace(root, state=set_complete(root.state, "A", root.machines[index].session))
+    return root._replace(state=set_complete(root.state, "A", root.machines[index].session))
 
 
 @pytest.mark.parametrize("case", SECOND_ROLE)

@@ -3,7 +3,6 @@ the fault-tolerance layer, and the trace-wide obligation suite, whose
 `guarantee-no-mods-to-others` obligation is the rely-guarantee check."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,7 +108,7 @@ def grafted(honest_ns):
     somehow holds both session nonces."""
     state, _ = honest_ns
     grafted = initial_state({"A": True, "B": True, "C": True})
-    grafted = replace(grafted, users={**state.users, "C": grafted.users["C"]}, history=state.history)
+    grafted = grafted._replace(users={**state.users, "C": grafted.users["C"]}, history=state.history)
     grafted = open_session(grafted, "C", "C#1")
     return add_knows(grafted, "C", "C#1", [N1, N2])
 
@@ -186,8 +185,8 @@ def test_lemma_suite_catches_shrinking_knowledge(honest_ns):
             states = self._base.checkable_states()
             last = states[-1]
             users = dict(last.users)
-            users["A"] = replace(users["A"], knows={"A#1": frozenset()})
-            return states + [replace(last, users=users)]
+            users["A"] = users["A"]._replace(knows={"A#1": frozenset()})
+            return states + [last._replace(users=users)]
 
         def transitions(self):
             return self._base.transitions()
@@ -234,7 +233,7 @@ def test_a_replaced_bystander_record_is_checked(change):
     )
     assert k < len(run.events) and user.conforms
     changes, failing = BYSTANDER_CHANGES[change]
-    states[k] = replace(states[k], users={**states[k].users, uid: replace(user, **changes(user, sid))})
+    states[k] = states[k]._replace(users={**states[k].users, uid: user._replace(**changes(user, sid))})
     assert states[k].users[uid] is not user
     assert dyn_inv(states[k - 1], states[k]).holds == ("dyn-inv" not in failing)
     assert check_no_mods_to_others(states[k - 1], states[k], {owner}, sess) == (
@@ -293,7 +292,7 @@ def test_a_vanished_user_record_is_reported(uid):
     assert run.events[-1].actor == "receiver@B#1"
     assert states[-2].users["A"].complete["A#1"] and not states[-2].users["B"].complete["B#1"]
     last = states[-1]
-    states[-1] = replace(last, users={u: r for u, r in last.users.items() if u != uid})
+    states[-1] = last._replace(users={u: r for u, r in last.users.items() if u != uid})
     run.checkable_states = lambda: list(states)
     failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
     assert failing == VANISHED[uid]
@@ -308,7 +307,7 @@ def test_an_added_user_record_is_checked():
     last = states[-1]
     nonce = next(act.what for act in last.history if isinstance(act, Invent))
     added = add_knows(initial_state({"C": True}), "C", "C#1", [nonce]).users["C"]
-    states[-1] = replace(last, users={**last.users, "C": added})
+    states[-1] = last._replace(users={**last.users, "C": added})
     run.checkable_states = lambda: list(states)
     failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
     assert failing == [
@@ -326,8 +325,8 @@ def test_two_records_changed_at_once_are_reported_by_name():
         sid = f"{uid}#1"
         before, nonce = append_invention(open_session(before, uid, sid), uid)
         before = set_complete(add_knows(before, uid, sid, [nonce]), uid, sid)
-    users = {uid: replace(user, knows={}, complete={}) for uid, user in before.users.items()}
-    after = replace(before, users=users)
+    users = {uid: user._replace(knows={}, complete={}) for uid, user in before.users.items()}
+    after = before._replace(users=users)
     assert list(after.users) == ["B", "A"]
     assert dyn_inv(before, after).witness == "knows shrank for (A,A#1)"
     reports = check_lemma_suite(RecordedStates([before, after]))
@@ -359,7 +358,7 @@ def test_a_completed_machine_without_its_flag_breaks_abort_exclusivity():
     last = states[-1]
     assert not states[-2].users["B"].complete["B#1"] and last.users["B"].complete["B#1"]
     b = last.users["B"]
-    states[-1] = replace(last, users={**last.users, "B": replace(b, complete={"B#1": False})})
+    states[-1] = last._replace(users={**last.users, "B": b._replace(complete={"B#1": False})})
     run.checkable_states = lambda: list(states)
     failing = [(r.name, r.witness) for r in check_lemma_suite(run) if not r.holds]
     assert failing == [
@@ -451,7 +450,7 @@ BASE_RUNS = {
 
 
 def _with_user(state, uid, **changes):
-    return replace(state, users={**state.users, uid: replace(state.users[uid], **changes)})
+    return state._replace(users={**state.users, uid: state.users[uid]._replace(**changes)})
 
 
 def mutate(states, mutation):
@@ -470,11 +469,11 @@ def mutate(states, mutation):
         if kind == "flip":
             s = _with_user(s, uid, conforms=not s.users[uid].conforms)
         elif kind == "swap" and pos + 1 < len(h):
-            s = replace(s, history=h[:pos] + (h[pos + 1], h[pos]) + h[pos + 2 :])
+            s = s._replace(history=h[:pos] + (h[pos + 1], h[pos]) + h[pos + 2 :])
         elif kind == "insert":
-            s = replace(s, history=h[:pos] + (act,) + h[pos:])
+            s = s._replace(history=h[:pos] + (act,) + h[pos:])
         elif kind == "delete" and pos < len(h):
-            s = replace(s, history=h[:pos] + h[pos + 1 :])
+            s = s._replace(history=h[:pos] + h[pos + 1 :])
         elif kind == "knows":
             nonce = act.what if isinstance(act, Invent) else Nonce(9)
             knows = {**s.users[uid].knows, "X#1": frozenset({nonce})}
@@ -850,8 +849,8 @@ def test_sweep_work_grows_linearly_with_the_users():
     work = {}
     for pairs in (8, 16):
         state = execute_scripted(parse_scenario(nsl_pairs(pairs))).final_state
-        users = {uid: replace(u, knows=CountedKnows(u.knows)) for uid, u in state.users.items()}
-        state = replace(state, users=users)
+        users = {uid: u._replace(knows=CountedKnows(u.knows)) for uid, u in state.users.items()}
+        state = state._replace(users=users)
         looked["sessions"] = 0
         assert check_post_ns_all(state).holds and check_nsl_ft_all(state).holds
         work[pairs] = looked["sessions"]

@@ -8,7 +8,6 @@ projection of each action."""
 import hashlib
 import io
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -83,7 +82,7 @@ def test_renderings_fed_out_of_order_give_fresh_digests(monkeypatch):
         """The same history length, with a different last action."""
         history = config.state.history
         other = Invent("P99", Nonce(999))
-        return replace(config, state=replace(config.state, history=history[:-1] + (other,)))
+        return config._replace(state=config.state._replace(history=history[:-1] + (other,)))
 
     first = next(i for i, m in enumerate(initial.machines) if m != configs[0].machines[i])
     order = [
