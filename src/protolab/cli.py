@@ -102,7 +102,7 @@ def cmd_replay(args, out) -> int:
         twin = build_execution(run.scenario.with_level("abstract"))
         for entry in schedule:
             twin.advance(entry)
-        refinement = check_refinement(run, twin.config.state)
+        refinement = check_refinement(run, twin.final_state)
         if not refinement.holds:
             out.write(f"replay refinement mismatch between levels: {refinement.detail}\n")
             return EXIT_VIOLATION

@@ -24,11 +24,16 @@ aborts the machine when one pair differs.  Both variants check that a
 returned nonce is the one sent; the NSL initiator also checks that the
 identity claimed in message 2 is its intended partner.  The programs hold
 the whole difference between the variants, and `step` never reads one.
+
+A variant, a role kind and a status are the strings that every format
+writes for them (`role sender ... variant=nsl`, the actor `sender@A#1`,
+the machine row's `status=aborted`); `Variant`, `RoleKind` and `Status`
+only name them.  So a machine renders, hashes and compares them as the
+`str`s they are, with no translation on the way in or out.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -49,17 +54,17 @@ from .model import (
 )
 
 
-class Variant(enum.Enum):
+class Variant:
     NS = "ns"
     NSL = "nsl"
 
 
-class RoleKind(enum.Enum):
+class RoleKind:
     SENDER = "sender"
     RECEIVER = "receiver"
 
 
-class Status(enum.Enum):
+class Status:
     RUNNING = "running"
     COMPLETED = "completed"
     ABORTED = "aborted"
@@ -133,10 +138,14 @@ _NSL_SENDER = (
     *_NS_SENDER[4:],
 )
 _NSL_RECEIVER = (*_NS_RECEIVER[:2], SendStmt(("this", "Nf", "NB"), "from"), *_NS_RECEIVER[3:])
-# A machine picks its program by identity, since hashing an enum member runs
-# Python code, and so does reading one from its class, so the members read
-# at every step are read once, here.
-_NS, _SENDER, _RUNNING = Variant.NS, RoleKind.SENDER, Status.RUNNING
+# A machine's program, by its (variant, kind).  The table is the one place
+# that reads a variant, so the programs hold everything NSL changes.
+_PROGRAMS = {
+    (Variant.NS, RoleKind.SENDER): _NS_SENDER,
+    (Variant.NS, RoleKind.RECEIVER): _NS_RECEIVER,
+    (Variant.NSL, RoleKind.SENDER): _NSL_SENDER,
+    (Variant.NSL, RoleKind.RECEIVER): _NSL_RECEIVER,
+}
 
 
 # ── media ────────────────────────────────────────────────────────────────────
@@ -171,27 +180,24 @@ ABSTRACT = AbstractMedium()
 
 class RoleMachine(NamedTuple):
     owner: Uid
-    variant: Variant
-    kind: RoleKind
+    variant: str  # a `Variant`
+    kind: str  # a `RoleKind`
     session: Sid
     # intended partner; None until chosen for a sender.  A responder's stays
     # as declared: the partner its first receive binds is recorded only in
     # the state's `int_partner`, so no check in a responder's program may
     # name "peer"
-    peer: Uid | None
+    peer: Uid | None = None
     pc: int = 0
     locals: tuple[tuple[str, Item], ...] = ()
-    status: Status = Status.RUNNING
+    status: str = Status.RUNNING  # a `Status`
 
     @property
     def actor_id(self) -> str:
-        return f"{self.kind._value_}@{self.session}"  # `value` runs Python code
+        return f"{self.kind}@{self.session}"
 
     def statements(self) -> tuple:
-        ns = self.variant is _NS
-        if self.kind is _SENDER:
-            return _NS_SENDER if ns else _NSL_SENDER
-        return _NS_RECEIVER if ns else _NSL_RECEIVER
+        return _PROGRAMS[self.variant, self.kind]
 
     def current(self):
         return self.statements()[self.pc]
@@ -201,12 +207,6 @@ class RoleMachine(NamedTuple):
             if key == name:
                 return value
         raise KeyError(name)
-
-
-def make_machine(
-    owner: Uid, kind: RoleKind, variant: Variant, session: Sid, peer: Uid | None = None
-) -> RoleMachine:
-    return RoleMachine(owner=owner, variant=variant, kind=kind, session=session, peer=peer)
 
 
 class Inbox(NamedTuple):
@@ -247,7 +247,7 @@ def takes(machine: RoleMachine, unread) -> tuple[int, tuple] | None:
     """The (history index, content) the receive of `machine` takes from
     `unread`, its owner's unread mail oldest first: the newest whose
     `kinds_of` is its pattern.  None: there is none, or no receive waits."""
-    if machine.status is _RUNNING:
+    if machine.status == Status.RUNNING:
         stmt = machine.current()
         if stmt.__class__ is RecvStmt:
             for taken in reversed(unread):
@@ -260,7 +260,7 @@ def can_fire(machine: RoleMachine, found: int | None) -> bool:
     """Whether the machine's next step is enabled, `found` being the history
     index its receive would take (None: there is none): it is running, a
     set-partner has a partner, and a receive has a message."""
-    if machine.status is not _RUNNING:
+    if machine.status != Status.RUNNING:
         return False
     stmt = machine.current()
     if isinstance(stmt, SetPartner):
@@ -279,7 +279,7 @@ def _successor(
     machine: RoleMachine,
     pc: int,
     locals: tuple[tuple[str, Item], ...],
-    status: Status = Status.RUNNING,
+    status: str = Status.RUNNING,
     peer: Uid | None = None,
 ) -> RoleMachine:
     """The machine a step leaves, built once: `machine` at `pc` with
@@ -322,8 +322,8 @@ def step(
     receive.  A failed content check consumes the message and aborts the
     machine.  The successor machine and each changed state record are
     built once, directly."""
-    if machine.status is not _RUNNING:
-        raise IllegalMove(f"{machine.actor_id} is {machine.status.value}")
+    if machine.status != Status.RUNNING:
+        raise IllegalMove(f"{machine.actor_id} is {machine.status}")
     stmt = machine.current()
     pc = machine.pc + 1
 

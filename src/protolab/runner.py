@@ -45,9 +45,7 @@ from .roles import (
     RoleMachine,
     SetPartner,
     Status,
-    Variant,
     can_fire,
-    make_machine,
     step,
     takes,
 )
@@ -69,8 +67,6 @@ from .trace import (
     node_digest,
     parse_message_text,
 )
-
-MAX_EVENTS_VALVE = 10_000
 
 
 class DeadlockError(Exception):
@@ -118,26 +114,20 @@ def apply_entry(
 
 
 _INTRUDER_STMT = {InventNonce: "invent-nonce", Compose: "compose", ReplayOpaque: "replay"}
-_ABORTED = Status.ABORTED
 
 
 class TraceRun:
     """A run record, filled in as the run executes: the configuration
-    reached, every state after the initial one, and each step's trace event.
-    The scenario's level chose the medium.  `mail` maps a user to the
-    unconsumed messages it can read, as {history index: content}, oldest
-    first."""
+    reached, every state after the initial one that `step` recorded, and
+    each step's trace event.  The scenario's level chose the medium.  `mail`
+    maps a user to the unconsumed messages it can read, as {history index:
+    content}, oldest first."""
 
     def __init__(
-        self,
-        scenario: Scenario,
-        config: Config,
-        medium,
-        intruder: tuple[Uid, Sid] | None,
-        initial: GlobalState,
+        self, scenario: Scenario, config: Config, medium, intruder: tuple[Uid, Sid] | None
     ) -> None:
         self.scenario, self.config, self.medium = scenario, config, medium
-        self.intruder, self.initial = intruder, initial
+        self.intruder, self.initial = intruder, config.state
         self.states: list[GlobalState] = []
         self.events: list[TraceEvent] = []
         self.rendered = Renderings()
@@ -159,7 +149,7 @@ class TraceRun:
 
     @property
     def final_state(self) -> GlobalState:
-        return self.states[-1] if self.states else self.initial
+        return self.config.state
 
     def digest(self) -> str:
         config = self.config
@@ -205,7 +195,7 @@ class TraceRun:
             machine = after.machines[entry[1]]
             actor = machine.actor_id
             # only a receive aborts
-            name = "recv-abort" if machine.status is _ABORTED else stmt.name
+            name = "recv-abort" if machine.status == Status.ABORTED else stmt.name
             arg = machine.peer if isinstance(stmt, SetPartner) else None
         else:
             move = entry[1]
@@ -260,7 +250,7 @@ def _machines(scenario: Scenario) -> tuple[RoleMachine, ...]:
     """A fresh machine per declared role, in declaration order, each in
     its own session."""
     return tuple(
-        make_machine(role.user, role.kind, role.variant, session, role.peer)
+        RoleMachine(role.user, role.variant, role.kind, session, role.peer)
         for role, session in zip(scenario.roles, scenario.sessions())
     )
 
@@ -278,11 +268,17 @@ def build_execution(scenario: Scenario) -> TraceRun:
     medium = ABSTRACT
     if scenario.level == "concrete":
         medium = ConcreteMedium(registry_from_state(state))
-    return TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder, state)
+    return TraceRun(scenario, Config(machines, state, Inbox()), medium, intruder)
 
 
 def execute_scripted(scenario: Scenario) -> TraceRun:
-    """Run a scenario with no intruder or a scripted one to quiescence."""
+    """Run a scenario with no intruder or a scripted one to quiescence.
+
+    A machine step advances its pc or ends the machine, and each move of
+    the scripted intruder forwards a distinct message that an honest
+    machine sent it, so a run quiesces within twice the machines' total
+    statement count of events.  A run past that never would, and raises
+    RuntimeError."""
     if scenario.intruder.kind == "search":
         raise ScenarioError(
             "intruder: scripted execution cannot drive a search intruder; use 'explore'"
@@ -292,9 +288,10 @@ def execute_scripted(scenario: Scenario) -> TraceRun:
     if scenario.intruder.kind == "lowe_script":
         intr = scenario.intruder
         script = LoweScript(me=intr.user, victim_a=intr.a, victim_b=intr.b)
+    bound = 2 * sum(len(machine.statements()) for machine in run.machines)
     while True:
-        if len(run.events) > MAX_EVENTS_VALVE:
-            raise RuntimeError("run did not quiesce (event valve hit)")
+        if len(run.events) > bound:
+            raise RuntimeError(f"run did not quiesce within {bound} events")
         progressed = False
         for index in range(len(run.machines)):
             if can_fire(run.config.machines[index], run.found(index)):
@@ -310,7 +307,7 @@ def execute_scripted(scenario: Scenario) -> TraceRun:
     return run
 
 
-def run_honest_pair(frm: Uid, to: Uid, variant: Variant):
+def run_honest_pair(frm: Uid, to: Uid, variant: str):
     """Round-robin a fresh initiator/responder pair to completion.
 
     Returns the final global state and the run record.  Raises
@@ -329,10 +326,10 @@ def run_honest_pair(frm: Uid, to: Uid, variant: Variant):
         level="abstract",
     )
     run = execute_scripted(scenario)
-    if not all(m.status is Status.COMPLETED for m in run.machines):
+    if not all(m.status == Status.COMPLETED for m in run.machines):
         raise DeadlockError(
             "honest pair quiesced before completion: "
-            + ", ".join(f"{m.actor_id}={m.status.value}" for m in run.machines)
+            + ", ".join(f"{m.actor_id}={m.status}" for m in run.machines)
         )
     return run.final_state, run
 

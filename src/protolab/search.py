@@ -290,8 +290,7 @@ from .specs import (
 )
 
 
-_STATUS = {status._value_: code for code, status in enumerate(Status)}
-_RUNNING = Status.RUNNING
+_STATUS = {Status.RUNNING: 0, Status.COMPLETED: 1, Status.ABORTED: 2}
 _IX = attrgetter("ix")
 
 
@@ -339,7 +338,7 @@ class _Encoder:
         uids = self.uids
         values = [nonces[v.ix] if v.__class__ is Nonce else uids[v] for _, v in machine.locals]
         peer = uids.get(machine.peer, len(uids))
-        return (machine.pc, _STATUS[machine.status._value_], peer, *values)
+        return (machine.pc, _STATUS[machine.status], peer, *values)
 
     def session(self, user: UserState, sid: str, nonces: dict) -> tuple:
         """(partner or the user count, completion (2 unrecorded, 3 more if
@@ -521,7 +520,7 @@ class _Searcher:
         *_, pending, _ = codes
         history, starts = node.state.history, []
         for index, machine in enumerate(node.machines):
-            if machine.status is not _RUNNING:
+            if machine.status != Status.RUNNING:
                 continue
             stmt = machine.current()
             if stmt.__class__ is RecvStmt:
@@ -560,7 +559,7 @@ class _Searcher:
         history, floor = node.state.history, -len(node.machines)
         machines, waiting = node.machines, {}
         for machine in machines:
-            stmt = machine.current() if machine.status is _RUNNING else None
+            stmt = machine.current() if machine.status == Status.RUNNING else None
             if stmt.__class__ is RecvStmt:
                 waiting.setdefault(machine.owner, []).append(stmt.pattern)
         copies: dict = {}
@@ -701,7 +700,7 @@ def _runs_on(before: RoleMachine, after: RoleMachine) -> bool:
     `after`: a set-partner or an invent runs on into the next statement, and
     a finish runs right after the step before it.  An abort or a finish ends
     the macro."""
-    if after.status is not _RUNNING:
+    if after.status != Status.RUNNING:
         return False
     return isinstance(before.current(), (SetPartner, InventStmt)) or isinstance(
         after.current(), FinishStmt

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .invariants import Audit, PredicateReport, _replaced
 from .model import GlobalState, Nonce, Sid, Uid
+from .roles import Status
 
 SPEC_POST_NS = "post-ns"
 SPEC_NSL_FT = "nsl-ft"
@@ -315,9 +316,9 @@ def check_lemma_suite(run) -> list[PredicateReport]:
     final = states[-1].users
     for machine in run.machines:
         owner, sess = machine.owner, machine.session
-        if machine.status.value == "aborted" and (owner, sess) in shown:
+        if machine.status == Status.ABORTED and (owner, sess) in shown:
             fail("abort-never-completes", f"aborted session ({owner},{sess}) shows complete")
-        elif machine.status.value == "completed" and not (
+        elif machine.status == Status.COMPLETED and not (
             owner in final and final[owner].complete.get(sess)
         ):
             fail(

@@ -86,11 +86,10 @@ def _render_user(user) -> str:
 
 
 def _render_machine(machine: RoleMachine) -> str:
-    # an enum member's `_value_` is a plain attribute; `value` runs Python code
     locals_ = ",".join([f"{k}={render_item(v)}" for k, v in machine.locals])
     return (
-        f"{machine.actor_id}:variant={machine.variant._value_}:peer={machine.peer or '-'}"
-        f":pc={machine.pc}:status={machine.status._value_}:locals={{{locals_}}}"
+        f"{machine.actor_id}:variant={machine.variant}:peer={machine.peer or '-'}"
+        f":pc={machine.pc}:status={machine.status}:locals={{{locals_}}}"
     )
 
 

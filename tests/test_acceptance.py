@@ -134,7 +134,7 @@ def test_criterion_3_identity_check_aborts(runs, tmp_path):
     ok = (
         code == 0
         and run.events[-1].stmt == "recv-abort"
-        and sender.status.value == "aborted"
+        and sender.status == "aborted"
         and final.users["A"].complete["A#1"] is False
         and check_nsl_ft_all(final).holds
         and got.read_bytes() == (GOLDEN / "lowe-on-nsl.trc").read_bytes()

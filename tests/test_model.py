@@ -30,7 +30,7 @@ from protolab.model import (
     u_hist,
 )
 from protolab.invariants import dyn_inv
-from protolab.roles import ABSTRACT, Inbox, RoleKind, Variant, make_machine, step
+from protolab.roles import ABSTRACT, Inbox, RoleKind, RoleMachine, Variant, step
 
 from conftest import reads, reference_find_match
 
@@ -245,7 +245,7 @@ def test_ghost_sender_invisible_to_role_steps():
     state_real = append_action(base, opener)
     state_fake = append_action(base, forged)
 
-    machine = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
+    machine = RoleMachine("B", Variant.NS, RoleKind.RECEIVER, "B#1")
     found = reference_find_match(machine, state_real, Inbox(), ABSTRACT)
     assert found == reference_find_match(machine, state_fake, Inbox(), ABSTRACT)
     m1, s1, i1 = step(machine, state_real, Inbox(), ABSTRACT, found=found)

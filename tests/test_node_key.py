@@ -93,7 +93,7 @@ def _signature(machine: RoleMachine, user) -> tuple:
     session = machine.session
     return (
         -machine.pc,
-        machine.status.value,
+        machine.status,
         machine.peer or "",
         user.int_partner.get(session) or "",
         user.complete.get(session, False),
@@ -245,7 +245,7 @@ def _machine_rendering(machines, order: list, table) -> tuple:
     """The machines of `_image(node, order, table)` as orderable tuples,
     less their session ids, which are their positions'."""
     return tuple([
-        (m.pc, m.status.value, m.peer or "", tuple([(k, _rank(v, table)) for k, v in m.locals]))
+        (m.pc, m.status, m.peer or "", tuple([(k, _rank(v, table)) for k, v in m.locals]))
         for m in (machines[index] for index in order)
     ])
 

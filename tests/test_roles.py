@@ -26,11 +26,11 @@ from protolab.roles import (
     InventStmt,
     RecvStmt,
     RoleKind,
+    RoleMachine,
     SendStmt,
     Status,
     Variant,
     can_fire,
-    make_machine,
     step,
 )
 from protolab.runner import DeadlockError, run_honest_pair
@@ -58,7 +58,7 @@ def drive(machine, state, inbox=Inbox(), steps=1):
 
 def test_sender_first_three_steps():
     state = fresh("A", "B")
-    machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
+    machine = RoleMachine("A", Variant.NS, RoleKind.SENDER, "A#1", peer="B")
     machine, state, _ = drive(machine, state, steps=3)
     assert state.history == (
         Invent("A", N1),
@@ -71,7 +71,7 @@ def test_sender_first_three_steps():
 
 def test_sender_blocks_when_nothing_addressed_to_it():
     state = fresh("A", "B")
-    machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
+    machine = RoleMachine("A", Variant.NS, RoleKind.SENDER, "A#1", peer="B")
     machine, state, inbox = drive(machine, state, steps=3)
     assert reference_find_match(machine, state, inbox, ABSTRACT) is None
     assert not can_fire(machine, None)
@@ -82,7 +82,7 @@ def test_sender_blocks_when_nothing_addressed_to_it():
 def test_nsl_sender_aborts_on_identity_mismatch():
     # reply claims B while the machine intended to talk to I
     state = fresh("A", "B", "I")
-    machine = make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", peer="I")
+    machine = RoleMachine("A", Variant.NSL, RoleKind.SENDER, "A#1", peer="I")
     machine, state, inbox = drive(machine, state, Inbox(), steps=3)
     state = append_action(state, Msg(rec="A", sender="B", content=("B", N1, N2)))
     machine, state, inbox = drive(machine, state, inbox)
@@ -90,7 +90,7 @@ def test_nsl_sender_aborts_on_identity_mismatch():
     assert state.users["A"].complete["A#1"] is False
     # a later wrong-nonce reply of the same shape also aborts the NS variant
     state2 = fresh("A", "B")
-    m2 = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1", peer="B")
+    m2 = RoleMachine("A", Variant.NS, RoleKind.SENDER, "A#1", peer="B")
     m2, state2, i2 = drive(m2, state2, Inbox(), steps=3)
     state2 = append_action(state2, Msg(rec="A", sender="B", content=(N2, N2)))
     m2, state2, i2 = drive(m2, state2, i2)
@@ -112,7 +112,7 @@ def test_step_is_illegal_after_completion_or_abort():
 
 def test_set_partner_without_a_partner_is_illegal():
     state = fresh("A", "B")
-    machine = make_machine("A", RoleKind.SENDER, Variant.NS, "A#1")
+    machine = RoleMachine("A", Variant.NS, RoleKind.SENDER, "A#1")
     assert not can_fire(machine, None)
     with pytest.raises(IllegalMove, match="sender@A#1 has no partner to set"):
         step(machine, state, Inbox(), ABSTRACT)
@@ -146,7 +146,7 @@ def test_receive_takes_most_recent_matching_unread():
     first = Msg(rec="B", sender="A", content=("A", N1))
     second = Msg(rec="B", sender="A", content=("A", N2))
     state = append_action(append_action(state, first), second)
-    machine = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
+    machine = RoleMachine("B", Variant.NS, RoleKind.RECEIVER, "B#1")
     machine, state, inbox = drive(machine, state)
     assert machine.local("Nf") == N2  # newest first
     assert inbox.consumed == (("B", {1}),)
@@ -157,7 +157,7 @@ def test_non_matching_message_left_for_other_machines():
     # must leave it unread, and a machine expecting that shape can still take it
     state = fresh("A", "B")
     state = append_action(state, Msg(rec="B", sender="A", content=(N1,)))
-    receiver = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
+    receiver = RoleMachine("B", Variant.NS, RoleKind.RECEIVER, "B#1")
     assert reference_find_match(receiver, state, Inbox(), ABSTRACT) is None
     assert not can_fire(receiver, None)
     with pytest.raises(IllegalMove, match="receiver@B#1 has nothing to receive"):
@@ -167,8 +167,8 @@ def test_non_matching_message_left_for_other_machines():
 def test_consumed_message_is_gone_for_everyone():
     state = fresh("A", "B")
     state = append_action(state, Msg(rec="B", sender="A", content=("A", N1)))
-    first = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#1")
-    second = make_machine("B", RoleKind.RECEIVER, Variant.NS, "B#2")
+    first = RoleMachine("B", Variant.NS, RoleKind.RECEIVER, "B#1")
+    second = RoleMachine("B", Variant.NS, RoleKind.RECEIVER, "B#2")
     first, state, inbox = drive(first, state)
     assert reference_find_match(second, state, inbox, ABSTRACT) is None
 
@@ -332,9 +332,11 @@ def reference_guard_passes(machine, stmt, bound) -> bool:
 
 
 def program(kind, variant):
-    return make_machine("A", kind, variant, "A#1").statements()
+    return RoleMachine("A", variant, kind, "A#1").statements()
 
 
+KINDS = (RoleKind.SENDER, RoleKind.RECEIVER)
+VARIANTS = (Variant.NS, Variant.NSL)
 # the guard each receive had, by role and program counter, in both variants
 REFERENCE_GUARDS = {
     (RoleKind.SENDER, 3): "sender-check",
@@ -343,8 +345,8 @@ REFERENCE_GUARDS = {
 }
 RECEIVES = [
     (kind, variant, pc)
-    for kind in RoleKind
-    for variant in Variant
+    for kind in KINDS
+    for variant in VARIANTS
     for pc, stmt in enumerate(program(kind, variant))
     if isinstance(stmt, RecvStmt)
 ]
@@ -374,13 +376,13 @@ def waiting_receives(draw):
         sorted((name, draw(st.sampled_from(PRINCIPALS + NONCES))) for name in bound_before)
     )
     peer = draw(st.sampled_from((None,) + PRINCIPALS))
-    machine = make_machine(owner, kind, variant, f"{owner}#1")._replace(
+    machine = RoleMachine(owner, variant, kind, f"{owner}#1")._replace(
         pc=pc, locals=locals, peer=peer
     )
     return machine, tuple(draw(KIND_ITEMS[k]) for k in statements[pc].pattern)
 
 
-NSL_INITIATOR_AT_MESSAGE_2 = make_machine("A", RoleKind.SENDER, Variant.NSL, "A#1", "B")._replace(
+NSL_INITIATOR_AT_MESSAGE_2 = RoleMachine("A", Variant.NSL, RoleKind.SENDER, "A#1", "B")._replace(
     pc=3, locals=(("NA", N1),)
 )
 
@@ -414,12 +416,12 @@ def test_nsl_is_ns_with_message_two_changed():
         ns, nsl = program(kind, Variant.NS), program(kind, Variant.NSL)
         assert len(ns) == len(nsl)
         assert [pc for pc, pair in enumerate(zip(ns, nsl)) if pair[0] != pair[1]] == [changed]
-    ns_recv, nsl_recv = (program(RoleKind.SENDER, variant)[3] for variant in Variant)
+    ns_recv, nsl_recv = (program(RoleKind.SENDER, variant)[3] for variant in VARIANTS)
     assert isinstance(ns_recv, RecvStmt) and isinstance(nsl_recv, RecvStmt)
     assert nsl_recv.pattern == ("u", *ns_recv.pattern)
     assert nsl_recv.binds == ("claim", *ns_recv.binds)
     assert nsl_recv.checks == (("claim", "peer"), *ns_recv.checks)
     assert nsl_recv.learn == ns_recv.learn
-    ns_reply, nsl_reply = (program(RoleKind.RECEIVER, variant)[2] for variant in Variant)
+    ns_reply, nsl_reply = (program(RoleKind.RECEIVER, variant)[2] for variant in VARIANTS)
     assert isinstance(ns_reply, SendStmt) and isinstance(nsl_reply, SendStmt)
     assert nsl_reply == ns_reply._replace(template=("this", *ns_reply.template))

@@ -55,7 +55,13 @@ from conftest import (
     scenario,
 )
 from protolab.search import _counterexample_verdict, _node_key, _Searcher, explore
-from protolab.specs import SPEC_INV, check_no_mods_to_others, check_post_ns_all, contract_verdict
+from protolab.specs import (
+    SPEC_INV,
+    check_no_mods_to_others,
+    check_post_ns_all,
+    contract_verdict,
+    evaluate_run_specs,
+)
 from protolab.trace import parse_trace, render_trace
 
 HONEST_SEARCH = """protolab-scenario v1
@@ -375,6 +381,44 @@ def test_receive_discipline_verdicts_are_pinned(tmp_path, text, max_steps, expec
     out, err = io.StringIO(), io.StringIO()
     assert main(["replay", str(trace)], out=out, err=err) == 0
     assert out.getvalue() == f"replay ok: {events} events verified\n"
+
+
+# A run of the model in which a conforming user receives one nonce under two
+# claimed names: A#1 picks I and sends it [A,n1]; the intruder composes
+# [A,n1] to B, which B#1 takes, and [B,n1] to B, which B#2 takes, recording
+# B as its own partner; B#1 then sends [B,n1,n2] to A.
+OBLIGATION_BROKEN = [
+    ("machine", 0, "I"),
+    ("machine", 0, None),
+    ("machine", 0, None),
+    ("intruder", Compose(rec="B", content=("A", Nonce(1)))),
+    ("machine", 2, None),
+    ("intruder", Compose(rec="B", content=("B", Nonce(1)))),
+    ("machine", 3, None),
+    ("machine", 2, None),
+    ("machine", 2, None),
+]
+
+
+def test_a_run_of_the_model_breaks_an_honest_code_obligation(tmp_path):
+    # the obligations that honest code keeps assume that no conforming user
+    # receives one nonce under two claimed names; the model lets the
+    # intruder make one, so `run` and `replay`, which assert the
+    # obligations, reject this run, while a search does not assert them
+    from protolab.cli import main
+
+    run = execute_schedule(parse_scenario(TWO_PAIRS), OBLIGATION_BROKEN)
+    verdicts = evaluate_run_specs(run, [SPEC_INV])
+    detail = (
+        "inv-sigma: no-app-leaks for user B: nonce n1 received at 2 claiming sender B "
+        "re-sent at 4 to A"
+    )
+    assert [(v.spec, v.holds, v.detail) for v in verdicts] == [(SPEC_INV, False, detail)]
+    trace = tmp_path / "broken.trc"
+    trace.write_text(render_trace(run.to_doc(verdicts)))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["replay", str(trace)], out=out, err=err) == 1
+    assert (out.getvalue(), err.getvalue()) == (f"replay obligation failed: {detail}\n", "")
 
 
 def test_the_content_length_three_over_reach_is_pinned(tmp_path):

@@ -63,6 +63,10 @@ def test_the_commands_reach_every_input_and_flag(tmp_path):
     assert {"run", "explore", "replay"} == {argv[0] for argv in argvs}
     assert all((tmp_path / path).is_file() for path in scenarios["derived"])
     assert any("max_content_len=3 " in (tmp_path / path).read_text() for path in scenarios["derived"])
+    assert any(
+        "max_steps=16 max_content_len=2 max_intruder_invents=1 " in (tmp_path / path).read_text()
+        for path in scenarios["derived"]
+    )
 
 
 def test_the_sweep_prints_the_checked_in_lines():

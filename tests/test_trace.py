@@ -15,6 +15,7 @@ import protolab.model as model
 import protolab.trace as trace
 from protolab.cli import main
 from protolab.crypto import WireMsg
+from protolab.intruder import InventNonce, LoweScript
 from protolab.model import Invent, Msg, Nonce, render_content
 from protolab.roles import can_fire
 from protolab.runner import TraceRun, apply_entry, build_execution, execute_scripted
@@ -209,3 +210,38 @@ def test_each_invention_scans_the_history_once(monkeypatch):
     history = run.final_state.history
     assert sum(isinstance(act, Invent) for act in history) == 48
     assert visited() == 0
+
+
+# ── a run's state and its length ─────────────────────────────────────────────
+
+
+def test_an_advanced_run_reports_its_configuration_state():
+    # `advance` applies an entry without recording a state or an event, as
+    # replay's recipient-field twin does; the run's state is still the
+    # configuration's
+    run = build_execution(load("honest-ns"))
+    for _ in range(3):
+        run.advance(("machine", 0, None))
+    assert run.states == [] and len(run.final_state.history) == 2
+    assert run.final_state is run.config.state
+
+
+def test_a_scripted_run_that_never_quiesces_stops_at_its_bound(monkeypatch):
+    # a run takes at most twice the machines' statements; an intruder that
+    # never stops is cut within one round of that, not after thousands
+    sc = load("lowe-on-ns")
+    machines = build_execution(sc).machines
+    bound = 2 * sum(len(machine.statements()) for machine in machines)
+    assert bound == 22
+    monkeypatch.setattr(LoweScript, "pending_move", lambda self, state, medium: InventNonce())
+    runs = []
+    real_step = TraceRun.step
+
+    def recording_step(self, entry):
+        runs.append(self)
+        real_step(self, entry)
+
+    monkeypatch.setattr(TraceRun, "step", recording_step)
+    with pytest.raises(RuntimeError, match=f"run did not quiesce within {bound} events"):
+        execute_scripted(sc)
+    assert bound < len(runs[-1].events) <= bound + len(machines) + 1

@@ -15,8 +15,9 @@ that keeps the behaviour keeps every line.
 
 The commands: `run` of every shipped scenario under every spec, both levels
 and `--no-ghost`; `explore` of every shipped scenario under every spec, of
-the search scenarios at more step bounds and content bounds, and of the
-multi-session search scenarios the tests pin; and `replay` of the goldens,
+the search scenarios at more step bounds and content bounds and with one
+intruder invention, and of the multi-session search scenarios the tests
+pin; and `replay` of the goldens,
 the tampered traces and every trace a command above wrote.
 """
 
@@ -112,6 +113,13 @@ def prepare(work: Path) -> dict[str, list[str]]:
             (work / derived[-1]).write_text(
                 text.replace("max_content_len=2", f"max_content_len={bound}")
             )
+        # one intruder invention, at a step bound that lets the search use it
+        derived.append(f"derived/{Path(path).stem}-invents1.scn")
+        (work / derived[-1]).write_text(
+            text.replace("max_intruder_invents=0", "max_intruder_invents=1").replace(
+                "max_steps=14", "max_steps=16"
+            )
+        )
     return {
         "scripted": [s for s in shipped if s not in search],
         "search": search,
